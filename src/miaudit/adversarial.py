@@ -317,7 +317,7 @@ def dump_trace_csv(trace: ApgdTrace, path) -> None:
     """Debug dump: one row per iterate with loss, distance, predicted class."""
     dists = trace.distances()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["iteration", "loss", "distance", "predicted_class"])
         for i in range(len(trace.losses)):
             writer.writerow(

@@ -19,13 +19,16 @@ import numpy as np
 from .errors import ConfigError, DataError, ShapeError, TrainingError
 from .nn_core import (
     AdamState,
+    DenseNet,
     MLPClassifier,
     Tensor,
     backward_gradients,
     cross_entropy_loss,
+    loss_and_grads,
+    mean_loss,
     read_net_params,
     write_net_params,
-    _forward_trace,
+    _read_exact,
 )
 
 GRAD_STAT_NAMES = ("l1_norm", "l2_norm", "max_value", "mean", "skewness", "kurtosis", "abs_min")
@@ -126,7 +129,7 @@ def extract_grad_x_stats(model: MLPClassifier, x, y: int) -> FeatureVector:
 
 def _last_two_layer_outputs(model: MLPClassifier, x) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
-    _, acts, probs = _forward_trace(model, arr[None, :])
+    _, acts, probs = model.forward(arr[None, :])
     return np.concatenate([probs[0], acts[-1][0]])
 
 
@@ -139,7 +142,7 @@ def extract_intermediate_outputs(
             raise ConfigError("intermediate outputs need at least one hidden layer")
         return FeatureVector(_last_two_layer_outputs(model, x), "intermediate_outputs")
     arr = np.asarray(x, dtype=np.float64)
-    _, _, probs = _forward_trace(model, arr[None, :])
+    _, _, probs = model.forward(arr[None, :])
     return FeatureVector(probs[0], "intermediate_outputs")
 
 
@@ -152,7 +155,7 @@ def extract_wb_features(model: MLPClassifier, x, y: int) -> FeatureVector:
     last_w = bundle.weight_grads[-1].values.ravel()
     last_b = bundle.bias_grads[-1].values.ravel()
     arr = np.asarray(x, dtype=np.float64)
-    _, acts, probs = _forward_trace(model, arr[None, :])
+    _, acts, probs = model.forward(arr[None, :])
     loss = cross_entropy_loss(probs[0], y)
     onehot = np.zeros(model.n_classes)
     onehot[int(y)] = 1.0
@@ -221,85 +224,30 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-class BinaryNet:
+class BinaryNet(DenseNet):
     """ReLU hidden layers with a single sigmoid output unit."""
 
     def __init__(self, layer_dims: Sequence[int], weights: list, biases: list):
-        dims = [int(d) for d in layer_dims]
-        if len(dims) < 2 or dims[-1] != 1:
+        super().__init__(layer_dims, weights, biases)
+        if self.layer_dims[-1] != 1:
             raise ConfigError("binary net needs output width 1")
-        if any(d <= 0 for d in dims):
-            raise ConfigError("layer dimensions must be positive")
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            if w.shape != (dims[i], dims[i + 1]) or b.shape != (dims[i + 1],):
-                raise ShapeError(f"binary net layer {i} parameter shapes are wrong")
-        self.layer_dims = dims
-        self.weights = weights
-        self.biases = biases
 
-    @classmethod
-    def build(cls, layer_dims: Sequence[int], seed: int) -> "BinaryNet":
-        dims = [int(d) for d in layer_dims]
-        rng = np.random.default_rng(seed)
-        weights, biases = [], []
-        for fan_in, fan_out in zip(dims, dims[1:]):
-            limit = 1.0 / math.sqrt(fan_in)
-            weights.append(Tensor(rng.uniform(-limit, limit, (fan_in, fan_out)), True))
-            biases.append(Tensor(np.zeros(fan_out), True))
-        return cls(dims, weights, biases)
+    def head_output(self, logits: np.ndarray) -> np.ndarray:
+        return _sigmoid(logits[:, 0])
 
-    def parameters(self) -> list:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+    def head_losses(self, logits: np.ndarray, probs: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """BCE in the stable softplus form."""
+        z = logits[:, 0]
+        return np.maximum(z, 0.0) - y * z + np.log1p(np.exp(-np.abs(z)))
 
-    def logits(self, X: np.ndarray):
-        pres, acts = [], [X]
-        a = X
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w.values + b.values
-            pres.append(z)
-            if i < last:
-                a = np.maximum(z, 0.0)
-                acts.append(a)
-        return pres, acts
+    def head_delta(self, probs: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return (probs - y)[:, None]
 
     def scores(self, X) -> np.ndarray:
         arr = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if arr.shape[1] != self.layer_dims[0]:
             raise ShapeError("input width does not match binary net")
-        pres, _ = self.logits(arr)
-        return _sigmoid(pres[-1][:, 0])
-
-
-def _binary_loss_and_grads(net: BinaryNet, X: np.ndarray, y: np.ndarray):
-    """Mean BCE (stable softplus form) and its parameter gradients."""
-    pres, acts = net.logits(X)
-    z = pres[-1][:, 0]
-    loss = float(np.mean(np.maximum(z, 0.0) - y * z + np.log1p(np.exp(-np.abs(z)))))
-    n = X.shape[0]
-    delta = ((_sigmoid(z) - y) / n)[:, None]
-    L = len(net.weights)
-    gws, gbs = [None] * L, [None] * L
-    for i in reversed(range(L)):
-        gws[i] = acts[i].T @ delta
-        gbs[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ net.weights[i].values.T) * (pres[i - 1] > 0.0)
-    grads = []
-    for gw, gb in zip(gws, gbs):
-        grads.append(gw)
-        grads.append(gb)
-    return loss, grads
-
-
-def _binary_bce(net: BinaryNet, X: np.ndarray, y: np.ndarray) -> float:
-    pres, _ = net.logits(X)
-    z = pres[-1][:, 0]
-    return float(np.mean(np.maximum(z, 0.0) - y * z + np.log1p(np.exp(-np.abs(z)))))
+        return self.forward(arr)[2]
 
 
 @dataclass
@@ -367,7 +315,7 @@ def fit_logistic_attacker(features, labels, seed: int = 0, max_steps: int = 1000
     prev = math.inf
     history = []
     for _ in range(max_steps):
-        loss, grads = _binary_loss_and_grads(net, X, y)
+        loss, grads, _, _ = loss_and_grads(net, X, y)
         history.append(loss)
         if prev - loss < 1e-8 * max(abs(prev), 1.0) and math.isfinite(prev):
             break
@@ -399,9 +347,9 @@ def _train_binary_net(
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            _, grads = _binary_loss_and_grads(net, X[idx], y[idx])
+            _, grads, _, _ = loss_and_grads(net, X[idx], y[idx])
             adam.step(params, grads, learning_rate)
-        loss = _binary_bce(net, X, y)
+        loss = mean_loss(net, X, y)
         if not math.isfinite(loss):
             raise TrainingError("attacker training diverged")
         history.append(loss)
@@ -506,26 +454,23 @@ def save_attacker(attacker: TrainedAttacker, path) -> None:
 
 def load_attacker(path) -> TrainedAttacker:
     with open(path, "rb") as fh:
-        magic = fh.read(len(ATTACKER_MAGIC))
+        magic = _read_exact(fh, len(ATTACKER_MAGIC))
         if magic != ATTACKER_MAGIC:
             raise DataError("not an attacker checkpoint (bad magic)")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", _read_exact(fh, 4))
         if version != ATTACKER_VERSION:
             raise DataError(f"unsupported attacker checkpoint version {version}")
-        (kind_code,) = struct.unpack("<B", fh.read(1))
+        (kind_code,) = struct.unpack("<B", _read_exact(fh, 1))
         if kind_code not in _KIND_NAMES:
             raise DataError(f"unknown attacker kind code {kind_code}")
         dims, weights, biases = read_net_params(fh)
-        raw = fh.read(4)
-        if len(raw) != 4:
-            raise DataError("attacker checkpoint truncated")
-        (n_feat,) = struct.unpack("<I", raw)
-        min_bytes = fh.read(8 * n_feat)
-        max_bytes = fh.read(8 * n_feat)
-        if len(min_bytes) != 8 * n_feat or len(max_bytes) != 8 * n_feat:
-            raise DataError("attacker checkpoint truncated")
-        mins = np.frombuffer(min_bytes, dtype="<f8")
-        maxs = np.frombuffer(max_bytes, dtype="<f8")
+        (n_feat,) = struct.unpack("<I", _read_exact(fh, 4))
+        if n_feat != dims[0]:
+            raise DataError(f"attacker scaler width {n_feat} != net input width {dims[0]}")
+        mins = np.frombuffer(_read_exact(fh, 8 * n_feat), dtype="<f8")
+        maxs = np.frombuffer(_read_exact(fh, 8 * n_feat), dtype="<f8")
+        if fh.read(1):
+            raise DataError("trailing bytes after attacker checkpoint payload")
     net = BinaryNet(dims, weights, biases)
     return TrainedAttacker(_KIND_NAMES[kind_code], net, MinMaxScaler(mins.copy(), maxs.copy()))
 

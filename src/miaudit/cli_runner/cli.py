@@ -12,10 +12,17 @@ import sys
 from pathlib import Path
 
 from ..errors import AuditError, ConfigError, DataError
-from ..nn_core import classification_accuracy, empirical_risk, save_checkpoint
+from ..nn_core import save_checkpoint
 from .config import load_config
-from .data import generate_synthetic_dataset, save_dataset
-from .pipeline import rerender_from_scores, run_pipeline
+from .data import save_dataset
+from .pipeline import (
+    _atomic_file_write,
+    _atomic_write_text,
+    prepare_target,
+    rerender_from_scores,
+    run_pipeline,
+    synthetic_dataset,
+)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -36,16 +43,7 @@ def _load(args: argparse.Namespace):
 def _cmd_gen_data(args: argparse.Namespace) -> int:
     config = _load(args)
     out = Path(args.out or config["dataset.path"] or "dataset_out")
-    from .config import stage_seed
-
-    train, heldout, manifest = generate_synthetic_dataset(
-        config["dataset.n_per_class"],
-        config["dataset.classes"],
-        config["dataset.dim"],
-        config["dataset.separation"],
-        stage_seed(config.seed, "data"),
-        config["dataset.heldout_per_class"],
-    )
+    train, heldout, manifest = synthetic_dataset(config)
     fmt = args.format or config["dataset.format"]
     save_dataset(train, heldout, manifest, out, fmt)
     print(f"wrote {len(train)} train / {len(heldout)} heldout samples to {out}")
@@ -54,40 +52,13 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 
 def _cmd_train_target(args: argparse.Namespace) -> int:
     config = _load(args)
-    from .pipeline import _stage, _train_target
-    from .data import load_dataset
-
     out = Path(args.out or config["output.dir"])
-    with _stage("data"):
-        if config["dataset.source"] == "synthetic":
-            from .config import stage_seed
-
-            train_ds, heldout_ds, manifest = generate_synthetic_dataset(
-                config["dataset.n_per_class"],
-                config["dataset.classes"],
-                config["dataset.dim"],
-                config["dataset.separation"],
-                stage_seed(config.seed, "data"),
-                config["dataset.heldout_per_class"],
-            )
-        else:
-            fmt = "csv" if config["dataset.source"] == "csv" else "binary"
-            train_ds, heldout_ds, manifest = load_dataset(config["dataset.path"], fmt)
-    with _stage("target"):
-        model, history = _train_target(config, train_ds, manifest)
+    _, _, _, model, summary = prepare_target(config)
     out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(model, out / "target.ckpt")
-    summary = {
-        "layer_dims": list(model.layer_dims),
-        "epochs_run": len(history),
-        "train_accuracy": classification_accuracy(model, train_ds.samples()),
-        "heldout_accuracy": classification_accuracy(model, heldout_ds.samples()),
-        "train_risk": empirical_risk(model, train_ds.samples()),
-        "heldout_risk": empirical_risk(model, heldout_ds.samples()),
-    }
-    with open(out / "target_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _atomic_file_write(out / "target.ckpt", lambda p: save_checkpoint(model, p))
+    _atomic_write_text(
+        out / "target_summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    )
     print(
         f"target trained: train acc {summary['train_accuracy']:.4f}, "
         f"heldout acc {summary['heldout_accuracy']:.4f}, checkpoint at {out / 'target.ckpt'}"

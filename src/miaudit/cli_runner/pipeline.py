@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import attack_models as am
-from ..adversarial import apgd_maximize_loss
+from ..adversarial import apgd_maximize_loss, dump_trace_csv
 from ..errors import AuditError, ConfigError, DataError
 from ..evaluation import (
     EvalReport,
@@ -120,11 +120,10 @@ def _sample_payload(task):
             feats[ex] = am.extract_intermediate_outputs(model, x).values
         elif ex == "wb_concat":
             feats[ex] = am.extract_wb_features(model, x, y).values
-    trace_rows = None
+    trace = None
     if _WORKER["dump_traces"]:
         trace = apgd_maximize_loss(model, x, y, _sample_attack_config(sid))
-        trace_rows = (trace.losses, trace.distances(), trace.predictions)
-    return sid, scores, feats, trace_rows
+    return sid, scores, feats, trace
 
 
 def _compute_payloads(tasks, workers, init_args):
@@ -144,18 +143,53 @@ def _compute_payloads(tasks, workers, init_args):
 # ---------------------------------------------------------------------------
 
 
-def _train_target(config: ExperimentConfig, train_ds, manifest):
-    ckpt = config["target.load_checkpoint"]
-    if ckpt:
-        model = load_checkpoint(ckpt)
-        history = []
-    else:
-        dims = [manifest.feature_dim, *config.hidden_dims(), manifest.n_classes]
-        model = build_mlp(dims, stage_seed(config.seed, "target_init"))
-        _, history = train(
-            model, train_ds.samples(), config.train_config(stage_seed(config.seed, "target_train"))
-        )
-    return model, history
+def synthetic_dataset(config: ExperimentConfig):
+    """(train, heldout, manifest) of the configured synthetic dataset."""
+    return generate_synthetic_dataset(
+        config["dataset.n_per_class"],
+        config["dataset.classes"],
+        config["dataset.dim"],
+        config["dataset.separation"],
+        stage_seed(config.seed, "data"),
+        config["dataset.heldout_per_class"],
+    )
+
+
+def prepare_target(config: ExperimentConfig):
+    """Data and target stages, shared by `audit` and `train-target`.
+
+    Returns (train set, heldout set, manifest, model, target summary); the
+    summary is the report's `target` section.
+    """
+    with _stage("data"):
+        if config["dataset.source"] == "synthetic":
+            train_ds, heldout_ds, manifest = synthetic_dataset(config)
+        else:
+            fmt = "csv" if config["dataset.source"] == "csv" else "binary"
+            train_ds, heldout_ds, manifest = load_dataset(config["dataset.path"], fmt)
+
+    with _stage("target"):
+        ckpt = config["target.load_checkpoint"]
+        if ckpt:
+            model = load_checkpoint(ckpt)
+            history = []
+        else:
+            dims = [manifest.feature_dim, *config.hidden_dims(), manifest.n_classes]
+            model = build_mlp(dims, stage_seed(config.seed, "target_init"))
+            _, history = train(
+                model, train_ds.samples(), config.train_config(stage_seed(config.seed, "target_train"))
+            )
+        summary = {
+            "layer_dims": list(model.layer_dims),
+            "parameter_count": model.parameter_count(),
+            "epochs_run": len(history),
+            "final_train_loss": float(history[-1]) if history else None,
+            "train_accuracy": classification_accuracy(model, train_ds.samples()),
+            "heldout_accuracy": classification_accuracy(model, heldout_ds.samples()),
+            "train_risk": empirical_risk(model, train_ds.samples()),
+            "heldout_risk": empirical_risk(model, heldout_ds.samples()),
+        }
+    return train_ds, heldout_ds, manifest, model, summary
 
 
 def _hist_range(name: str, values: np.ndarray, epsilon: float):
@@ -205,32 +239,7 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
     attacker_names = [s for s in strategies if s in ATTACKER_STRATEGIES]
     threshold_names = [s for s in strategies if s in THRESHOLD_STRATEGIES]
 
-    with _stage("data"):
-        if config["dataset.source"] == "synthetic":
-            train_ds, heldout_ds, manifest = generate_synthetic_dataset(
-                config["dataset.n_per_class"],
-                config["dataset.classes"],
-                config["dataset.dim"],
-                config["dataset.separation"],
-                stage_seed(config.seed, "data"),
-                config["dataset.heldout_per_class"],
-            )
-        else:
-            fmt = "csv" if config["dataset.source"] == "csv" else "binary"
-            train_ds, heldout_ds, manifest = load_dataset(config["dataset.path"], fmt)
-
-    with _stage("target"):
-        model, history = _train_target(config, train_ds, manifest)
-        target_summary = {
-            "layer_dims": list(model.layer_dims),
-            "parameter_count": model.parameter_count(),
-            "epochs_run": len(history),
-            "final_train_loss": float(history[-1]) if history else None,
-            "train_accuracy": classification_accuracy(model, train_ds.samples()),
-            "heldout_accuracy": classification_accuracy(model, heldout_ds.samples()),
-            "train_risk": empirical_risk(model, train_ds.samples()),
-            "heldout_risk": empirical_risk(model, heldout_ds.samples()),
-        }
+    train_ds, heldout_ds, manifest, model, target_summary = prepare_target(config)
 
     n_members = len(train_ds)
     n_nonmembers = len(heldout_ds)
@@ -264,11 +273,11 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
         score_table = {sid: scores for sid, scores, _, _ in payloads}
         feature_table = {ex: {} for ex in needed_extractors}
         traces = {}
-        for sid, _, feats, trace_rows in payloads:
+        for sid, _, feats, trace in payloads:
             for ex, vals in feats.items():
                 feature_table[ex][sid] = vals
-            if trace_rows is not None:
-                traces[sid] = trace_rows
+            if trace is not None:
+                traces[sid] = trace
 
     with _stage("attackers"):
         attacker_train_ids = _attacker_split(config, n_members, n_nonmembers, bool(attacker_names))
@@ -307,16 +316,75 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
         member_pool[name] = np.array([attacker_eval_scores[name][i] for i in eval_member_ids])
         nonmember_pool[name] = np.array([attacker_eval_scores[name][i] for i in eval_nonmember_ids])
 
+    score_records = {}
+    for name in strategies:
+        records = [
+            ScoreRecord(i, name, float(member_pool[name][j]), True)
+            for j, i in enumerate(eval_member_ids)
+        ] + [
+            ScoreRecord(i, name, float(nonmember_pool[name][j]), False)
+            for j, i in enumerate(eval_nonmember_ids)
+        ]
+        score_records[name] = records
+
+    splits = {
+        "members_total": n_members,
+        "nonmembers_total": n_nonmembers,
+        "attacker_train_members": sum(1 for i in attacker_train_ids if i < n_members),
+        "attacker_train_nonmembers": sum(1 for i in attacker_train_ids if i >= n_members),
+        "eval_members": len(eval_member_ids),
+        "eval_nonmembers": len(eval_nonmember_ids),
+    }
+    report = build_report(
+        config, member_pool, nonmember_pool, manifest.to_dict(), target_summary, splits, score_records
+    )
+
+    with _stage("export"):
+        export_report(report, out)
+        _atomic_file_write(out / "target.ckpt", lambda p: save_checkpoint(model, p))
+        for name, attacker in attackers.items():
+            _atomic_file_write(out / f"{name}.ckpt", lambda p, a=attacker: am.save_attacker(a, p))
+        if config["debug.dump_features"]:
+            all_ids = eval_member_ids + eval_nonmember_ids
+            for ex in needed_extractors:
+                feats = [feature_table[ex][i] for i in all_ids]
+                members = [i < n_members for i in all_ids]
+                am.write_feature_dump(out / f"features_{ex}.csv", all_ids, feats, members)
+        if traces:
+            trace_dir = out / "traces"
+            trace_dir.mkdir(parents=True, exist_ok=True)
+            for sid in sorted(traces):
+                _atomic_file_write(
+                    trace_dir / f"trace_{sid}.csv", lambda p, t=traces[sid]: dump_trace_csv(t, p)
+                )
+    return report, out
+
+
+# ---------------------------------------------------------------------------
+# Analyses
+# ---------------------------------------------------------------------------
+
+
+def build_report(
+    config: ExperimentConfig, member_pool, nonmember_pool, dataset, target, splits, score_records
+) -> EvalReport:
+    """Run the analyses on the score pools and wrap them in the report.
+
+    Each pool maps every configured strategy to its scores in ascending
+    sample-id order.  `audit` and `report` both build their report here, so
+    a re-render of an audit reproduces its analysis sections.
+    """
+    strategies = config.strategies()
     strategy_reports = {name: {} for name in strategies}
     roc_grids = {}
     histograms = {}
     grid = default_fpr_grid(config["protocol.fpr_grid_points"])
 
     if strategies:
+        n_m = len(member_pool[strategies[0]])
+        n_n = len(nonmember_pool[strategies[0]])
         with _stage("analysis1"):
-            protocol = config.protocol_config(
-                len(eval_member_ids), len(eval_nonmember_ids), stage_seed(config.seed, "analysis1")
-            )
+            protocol = config.protocol_config(n_m, n_n, stage_seed(config.seed, "analysis1"))
             repeats = repeated_subset_experiment(member_pool, nonmember_pool, protocol)
             for name, res in repeats.items():
                 strategy_reports[name]["analysis1"] = {
@@ -351,10 +419,9 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
             with _stage("ratio"):
                 ratios = config.ratios()
                 max_frac = max(a / b for a, b in ratios)
-                n_m, n_n = len(eval_member_ids), len(eval_nonmember_ids)
                 base = min(n_n, int(n_m / max_frac))
                 if base < 1:
-                    raise ConfigError("eval pools too small for the configured ratios")
+                    raise ConfigError("score pools too small for the configured ratios")
                 rng = np.random.default_rng(stage_seed(config.seed, "ratio_base"))
                 keep = np.sort(rng.choice(n_n, size=base, replace=False))
                 for name in ratio_names:
@@ -382,54 +449,18 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
             "hist": f"hist_{name}.csv",
         }
 
-    score_records = {}
-    for name in strategies:
-        records = [
-            ScoreRecord(i, name, float(member_pool[name][j]), True)
-            for j, i in enumerate(eval_member_ids)
-        ] + [
-            ScoreRecord(i, name, float(nonmember_pool[name][j]), False)
-            for j, i in enumerate(eval_nonmember_ids)
-        ]
-        score_records[name] = records
-
-    report = EvalReport(
+    return EvalReport(
         schema_version=SCHEMA_VERSION,
         seed=config.seed,
         config_echo=config.echo(),
-        dataset=manifest.to_dict(),
-        target=target_summary,
-        splits={
-            "members_total": n_members,
-            "nonmembers_total": n_nonmembers,
-            "attacker_train_members": sum(1 for i in attacker_train_ids if i < n_members),
-            "attacker_train_nonmembers": sum(1 for i in attacker_train_ids if i >= n_members),
-            "eval_members": len(eval_member_ids),
-            "eval_nonmembers": len(eval_nonmember_ids),
-        },
+        dataset=dataset,
+        target=target,
+        splits=splits,
         strategies=strategy_reports,
         roc_grids=roc_grids,
         histograms=histograms,
         score_records=score_records,
     )
-
-    with _stage("export"):
-        export_report(report, out)
-        _atomic_file_write(out / "target.ckpt", lambda p: save_checkpoint(model, p))
-        for name, attacker in attackers.items():
-            _atomic_file_write(out / f"{name}.ckpt", lambda p, a=attacker: am.save_attacker(a, p))
-        if config["debug.dump_features"]:
-            all_ids = eval_member_ids + eval_nonmember_ids
-            for ex in needed_extractors:
-                feats = [feature_table[ex][i] for i in all_ids]
-                members = [i < n_members for i in all_ids]
-                am.write_feature_dump(out / f"features_{ex}.csv", all_ids, feats, members)
-        if traces:
-            trace_dir = out / "traces"
-            trace_dir.mkdir(parents=True, exist_ok=True)
-            for sid, (losses, dists, preds) in sorted(traces.items()):
-                _write_trace_csv(trace_dir / f"trace_{sid}.csv", losses, dists, preds)
-    return report, out
 
 
 # ---------------------------------------------------------------------------
@@ -448,13 +479,6 @@ def _atomic_file_write(path: Path, writer) -> None:
     tmp = path.with_name(path.name + ".tmp")
     writer(tmp)
     os.replace(tmp, path)
-
-
-def _write_trace_csv(path, losses, dists, preds) -> None:
-    lines = ["iteration,loss,distance,predicted_class"]
-    for i in range(len(losses)):
-        lines.append(f"{i},{float(losses[i])!r},{float(dists[i])!r},{int(preds[i])}")
-    _atomic_write_text(Path(path), "\n".join(lines) + "\n")
 
 
 def export_report(report: EvalReport, out_dir) -> Path:
@@ -490,27 +514,33 @@ def rerender_from_scores(config: ExperimentConfig, scores_dir, out_dir):
     """Rebuild the analyses and report from scores_<strategy>.csv files.
 
     Stage seeds come from the config, so a re-render of an unmodified audit
-    directory reproduces the audit's numbers.  Dataset/target sections are
-    carried over from an existing report.json when present.
+    directory reproduces the audit's numbers.  Every file must list the same
+    (sample_id, is_member) sequence and name its own strategy in every row;
+    otherwise the pools would pair different samples.  Dataset/target
+    sections are carried over from an existing report.json when present.
     """
     scores_path = Path(scores_dir)
     strategies = config.strategies()
     member_pool = {}
     nonmember_pool = {}
-    counts = None
+    samples = None
     for name in strategies:
         csv_path = scores_path / f"scores_{name}.csv"
         if not csv_path.is_file():
             raise DataError(f"missing score file {csv_path}")
         records = read_score_records(csv_path)
+        if any(r.strategy != name for r in records):
+            raise DataError(f"{csv_path}: strategy column does not name {name!r}")
         records.sort(key=lambda r: r.sample_id)
-        member_pool[name] = np.array([r.score for r in records if r.is_member])
-        nonmember_pool[name] = np.array([r.score for r in records if not r.is_member])
-        pair = (len(member_pool[name]), len(nonmember_pool[name]))
-        if counts is None:
-            counts = pair
-        elif counts != pair:
-            raise ConfigError("score CSVs disagree on pool sizes across strategies")
+        ids = np.array([r.sample_id for r in records])
+        members = np.array([r.is_member for r in records], dtype=bool)
+        if samples is None:
+            samples = (ids, members)
+        elif not (np.array_equal(ids, samples[0]) and np.array_equal(members, samples[1])):
+            raise DataError(f"{csv_path}: samples differ from scores_{strategies[0]}.csv")
+        scores = np.array([r.score for r in records])
+        member_pool[name] = scores[members]
+        nonmember_pool[name] = scores[~members]
 
     dataset_section, target_section, splits_section = {}, {}, {}
     old_report = scores_path / "report.json"
@@ -521,86 +551,8 @@ def rerender_from_scores(config: ExperimentConfig, scores_dir, out_dir):
         target_section = old.get("target", {})
         splits_section = old.get("splits", {})
 
-    strategy_reports = {name: {} for name in strategies}
-    roc_grids = {}
-    histograms = {}
-    grid = default_fpr_grid(config["protocol.fpr_grid_points"])
-    if strategies:
-        n_m, n_n = counts
-        with _stage("analysis1"):
-            protocol = config.protocol_config(n_m, n_n, stage_seed(config.seed, "analysis1"))
-            repeats = repeated_subset_experiment(member_pool, nonmember_pool, protocol)
-            for name, res in repeats.items():
-                strategy_reports[name]["analysis1"] = {
-                    "repeats": protocol.repeats,
-                    "member_subset_size": protocol.resolved_subset_size(),
-                    "auroc_mean": res.auroc_mean,
-                    "auroc_std": res.auroc_std,
-                    "accuracy_mean": res.accuracy_mean,
-                    "accuracy_std": res.accuracy_std,
-                    "aurocs": [float(v) for v in res.aurocs],
-                    "accuracies": [float(v) for v in res.accuracies],
-                }
-                mean_tpr, std_tpr = averaged_roc_on_grid(res.curves, grid)
-                roc_grids[name] = (grid, mean_tpr, std_tpr)
-        with _stage("analysis2"):
-            seed2 = stage_seed(config.seed, "analysis2")
-            for name in strategies:
-                sset = LabeledScoreSet.from_pools(member_pool[name], nonmember_pool[name], name)
-                fixed = 0.5 if name in ATTACKER_STRATEGIES else None
-                bal, fpr = holdout_threshold_eval(
-                    sset, config["protocol.holdout_fraction"], seed2, fixed_tau=fixed
-                )
-                strategy_reports[name]["analysis2"] = {
-                    "balanced_accuracy": bal,
-                    "fpr": fpr,
-                    "threshold_rule": "fixed_0.5" if fixed is not None else "swept",
-                }
-        ratio_names = [s for s in config.ratio_strategies() if s in strategies]
-        if ratio_names:
-            with _stage("ratio"):
-                ratios = config.ratios()
-                max_frac = max(a / b for a, b in ratios)
-                base = min(n_n, int(n_m / max_frac))
-                if base < 1:
-                    raise ConfigError("score pools too small for the configured ratios")
-                rng = np.random.default_rng(stage_seed(config.seed, "ratio_base"))
-                keep = np.sort(rng.choice(n_n, size=base, replace=False))
-                for name in ratio_names:
-                    strategy_reports[name]["ratio_auroc"] = ratio_robustness_experiment(
-                        member_pool[name],
-                        nonmember_pool[name][keep],
-                        ratios,
-                        repeats=config["protocol.ratio_repeats"],
-                        seed=stage_seed(config.seed, "ratio"),
-                    )
-        with _stage("histograms"):
-            for name in strategies:
-                sset = LabeledScoreSet.from_pools(member_pool[name], nonmember_pool[name], name)
-                rng_range = _hist_range(name, sset.scores, config["attack.epsilon"])
-                histograms[name] = score_histogram(sset, config["histogram.bins"], rng_range)
-
-    for name in strategies:
-        strategy_reports[name]["kind"] = (
-            "attacker" if name in ATTACKER_STRATEGIES else "threshold"
-        )
-        strategy_reports[name]["files"] = {
-            "scores": f"scores_{name}.csv",
-            "roc": f"roc_{name}.csv",
-            "hist": f"hist_{name}.csv",
-        }
-
-    report = EvalReport(
-        schema_version=SCHEMA_VERSION,
-        seed=config.seed,
-        config_echo=config.echo(),
-        dataset=dataset_section,
-        target=target_section,
-        splits=splits_section,
-        strategies=strategy_reports,
-        roc_grids=roc_grids,
-        histograms=histograms,
-        score_records={},
+    report = build_report(
+        config, member_pool, nonmember_pool, dataset_section, target_section, splits_section, {}
     )
     with _stage("export"):
         export_report(report, out_dir)

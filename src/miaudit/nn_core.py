@@ -1,9 +1,11 @@
 """Dense float64 MLP engine.
 
-Tensors carry an optional gradient slot; classifiers are fully connected
-ReLU networks with a softmax head.  Forward prediction and gradient
-evaluation on a frozen model are pure functions of (parameters, input),
-and training is seeded so repeated runs are bitwise identical.
+Tensors carry an optional gradient slot.  Every network is one dense ReLU
+core (`DenseNet`) with one forward and one backward loop; the classifier
+adds a softmax cross-entropy head, the attackers a sigmoid BCE head.
+Forward prediction and gradient evaluation on a frozen model are pure
+functions of (parameters, input), and training is seeded so repeated runs
+are bitwise identical.
 """
 
 from __future__ import annotations
@@ -150,15 +152,25 @@ def cross_entropy_loss(probs, label: int) -> float:
     return float(-math.log(min(max(float(p[label]), PROB_FLOOR), 1.0)))
 
 
-class MLPClassifier:
-    """Fully connected ReLU network with a softmax output layer."""
+def _check_layer_dims(layer_dims) -> list[int]:
+    dims = [int(d) for d in layer_dims]
+    if len(dims) < 2:
+        raise ConfigError("layer_dims needs at least an input and an output size")
+    if any(d <= 0 for d in dims):
+        raise ConfigError("layer dimensions must be positive")
+    return dims
+
+
+class DenseNet:
+    """Fully connected ReLU layers under an output head.
+
+    Subclasses define the head: `head_output` maps the last pre-activation
+    to the prediction, `head_losses` gives the per-sample losses and
+    `head_delta` the gradient of their sum w.r.t. the last pre-activation.
+    """
 
     def __init__(self, layer_dims: Sequence[int], weights: list, biases: list):
-        dims = [int(d) for d in layer_dims]
-        if len(dims) < 2:
-            raise ConfigError("layer_dims needs at least an input and an output size")
-        if any(d <= 0 for d in dims):
-            raise ConfigError("layer dimensions must be positive")
+        dims = _check_layer_dims(layer_dims)
         if len(weights) != len(dims) - 1 or len(biases) != len(dims) - 1:
             raise ShapeError("parameter list length does not match layer_dims")
         for i, (w, b) in enumerate(zip(weights, biases)):
@@ -172,13 +184,21 @@ class MLPClassifier:
         self.weights = weights
         self.biases = biases
 
+    @classmethod
+    def build(cls, layer_dims: Sequence[int], seed: int):
+        """Seeded init: weights uniform in +/- 1/sqrt(fan_in), biases zero."""
+        dims = _check_layer_dims(layer_dims)
+        rng = np.random.default_rng(seed)
+        weights, biases = [], []
+        for fan_in, fan_out in zip(dims, dims[1:]):
+            limit = 1.0 / math.sqrt(fan_in)
+            weights.append(Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out)), True))
+            biases.append(Tensor(np.zeros(fan_out), True))
+        return cls(dims, weights, biases)
+
     @property
     def input_dim(self) -> int:
         return self.layer_dims[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.layer_dims[-1]
 
     @property
     def n_layers(self) -> int:
@@ -194,6 +214,29 @@ class MLPClassifier:
     def parameter_count(self) -> int:
         return sum(t.size for t in self.parameters())
 
+    def forward(self, X: np.ndarray):
+        """Batch forward pass: (pre-activations, activations starting with
+        the input, head output)."""
+        pres = []
+        acts = [X]
+        a = X
+        last = self.n_layers - 1
+        for i in range(self.n_layers):
+            z = a @ self.weights[i].values + self.biases[i].values
+            pres.append(z)
+            if i < last:
+                a = np.maximum(z, 0.0)
+                acts.append(a)
+        return pres, acts, self.head_output(pres[-1])
+
+
+class MLPClassifier(DenseNet):
+    """Fully connected ReLU network with a softmax output layer."""
+
+    @property
+    def n_classes(self) -> int:
+        return self.layer_dims[-1]
+
     def copy(self) -> "MLPClassifier":
         return MLPClassifier(
             list(self.layer_dims),
@@ -201,36 +244,52 @@ class MLPClassifier:
             [b.copy() for b in self.biases],
         )
 
+    def head_output(self, logits: np.ndarray) -> np.ndarray:
+        return softmax(logits)
+
+    def head_losses(self, logits: np.ndarray, probs: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Cross entropy with the probability clamped below by PROB_FLOOR."""
+        return -np.log(np.clip(probs[np.arange(len(Y)), Y], PROB_FLOOR, 1.0))
+
+    def head_delta(self, probs: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Gradient of the unclamped cross entropy; the clamp only bounds the
+        reported value."""
+        delta = probs.copy()
+        delta[np.arange(len(Y)), Y] -= 1.0
+        return delta
+
 
 def build_mlp(layer_dims: Sequence[int], seed: int) -> MLPClassifier:
-    """Seeded init: weights uniform in +/- 1/sqrt(fan_in), biases zero."""
-    dims = [int(d) for d in layer_dims]
-    if len(dims) < 2:
-        raise ConfigError("layer_dims needs at least an input and an output size")
-    if any(d <= 0 for d in dims):
-        raise ConfigError("layer dimensions must be positive")
-    rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims, dims[1:]):
-        limit = 1.0 / math.sqrt(fan_in)
-        weights.append(Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out)), True))
-        biases.append(Tensor(np.zeros(fan_out), True))
-    return MLPClassifier(dims, weights, biases)
+    """Seeded softmax classifier; see `DenseNet.build`."""
+    return MLPClassifier.build(layer_dims, seed)
 
 
-def _forward_trace(model: MLPClassifier, X: np.ndarray):
-    """Batch forward pass keeping pre-activations and activations."""
-    pres = []
-    acts = [X]
-    a = X
-    last = model.n_layers - 1
-    for i in range(model.n_layers):
-        z = a @ model.weights[i].values + model.biases[i].values
-        pres.append(z)
-        if i < last:
-            a = np.maximum(z, 0.0)
-            acts.append(a)
-    return pres, acts, softmax(pres[-1])
+def loss_and_grads(net: DenseNet, X, Y, need_params=True, need_input=False):
+    """Mean head loss over the batch plus its exact gradients.
+
+    Returns (loss, parameter grads in `parameters()` order or None, input
+    grad or None, head output).
+    """
+    pres, acts, out = net.forward(X)
+    loss = float(np.mean(net.head_losses(pres[-1], out, Y)))
+    delta = net.head_delta(out, Y) / X.shape[0]
+    L = net.n_layers
+    grads = [None] * (2 * L) if need_params else None
+    for i in reversed(range(L)):
+        if need_params:
+            grads[2 * i] = acts[i].T @ delta
+            grads[2 * i + 1] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ net.weights[i].values.T) * (pres[i - 1] > 0.0)
+        elif need_input:
+            delta = delta @ net.weights[0].values.T
+    return loss, grads, delta if need_input else None, out
+
+
+def mean_loss(net: DenseNet, X, Y) -> float:
+    """Mean head loss over the batch, forward pass only."""
+    pres, _, out = net.forward(X)
+    return float(np.mean(net.head_losses(pres[-1], out, Y)))
 
 
 def _check_input(model: MLPClassifier, x) -> np.ndarray:
@@ -254,7 +313,7 @@ def _check_label(model: MLPClassifier, y) -> int:
 def forward_predict(model: MLPClassifier, x) -> np.ndarray:
     """Class-probability vector for one input; sums to 1."""
     arr = _check_input(model, x)
-    _, _, probs = _forward_trace(model, arr[None, :])
+    _, _, probs = model.forward(arr[None, :])
     return probs[0]
 
 
@@ -262,44 +321,15 @@ def forward_predict_batch(model: MLPClassifier, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ShapeError("batch shape does not match model input_dim")
-    _, _, probs = _forward_trace(model, X)
+    _, _, probs = model.forward(X)
     return probs
-
-
-def _batch_loss_and_grads(model, X, Y, need_params=True, need_input=False):
-    """Mean clamped CE over the batch plus exact mean-loss gradients.
-
-    Gradients are of the unclamped cross entropy (standard softmax delta);
-    the clamp only bounds the reported value.
-    """
-    pres, acts, probs = _forward_trace(model, X)
-    n = X.shape[0]
-    rows = np.arange(n)
-    picked = np.clip(probs[rows, Y], PROB_FLOOR, 1.0)
-    loss = float(np.mean(-np.log(picked)))
-    delta = probs.copy()
-    delta[rows, Y] -= 1.0
-    delta /= n
-    L = model.n_layers
-    gws = [None] * L if need_params else None
-    gbs = [None] * L if need_params else None
-    for i in reversed(range(L)):
-        if need_params:
-            gws[i] = acts[i].T @ delta
-            gbs[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ model.weights[i].values.T) * (pres[i - 1] > 0.0)
-        elif need_input:
-            delta = delta @ model.weights[0].values.T
-    g_input = delta if need_input else None
-    return loss, gws, gbs, g_input, probs
 
 
 def sample_evaluation(model: MLPClassifier, x, y):
     """Single-sample (loss, probs, input gradient); the attack hot path."""
     arr = _check_input(model, x)
     label = _check_label(model, y)
-    loss, _, _, g_in, probs = _batch_loss_and_grads(
+    loss, _, g_in, probs = loss_and_grads(
         model, arr[None, :], np.array([label]), need_params=False, need_input=True
     )
     return loss, probs[0], g_in[0]
@@ -313,12 +343,12 @@ def backward_gradients(model: MLPClassifier, x, y) -> GradientBundle:
     """
     arr = _check_input(model, x)
     label = _check_label(model, y)
-    _, gws, gbs, g_in, _ = _batch_loss_and_grads(
+    _, grads, g_in, _ = loss_and_grads(
         model, arr[None, :], np.array([label]), need_params=True, need_input=True
     )
     return GradientBundle(
-        weight_grads=[Tensor(g) for g in gws],
-        bias_grads=[Tensor(g) for g in gbs],
+        weight_grads=[Tensor(g) for g in grads[0::2]],
+        bias_grads=[Tensor(g) for g in grads[1::2]],
         input_grad=Tensor(g_in[0]),
     )
 
@@ -387,14 +417,10 @@ def train(model: MLPClassifier, train_set, config: TrainConfig):
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             try:
-                loss, gws, gbs, _, _ = _batch_loss_and_grads(model, X[idx], Y[idx])
+                loss, grads, _, _ = loss_and_grads(model, X[idx], Y[idx])
             except InvalidInputError as exc:
                 # overflowed parameters poison the forward pass
                 raise TrainingError(f"training diverged: {exc}") from exc
-            grads = []
-            for gw, gb in zip(gws, gbs):
-                grads.append(gw)
-                grads.append(gb)
             if adam is not None:
                 adam.step(params, grads, config.learning_rate)
             else:
@@ -411,14 +437,12 @@ def train(model: MLPClassifier, train_set, config: TrainConfig):
 def empirical_risk(model: MLPClassifier, dataset) -> float:
     """Mean cross-entropy loss over the dataset."""
     X, Y = _dataset_arrays(model, dataset)
-    _, _, probs = _forward_trace(model, X)
-    picked = np.clip(probs[np.arange(len(Y)), Y], PROB_FLOOR, 1.0)
-    return float(np.mean(-np.log(picked)))
+    return mean_loss(model, X, Y)
 
 
 def classification_accuracy(model: MLPClassifier, dataset) -> float:
     X, Y = _dataset_arrays(model, dataset)
-    _, _, probs = _forward_trace(model, X)
+    _, _, probs = model.forward(X)
     return float(np.mean(np.argmax(probs, axis=1) == Y))
 
 

@@ -12,6 +12,7 @@ from miaudit.attack_models import (
     ENSEMBLE_FEATURE_ORDER,
     ENSEMBLE_LAYER_DIMS,
     GRAD_STAT_NAMES,
+    BinaryNet,
     assemble_score_features,
     attacker_scores,
     load_attacker,
@@ -20,7 +21,7 @@ from miaudit.attack_models import (
     write_feature_dump,
 )
 from miaudit.errors import ConfigError, DataError, ShapeError, TrainingError
-from miaudit.nn_core import cross_entropy_loss, forward_predict
+from miaudit.nn_core import cross_entropy_loss, forward_predict, loss_and_grads
 
 
 def python_stats(values):
@@ -227,6 +228,42 @@ class TestMinMaxScaler:
             scaler.transform(np.zeros((2, 4)))
 
 
+def python_bce(net, X, y):
+    """Independent forward pass and mean binary cross entropy."""
+    a = X
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        a = a @ w.values + b.values
+        if i < len(net.weights) - 1:
+            a = np.maximum(a, 0.0)
+    p = 1.0 / (1.0 + np.exp(-a[:, 0]))
+    return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
+
+
+class TestBinaryNetGradients:
+    @pytest.mark.parametrize("dims", [[4, 1], [4, 6, 1], [3, 7, 5, 1]])
+    def test_parameter_grads_match_finite_differences(self, rng, dims):
+        net = BinaryNet.build(dims, seed=int(rng.integers(1000)))
+        X = rng.uniform(0.0, 1.0, (9, dims[0]))
+        y = (np.arange(9) % 2).astype(np.float64)
+        loss, grads, _, _ = loss_and_grads(net, X, y)
+        assert abs(loss - python_bce(net, X, y)) <= 1e-12
+        step = 1e-6
+        for tensor, grad in zip(net.parameters(), grads):
+            assert grad.shape == tensor.shape
+            flat_vals = tensor.values.ravel()
+            flat_grad = grad.ravel()
+            for i in range(flat_vals.size):
+                old = flat_vals[i]
+                flat_vals[i] = old + step
+                hi = python_bce(net, X, y)
+                flat_vals[i] = old - step
+                lo = python_bce(net, X, y)
+                flat_vals[i] = old
+                fd = (hi - lo) / (2 * step)
+                err = abs(flat_grad[i] - fd) / max(abs(flat_grad[i]), abs(fd), 1e-5)
+                assert err <= 1e-4, f"param grad off by {err}"
+
+
 class TestLogisticAttacker:
     def test_loss_monotone_on_separable_set(self, rng):
         X, y = separable_features(rng)
@@ -351,7 +388,11 @@ class TestAttackerPersistence:
         path = tmp_path / "attacker.ckpt"
         save_attacker(attacker, path)
         blob = path.read_bytes()
-        path.write_bytes(blob[:-6])
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(DataError):
+                load_attacker(path)
+        path.write_bytes(blob + b"\x00")
         with pytest.raises(DataError):
             load_attacker(path)
 

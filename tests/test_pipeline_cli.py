@@ -17,7 +17,7 @@ from miaudit.cli_runner import (
 from miaudit.cli_runner.cli import main
 from miaudit.cli_runner.pipeline import resolve_workers
 from miaudit.errors import ConfigError
-from miaudit.scores import read_score_records
+from miaudit.scores import ScoreRecord, read_score_records, write_score_records
 
 FAST_OVERRIDES = {
     "seed": "5",
@@ -168,11 +168,38 @@ class TestDeterminism:
 class TestRerender:
     def test_reproduces_analysis_sections(self, full_run, tmp_path):
         _, out, config = full_run
-        report2, out2 = rerender_from_scores(config, out, tmp_path / "rerender")
-        original = json.loads((out / "report.json").read_text())
-        again = json.loads((out2 / "report.json").read_text())
-        assert again["strategies"] == original["strategies"]
-        assert again["splits"]["eval_members"] == original["splits"]["eval_members"]
+        _, out2 = rerender_from_scores(config, out, tmp_path / "rerender")
+        rendered = sorted(p.name for p in out2.iterdir())
+        audited = sorted(
+            p.name
+            for p in out.iterdir()
+            if p.name == "report.json" or p.name.startswith(("roc_", "hist_"))
+        )
+        assert rendered == audited
+        for name in rendered:
+            assert (out2 / name).read_bytes() == (out / name).read_bytes(), name
+
+    @pytest.mark.parametrize("tamper", ["sample_ids", "strategy_column", "pool_size"])
+    def test_rejects_disagreeing_score_files(self, full_run, tmp_path, tamper):
+        _, out, config = full_run
+        scores_dir = tmp_path / "scores"
+        scores_dir.mkdir()
+        for path in out.glob("scores_*.csv"):
+            (scores_dir / path.name).write_bytes(path.read_bytes())
+        target = scores_dir / "scores_adv_dist.csv"
+        records = read_score_records(target)
+        if tamper == "sample_ids":
+            records = [
+                r if r.is_member else ScoreRecord(r.sample_id + 1000, r.strategy, r.score, False)
+                for r in records
+            ]
+        elif tamper == "strategy_column":
+            records = [ScoreRecord(r.sample_id, "mentr", r.score, r.is_member) for r in records]
+        else:
+            records = records[:-1]
+        write_score_records(records, target)
+        with pytest.raises(mi.DataError):
+            rerender_from_scores(config, scores_dir, tmp_path / "out")
 
     def test_missing_scores_dir(self, tmp_path):
         config = fast_config(**{"strategies": "loss"})
@@ -276,12 +303,19 @@ class TestCli:
         assert rc == 0
 
     def test_train_target_writes_checkpoint(self, tmp_path, capsys):
-        cfg = self.write_cfg(tmp_path)
+        cfg = self.write_cfg(tmp_path, "strategies = loss\n")
         rc = main(["train-target", "--config", str(cfg), "--out", str(tmp_path / "tt")])
         assert rc == 0
         assert (tmp_path / "tt" / "target.ckpt").is_file()
         summary = json.loads((tmp_path / "tt" / "target_summary.json").read_text())
         assert summary["train_accuracy"] >= 0.9
+        # the summary is the audit report's target section, from the same model
+        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "au")]) == 0
+        report = json.loads((tmp_path / "au" / "report.json").read_text())
+        assert summary == report["target"]
+        assert (tmp_path / "tt" / "target.ckpt").read_bytes() == (
+            tmp_path / "au" / "target.ckpt"
+        ).read_bytes()
 
     def test_report_rerenders(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, "strategies = loss\n")
