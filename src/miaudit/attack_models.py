@@ -30,13 +30,11 @@ from .nn_core import (
     write_net_params,
     _read_exact,
 )
+from .scores import ENSEMBLE_FEATURE_ORDER
 
 GRAD_STAT_NAMES = ("l1_norm", "l2_norm", "max_value", "mean", "skewness", "kurtosis", "abs_min")
 
 ENSEMBLE_LAYER_DIMS = (6, 40, 40, 20, 10, 1)
-
-# Order of the per-strategy scores fed to the ensemble attacker.
-ENSEMBLE_FEATURE_ORDER = ("softmax", "mentr", "loss", "grad_w_norm", "grad_x_norm", "adv_dist")
 
 ATTACKER_MAGIC = b"MIAATKC\x00"
 ATTACKER_VERSION = 1
@@ -57,23 +55,12 @@ class GradStats:
     abs_min: float
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.l1_norm,
-                self.l2_norm,
-                self.max_value,
-                self.mean,
-                self.skewness,
-                self.kurtosis,
-                self.abs_min,
-            ]
-        )
+        return np.array([getattr(self, name) for name in GRAD_STAT_NAMES])
 
 
 @dataclass(frozen=True)
 class FeatureVector:
     values: np.ndarray
-    extractor: str
 
 
 def _grad_array(grad) -> np.ndarray:
@@ -117,33 +104,24 @@ def extract_grad_w_stats(model: MLPClassifier, x, y: int) -> FeatureVector:
     """Statistics of the flattened full parameter gradient."""
     bundle = backward_gradients(model, x, y)
     stats = gradient_statistics(bundle.flattened_parameter_grad())
-    return FeatureVector(stats.as_array(), "grad_w_stats")
+    return FeatureVector(stats.as_array())
 
 
 def extract_grad_x_stats(model: MLPClassifier, x, y: int) -> FeatureVector:
     """Statistics of the input gradient."""
     bundle = backward_gradients(model, x, y)
     stats = gradient_statistics(bundle.input_grad)
-    return FeatureVector(stats.as_array(), "grad_x_stats")
+    return FeatureVector(stats.as_array())
 
 
-def _last_two_layer_outputs(model: MLPClassifier, x) -> np.ndarray:
+def extract_intermediate_outputs(model: MLPClassifier, x, y: int = None) -> FeatureVector:
+    """Softmax probabilities plus the penultimate activation; the label is
+    not used."""
+    if model.n_layers < 2:
+        raise ConfigError("intermediate outputs need at least one hidden layer")
     arr = np.asarray(x, dtype=np.float64)
     _, acts, probs = model.forward(arr[None, :])
-    return np.concatenate([probs[0], acts[-1][0]])
-
-
-def extract_intermediate_outputs(
-    model: MLPClassifier, x, include_hidden: bool = True
-) -> FeatureVector:
-    """Softmax probabilities plus (by default) the penultimate activation."""
-    if include_hidden:
-        if model.n_layers < 2:
-            raise ConfigError("intermediate outputs need at least one hidden layer")
-        return FeatureVector(_last_two_layer_outputs(model, x), "intermediate_outputs")
-    arr = np.asarray(x, dtype=np.float64)
-    _, _, probs = model.forward(arr[None, :])
-    return FeatureVector(probs[0], "intermediate_outputs")
+    return FeatureVector(np.concatenate([probs[0], acts[-1][0]]))
 
 
 def extract_wb_features(model: MLPClassifier, x, y: int) -> FeatureVector:
@@ -162,7 +140,7 @@ def extract_wb_features(model: MLPClassifier, x, y: int) -> FeatureVector:
     values = np.concatenate(
         [last_w, last_b, [loss], probs[0], acts[-1][0], onehot]
     )
-    return FeatureVector(values, "wb_concat")
+    return FeatureVector(values)
 
 
 def assemble_score_features(score_row: dict) -> FeatureVector:
@@ -171,7 +149,7 @@ def assemble_score_features(score_row: dict) -> FeatureVector:
         values = np.array([float(score_row[k]) for k in ENSEMBLE_FEATURE_ORDER])
     except KeyError as exc:
         raise ConfigError(f"ensemble features need score {exc.args[0]!r}") from exc
-    return FeatureVector(values, "six_scores")
+    return FeatureVector(values)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +284,7 @@ def fit_logistic_attacker(features, labels, seed: int = 0, max_steps: int = 1000
     X = scaler.transform(X_raw)
     d = X.shape[1]
     net = BinaryNet(
-        [d, 1], [Tensor(np.zeros((d, 1)), True)], [Tensor(np.zeros(1), True)]
+        [d, 1], [Tensor(np.zeros((d, 1)))], [Tensor(np.zeros(1))]
     )
     params = [t.values for t in net.parameters()]
     # Smoothness of mean BCE is bounded by mean ||x||^2 / 4; stay below 1/L.
@@ -411,16 +389,8 @@ def build_and_train_ensemble(
 
 def attacker_score(attacker: TrainedAttacker, feature_vector) -> float:
     """Membership probability in [0, 1] for one feature vector."""
-    values = (
-        feature_vector.values
-        if isinstance(feature_vector, FeatureVector)
-        else np.asarray(feature_vector, dtype=np.float64)
-    )
-    if values.ndim != 1 or values.shape[0] != attacker.feature_length:
-        raise ShapeError(
-            f"attacker expects {attacker.feature_length} features, got shape {values.shape}"
-        )
-    return float(attacker.net.scores(attacker.scaler.transform(values[None, :]))[0])
+    values = feature_vector.values if isinstance(feature_vector, FeatureVector) else feature_vector
+    return float(attacker_scores(attacker, np.asarray(values, dtype=np.float64)[None, :])[0])
 
 
 def attacker_scores(attacker: TrainedAttacker, features) -> np.ndarray:

@@ -14,17 +14,7 @@ from ..adversarial import AttackConfig
 from ..errors import ConfigError
 from ..evaluation import ProtocolConfig
 from ..nn_core import TrainConfig
-from ..scores import THRESHOLD_STRATEGIES
-
-ATTACKER_STRATEGIES = (
-    "attacker_grad_w",
-    "attacker_grad_x",
-    "attacker_int_outs",
-    "attacker_wb",
-    "attacker_ensemble",
-)
-
-ALL_STRATEGIES = THRESHOLD_STRATEGIES + ATTACKER_STRATEGIES
+from ..scores import ALL_STRATEGIES, ATTACKER_STRATEGIES, THRESHOLD_STRATEGIES
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}

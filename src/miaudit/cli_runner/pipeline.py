@@ -13,6 +13,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import secrets
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -40,24 +41,16 @@ from ..nn_core import (
     train,
 )
 from ..scores import (
-    THRESHOLD_STRATEGIES,
+    STRATEGIES,
     ScoreRecord,
     compute_score,
     read_score_records,
     write_score_records,
 )
-from .config import ATTACKER_STRATEGIES, ExperimentConfig, stage_seed
+from .config import ExperimentConfig, stage_seed
 from .data import generate_synthetic_dataset, load_dataset
 
 SCHEMA_VERSION = 1
-
-_ATTACKER_EXTRACTORS = {
-    "attacker_grad_w": "grad_w_stats",
-    "attacker_grad_x": "grad_x_stats",
-    "attacker_int_outs": "intermediate_outputs",
-    "attacker_wb": "wb_concat",
-    "attacker_ensemble": "six_scores",
-}
 
 
 @contextmanager
@@ -88,12 +81,12 @@ def resolve_workers() -> int:
 _WORKER: dict = {}
 
 
-def _init_worker(model, attack_template, attack_base_seed, score_names, extractor_names, dump_traces):
+def _init_worker(model, attack_template, attack_base_seed, score_names, attacker_names, dump_traces):
     _WORKER["model"] = model
     _WORKER["attack"] = attack_template
     _WORKER["attack_base"] = attack_base_seed
     _WORKER["scores"] = score_names
-    _WORKER["extractors"] = extractor_names
+    _WORKER["attackers"] = attacker_names
     _WORKER["dump_traces"] = dump_traces
 
 
@@ -108,18 +101,15 @@ def _sample_payload(task):
     model = _WORKER["model"]
     scores = {}
     for name in _WORKER["scores"]:
-        attack = _sample_attack_config(sid) if name == "adv_dist" else None
+        attack = _sample_attack_config(sid) if STRATEGIES[name].needs_attack else None
         scores[name] = compute_score(model, x, y, name, attack)
     feats = {}
-    for ex in _WORKER["extractors"]:
-        if ex == "grad_w_stats":
-            feats[ex] = am.extract_grad_w_stats(model, x, y).values
-        elif ex == "grad_x_stats":
-            feats[ex] = am.extract_grad_x_stats(model, x, y).values
-        elif ex == "intermediate_outputs":
-            feats[ex] = am.extract_intermediate_outputs(model, x).values
-        elif ex == "wb_concat":
-            feats[ex] = am.extract_wb_features(model, x, y).values
+    for name in _WORKER["attackers"]:
+        extractor = STRATEGIES[name].extractor
+        if extractor:
+            feats[name] = getattr(am, extractor)(model, x, y).values
+        else:
+            feats[name] = am.assemble_score_features(scores).values
     trace = None
     if _WORKER["dump_traces"]:
         trace = apgd_maximize_loss(model, x, y, _sample_attack_config(sid))
@@ -192,18 +182,6 @@ def prepare_target(config: ExperimentConfig):
     return train_ds, heldout_ds, manifest, model, summary
 
 
-def _hist_range(name: str, values: np.ndarray, epsilon: float):
-    if name == "adv_dist":
-        return (0.0, epsilon)
-    if name == "softmax" or name.startswith("attacker_"):
-        return (0.0, 1.0)
-    lo = float(values.min())
-    hi = float(values.max())
-    if hi <= lo:
-        hi = lo + 1.0
-    return (lo, hi)
-
-
 def _attacker_split(config: ExperimentConfig, n_members: int, n_nonmembers: int, any_attackers: bool):
     """Sample ids for attacker training: 50/50 members/nonmembers."""
     if not any_attackers:
@@ -220,24 +198,13 @@ def _attacker_split(config: ExperimentConfig, n_members: int, n_nonmembers: int,
     return set(int(i) for i in member_ids) | set(int(i) for i in nonmember_ids)
 
 
-def _train_attacker(name: str, features, labels, seed: int):
-    if name in ("attacker_grad_w", "attacker_grad_x"):
-        return am.fit_logistic_attacker(features, labels, seed)
-    if name in ("attacker_int_outs", "attacker_wb"):
-        return am.fit_mlp_attacker(features, labels, seed)
-    if name == "attacker_ensemble":
-        return am.build_and_train_ensemble(features, labels, seed)
-    raise ConfigError(f"unknown attacker strategy {name!r}")
-
-
 def run_pipeline(config: ExperimentConfig, out_dir=None):
     """Full audit; returns (EvalReport, output_dir).  Writes report.json,
     per-strategy CSVs, and model/attacker checkpoints into out_dir."""
     out = Path(out_dir if out_dir is not None else config["output.dir"])
     workers = resolve_workers()
     strategies = config.strategies()
-    attacker_names = [s for s in strategies if s in ATTACKER_STRATEGIES]
-    threshold_names = [s for s in strategies if s in THRESHOLD_STRATEGIES]
+    attacker_names = [s for s in strategies if STRATEGIES[s].kind == "attacker"]
 
     train_ds, heldout_ds, manifest, model, target_summary = prepare_target(config)
 
@@ -246,14 +213,9 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
     member_ids = list(range(n_members))
     nonmember_ids = list(range(n_members, n_members + n_nonmembers))
 
-    # score names needed: listed threshold strategies, plus all six when the
-    # ensemble is on (its features are the six scores)
-    needed_scores = list(threshold_names)
-    if "attacker_ensemble" in attacker_names:
-        needed_scores = list(dict.fromkeys(needed_scores + list(THRESHOLD_STRATEGIES)))
-    needed_extractors = [
-        _ATTACKER_EXTRACTORS[a] for a in attacker_names if _ATTACKER_EXTRACTORS[a] != "six_scores"
-    ]
+    # per-sample work: the threshold scores every strategy needs, and one
+    # feature vector per attacker
+    needed_scores = list(dict.fromkeys(n for s in strategies for n in STRATEGIES[s].needed_scores))
 
     with _stage("scores"):
         tasks = [(sid, train_ds.X[sid], int(train_ds.y[sid])) for sid in member_ids]
@@ -266,66 +228,44 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
             config.attack_config(),
             stage_seed(config.seed, "attack"),
             tuple(needed_scores),
-            tuple(needed_extractors),
-            bool(config["debug.dump_traces"]) and "adv_dist" in needed_scores,
+            tuple(attacker_names),
+            bool(config["debug.dump_traces"]) and any(STRATEGIES[n].needs_attack for n in needed_scores),
         )
-        payloads = _compute_payloads(tasks, workers, init_args) if (needed_scores or needed_extractors) else []
+        payloads = _compute_payloads(tasks, workers, init_args) if strategies else []
         score_table = {sid: scores for sid, scores, _, _ in payloads}
-        feature_table = {ex: {} for ex in needed_extractors}
-        traces = {}
-        for sid, _, feats, trace in payloads:
-            for ex, vals in feats.items():
-                feature_table[ex][sid] = vals
-            if trace is not None:
-                traces[sid] = trace
+        feature_table = {name: {sid: f[name] for sid, _, f, _ in payloads} for name in attacker_names}
+        traces = {sid: trace for sid, _, _, trace in payloads if trace is not None}
 
     with _stage("attackers"):
         attacker_train_ids = _attacker_split(config, n_members, n_nonmembers, bool(attacker_names))
         eval_member_ids = [i for i in member_ids if i not in attacker_train_ids]
         eval_nonmember_ids = [i for i in nonmember_ids if i not in attacker_train_ids]
+        eval_ids = eval_member_ids + eval_nonmember_ids
         train_id_list = sorted(attacker_train_ids)
 
-        def _features_for(extractor, ids):
-            if extractor == "six_scores":
-                return np.array(
-                    [am.assemble_score_features(score_table[i]).values for i in ids]
-                )
-            return np.array([feature_table[extractor][i] for i in ids])
-
         attackers = {}
-        attacker_eval_scores = {}
         for name in attacker_names:
-            extractor = _ATTACKER_EXTRACTORS[name]
-            feats_train = _features_for(extractor, train_id_list)
+            feats_train = np.array([feature_table[name][i] for i in train_id_list])
             labels_train = np.array([1.0 if i < n_members else 0.0 for i in train_id_list])
-            attacker = _train_attacker(
-                name, feats_train, labels_train, stage_seed(config.seed, f"attacker:{name}")
+            attacker = getattr(am, STRATEGIES[name].fitter)(
+                feats_train, labels_train, stage_seed(config.seed, f"attacker:{name}")
             )
             attackers[name] = attacker
-            eval_ids = eval_member_ids + eval_nonmember_ids
-            vals = am.attacker_scores(attacker, _features_for(extractor, eval_ids))
-            attacker_eval_scores[name] = dict(zip(eval_ids, (float(v) for v in vals)))
+            vals = am.attacker_scores(attacker, np.array([feature_table[name][i] for i in eval_ids]))
+            for i, v in zip(eval_ids, vals):
+                score_table[i][name] = float(v)
 
     # pools ordered by ascending sample id; all strategies share them
     member_pool = {}
     nonmember_pool = {}
-    for name in threshold_names:
+    for name in strategies:
         member_pool[name] = np.array([score_table[i][name] for i in eval_member_ids])
         nonmember_pool[name] = np.array([score_table[i][name] for i in eval_nonmember_ids])
-    for name in attacker_names:
-        member_pool[name] = np.array([attacker_eval_scores[name][i] for i in eval_member_ids])
-        nonmember_pool[name] = np.array([attacker_eval_scores[name][i] for i in eval_nonmember_ids])
 
-    score_records = {}
-    for name in strategies:
-        records = [
-            ScoreRecord(i, name, float(member_pool[name][j]), True)
-            for j, i in enumerate(eval_member_ids)
-        ] + [
-            ScoreRecord(i, name, float(nonmember_pool[name][j]), False)
-            for j, i in enumerate(eval_nonmember_ids)
-        ]
-        score_records[name] = records
+    score_records = {
+        name: [ScoreRecord(i, name, score_table[i][name], i < n_members) for i in eval_ids]
+        for name in strategies
+    }
 
     splits = {
         "members_total": n_members,
@@ -345,11 +285,14 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
         for name, attacker in attackers.items():
             _atomic_file_write(out / f"{name}.ckpt", lambda p, a=attacker: am.save_attacker(a, p))
         if config["debug.dump_features"]:
-            all_ids = eval_member_ids + eval_nonmember_ids
-            for ex in needed_extractors:
-                feats = [feature_table[ex][i] for i in all_ids]
-                members = [i < n_members for i in all_ids]
-                am.write_feature_dump(out / f"features_{ex}.csv", all_ids, feats, members)
+            members = [i < n_members for i in eval_ids]
+            for name in attacker_names:
+                if STRATEGIES[name].features:
+                    feats = [feature_table[name][i] for i in eval_ids]
+                    _atomic_file_write(
+                        out / f"features_{STRATEGIES[name].features}.csv",
+                        lambda p, rows=feats: am.write_feature_dump(p, eval_ids, rows, members),
+                    )
         if traces:
             trace_dir = out / "traces"
             trace_dir.mkdir(parents=True, exist_ok=True)
@@ -403,8 +346,9 @@ def build_report(
         with _stage("analysis2"):
             seed2 = stage_seed(config.seed, "analysis2")
             for name in strategies:
-                sset = LabeledScoreSet.from_pools(member_pool[name], nonmember_pool[name], name)
-                fixed = 0.5 if name in ATTACKER_STRATEGIES else None
+                sset = LabeledScoreSet.from_pools(member_pool[name], nonmember_pool[name])
+                # attackers output a membership probability
+                fixed = 0.5 if STRATEGIES[name].kind == "attacker" else None
                 bal, fpr = holdout_threshold_eval(
                     sset, config["protocol.holdout_fraction"], seed2, fixed_tau=fixed
                 )
@@ -435,14 +379,12 @@ def build_report(
 
         with _stage("histograms"):
             for name in strategies:
-                sset = LabeledScoreSet.from_pools(member_pool[name], nonmember_pool[name], name)
-                rng_range = _hist_range(name, sset.scores, config["attack.epsilon"])
+                sset = LabeledScoreSet.from_pools(member_pool[name], nonmember_pool[name])
+                rng_range = STRATEGIES[name].hist_range(sset.scores, config["attack.epsilon"])
                 histograms[name] = score_histogram(sset, config["histogram.bins"], rng_range)
 
     for name in strategies:
-        strategy_reports[name]["kind"] = (
-            "attacker" if name in ATTACKER_STRATEGIES else "threshold"
-        )
+        strategy_reports[name]["kind"] = STRATEGIES[name].kind
         strategy_reports[name]["files"] = {
             "scores": f"scores_{name}.csv",
             "roc": f"roc_{name}.csv",
@@ -468,17 +410,21 @@ def build_report(
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _atomic_file_write(path: Path, writer) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    writer(tmp)
-    os.replace(tmp, path)
+    """Have `writer(tmp)` fill a temp file with a unique name beside `path`,
+    then rename it over `path`; on failure the temp file is removed, so two
+    runs into one directory never share a temp file."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{secrets.token_hex(4)}.tmp")
+    try:
+        writer(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _atomic_write_text(path: Path, text: str) -> None:
+    _atomic_file_write(path, lambda p: p.write_text(text, encoding="utf-8", newline=""))
 
 
 def export_report(report: EvalReport, out_dir) -> Path:
@@ -515,8 +461,9 @@ def rerender_from_scores(config: ExperimentConfig, scores_dir, out_dir):
 
     Stage seeds come from the config, so a re-render of an unmodified audit
     directory reproduces the audit's numbers.  Every file must list the same
-    (sample_id, is_member) sequence and name its own strategy in every row;
-    otherwise the pools would pair different samples.  Dataset/target
+    (sample_id, is_member) sequence, each id once, and name its own strategy
+    in every row; otherwise the pools would pair different samples or count
+    one twice.  Dataset/target
     sections are carried over from an existing report.json when present.
     """
     scores_path = Path(scores_dir)
@@ -535,6 +482,9 @@ def rerender_from_scores(config: ExperimentConfig, scores_dir, out_dir):
         ids = np.array([r.sample_id for r in records])
         members = np.array([r.is_member for r in records], dtype=bool)
         if samples is None:
+            repeated = ids[1:][ids[1:] == ids[:-1]]
+            if repeated.size:
+                raise DataError(f"{csv_path}: sample_id {repeated[0]} appears more than once")
             samples = (ids, members)
         elif not (np.array_equal(ids, samples[0]) and np.array_equal(members, samples[1])):
             raise DataError(f"{csv_path}: samples differ from scores_{strategies[0]}.csv")

@@ -21,10 +21,9 @@ class LabeledScoreSet:
 
     scores: np.ndarray
     is_member: np.ndarray
-    strategy: str = ""
 
     @classmethod
-    def from_arrays(cls, scores, is_member, strategy: str = "") -> "LabeledScoreSet":
+    def from_arrays(cls, scores, is_member) -> "LabeledScoreSet":
         s = np.asarray(scores, dtype=np.float64).ravel()
         m = np.asarray(is_member, dtype=bool).ravel()
         if s.shape[0] != m.shape[0]:
@@ -33,16 +32,15 @@ class LabeledScoreSet:
             raise EvaluationError("empty score set")
         if not np.all(np.isfinite(s)):
             raise EvaluationError("scores must be finite")
-        return cls(s, m, strategy)
+        return cls(s, m)
 
     @classmethod
-    def from_pools(cls, member_scores, nonmember_scores, strategy: str = "") -> "LabeledScoreSet":
+    def from_pools(cls, member_scores, nonmember_scores) -> "LabeledScoreSet":
         ms = np.asarray(member_scores, dtype=np.float64).ravel()
         ns = np.asarray(nonmember_scores, dtype=np.float64).ravel()
         return cls.from_arrays(
             np.concatenate([ms, ns]),
             np.concatenate([np.ones(len(ms), bool), np.zeros(len(ns), bool)]),
-            strategy,
         )
 
 
@@ -65,60 +63,57 @@ class ROCCurve:
     thresholds: np.ndarray
 
 
-def roc_curve(score_set: LabeledScoreSet) -> ROCCurve:
+def _sweep(score_set: LabeledScoreSet):
+    """Sort the scores once and group ties.
+
+    Returns (sorted scores, boundaries, tp, fp): boundary j predicts
+    "member" for the top `boundaries[j]` scores and admits tp[j] members
+    and fp[j] nonmembers; entry 0 is the empty boundary.
+    """
     _require_both_classes(score_set)
-    s = score_set.scores
-    m = score_set.is_member
-    order = np.argsort(-s, kind="stable")
-    ss = s[order]
-    mm = m[order]
+    order = np.argsort(-score_set.scores, kind="stable")
+    ss = score_set.scores[order]
+    mm = score_set.is_member[order]
     # last index of each tie group
-    ends = np.nonzero(np.diff(ss) != 0)[0]
-    ends = np.append(ends, ss.shape[0] - 1)
-    tp = np.cumsum(mm)[ends]
-    fp = np.cumsum(~mm)[ends]
-    n_m = float(mm.sum())
-    n_n = float((~mm).sum())
-    fpr = np.concatenate([[0.0], fp / n_n])
-    tpr = np.concatenate([[0.0], tp / n_m])
-    thresholds = np.concatenate([[math.inf], ss[ends]])
-    return ROCCurve(fpr, tpr, thresholds)
+    ends = np.append(np.nonzero(np.diff(ss) != 0)[0], ss.shape[0] - 1)
+    tp = np.concatenate([[0], np.cumsum(mm)[ends]]).astype(np.float64)
+    fp = np.concatenate([[0], np.cumsum(~mm)[ends]]).astype(np.float64)
+    return ss, np.concatenate([[0], ends + 1]), tp, fp
+
+
+def _curve(ss, boundaries, tp, fp) -> ROCCurve:
+    return ROCCurve(fp / fp[-1], tp / tp[-1], np.concatenate([[math.inf], ss[boundaries[1:] - 1]]))
+
+
+def _area(curve: ROCCurve) -> float:
+    return float(np.sum(np.diff(curve.fpr) * (curve.tpr[1:] + curve.tpr[:-1]) * 0.5))
+
+
+def _best_boundary(ss, boundaries, rate) -> tuple[float, float]:
+    """(tau, rate) at the boundary with the highest rate; among ties the
+    smallest tau wins.  tau is the midpoint between the adjacent distinct
+    scores, or an infinity at either end."""
+    best = rate.max()
+    j = int(boundaries[np.nonzero(rate == best)[0][-1]])
+    if j == 0:
+        return math.inf, float(best)
+    if j == ss.shape[0]:
+        return -math.inf, float(best)
+    return float(0.5 * (ss[j - 1] + ss[j])), float(best)
+
+
+def _best_accuracy(ss, boundaries, tp, fp) -> tuple[float, float]:
+    return _best_boundary(ss, boundaries, (tp + (fp[-1] - fp)) / (tp[-1] + fp[-1]))
+
+
+def roc_curve(score_set: LabeledScoreSet) -> ROCCurve:
+    return _curve(*_sweep(score_set))
 
 
 def auroc(score_set: LabeledScoreSet) -> float:
     """Trapezoid area under the tie-grouped ROC; equals the tied-rank
     Mann-Whitney statistic."""
-    curve = roc_curve(score_set)
-    return float(
-        np.sum(np.diff(curve.fpr) * (curve.tpr[1:] + curve.tpr[:-1]) * 0.5)
-    )
-
-
-def _boundary_sweep(score_set: LabeledScoreSet):
-    """Candidate decision boundaries at tie-group edges, descending scores.
-
-    Yields arrays (counts of predicted members at each boundary) used by the
-    threshold pickers: boundary j predicts "member" for the top j scores.
-    """
-    s = score_set.scores
-    m = score_set.is_member
-    order = np.argsort(-s, kind="stable")
-    ss = s[order]
-    mm = m[order]
-    ends = np.nonzero(np.diff(ss) != 0)[0]
-    ends = np.append(ends, ss.shape[0] - 1)
-    tp = np.concatenate([[0], np.cumsum(mm)[ends]]).astype(np.float64)
-    fp = np.concatenate([[0], np.cumsum(~mm)[ends]]).astype(np.float64)
-    boundaries = np.concatenate([[0], ends + 1])
-    return ss, boundaries, tp, fp
-
-
-def _boundary_threshold(ss: np.ndarray, j: int) -> float:
-    if j == 0:
-        return math.inf
-    if j == ss.shape[0]:
-        return -math.inf
-    return float(0.5 * (ss[j - 1] + ss[j]))
+    return _area(roc_curve(score_set))
 
 
 def best_threshold_accuracy(score_set: LabeledScoreSet) -> tuple[float, float]:
@@ -128,24 +123,12 @@ def best_threshold_accuracy(score_set: LabeledScoreSet) -> tuple[float, float]:
     adjacent distinct scores plus both infinities); among ties the smallest
     tau wins.
     """
-    _require_both_classes(score_set)
-    ss, boundaries, tp, fp = _boundary_sweep(score_set)
-    n_m = float(score_set.is_member.sum())
-    n_n = float(score_set.scores.shape[0] - n_m)
-    acc = (tp + (n_n - fp)) / (n_m + n_n)
-    best = acc.max()
-    # largest boundary index achieving the max <=> smallest tau
-    j = int(np.nonzero(acc == best)[0][-1])
-    return _boundary_threshold(ss, int(boundaries[j])), float(best)
+    return _best_accuracy(*_sweep(score_set))
 
 
 def _best_balanced_threshold(score_set: LabeledScoreSet) -> float:
-    ss, boundaries, tp, fp = _boundary_sweep(score_set)
-    n_m = float(score_set.is_member.sum())
-    n_n = float(score_set.scores.shape[0] - n_m)
-    bal = 0.5 * (tp / n_m + (n_n - fp) / n_n)
-    j = int(np.nonzero(bal == bal.max())[0][-1])
-    return _boundary_threshold(ss, int(boundaries[j]))
+    ss, boundaries, tp, fp = _sweep(score_set)
+    return _best_boundary(ss, boundaries, 0.5 * (tp / tp[-1] + (fp[-1] - fp) / fp[-1]))[0]
 
 
 def decision_rates(score_set: LabeledScoreSet, tau: float) -> tuple[float, float, float]:
@@ -317,11 +300,11 @@ def repeated_subset_experiment(
         idx = rng.choice(protocol.member_pool_size, size=subset, replace=False)
         for name in sorted(member_scores):
             pool_m = np.ravel(member_scores[name])[idx]
-            sset = LabeledScoreSet.from_pools(pool_m, nonmember_scores[name], name)
-            results[name].aurocs[r] = auroc(sset)
-            _, acc = best_threshold_accuracy(sset)
-            results[name].accuracies[r] = acc
-            results[name].curves.append(roc_curve(sset))
+            sweep = _sweep(LabeledScoreSet.from_pools(pool_m, nonmember_scores[name]))
+            curve = _curve(*sweep)
+            results[name].aurocs[r] = _area(curve)
+            results[name].accuracies[r] = _best_accuracy(*sweep)[1]
+            results[name].curves.append(curve)
     return results
 
 

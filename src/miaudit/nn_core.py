@@ -1,16 +1,16 @@
 """Dense float64 MLP engine.
 
-Tensors carry an optional gradient slot.  Every network is one dense ReLU
-core (`DenseNet`) with one forward and one backward loop; the classifier
-adds a softmax cross-entropy head, the attackers a sigmoid BCE head.
-Forward prediction and gradient evaluation on a frozen model are pure
-functions of (parameters, input), and training is seeded so repeated runs
-are bitwise identical.
+Every network is one dense ReLU core (`DenseNet`) with one forward and
+one backward loop; the classifier adds a softmax cross-entropy head, the
+attackers a sigmoid BCE head.  Forward prediction and gradient evaluation
+on a frozen model are pure functions of (parameters, input), and training
+is seeded so repeated runs are bitwise identical.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Sequence
@@ -35,42 +35,19 @@ _OPTIMIZERS = ("sgd", "adam")
 
 
 class Tensor:
-    """Dense float64 array with an optional same-shape gradient."""
+    """Dense, finite float64 array."""
 
-    __slots__ = ("values", "requires_grad", "grad")
+    __slots__ = ("values",)
 
-    def __init__(self, values, requires_grad: bool = False):
+    def __init__(self, values):
         arr = np.array(values, dtype=np.float64, order="C")
         if not np.all(np.isfinite(arr)):
             raise InvalidInputError("tensor values must be finite")
         self.values = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad = None
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
-
-    @property
-    def size(self) -> int:
-        return int(self.values.size)
-
-    def set_grad(self, grad) -> None:
-        g = np.asarray(grad, dtype=np.float64)
-        if g.shape != self.values.shape:
-            raise ShapeError(
-                f"gradient shape {g.shape} does not match value shape {self.values.shape}"
-            )
-        self.grad = g
-
-    def copy(self) -> "Tensor":
-        t = Tensor(self.values, self.requires_grad)
-        if self.grad is not None:
-            t.grad = self.grad.copy()
-        return t
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 @dataclass(frozen=True)
@@ -192,8 +169,8 @@ class DenseNet:
         weights, biases = [], []
         for fan_in, fan_out in zip(dims, dims[1:]):
             limit = 1.0 / math.sqrt(fan_in)
-            weights.append(Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out)), True))
-            biases.append(Tensor(np.zeros(fan_out), True))
+            weights.append(Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out))))
+            biases.append(Tensor(np.zeros(fan_out)))
         return cls(dims, weights, biases)
 
     @property
@@ -212,7 +189,7 @@ class DenseNet:
         return out
 
     def parameter_count(self) -> int:
-        return sum(t.size for t in self.parameters())
+        return sum(t.values.size for t in self.parameters())
 
     def forward(self, X: np.ndarray):
         """Batch forward pass: (pre-activations, activations starting with
@@ -236,13 +213,6 @@ class MLPClassifier(DenseNet):
     @property
     def n_classes(self) -> int:
         return self.layer_dims[-1]
-
-    def copy(self) -> "MLPClassifier":
-        return MLPClassifier(
-            list(self.layer_dims),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
 
     def head_output(self, logits: np.ndarray) -> np.ndarray:
         return softmax(logits)
@@ -470,16 +440,25 @@ def write_net_params(fh: BinaryIO, layer_dims, weights: Iterable, biases: Iterab
 
 
 def read_net_params(fh: BinaryIO):
+    """Layer sizes and parameters; the sizes are checked against the bytes
+    left in the file before any parameter is read."""
     (n_dims,) = struct.unpack("<I", _read_exact(fh, 4))
     if n_dims < 2 or n_dims > 1024:
         raise DataError(f"checkpoint has implausible layer count {n_dims}")
     dims = list(struct.unpack(f"<{n_dims}I", _read_exact(fh, 4 * n_dims)))
+    if 0 in dims:
+        raise DataError(f"checkpoint declares a zero layer width in {dims}")
+    need = sum(8 * (fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
+    pos = fh.tell()
+    if need > fh.seek(0, os.SEEK_END) - pos:
+        raise DataError(f"checkpoint truncated: layers {dims} need {need} bytes")
+    fh.seek(pos)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims, dims[1:]):
         w = np.frombuffer(_read_exact(fh, 8 * fan_in * fan_out), dtype="<f8")
         b = np.frombuffer(_read_exact(fh, 8 * fan_out), dtype="<f8")
-        weights.append(Tensor(w.reshape(fan_in, fan_out), True))
-        biases.append(Tensor(b, True))
+        weights.append(Tensor(w.reshape(fan_in, fan_out)))
+        biases.append(Tensor(b))
     return dims, weights, biases
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -21,15 +22,6 @@ from .nn_core import (
     sample_evaluation,
 )
 
-THRESHOLD_STRATEGIES = (
-    "softmax",
-    "mentr",
-    "loss",
-    "grad_w_norm",
-    "grad_x_norm",
-    "adv_dist",
-)
-
 
 @dataclass(frozen=True)
 class ScoreRecord:
@@ -39,13 +31,8 @@ class ScoreRecord:
     is_member: bool
 
 
-@dataclass(frozen=True)
-class DecisionThreshold:
-    tau: float
-
-
-def softmax_response(model: MLPClassifier, x) -> float:
-    """Largest output probability."""
+def softmax_response(model: MLPClassifier, x, y: int = None) -> float:
+    """Largest output probability; the label is not used."""
     return float(np.max(forward_predict(model, x)))
 
 
@@ -98,25 +85,95 @@ def membership_decision(score: float, tau: float) -> bool:
     return score >= tau
 
 
+def _unit_range(scores: np.ndarray, epsilon: float) -> tuple:
+    return (0.0, 1.0)
+
+
+def _epsilon_range(scores: np.ndarray, epsilon: float) -> tuple:
+    return (0.0, epsilon)
+
+
+def _data_range(scores: np.ndarray, epsilon: float) -> tuple:
+    lo = float(scores.min())
+    hi = float(scores.max())
+    return (lo, hi if hi > lo else lo + 1.0)
+
+
+@dataclass(frozen=True)
+class Strategy:
+    """What one strategy is.
+
+    A threshold strategy scores one sample with `score(model, x, y)`, or
+    `score(model, x, y, attack)` when `needs_attack`.  An attacker trains
+    the attack_models function named `fitter` on one feature vector per
+    sample: the output of the attack_models extractor named `extractor`,
+    whose feature set is called `features`, or the six threshold scores
+    when it has none.  Attacker functions are held by name so that they
+    are looked up on attack_models when called.  `hist_range(scores,
+    epsilon)` gives the range of the score histogram.
+    """
+
+    name: str
+    hist_range: Callable
+    score: Callable = None
+    needs_attack: bool = False
+    features: str = ""
+    extractor: str = ""
+    fitter: str = ""
+
+    @property
+    def kind(self) -> str:
+        return "threshold" if self.score is not None else "attacker"
+
+    @property
+    def needed_scores(self) -> tuple:
+        """Threshold scores every sample needs for this strategy."""
+        if self.score is not None:
+            return (self.name,)
+        return () if self.extractor else ENSEMBLE_FEATURE_ORDER
+
+
+# The only list of strategies, in report and default-config order.
+STRATEGIES = {
+    s.name: s
+    for s in (
+        Strategy("softmax", _unit_range, softmax_response),
+        Strategy("mentr", _data_range, mentr_score),
+        Strategy("loss", _data_range, loss_score),
+        Strategy("grad_w_norm", _data_range, grad_w_norm_score),
+        Strategy("grad_x_norm", _data_range, grad_x_norm_score),
+        Strategy("adv_dist", _epsilon_range, adv_dist_score, needs_attack=True),
+        Strategy("attacker_grad_w", _unit_range, features="grad_w_stats",
+                 extractor="extract_grad_w_stats", fitter="fit_logistic_attacker"),
+        Strategy("attacker_grad_x", _unit_range, features="grad_x_stats",
+                 extractor="extract_grad_x_stats", fitter="fit_logistic_attacker"),
+        Strategy("attacker_int_outs", _unit_range, features="intermediate_outputs",
+                 extractor="extract_intermediate_outputs", fitter="fit_mlp_attacker"),
+        Strategy("attacker_wb", _unit_range, features="wb_concat",
+                 extractor="extract_wb_features", fitter="fit_mlp_attacker"),
+        Strategy("attacker_ensemble", _unit_range, fitter="build_and_train_ensemble"),
+    )
+}
+
+ALL_STRATEGIES = tuple(STRATEGIES)
+THRESHOLD_STRATEGIES = tuple(n for n, s in STRATEGIES.items() if s.kind == "threshold")
+ATTACKER_STRATEGIES = tuple(n for n, s in STRATEGIES.items() if s.kind == "attacker")
+# Order of the per-strategy scores fed to the ensemble attacker.
+ENSEMBLE_FEATURE_ORDER = THRESHOLD_STRATEGIES
+
+
 def compute_score(
     model: MLPClassifier, x, y: int, strategy: str, attack: AttackConfig = None
 ) -> float:
-    """Dispatch one strategy on one sample."""
-    if strategy == "softmax":
-        return softmax_response(model, x)
-    if strategy == "mentr":
-        return mentr_score(model, x, y)
-    if strategy == "loss":
-        return loss_score(model, x, y)
-    if strategy == "grad_w_norm":
-        return grad_w_norm_score(model, x, y)
-    if strategy == "grad_x_norm":
-        return grad_x_norm_score(model, x, y)
-    if strategy == "adv_dist":
-        if attack is None:
-            raise DataError("adv_dist strategy needs an AttackConfig")
-        return adv_dist_score(model, x, y, attack)
-    raise DataError(f"unknown strategy {strategy!r}")
+    """Score one sample with one threshold strategy."""
+    entry = STRATEGIES.get(strategy)
+    if entry is None or entry.score is None:
+        raise DataError(f"unknown strategy {strategy!r}")
+    if not entry.needs_attack:
+        return entry.score(model, x, y)
+    if attack is None:
+        raise DataError(f"{strategy} strategy needs an AttackConfig")
+    return entry.score(model, x, y, attack)
 
 
 def write_score_records(records, path) -> None:

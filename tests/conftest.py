@@ -1,6 +1,7 @@
 """Shared fixtures: small trained models and the desk-scale audit corpus."""
 
 import math
+import struct
 import time
 
 import numpy as np
@@ -84,3 +85,19 @@ def tiny_model():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture()
+def corrupt_net_params():
+    """Network parameter blocks whose header declares layers that the bytes
+    after it cannot hold: widths of 2**32 - 1, a 65536 x 65536 layer, and a
+    zero width followed by 16 bytes."""
+
+    def block(dims, payload):
+        return struct.pack(f"<{len(dims) + 1}I", len(dims), *dims) + payload
+
+    return [
+        block([0xFFFFFFFF, 0xFFFFFFFF], b""),
+        block([65536, 65536], bytes(64)),
+        block([3, 0, 2], bytes(16)),
+    ]

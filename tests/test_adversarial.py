@@ -173,8 +173,8 @@ class TestApgd:
         # a fine grid over the feasible square
         model = mi.MLPClassifier(
             [2, 2],
-            [mi.Tensor(np.array([[3.0, -3.0], [2.0, -2.0]]), True)],
-            [mi.Tensor(np.array([0.2, -0.2]), True)],
+            [mi.Tensor(np.array([[3.0, -3.0], [2.0, -2.0]]))],
+            [mi.Tensor(np.array([0.2, -0.2]))],
         )
         x = np.array([0.55, 0.45])
         eps = 0.3
@@ -221,8 +221,8 @@ class TestFindAdversarial:
         # zero weights pin the prediction to class 0; label 0 cannot flip
         model = mi.MLPClassifier(
             [2, 2],
-            [mi.Tensor(np.zeros((2, 2)), True)],
-            [mi.Tensor(np.zeros(2), True)],
+            [mi.Tensor(np.zeros((2, 2)))],
+            [mi.Tensor(np.zeros(2))],
         )
         cfg = mi.AttackConfig(p=INF, epsilon=0.2, n_iter=10, seed=0)
         out = mi.find_adversarial(model, np.array([0.5, 0.5]), 0, cfg)

@@ -1,6 +1,7 @@
 """Feature extractors, scaling, and the trained membership attackers."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import miaudit as mi
 from miaudit.attack_models import (
+    ATTACKER_MAGIC,
     ENSEMBLE_FEATURE_ORDER,
     ENSEMBLE_LAYER_DIMS,
     GRAD_STAT_NAMES,
@@ -145,8 +147,6 @@ class TestExtractors:
         fv = mi.extract_intermediate_outputs(tiny_model, x)
         assert fv.values.shape == (3 + 8,)
         assert np.allclose(fv.values[:3], forward_predict(tiny_model, x), atol=1e-14)
-        probs_only = mi.extract_intermediate_outputs(tiny_model, x, include_hidden=False)
-        assert np.allclose(probs_only.values, forward_predict(tiny_model, x), atol=1e-14)
 
     def test_intermediate_outputs_needs_hidden_layer(self):
         linear = mi.build_mlp([4, 3], seed=0)
@@ -382,7 +382,7 @@ class TestAttackerPersistence:
         with pytest.raises(DataError):
             load_attacker(path)
 
-    def test_truncated(self, tmp_path, rng):
+    def test_truncated(self, tmp_path, rng, corrupt_net_params):
         X, y = separable_features(rng, n_per_side=10)
         attacker = mi.fit_logistic_attacker(X, y)
         path = tmp_path / "attacker.ckpt"
@@ -395,6 +395,10 @@ class TestAttackerPersistence:
         path.write_bytes(blob + b"\x00")
         with pytest.raises(DataError):
             load_attacker(path)
+        for params in corrupt_net_params:
+            path.write_bytes(ATTACKER_MAGIC + struct.pack("<IB", 1, 0) + params)
+            with pytest.raises(DataError):
+                load_attacker(path)
 
 
 class TestFeatureDump:

@@ -15,7 +15,7 @@ from miaudit.cli_runner import (
     run_pipeline,
 )
 from miaudit.cli_runner.cli import main
-from miaudit.cli_runner.pipeline import resolve_workers
+from miaudit.cli_runner.pipeline import _atomic_file_write, resolve_workers
 from miaudit.errors import ConfigError
 from miaudit.scores import ScoreRecord, read_score_records, write_score_records
 
@@ -179,7 +179,9 @@ class TestRerender:
         for name in rendered:
             assert (out2 / name).read_bytes() == (out / name).read_bytes(), name
 
-    @pytest.mark.parametrize("tamper", ["sample_ids", "strategy_column", "pool_size"])
+    @pytest.mark.parametrize(
+        "tamper", ["sample_ids", "strategy_column", "pool_size", "duplicate_id"]
+    )
     def test_rejects_disagreeing_score_files(self, full_run, tmp_path, tamper):
         _, out, config = full_run
         scores_dir = tmp_path / "scores"
@@ -195,9 +197,15 @@ class TestRerender:
             ]
         elif tamper == "strategy_column":
             records = [ScoreRecord(r.sample_id, "mentr", r.score, r.is_member) for r in records]
-        else:
+        elif tamper == "pool_size":
             records = records[:-1]
-        write_score_records(records, target)
+        if tamper == "duplicate_id":
+            # every file lists the first sample twice, so all files agree
+            for path in scores_dir.glob("scores_*.csv"):
+                rows = read_score_records(path)
+                write_score_records(rows + rows[:1], path)
+        else:
+            write_score_records(records, target)
         with pytest.raises(mi.DataError):
             rerender_from_scores(config, scores_dir, tmp_path / "out")
 
@@ -205,6 +213,21 @@ class TestRerender:
         config = fast_config(**{"strategies": "loss"})
         with pytest.raises(mi.DataError):
             rerender_from_scores(config, tmp_path / "nowhere", tmp_path / "out")
+
+
+class TestAtomicWrite:
+    def test_failing_writer_leaves_nothing(self, tmp_path):
+        other = tmp_path / "scores_loss.csv.tmp"  # another run's fixed-name temp file
+        other.write_text("other run")
+
+        def failing(path):
+            path.write_text("partial")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError):
+            _atomic_file_write(tmp_path / "scores_loss.csv", failing)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [other.name]
+        assert other.read_text() == "other run"
 
 
 class TestWorkers:

@@ -19,8 +19,8 @@ def fixed_prob_model(probs):
     k = probs.shape[0]
     return mi.MLPClassifier(
         [1, k],
-        [mi.Tensor(np.zeros((1, k)), True)],
-        [mi.Tensor(logits, True)],
+        [mi.Tensor(np.zeros((1, k)))],
+        [mi.Tensor(logits)],
     )
 
 
