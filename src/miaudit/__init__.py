@@ -15,7 +15,6 @@ from .adversarial import (
     project_lp_box,
 )
 from .attack_models import (
-    FeatureVector,
     GradStats,
     MinMaxScaler,
     TrainedAttacker,
@@ -53,10 +52,7 @@ from .evaluation import (
     score_histogram,
 )
 from .nn_core import (
-    GradientBundle,
-    LabeledSample,
     MLPClassifier,
-    Tensor,
     TrainConfig,
     backward_gradients,
     build_mlp,

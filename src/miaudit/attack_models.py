@@ -21,7 +21,6 @@ from .nn_core import (
     AdamState,
     DenseNet,
     MLPClassifier,
-    Tensor,
     backward_gradients,
     cross_entropy_loss,
     loss_and_grads,
@@ -58,23 +57,12 @@ class GradStats:
         return np.array([getattr(self, name) for name in GRAD_STAT_NAMES])
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    values: np.ndarray
-
-
-def _grad_array(grad) -> np.ndarray:
-    values = grad.values if isinstance(grad, Tensor) else grad
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise ConfigError("gradient statistics need a non-empty vector")
-    return arr
-
-
 def gradient_statistics(grad) -> GradStats:
     """Population-moment summary; skew/kurtosis 0 for near-constant input,
     kurtosis is excess (normal -> 0)."""
-    g = _grad_array(grad)
+    g = np.asarray(grad, dtype=np.float64).ravel()
+    if g.size == 0:
+        raise ConfigError("gradient statistics need a non-empty vector")
     mean = float(np.mean(g))
     centered = g - mean
     m2 = float(np.mean(centered**2))
@@ -100,56 +88,51 @@ def gradient_statistics(grad) -> GradStats:
 # ---------------------------------------------------------------------------
 
 
-def extract_grad_w_stats(model: MLPClassifier, x, y: int) -> FeatureVector:
-    """Statistics of the flattened full parameter gradient."""
-    bundle = backward_gradients(model, x, y)
-    stats = gradient_statistics(bundle.flattened_parameter_grad())
-    return FeatureVector(stats.as_array())
+def extract_grad_w_stats(model: MLPClassifier, x, y: int) -> np.ndarray:
+    """Statistics of the full parameter gradient, flattened in `parameters()`
+    order."""
+    grads, _ = backward_gradients(model, x, y)
+    return gradient_statistics(np.concatenate([g.ravel() for g in grads])).as_array()
 
 
-def extract_grad_x_stats(model: MLPClassifier, x, y: int) -> FeatureVector:
+def extract_grad_x_stats(model: MLPClassifier, x, y: int) -> np.ndarray:
     """Statistics of the input gradient."""
-    bundle = backward_gradients(model, x, y)
-    stats = gradient_statistics(bundle.input_grad)
-    return FeatureVector(stats.as_array())
+    _, g_in = backward_gradients(model, x, y)
+    return gradient_statistics(g_in).as_array()
 
 
-def extract_intermediate_outputs(model: MLPClassifier, x, y: int = None) -> FeatureVector:
+def extract_intermediate_outputs(model: MLPClassifier, x, y: int = None) -> np.ndarray:
     """Softmax probabilities plus the penultimate activation; the label is
     not used."""
     if model.n_layers < 2:
         raise ConfigError("intermediate outputs need at least one hidden layer")
     arr = np.asarray(x, dtype=np.float64)
     _, acts, probs = model.forward(arr[None, :])
-    return FeatureVector(np.concatenate([probs[0], acts[-1][0]]))
+    return np.concatenate([probs[0], acts[-1][0]])
 
 
-def extract_wb_features(model: MLPClassifier, x, y: int) -> FeatureVector:
+def extract_wb_features(model: MLPClassifier, x, y: int) -> np.ndarray:
     """White-box concat: last-layer parameter gradient, loss, intermediate
     outputs, one-hot label."""
     if model.n_layers < 2:
         raise ConfigError("white-box features need at least one hidden layer")
-    bundle = backward_gradients(model, x, y)
-    last_w = bundle.weight_grads[-1].values.ravel()
-    last_b = bundle.bias_grads[-1].values.ravel()
+    grads, _ = backward_gradients(model, x, y)
     arr = np.asarray(x, dtype=np.float64)
     _, acts, probs = model.forward(arr[None, :])
     loss = cross_entropy_loss(probs[0], y)
     onehot = np.zeros(model.n_classes)
     onehot[int(y)] = 1.0
-    values = np.concatenate(
-        [last_w, last_b, [loss], probs[0], acts[-1][0], onehot]
+    return np.concatenate(
+        [grads[-2].ravel(), grads[-1].ravel(), [loss], probs[0], acts[-1][0], onehot]
     )
-    return FeatureVector(values)
 
 
-def assemble_score_features(score_row: dict) -> FeatureVector:
+def assemble_score_features(score_row: dict) -> np.ndarray:
     """Six-score vector for the ensemble, in the fixed strategy order."""
     try:
-        values = np.array([float(score_row[k]) for k in ENSEMBLE_FEATURE_ORDER])
+        return np.array([float(score_row[k]) for k in ENSEMBLE_FEATURE_ORDER])
     except KeyError as exc:
         raise ConfigError(f"ensemble features need score {exc.args[0]!r}") from exc
-    return FeatureVector(values)
 
 
 # ---------------------------------------------------------------------------
@@ -247,16 +230,10 @@ class TrainedAttacker:
 
 
 def _feature_matrix(features) -> np.ndarray:
-    if isinstance(features, np.ndarray):
+    try:
         arr = np.asarray(features, dtype=np.float64)
-    else:
-        rows = [f.values if isinstance(f, FeatureVector) else f for f in features]
-        if not rows:
-            raise ShapeError("attacker training needs at least one feature vector")
-        widths = {np.asarray(r).shape[0] for r in rows}
-        if len(widths) != 1:
-            raise ShapeError(f"inconsistent feature lengths {sorted(widths)}")
-        arr = np.array(rows, dtype=np.float64)
+    except ValueError as exc:
+        raise ShapeError(f"feature vectors must share one length: {exc}") from exc
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ShapeError("attacker training needs a non-empty feature matrix")
     return arr
@@ -283,10 +260,8 @@ def fit_logistic_attacker(features, labels, seed: int = 0, max_steps: int = 1000
     scaler = MinMaxScaler.fit(X_raw)
     X = scaler.transform(X_raw)
     d = X.shape[1]
-    net = BinaryNet(
-        [d, 1], [Tensor(np.zeros((d, 1)))], [Tensor(np.zeros(1))]
-    )
-    params = [t.values for t in net.parameters()]
+    net = BinaryNet([d, 1], [np.zeros((d, 1))], [np.zeros(1)])
+    params = net.parameters()
     # Smoothness of mean BCE is bounded by mean ||x||^2 / 4; stay below 1/L.
     mean_sq = float(np.mean(np.sum(X * X, axis=1))) + 1.0
     lr = 4.0 / mean_sq
@@ -315,7 +290,7 @@ def _train_binary_net(
     patience: int = 20,
 ) -> list[float]:
     rng = np.random.default_rng(seed)
-    params = [t.values for t in net.parameters()]
+    params = net.parameters()
     adam = AdamState([p.shape for p in params])
     n = X.shape[0]
     history = []
@@ -339,6 +314,17 @@ def _train_binary_net(
     return history
 
 
+def _fit_mlp(X_raw, labels, seed, hidden, epochs, learning_rate, batch_size) -> TrainedAttacker:
+    """Scale the features, then train a ReLU net with the given hidden
+    widths under a sigmoid output."""
+    y = _check_labels(labels, X_raw.shape[0])
+    scaler = MinMaxScaler.fit(X_raw)
+    X = scaler.transform(X_raw)
+    net = BinaryNet.build([X.shape[1], *hidden, 1], seed)
+    history = _train_binary_net(net, X, y, seed + 1, epochs, learning_rate, batch_size)
+    return TrainedAttacker("mlp", net, scaler, history)
+
+
 def fit_mlp_attacker(
     features,
     labels,
@@ -349,13 +335,7 @@ def fit_mlp_attacker(
     batch_size: int = 32,
 ) -> TrainedAttacker:
     """Two-hidden-layer combiner for wide feature vectors."""
-    X_raw = _feature_matrix(features)
-    y = _check_labels(labels, X_raw.shape[0])
-    scaler = MinMaxScaler.fit(X_raw)
-    X = scaler.transform(X_raw)
-    net = BinaryNet.build([X.shape[1], *hidden, 1], seed)
-    history = _train_binary_net(net, X, y, seed + 1, epochs, learning_rate, batch_size)
-    return TrainedAttacker("mlp", net, scaler, history)
+    return _fit_mlp(_feature_matrix(features), labels, seed, hidden, epochs, learning_rate, batch_size)
 
 
 def build_and_train_ensemble(
@@ -379,18 +359,13 @@ def build_and_train_ensemble(
         )
     if epochs > 300:
         raise ConfigError("ensemble epochs capped at 300")
-    y = _check_labels(labels, X_raw.shape[0])
-    scaler = MinMaxScaler.fit(X_raw)
-    X = scaler.transform(X_raw)
-    net = BinaryNet.build(list(ENSEMBLE_LAYER_DIMS), seed)
-    history = _train_binary_net(net, X, y, seed + 1, epochs, learning_rate, batch_size)
-    return TrainedAttacker("mlp", net, scaler, history)
+    hidden = ENSEMBLE_LAYER_DIMS[1:-1]
+    return _fit_mlp(X_raw, labels, seed, hidden, epochs, learning_rate, batch_size)
 
 
 def attacker_score(attacker: TrainedAttacker, feature_vector) -> float:
     """Membership probability in [0, 1] for one feature vector."""
-    values = feature_vector.values if isinstance(feature_vector, FeatureVector) else feature_vector
-    return float(attacker_scores(attacker, np.asarray(values, dtype=np.float64)[None, :])[0])
+    return float(attacker_scores(attacker, np.asarray(feature_vector, dtype=np.float64)[None, :])[0])
 
 
 def attacker_scores(attacker: TrainedAttacker, features) -> np.ndarray:

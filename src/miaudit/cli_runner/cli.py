@@ -14,10 +14,8 @@ from pathlib import Path
 from ..errors import AuditError, ConfigError, DataError
 from ..nn_core import save_checkpoint
 from .config import load_config
-from .data import save_dataset
+from .data import _atomic_file_write, _atomic_write_text, save_dataset
 from .pipeline import (
-    _atomic_file_write,
-    _atomic_write_text,
     prepare_target,
     rerender_from_scores,
     run_pipeline,

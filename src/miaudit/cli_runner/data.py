@@ -8,7 +8,10 @@ little-endian float32 features row-major and int32 labels.
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import os
+import secrets
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +20,6 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from ..nn_core import LabeledSample
 
 DATA_MAGIC = b"MIADATA\x00"
 DATA_VERSION = 1
@@ -64,9 +66,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.X.shape[0]
-
-    def samples(self) -> list[LabeledSample]:
-        return [LabeledSample(self.X[i], int(self.y[i])) for i in range(len(self))]
 
 
 def generate_synthetic_dataset(
@@ -200,14 +199,15 @@ def read_binary_file(path):
             raise DataError(f"{path}: unsupported version {version}")
         if d < 1 or k < 1 or n < 1:
             raise DataError(f"{path}: implausible header (d={d}, K={k}, n={n})")
+        # a corrupt header must not size a read: compare it with the file first
+        need = 4 * n * d + 4 * n
+        pos = fh.tell()
+        left = fh.seek(0, os.SEEK_END) - pos
+        if need != left:
+            raise DataError(f"{path}: header (d={d}, n={n}) needs {need} more bytes, file has {left}")
+        fh.seek(pos)
         feat_bytes = fh.read(4 * n * d)
-        if len(feat_bytes) != 4 * n * d:
-            raise DataError(f"{path}: truncated feature block")
         label_bytes = fh.read(4 * n)
-        if len(label_bytes) != 4 * n:
-            raise DataError(f"{path}: truncated label block")
-        if fh.read(1):
-            raise DataError(f"{path}: trailing bytes")
     X = np.frombuffer(feat_bytes, dtype="<f4").reshape(n, d).astype(np.float64)
     y = np.frombuffer(label_bytes, dtype="<i4").astype(np.int64)
     if not np.all(np.isfinite(X)):
@@ -218,26 +218,42 @@ def read_binary_file(path):
 
 
 # ---------------------------------------------------------------------------
-# Directory-level load/save
+# Atomic writes and directory-level load/save
 # ---------------------------------------------------------------------------
 
 
+def _atomic_file_write(path: Path, writer) -> None:
+    """Have `writer(tmp)` fill a temp file with a unique name beside `path`,
+    then rename it over `path`; on failure the temp file is removed, so two
+    runs into one directory never share a temp file."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{secrets.token_hex(4)}.tmp")
+    try:
+        writer(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _atomic_write_text(path: Path, text: str) -> None:
+    _atomic_file_write(path, lambda p: p.write_text(text, encoding="utf-8", newline=""))
+
+
 def save_dataset(train: Dataset, heldout: Dataset, manifest: DatasetManifest, out_dir, fmt: str = "csv") -> None:
+    """Write both splits and manifest.json, each file atomically."""
     if fmt not in _EXT:
         raise ConfigError(f"dataset format must be csv or binary, got {fmt!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ext = _EXT[fmt]
     if fmt == "csv":
-        save_csv_file(train, out / f"train.{ext}")
-        save_csv_file(heldout, out / f"heldout.{ext}")
+        write = save_csv_file
     else:
-        k = manifest.n_classes
-        save_binary_file(train, out / f"train.{ext}", k)
-        save_binary_file(heldout, out / f"heldout.{ext}", k)
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        write = functools.partial(save_binary_file, n_classes=manifest.n_classes)
+    for name, split in (("train", train), ("heldout", heldout)):
+        _atomic_file_write(out / f"{name}.{_EXT[fmt]}", lambda p, split=split: write(split, p))
+    _atomic_write_text(
+        out / "manifest.json", json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n"
+    )
 
 
 def load_dataset(path, fmt: str = "csv"):

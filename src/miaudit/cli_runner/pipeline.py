@@ -13,7 +13,6 @@ import dataclasses
 import json
 import multiprocessing
 import os
-import secrets
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -48,7 +47,7 @@ from ..scores import (
     write_score_records,
 )
 from .config import ExperimentConfig, stage_seed
-from .data import generate_synthetic_dataset, load_dataset
+from .data import _atomic_file_write, _atomic_write_text, generate_synthetic_dataset, load_dataset
 
 SCHEMA_VERSION = 1
 
@@ -107,13 +106,13 @@ def _sample_payload(task):
     for name in _WORKER["attackers"]:
         extractor = STRATEGIES[name].extractor
         if extractor:
-            feats[name] = getattr(am, extractor)(model, x, y).values
+            feats[name] = getattr(am, extractor)(model, x, y)
         else:
-            feats[name] = am.assemble_score_features(scores).values
+            feats[name] = am.assemble_score_features(scores)
     trace = None
     if _WORKER["dump_traces"]:
         trace = apgd_maximize_loss(model, x, y, _sample_attack_config(sid))
-    return sid, scores, feats, trace
+    return scores, feats, trace
 
 
 def _compute_payloads(tasks, workers, init_args):
@@ -167,25 +166,26 @@ def prepare_target(config: ExperimentConfig):
             dims = [manifest.feature_dim, *config.hidden_dims(), manifest.n_classes]
             model = build_mlp(dims, stage_seed(config.seed, "target_init"))
             _, history = train(
-                model, train_ds.samples(), config.train_config(stage_seed(config.seed, "target_train"))
+                model, train_ds.X, train_ds.y, config.train_config(stage_seed(config.seed, "target_train"))
             )
         summary = {
             "layer_dims": list(model.layer_dims),
             "parameter_count": model.parameter_count(),
             "epochs_run": len(history),
             "final_train_loss": float(history[-1]) if history else None,
-            "train_accuracy": classification_accuracy(model, train_ds.samples()),
-            "heldout_accuracy": classification_accuracy(model, heldout_ds.samples()),
-            "train_risk": empirical_risk(model, train_ds.samples()),
-            "heldout_risk": empirical_risk(model, heldout_ds.samples()),
+            "train_accuracy": classification_accuracy(model, train_ds.X, train_ds.y),
+            "heldout_accuracy": classification_accuracy(model, heldout_ds.X, heldout_ds.y),
+            "train_risk": empirical_risk(model, train_ds.X, train_ds.y),
+            "heldout_risk": empirical_risk(model, heldout_ds.X, heldout_ds.y),
         }
     return train_ds, heldout_ds, manifest, model, summary
 
 
 def _attacker_split(config: ExperimentConfig, n_members: int, n_nonmembers: int, any_attackers: bool):
-    """Sample ids for attacker training: 50/50 members/nonmembers."""
+    """Mask of the attacker-training rows: 50/50 members/nonmembers."""
+    mask = np.zeros(n_members + n_nonmembers, dtype=bool)
     if not any_attackers:
-        return set()
+        return mask
     frac = config["attacker.train_fraction"]
     k = int(round(frac * min(n_members, n_nonmembers)))
     if k < 1:
@@ -193,9 +193,14 @@ def _attacker_split(config: ExperimentConfig, n_members: int, n_nonmembers: int,
     if k >= n_members or k >= n_nonmembers:
         raise ConfigError("attacker.train_fraction leaves no evaluation samples")
     rng = np.random.default_rng(stage_seed(config.seed, "attacker_split"))
-    member_ids = rng.permutation(n_members)[:k]
-    nonmember_ids = n_members + rng.permutation(n_nonmembers)[:k]
-    return set(int(i) for i in member_ids) | set(int(i) for i in nonmember_ids)
+    mask[rng.permutation(n_members)[:k]] = True
+    mask[n_members + rng.permutation(n_nonmembers)[:k]] = True
+    return mask
+
+
+def _rows(vectors, mask) -> np.ndarray:
+    """Matrix of the per-sample vectors whose rows the mask keeps."""
+    return np.array([v for v, keep in zip(vectors, mask) if keep])
 
 
 def run_pipeline(config: ExperimentConfig, out_dir=None):
@@ -208,20 +213,19 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
 
     train_ds, heldout_ds, manifest, model, target_summary = prepare_target(config)
 
+    # samples are indexed by position: members, then nonmembers
     n_members = len(train_ds)
     n_nonmembers = len(heldout_ds)
-    member_ids = list(range(n_members))
-    nonmember_ids = list(range(n_members, n_members + n_nonmembers))
+    is_member = np.arange(n_members + n_nonmembers) < n_members
 
     # per-sample work: the threshold scores every strategy needs, and one
     # feature vector per attacker
     needed_scores = list(dict.fromkeys(n for s in strategies for n in STRATEGIES[s].needed_scores))
 
     with _stage("scores"):
-        tasks = [(sid, train_ds.X[sid], int(train_ds.y[sid])) for sid in member_ids]
+        tasks = [(sid, train_ds.X[sid], int(train_ds.y[sid])) for sid in range(n_members)]
         tasks += [
-            (sid, heldout_ds.X[sid - n_members], int(heldout_ds.y[sid - n_members]))
-            for sid in nonmember_ids
+            (n_members + i, heldout_ds.X[i], int(heldout_ds.y[i])) for i in range(n_nonmembers)
         ]
         init_args = (
             model,
@@ -232,48 +236,43 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
             bool(config["debug.dump_traces"]) and any(STRATEGIES[n].needs_attack for n in needed_scores),
         )
         payloads = _compute_payloads(tasks, workers, init_args) if strategies else []
-        score_table = {sid: scores for sid, scores, _, _ in payloads}
-        feature_table = {name: {sid: f[name] for sid, _, f, _ in payloads} for name in attacker_names}
-        traces = {sid: trace for sid, _, _, trace in payloads if trace is not None}
+        scores = {name: np.array([p[0][name] for p in payloads]) for name in needed_scores}
+        features = {name: [p[1][name] for p in payloads] for name in attacker_names}
 
     with _stage("attackers"):
-        attacker_train_ids = _attacker_split(config, n_members, n_nonmembers, bool(attacker_names))
-        eval_member_ids = [i for i in member_ids if i not in attacker_train_ids]
-        eval_nonmember_ids = [i for i in nonmember_ids if i not in attacker_train_ids]
-        eval_ids = eval_member_ids + eval_nonmember_ids
-        train_id_list = sorted(attacker_train_ids)
-
+        train_mask = _attacker_split(config, n_members, n_nonmembers, bool(attacker_names))
+        eval_mask = ~train_mask
+        eval_scores = {name: scores[name][eval_mask] for name in strategies if name in scores}
         attackers = {}
         for name in attacker_names:
-            feats_train = np.array([feature_table[name][i] for i in train_id_list])
-            labels_train = np.array([1.0 if i < n_members else 0.0 for i in train_id_list])
             attacker = getattr(am, STRATEGIES[name].fitter)(
-                feats_train, labels_train, stage_seed(config.seed, f"attacker:{name}")
+                _rows(features[name], train_mask),
+                is_member[train_mask].astype(np.float64),
+                stage_seed(config.seed, f"attacker:{name}"),
             )
             attackers[name] = attacker
-            vals = am.attacker_scores(attacker, np.array([feature_table[name][i] for i in eval_ids]))
-            for i, v in zip(eval_ids, vals):
-                score_table[i][name] = float(v)
+            eval_scores[name] = am.attacker_scores(attacker, _rows(features[name], eval_mask))
 
     # pools ordered by ascending sample id; all strategies share them
-    member_pool = {}
-    nonmember_pool = {}
-    for name in strategies:
-        member_pool[name] = np.array([score_table[i][name] for i in eval_member_ids])
-        nonmember_pool[name] = np.array([score_table[i][name] for i in eval_nonmember_ids])
-
+    eval_ids = np.flatnonzero(eval_mask)
+    eval_member = is_member[eval_mask]
+    member_pool = {name: eval_scores[name][eval_member] for name in strategies}
+    nonmember_pool = {name: eval_scores[name][~eval_member] for name in strategies}
     score_records = {
-        name: [ScoreRecord(i, name, score_table[i][name], i < n_members) for i in eval_ids]
+        name: [
+            ScoreRecord(int(i), name, float(v), bool(m))
+            for i, v, m in zip(eval_ids, eval_scores[name], eval_member)
+        ]
         for name in strategies
     }
 
     splits = {
         "members_total": n_members,
         "nonmembers_total": n_nonmembers,
-        "attacker_train_members": sum(1 for i in attacker_train_ids if i < n_members),
-        "attacker_train_nonmembers": sum(1 for i in attacker_train_ids if i >= n_members),
-        "eval_members": len(eval_member_ids),
-        "eval_nonmembers": len(eval_nonmember_ids),
+        "attacker_train_members": int(np.sum(train_mask & is_member)),
+        "attacker_train_nonmembers": int(np.sum(train_mask & ~is_member)),
+        "eval_members": int(np.sum(eval_member)),
+        "eval_nonmembers": int(np.sum(~eval_member)),
     }
     report = build_report(
         config, member_pool, nonmember_pool, manifest.to_dict(), target_summary, splits, score_records
@@ -285,21 +284,21 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
         for name, attacker in attackers.items():
             _atomic_file_write(out / f"{name}.ckpt", lambda p, a=attacker: am.save_attacker(a, p))
         if config["debug.dump_features"]:
-            members = [i < n_members for i in eval_ids]
             for name in attacker_names:
                 if STRATEGIES[name].features:
-                    feats = [feature_table[name][i] for i in eval_ids]
                     _atomic_file_write(
                         out / f"features_{STRATEGIES[name].features}.csv",
-                        lambda p, rows=feats: am.write_feature_dump(p, eval_ids, rows, members),
+                        lambda p, rows=_rows(features[name], eval_mask): am.write_feature_dump(
+                            p, eval_ids, rows, eval_member
+                        ),
                     )
+        traces = [(sid, trace) for sid, (_, _, trace) in enumerate(payloads) if trace is not None]
         if traces:
-            trace_dir = out / "traces"
-            trace_dir.mkdir(parents=True, exist_ok=True)
-            for sid in sorted(traces):
-                _atomic_file_write(
-                    trace_dir / f"trace_{sid}.csv", lambda p, t=traces[sid]: dump_trace_csv(t, p)
-                )
+            (out / "traces").mkdir(parents=True, exist_ok=True)
+        for sid, trace in traces:
+            _atomic_file_write(
+                out / "traces" / f"trace_{sid}.csv", lambda p, t=trace: dump_trace_csv(t, p)
+            )
     return report, out
 
 
@@ -410,23 +409,6 @@ def build_report(
 # ---------------------------------------------------------------------------
 
 
-def _atomic_file_write(path: Path, writer) -> None:
-    """Have `writer(tmp)` fill a temp file with a unique name beside `path`,
-    then rename it over `path`; on failure the temp file is removed, so two
-    runs into one directory never share a temp file."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}-{secrets.token_hex(4)}.tmp")
-    try:
-        writer(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    _atomic_file_write(path, lambda p: p.write_text(text, encoding="utf-8", newline=""))
-
-
 def export_report(report: EvalReport, out_dir) -> Path:
     """Write report.json plus per-strategy CSV side files, atomically."""
     out = Path(out_dir)
@@ -495,8 +477,12 @@ def rerender_from_scores(config: ExperimentConfig, scores_dir, out_dir):
     dataset_section, target_section, splits_section = {}, {}, {}
     old_report = scores_path / "report.json"
     if old_report.is_file():
-        with open(old_report, encoding="utf-8") as fh:
-            old = json.load(fh)
+        try:
+            old = json.loads(old_report.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise DataError(f"{old_report}: not valid JSON: {exc}") from exc
+        if not isinstance(old, dict):
+            raise DataError(f"{old_report}: top level is not a JSON object")
         dataset_section = old.get("dataset", {})
         target_section = old.get("target", {})
         splits_section = old.get("splits", {})

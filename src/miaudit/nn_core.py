@@ -34,30 +34,6 @@ CHECKPOINT_VERSION = 1
 _OPTIMIZERS = ("sgd", "adam")
 
 
-class Tensor:
-    """Dense, finite float64 array."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        arr = np.array(values, dtype=np.float64, order="C")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInputError("tensor values must be finite")
-        self.values = arr
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.values.shape
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    """One (features, label) pair; features live in [0, 1]^d."""
-
-    features: np.ndarray
-    label: int
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for seeded minibatch training."""
@@ -84,29 +60,6 @@ class TrainConfig:
             raise ConfigError("adam betas must lie in [0, 1)")
         if self.adam_epsilon <= 0:
             raise ConfigError("adam_epsilon must be positive")
-
-
-@dataclass(frozen=True)
-class GradientBundle:
-    """Exact gradients of the per-sample loss w.r.t. parameters and input."""
-
-    weight_grads: list
-    bias_grads: list
-    input_grad: Tensor
-
-    def flattened_parameter_grad(self) -> np.ndarray:
-        parts = []
-        for gw, gb in zip(self.weight_grads, self.bias_grads):
-            parts.append(gw.values.ravel())
-            parts.append(gb.values.ravel())
-        return np.concatenate(parts)
-
-    def parameter_sq_norm(self) -> float:
-        total = 0.0
-        for gw, gb in zip(self.weight_grads, self.bias_grads):
-            total += float(np.sum(gw.values * gw.values))
-            total += float(np.sum(gb.values * gb.values))
-        return total
 
 
 def softmax(logits) -> np.ndarray:
@@ -147,9 +100,15 @@ class DenseNet:
     """
 
     def __init__(self, layer_dims: Sequence[int], weights: list, biases: list):
+        """Copies every parameter into a C-ordered float64 array, so a net
+        never aliases its caller's arrays."""
         dims = _check_layer_dims(layer_dims)
         if len(weights) != len(dims) - 1 or len(biases) != len(dims) - 1:
             raise ShapeError("parameter list length does not match layer_dims")
+        weights = [np.array(w, dtype=np.float64, order="C") for w in weights]
+        biases = [np.array(b, dtype=np.float64, order="C") for b in biases]
+        if not all(np.all(np.isfinite(p)) for p in weights + biases):
+            raise InvalidInputError("network parameters must be finite")
         for i, (w, b) in enumerate(zip(weights, biases)):
             if w.shape != (dims[i], dims[i + 1]):
                 raise ShapeError(
@@ -169,8 +128,8 @@ class DenseNet:
         weights, biases = [], []
         for fan_in, fan_out in zip(dims, dims[1:]):
             limit = 1.0 / math.sqrt(fan_in)
-            weights.append(Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out))))
-            biases.append(Tensor(np.zeros(fan_out)))
+            weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
+            biases.append(np.zeros(fan_out))
         return cls(dims, weights, biases)
 
     @property
@@ -189,7 +148,7 @@ class DenseNet:
         return out
 
     def parameter_count(self) -> int:
-        return sum(t.values.size for t in self.parameters())
+        return sum(p.size for p in self.parameters())
 
     def forward(self, X: np.ndarray):
         """Batch forward pass: (pre-activations, activations starting with
@@ -199,7 +158,7 @@ class DenseNet:
         a = X
         last = self.n_layers - 1
         for i in range(self.n_layers):
-            z = a @ self.weights[i].values + self.biases[i].values
+            z = a @ self.weights[i] + self.biases[i]
             pres.append(z)
             if i < last:
                 a = np.maximum(z, 0.0)
@@ -250,9 +209,9 @@ def loss_and_grads(net: DenseNet, X, Y, need_params=True, need_input=False):
             grads[2 * i] = acts[i].T @ delta
             grads[2 * i + 1] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ net.weights[i].values.T) * (pres[i - 1] > 0.0)
+            delta = (delta @ net.weights[i].T) * (pres[i - 1] > 0.0)
         elif need_input:
-            delta = delta @ net.weights[0].values.T
+            delta = delta @ net.weights[0].T
     return loss, grads, delta if need_input else None, out
 
 
@@ -305,30 +264,25 @@ def sample_evaluation(model: MLPClassifier, x, y):
     return loss, probs[0], g_in[0]
 
 
-def backward_gradients(model: MLPClassifier, x, y) -> GradientBundle:
-    """Exact reverse-mode gradients of the per-sample loss.
-
-    Covers every weight, every bias, and the input; shapes mirror the
-    differentiated objects.
-    """
+def backward_gradients(model: MLPClassifier, x, y):
+    """Exact reverse-mode gradients of the per-sample loss: (parameter grads
+    in `parameters()` order, input grad); shapes mirror the differentiated
+    arrays."""
     arr = _check_input(model, x)
     label = _check_label(model, y)
     _, grads, g_in, _ = loss_and_grads(
         model, arr[None, :], np.array([label]), need_params=True, need_input=True
     )
-    return GradientBundle(
-        weight_grads=[Tensor(g) for g in grads[0::2]],
-        bias_grads=[Tensor(g) for g in grads[1::2]],
-        input_grad=Tensor(g_in[0]),
-    )
+    return grads, g_in[0]
 
 
-def _dataset_arrays(model: MLPClassifier, dataset) -> tuple[np.ndarray, np.ndarray]:
-    samples = list(dataset)
-    if not samples:
+def _dataset_arrays(model: MLPClassifier, X, Y) -> tuple[np.ndarray, np.ndarray]:
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.int64)
+    if X.ndim != 2 or Y.shape != X.shape[:1]:
+        raise ShapeError(f"dataset needs (n, d) features and (n,) labels, got {X.shape}, {Y.shape}")
+    if X.shape[0] == 0:
         raise ConfigError("dataset is empty")
-    X = np.stack([np.asarray(s.features, dtype=np.float64) for s in samples])
-    Y = np.array([int(s.label) for s in samples], dtype=np.int64)
     if X.shape[1] != model.input_dim:
         raise ShapeError(
             f"sample dim {X.shape[1]} does not match model input_dim {model.input_dim}"
@@ -362,16 +316,16 @@ class AdamState:
             p -= lr * (m / c1) / (np.sqrt(v / c2) + self.epsilon)
 
 
-def train(model: MLPClassifier, train_set, config: TrainConfig):
+def train(model: MLPClassifier, X, Y, config: TrainConfig):
     """Seeded minibatch training; returns (model, per-epoch mean loss history).
 
     The model is updated in place.  Batches follow a fresh seeded permutation
     each epoch; the final short batch is kept.
     """
-    X, Y = _dataset_arrays(model, train_set)
+    X, Y = _dataset_arrays(model, X, Y)
     n = X.shape[0]
     rng = np.random.default_rng(config.seed)
-    params = [t.values for t in model.parameters()]
+    params = model.parameters()
     adam = None
     if config.optimizer == "adam":
         adam = AdamState(
@@ -404,14 +358,14 @@ def train(model: MLPClassifier, train_set, config: TrainConfig):
     return model, history
 
 
-def empirical_risk(model: MLPClassifier, dataset) -> float:
+def empirical_risk(model: MLPClassifier, X, Y) -> float:
     """Mean cross-entropy loss over the dataset."""
-    X, Y = _dataset_arrays(model, dataset)
+    X, Y = _dataset_arrays(model, X, Y)
     return mean_loss(model, X, Y)
 
 
-def classification_accuracy(model: MLPClassifier, dataset) -> float:
-    X, Y = _dataset_arrays(model, dataset)
+def classification_accuracy(model: MLPClassifier, X, Y) -> float:
+    X, Y = _dataset_arrays(model, X, Y)
     _, _, probs = model.forward(X)
     return float(np.mean(np.argmax(probs, axis=1) == Y))
 
@@ -435,13 +389,14 @@ def write_net_params(fh: BinaryIO, layer_dims, weights: Iterable, biases: Iterab
     fh.write(struct.pack("<I", len(dims)))
     fh.write(struct.pack(f"<{len(dims)}I", *dims))
     for w, b in zip(weights, biases):
-        fh.write(np.ascontiguousarray(w.values, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(b.values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
 
 
 def read_net_params(fh: BinaryIO):
     """Layer sizes and parameters; the sizes are checked against the bytes
-    left in the file before any parameter is read."""
+    left in the file before any parameter is read, and every parameter must
+    be finite."""
     (n_dims,) = struct.unpack("<I", _read_exact(fh, 4))
     if n_dims < 2 or n_dims > 1024:
         raise DataError(f"checkpoint has implausible layer count {n_dims}")
@@ -457,8 +412,10 @@ def read_net_params(fh: BinaryIO):
     for fan_in, fan_out in zip(dims, dims[1:]):
         w = np.frombuffer(_read_exact(fh, 8 * fan_in * fan_out), dtype="<f8")
         b = np.frombuffer(_read_exact(fh, 8 * fan_out), dtype="<f8")
-        weights.append(Tensor(w.reshape(fan_in, fan_out)))
-        biases.append(Tensor(b))
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+            raise DataError("checkpoint holds non-finite parameters")
+        weights.append(w.reshape(fan_in, fan_out))
+        biases.append(b)
     return dims, weights, biases
 
 

@@ -66,7 +66,11 @@ def loss_score(model: MLPClassifier, x, y: int) -> float:
 
 def grad_w_norm_score(model: MLPClassifier, x, y: int) -> float:
     """Negated SQUARED l2 norm of the full parameter gradient."""
-    return -backward_gradients(model, x, y).parameter_sq_norm()
+    grads, _ = backward_gradients(model, x, y)
+    total = 0.0
+    for g in grads:  # this order and grouping fix the score's last bits
+        total += float(np.sum(g * g))
+    return -total
 
 
 def grad_x_norm_score(model: MLPClassifier, x, y: int) -> float:

@@ -37,7 +37,8 @@ def train_desk_target(seed: int):
     model = mi.build_mlp(list(DESK_LAYERS), seed=seed + 100)
     mi.train(
         model,
-        train.samples(),
+        train.X,
+        train.y,
         mi.TrainConfig(epochs=DESK_EPOCHS, batch_size=32, learning_rate=DESK_LR, seed=seed + 200),
     )
     return model, train, held
@@ -67,8 +68,8 @@ def desk_audit():
         runs.append(
             {
                 "seed": seed,
-                "train_accuracy": classification_accuracy(model, train.samples()),
-                "heldout_accuracy": classification_accuracy(model, held.samples()),
+                "train_accuracy": classification_accuracy(model, train.X, train.y),
+                "heldout_accuracy": classification_accuracy(model, held.X, held.y),
                 "member": member,
                 "nonmember": nonmember,
             }

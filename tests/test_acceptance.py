@@ -45,18 +45,18 @@ def test_criterion_1_gradients_match_finite_differences():
         model = mi.build_mlp([d, *hidden, k], seed=int(rng.integers(10_000)))
         x = rng.uniform(0.05, 0.95, d)
         y = int(rng.integers(k))
-        bundle = mi.backward_gradients(model, x, y)
+        param_grads, g_in = mi.backward_gradients(model, x, y)
 
         def loss_at_x(xv):
             return mi.cross_entropy_loss(mi.forward_predict(model, xv), y)
 
         for tensors, grads in (
-            (model.weights, bundle.weight_grads),
-            (model.biases, bundle.bias_grads),
+            (model.weights, param_grads[0::2]),
+            (model.biases, param_grads[1::2]),
         ):
             for tensor, grad in zip(tensors, grads):
-                flat_vals = tensor.values.ravel()
-                flat_grad = grad.values.ravel()
+                flat_vals = tensor.ravel()
+                flat_grad = grad.ravel()
                 for i in range(flat_vals.size):
                     old = flat_vals[i]
                     flat_vals[i] = old + step
@@ -68,7 +68,6 @@ def test_criterion_1_gradients_match_finite_differences():
                     err = rel(flat_grad[i], fd)
                     worst = max(worst, err)
                     assert err <= 1e-4, f"trial {trial} param grad off by {err}"
-        g_in = bundle.input_grad.values
         for i in range(d):
             old = x[i]
             x[i] = old + step
@@ -239,8 +238,8 @@ def test_criterion_4_linear_margin_soundness():
         model = mi.build_mlp([d, 2], seed=int(rng.integers(100_000)))
         x = rng.uniform(0, 1, d)
         y = int(np.argmax(mi.forward_predict(model, x)))
-        W = model.weights[0].values
-        b = model.biases[0].values
+        W = model.weights[0]
+        b = model.biases[0]
         w = W[:, 1] - W[:, 0]
         c = b[1] - b[0]
         margin = abs(float(x @ w + c)) / float(np.linalg.norm(w))
@@ -379,7 +378,7 @@ def test_criterion_8_formula_oracles():
         x = rng.uniform(0, 1, model.input_dim)
         y = int(rng.integers(model.n_classes))
         loss, probs, g_in = sample_evaluation(model, x, y)
-        bundle = mi.backward_gradients(model, x, y)
+        param_grads, _ = mi.backward_gradients(model, x, y)
 
         # modified entropy, term by term in pure python
         want_mentr = -(1.0 - probs[y]) * math.log(clamp(probs[y]))
@@ -403,8 +402,8 @@ def test_criterion_8_formula_oracles():
 
         # squared parameter-gradient norm
         total = 0.0
-        for g in bundle.weight_grads + bundle.bias_grads:
-            for v in g.values.ravel():
+        for g in param_grads[0::2] + param_grads[1::2]:
+            for v in g.ravel():
                 total += float(v) * float(v)
         got = mi.grad_w_norm_score(model, x, y)
         worst = max(worst, abs(got + total))
@@ -419,7 +418,8 @@ def test_criterion_8_formula_oracles():
         assert abs(got + math.sqrt(acc)) <= 1e-9
 
         # the seven gradient statistics
-        vals = [float(v) for v in bundle.flattened_parameter_grad()]
+        flat_grad = np.concatenate([g.ravel() for g in param_grads])
+        vals = [float(v) for v in flat_grad]
         n = len(vals)
         mean = sum(vals) / n
         m2 = sum((v - mean) ** 2 for v in vals) / n
@@ -428,7 +428,7 @@ def test_criterion_8_formula_oracles():
         else:
             skew = (sum((v - mean) ** 3 for v in vals) / n) / m2**1.5
             kurt = (sum((v - mean) ** 4 for v in vals) / n) / m2**2 - 3.0
-        stats = mi.gradient_statistics(bundle.flattened_parameter_grad())
+        stats = mi.gradient_statistics(flat_grad)
         for got_v, want_v in (
             (stats.l1_norm, sum(abs(v) for v in vals)),
             (stats.l2_norm, math.sqrt(sum(v * v for v in vals))),

@@ -173,8 +173,8 @@ class TestApgd:
         # a fine grid over the feasible square
         model = mi.MLPClassifier(
             [2, 2],
-            [mi.Tensor(np.array([[3.0, -3.0], [2.0, -2.0]]))],
-            [mi.Tensor(np.array([0.2, -0.2]))],
+            [np.array([[3.0, -3.0], [2.0, -2.0]])],
+            [np.array([0.2, -0.2])],
         )
         x = np.array([0.55, 0.45])
         eps = 0.3
@@ -188,7 +188,7 @@ class TestApgd:
             keep = np.sqrt(np.sum((pts - x) ** 2, axis=1)) <= eps
             pts = pts[keep]
         pts = np.clip(pts, 0.0, 1.0)
-        logits = pts @ model.weights[0].values + model.biases[0].values
+        logits = pts @ model.weights[0] + model.biases[0]
         shifted = logits - logits.max(axis=1, keepdims=True)
         probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
         grid_best = float(np.max(-np.log(np.clip(probs[:, 0], 1e-12, 1.0))))
@@ -221,8 +221,8 @@ class TestFindAdversarial:
         # zero weights pin the prediction to class 0; label 0 cannot flip
         model = mi.MLPClassifier(
             [2, 2],
-            [mi.Tensor(np.zeros((2, 2)))],
-            [mi.Tensor(np.zeros(2))],
+            [np.zeros((2, 2))],
+            [np.zeros(2)],
         )
         cfg = mi.AttackConfig(p=INF, epsilon=0.2, n_iter=10, seed=0)
         out = mi.find_adversarial(model, np.array([0.5, 0.5]), 0, cfg)

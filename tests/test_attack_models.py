@@ -130,23 +130,23 @@ class TestExtractors:
     def test_grad_w_stats_composition(self, tiny_model, rng):
         x = rng.uniform(0, 1, 4)
         fv = mi.extract_grad_w_stats(tiny_model, x, 1)
-        bundle = mi.backward_gradients(tiny_model, x, 1)
-        want = mi.gradient_statistics(bundle.flattened_parameter_grad()).as_array()
-        assert np.array_equal(fv.values, want)
-        assert fv.values.shape == (7,)
+        grads, _ = mi.backward_gradients(tiny_model, x, 1)
+        want = mi.gradient_statistics(np.concatenate([g.ravel() for g in grads])).as_array()
+        assert np.array_equal(fv, want)
+        assert fv.shape == (7,)
 
     def test_grad_x_stats_composition(self, tiny_model, rng):
         x = rng.uniform(0, 1, 4)
         fv = mi.extract_grad_x_stats(tiny_model, x, 2)
-        bundle = mi.backward_gradients(tiny_model, x, 2)
-        want = mi.gradient_statistics(bundle.input_grad.values).as_array()
-        assert np.array_equal(fv.values, want)
+        _, g_in = mi.backward_gradients(tiny_model, x, 2)
+        want = mi.gradient_statistics(g_in).as_array()
+        assert np.array_equal(fv, want)
 
     def test_intermediate_outputs_layout(self, tiny_model, rng):
         x = rng.uniform(0, 1, 4)
         fv = mi.extract_intermediate_outputs(tiny_model, x)
-        assert fv.values.shape == (3 + 8,)
-        assert np.allclose(fv.values[:3], forward_predict(tiny_model, x), atol=1e-14)
+        assert fv.shape == (3 + 8,)
+        assert np.allclose(fv[:3], forward_predict(tiny_model, x), atol=1e-14)
 
     def test_intermediate_outputs_needs_hidden_layer(self):
         linear = mi.build_mlp([4, 3], seed=0)
@@ -157,17 +157,17 @@ class TestExtractors:
         x = rng.uniform(0, 1, 4)
         y = 1
         fv = mi.extract_wb_features(tiny_model, x, y)
-        bundle = mi.backward_gradients(tiny_model, x, y)
-        gw = bundle.weight_grads[-1].values.ravel()
-        gb = bundle.bias_grads[-1].values.ravel()
+        grads, _ = mi.backward_gradients(tiny_model, x, y)
+        gw = grads[-2].ravel()
+        gb = grads[-1].ravel()
         probs = forward_predict(tiny_model, x)
         n_w, n_b, k = gw.size, gb.size, 3
-        assert fv.values.shape == (n_w + n_b + 1 + k + 8 + k,)
-        assert np.array_equal(fv.values[:n_w], gw)
-        assert np.array_equal(fv.values[n_w : n_w + n_b], gb)
-        assert fv.values[n_w + n_b] == pytest.approx(cross_entropy_loss(probs, y), abs=1e-12)
-        assert np.allclose(fv.values[n_w + n_b + 1 : n_w + n_b + 1 + k], probs, atol=1e-14)
-        onehot = fv.values[-k:]
+        assert fv.shape == (n_w + n_b + 1 + k + 8 + k,)
+        assert np.array_equal(fv[:n_w], gw)
+        assert np.array_equal(fv[n_w : n_w + n_b], gb)
+        assert fv[n_w + n_b] == pytest.approx(cross_entropy_loss(probs, y), abs=1e-12)
+        assert np.allclose(fv[n_w + n_b + 1 : n_w + n_b + 1 + k], probs, atol=1e-14)
+        onehot = fv[-k:]
         assert list(onehot) == [0.0, 1.0, 0.0]
 
     def test_assemble_score_features_order(self):
@@ -180,7 +180,7 @@ class TestExtractors:
             "adv_dist": 0.5,
         }
         fv = assemble_score_features(row)
-        assert np.array_equal(fv.values, [0.9, -0.1, -0.2, -0.3, -0.4, 0.5])
+        assert np.array_equal(fv, [0.9, -0.1, -0.2, -0.3, -0.4, 0.5])
         assert ENSEMBLE_FEATURE_ORDER == (
             "softmax",
             "mentr",
@@ -232,7 +232,7 @@ def python_bce(net, X, y):
     """Independent forward pass and mean binary cross entropy."""
     a = X
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        a = a @ w.values + b.values
+        a = a @ w + b
         if i < len(net.weights) - 1:
             a = np.maximum(a, 0.0)
     p = 1.0 / (1.0 + np.exp(-a[:, 0]))
@@ -250,7 +250,7 @@ class TestBinaryNetGradients:
         step = 1e-6
         for tensor, grad in zip(net.parameters(), grads):
             assert grad.shape == tensor.shape
-            flat_vals = tensor.values.ravel()
+            flat_vals = tensor.ravel()
             flat_grad = grad.ravel()
             for i in range(flat_vals.size):
                 old = flat_vals[i]
@@ -284,7 +284,7 @@ class TestLogisticAttacker:
         a = mi.fit_logistic_attacker(X, y)
         b = mi.fit_logistic_attacker(X, y)
         for ta, tb in zip(a.net.parameters(), b.net.parameters()):
-            assert np.array_equal(ta.values, tb.values)
+            assert np.array_equal(ta, tb)
 
 
 class TestMlpAttacker:
@@ -301,7 +301,7 @@ class TestMlpAttacker:
         a = mi.fit_mlp_attacker(X, y, seed=7, epochs=30)
         b = mi.fit_mlp_attacker(X, y, seed=7, epochs=30)
         for ta, tb in zip(a.net.parameters(), b.net.parameters()):
-            assert np.array_equal(ta.values, tb.values)
+            assert np.array_equal(ta, tb)
 
 
 class TestEnsembleAttacker:

@@ -1,8 +1,12 @@
 """Synthetic data generation and the CSV / binary dataset formats."""
 
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from miaudit.cli_runner import data
 from miaudit.cli_runner.data import (
     DATA_MAGIC,
     Dataset,
@@ -140,7 +144,19 @@ class TestBinaryFormat:
         path = tmp_path / "part.bin"
         save_binary_file(Dataset(rng.uniform(0, 1, (5, 3)), np.zeros(5, dtype=np.int64)), path, 1)
         blob = path.read_bytes()
-        path.write_bytes(blob[:-7])
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(DataError):
+                read_binary_file(path)
+        path.write_bytes(blob + b"\x00")
+        with pytest.raises(DataError):
+            read_binary_file(path)
+
+    @pytest.mark.parametrize("size", [65535, 2**32 - 1])
+    def test_header_larger_than_file(self, tmp_path, size):
+        # an 88-byte file whose header declares size x size features
+        path = tmp_path / "train.bin"
+        path.write_bytes(DATA_MAGIC + struct.pack("<IIII", 1, size, 2, size) + bytes(64))
         with pytest.raises(DataError):
             read_binary_file(path)
 
@@ -191,6 +207,29 @@ class TestDatasetDirectory:
         with pytest.raises(DataError):
             load_dataset(tmp_path, fmt="csv")
 
+    @pytest.mark.parametrize("failing", ["train.csv", "heldout.csv"])
+    def test_failed_save_keeps_whole_files(self, tmp_path, monkeypatch, failing):
+        out = tmp_path / "ds"
+        save_dataset(*generate_synthetic_dataset(4, 2, 3, 1.0, seed=1), out)
+        old = {p.name: p.read_bytes() for p in out.iterdir()}
+        update = generate_synthetic_dataset(5, 2, 3, 1.0, seed=2)
+        save_dataset(*update, tmp_path / "ref")
+        new = {p.name: p.read_bytes() for p in (tmp_path / "ref").iterdir()}
+        write = data.save_csv_file
+
+        def fail_one(dataset, path):
+            if failing in Path(path).name:
+                Path(path).write_text("partial")
+                raise OSError("disk full")
+            write(dataset, path)
+
+        monkeypatch.setattr(data, "save_csv_file", fail_one)
+        with pytest.raises(OSError):
+            save_dataset(*update, out)
+        assert sorted(p.name for p in out.iterdir()) == sorted(old)
+        for name, blob in old.items():
+            assert (out / name).read_bytes() in (blob, new[name]), name
+
     def test_dimension_mismatch(self, tmp_path, rng):
         save_csv_file(Dataset(rng.uniform(0, 1, (3, 2)), np.array([0, 1, 0])), tmp_path / "train.csv")
         save_csv_file(Dataset(rng.uniform(0, 1, (2, 3)), np.array([0, 1])), tmp_path / "heldout.csv")
@@ -203,15 +242,6 @@ class TestDatasetDirectory:
 
 
 class TestDatasetContainer:
-    def test_samples_view(self, rng):
-        X = rng.uniform(0, 1, (4, 2))
-        y = np.array([0, 1, 1, 0])
-        ds = Dataset(X, y)
-        samples = ds.samples()
-        assert len(samples) == 4
-        assert np.array_equal(samples[2].features, X[2])
-        assert samples[2].label == 1
-
     def test_shape_validation(self, rng):
         with pytest.raises(DataError):
             Dataset(rng.uniform(0, 1, (3, 2)), np.array([0, 1]))

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import miaudit as mi
+from miaudit.attack_models import ATTACKER_MAGIC, load_attacker, save_attacker
+from miaudit.cli_runner.cli import main
 from miaudit.errors import ConfigError, DataError, InvalidInputError, ShapeError, TrainingError
 from miaudit.nn_core import (
     CHECKPOINT_MAGIC,
@@ -49,10 +51,6 @@ def make_blobs(rng, n_per_class, n_classes, dim, sep=1.5):
     X = (X - lo) / np.maximum(hi - lo, 1e-12)
     order = rng.permutation(len(y))
     return X[order], y[order]
-
-
-def as_samples(X, y):
-    return [mi.LabeledSample(X[i], int(y[i])) for i in range(len(y))]
 
 
 class TestSoftmax:
@@ -99,10 +97,41 @@ class TestCrossEntropy:
             mi.cross_entropy_loss(np.array([0.5, 0.5]), -1)
 
 
-class TestTensor:
-    def test_rejects_non_finite(self):
-        with pytest.raises(InvalidInputError):
-            mi.Tensor(np.array([1.0, np.inf]))
+class TestNonFiniteParameters:
+    def test_classifier_rejects_non_finite(self):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(InvalidInputError):
+                mi.MLPClassifier([1, 2], [np.array([[1.0, bad]])], [np.zeros(2)])
+            with pytest.raises(InvalidInputError):
+                mi.MLPClassifier([1, 2], [np.zeros((1, 2))], [np.array([bad, 0.0])])
+
+    def test_loaders_reject_nan_weight(self, tmp_path):
+        model = mi.build_mlp([3, 4, 2], seed=0)
+        ckpt = tmp_path / "target.ckpt"
+        mi.save_checkpoint(model, ckpt)
+        blob = bytearray(ckpt.read_bytes())
+        first_weight = len(CHECKPOINT_MAGIC) + 4 + 4 + 4 * 3
+        blob[first_weight : first_weight + 8] = struct.pack("<d", math.nan)
+        ckpt.write_bytes(bytes(blob))
+        with pytest.raises(DataError):
+            mi.load_checkpoint(ckpt)
+
+        attacker = mi.fit_logistic_attacker(np.eye(4), np.array([1.0, 0.0, 1.0, 0.0]), max_steps=2)
+        apath = tmp_path / "attacker.ckpt"
+        save_attacker(attacker, apath)
+        blob = bytearray(apath.read_bytes())
+        first_weight = len(ATTACKER_MAGIC) + 4 + 1 + 4 + 4 * 2
+        blob[first_weight : first_weight + 8] = struct.pack("<d", math.nan)
+        apath.write_bytes(bytes(blob))
+        with pytest.raises(DataError):
+            load_attacker(apath)
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "dataset.n_per_class = 4\ndataset.classes = 2\ndataset.dim = 3\n"
+            f"strategies = loss\ntarget.load_checkpoint = {ckpt}\n"
+        )
+        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
 
 
 class TestBuildMlp:
@@ -111,15 +140,15 @@ class TestBuildMlp:
         b = mi.build_mlp([5, 7, 3], seed=11)
         c = mi.build_mlp([5, 7, 3], seed=12)
         for wa, wb in zip(a.parameters(), b.parameters()):
-            assert np.array_equal(wa.values, wb.values)
+            assert np.array_equal(wa, wb)
         assert any(
-            not np.array_equal(wa.values, wc.values)
+            not np.array_equal(wa, wc)
             for wa, wc in zip(a.parameters(), c.parameters())
         )
         for W, fan_in in zip(a.weights, [5, 7]):
-            assert np.max(np.abs(W.values)) <= 1.0 / math.sqrt(fan_in)
+            assert np.max(np.abs(W)) <= 1.0 / math.sqrt(fan_in)
         for bvec in a.biases:
-            assert np.all(bvec.values == 0.0)
+            assert np.all(bvec == 0.0)
 
     def test_layer_dim_validation(self):
         with pytest.raises(ConfigError):
@@ -161,59 +190,58 @@ class TestGradients:
             model = mi.build_mlp(dims, seed=int(rng.integers(1000)))
             x = rng.uniform(0.05, 0.95, dims[0])
             y = int(rng.integers(dims[-1]))
-            bundle = mi.backward_gradients(model, x, y)
+            grads, _ = mi.backward_gradients(model, x, y)
             for li in range(len(model.weights)):
                 for tensor, grad in (
-                    (model.weights[li], bundle.weight_grads[li]),
-                    (model.biases[li], bundle.bias_grads[li]),
+                    (model.weights[li], grads[2 * li]),
+                    (model.biases[li], grads[2 * li + 1]),
                 ):
                     def loss_fn(vals, tensor=tensor):
-                        saved = tensor.values.copy()
-                        tensor.values[...] = vals
+                        saved = tensor.copy()
+                        tensor[...] = vals
                         out = mi.cross_entropy_loss(mi.forward_predict(model, x), y)
-                        tensor.values[...] = saved
+                        tensor[...] = saved
                         return out
 
-                    fd = finite_difference_grad(loss_fn, tensor.values.copy())
-                    assert rel_err(grad.values, fd) < 1e-4
+                    fd = finite_difference_grad(loss_fn, tensor.copy())
+                    assert rel_err(grad, fd) < 1e-4
 
     def test_input_gradient_matches_finite_differences(self, tiny_model, rng):
         x = rng.uniform(0.05, 0.95, 4)
         y = 1
-        bundle = mi.backward_gradients(tiny_model, x, y)
+        _, g_in = mi.backward_gradients(tiny_model, x, y)
 
         def loss_fn(xv):
             return mi.cross_entropy_loss(mi.forward_predict(tiny_model, xv), y)
 
         fd = finite_difference_grad(loss_fn, x.copy())
-        assert rel_err(bundle.input_grad.values, fd) < 1e-4
+        assert rel_err(g_in, fd) < 1e-4
 
     def test_sample_evaluation_consistent(self, tiny_model, rng):
         x = rng.uniform(0, 1, 4)
         loss, probs, g_in = sample_evaluation(tiny_model, x, 2)
         assert abs(loss - mi.cross_entropy_loss(mi.forward_predict(tiny_model, x), 2)) < 1e-12
         assert np.allclose(probs, mi.forward_predict(tiny_model, x), atol=1e-14)
-        bundle = mi.backward_gradients(tiny_model, x, 2)
-        assert np.allclose(g_in, bundle.input_grad.values, atol=1e-14)
+        _, g_backward = mi.backward_gradients(tiny_model, x, 2)
+        assert np.allclose(g_in, g_backward, atol=1e-14)
 
     def test_gradient_bundle_shapes(self, tiny_model):
-        bundle = mi.backward_gradients(tiny_model, np.full(4, 0.5), 0)
-        assert [g.shape for g in bundle.weight_grads] == [w.shape for w in tiny_model.weights]
-        assert [g.shape for g in bundle.bias_grads] == [b.shape for b in tiny_model.biases]
-        flat = bundle.flattened_parameter_grad()
+        grads, g_in = mi.backward_gradients(tiny_model, np.full(4, 0.5), 0)
+        assert [g.shape for g in grads] == [p.shape for p in tiny_model.parameters()]
+        assert g_in.shape == (4,)
+        flat = np.concatenate([g.ravel() for g in grads])
         assert flat.shape == (tiny_model.parameter_count(),)
-        assert abs(bundle.parameter_sq_norm() - float(np.sum(flat * flat))) < 1e-12
 
 
 class TestTraining:
     def test_zero_epochs_is_identity(self, rng):
         X, y = make_blobs(rng, 4, 3, 5)
         model = mi.build_mlp([5, 8, 3], seed=1)
-        before = [t.values.copy() for t in model.parameters()]
-        _, history = mi.train(model, as_samples(X, y), mi.TrainConfig(0, 4, 0.01))
+        before = [t.copy() for t in model.parameters()]
+        _, history = mi.train(model, X, y, mi.TrainConfig(0, 4, 0.01))
         assert history == []
         for old, t in zip(before, model.parameters()):
-            assert np.array_equal(old, t.values)
+            assert np.array_equal(old, t)
 
     def test_bitwise_deterministic(self, rng):
         X, y = make_blobs(rng, 6, 3, 5)
@@ -221,8 +249,8 @@ class TestTraining:
         outs = []
         for _ in range(2):
             model = mi.build_mlp([5, 12, 3], seed=2)
-            _, history = mi.train(model, as_samples(X, y), cfg)
-            outs.append((history, [t.values.copy() for t in model.parameters()]))
+            _, history = mi.train(model, X, y, cfg)
+            outs.append((history, [t.copy() for t in model.parameters()]))
         assert outs[0][0] == outs[1][0]
         for a, b in zip(outs[0][1], outs[1][1]):
             assert np.array_equal(a, b)
@@ -230,11 +258,10 @@ class TestTraining:
     def test_interpolates_small_set(self, rng):
         X, y = make_blobs(rng, 8, 3, 6, sep=1.0)
         model = mi.build_mlp([6, 32, 3], seed=3)
-        samples = as_samples(X, y)
         _, history = mi.train(
-            model, samples, mi.TrainConfig(epochs=300, batch_size=8, learning_rate=0.005, seed=0)
+            model, X, y, mi.TrainConfig(epochs=300, batch_size=8, learning_rate=0.005, seed=0)
         )
-        assert classification_accuracy(model, samples) == 1.0
+        assert classification_accuracy(model, X, y) == 1.0
         assert history[-1] < history[0]
         assert all(math.isfinite(h) for h in history)
 
@@ -243,7 +270,8 @@ class TestTraining:
         model = mi.build_mlp([4, 8, 2], seed=4)
         _, history = mi.train(
             model,
-            as_samples(X, y),
+            X,
+            y,
             mi.TrainConfig(epochs=50, batch_size=4, learning_rate=0.5, optimizer="sgd", seed=1),
         )
         assert history[-1] < history[0]
@@ -251,15 +279,14 @@ class TestTraining:
     def test_risk_decreases(self, rng):
         X, y = make_blobs(rng, 6, 3, 5)
         model = mi.build_mlp([5, 16, 3], seed=9)
-        samples = as_samples(X, y)
-        before = mi.empirical_risk(model, samples)
-        mi.train(model, samples, mi.TrainConfig(epochs=40, batch_size=6, learning_rate=0.01, seed=2))
-        assert mi.empirical_risk(model, samples) < before
+        before = mi.empirical_risk(model, X, y)
+        mi.train(model, X, y, mi.TrainConfig(epochs=40, batch_size=6, learning_rate=0.01, seed=2))
+        assert mi.empirical_risk(model, X, y) < before
 
     def test_empty_dataset_rejected(self):
         model = mi.build_mlp([3, 4, 2], seed=0)
         with pytest.raises(ConfigError):
-            mi.train(model, [], mi.TrainConfig(1, 2, 0.01))
+            mi.train(model, np.zeros((0, 3)), np.zeros(0, dtype=int), mi.TrainConfig(1, 2, 0.01))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -278,24 +305,23 @@ class TestEmpiricalRisk:
         # 0.1, 0.2, 0.3, so the mean risk is 0.2
         model = mi.MLPClassifier(
             [1, 2],
-            [mi.Tensor(np.array([[10.0, 0.0]]))],
-            [mi.Tensor(np.zeros(2))],
+            [np.array([[10.0, 0.0]])],
+            [np.zeros(2)],
         )
         xs = []
         for target in (0.1, 0.2, 0.3):
             p = math.exp(-target)
             xs.append(math.log(p / (1 - p)) / 10.0)
-        samples = [mi.LabeledSample(np.array([v]), 0) for v in xs]
-        assert abs(mi.empirical_risk(model, samples) - 0.2) < 1e-12
+        X = np.array(xs)[:, None]
+        assert abs(mi.empirical_risk(model, X, np.zeros(3, dtype=int)) - 0.2) < 1e-12
 
     def test_matches_per_sample_mean(self, tiny_model, rng):
         X = rng.uniform(0, 1, (9, 4))
         y = rng.integers(0, 3, 9)
-        samples = as_samples(X, y)
         manual = np.mean(
             [mi.cross_entropy_loss(mi.forward_predict(tiny_model, X[i]), int(y[i])) for i in range(9)]
         )
-        assert abs(mi.empirical_risk(tiny_model, samples) - manual) < 1e-12
+        assert abs(mi.empirical_risk(tiny_model, X, y) - manual) < 1e-12
 
 
 class TestCheckpoint:
@@ -306,7 +332,7 @@ class TestCheckpoint:
         loaded = mi.load_checkpoint(path)
         assert loaded.layer_dims == model.layer_dims
         for a, b in zip(model.parameters(), loaded.parameters()):
-            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a, b)
         x = rng.uniform(0, 1, 6)
         assert np.array_equal(mi.forward_predict(model, x), mi.forward_predict(loaded, x))
 
@@ -352,6 +378,7 @@ class TestTrainingDivergence:
             # one giant step overflows layer products to inf - inf = nan
             mi.train(
                 model,
-                as_samples(X, y),
+                X,
+                y,
                 mi.TrainConfig(epochs=3, batch_size=8, learning_rate=1e200, optimizer="sgd"),
             )

@@ -15,7 +15,8 @@ from miaudit.cli_runner import (
     run_pipeline,
 )
 from miaudit.cli_runner.cli import main
-from miaudit.cli_runner.pipeline import _atomic_file_write, resolve_workers
+from miaudit.cli_runner.data import _atomic_file_write
+from miaudit.cli_runner.pipeline import resolve_workers
 from miaudit.errors import ConfigError
 from miaudit.scores import ScoreRecord, read_score_records, write_score_records
 
@@ -180,7 +181,15 @@ class TestRerender:
             assert (out2 / name).read_bytes() == (out / name).read_bytes(), name
 
     @pytest.mark.parametrize(
-        "tamper", ["sample_ids", "strategy_column", "pool_size", "duplicate_id"]
+        "tamper",
+        [
+            "sample_ids",
+            "strategy_column",
+            "pool_size",
+            "duplicate_id",
+            "truncated_report",
+            "list_report",
+        ],
     )
     def test_rejects_disagreeing_score_files(self, full_run, tmp_path, tamper):
         _, out, config = full_run
@@ -199,6 +208,10 @@ class TestRerender:
             records = [ScoreRecord(r.sample_id, "mentr", r.score, r.is_member) for r in records]
         elif tamper == "pool_size":
             records = records[:-1]
+        elif tamper == "truncated_report":
+            (scores_dir / "report.json").write_bytes((out / "report.json").read_bytes()[:100])
+        elif tamper == "list_report":
+            (scores_dir / "report.json").write_text("[]\n")
         if tamper == "duplicate_id":
             # every file lists the first sample twice, so all files agree
             for path in scores_dir.glob("scores_*.csv"):
