@@ -11,6 +11,7 @@ from .adversarial import (
     AttackConfig,
     apgd_maximize_loss,
     find_adversarial,
+    find_adversarial_rows,
     lp_norm,
     project_lp_box,
 )

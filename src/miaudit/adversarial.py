@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, InvalidInputError, ShapeError
 from .nn_core import MLPClassifier, cross_entropy_loss, forward_predict, sample_evaluation
 
 SUPPORTED_NORMS = (1.0, 2.0, math.inf)
@@ -26,29 +26,36 @@ NORM_TOL = 1e-9
 _CHECKPOINT_FRACTIONS = (0.22, 0.42, 0.57, 0.69, 0.78, 0.85, 0.90, 0.94, 0.97)
 
 
-def lp_norm(v: np.ndarray, p: float) -> float:
-    """||v||_p for p in {1, 2, inf}."""
+def lp_norm(v: np.ndarray, p: float):
+    """||v||_p for p in {1, 2, inf} over the last axis: a float for a
+    vector, one norm per row for a block."""
     if p == math.inf:
-        return float(np.max(np.abs(v))) if v.size else 0.0
-    if p == 1:
-        return float(np.sum(np.abs(v)))
-    if p == 2:
-        return float(np.sqrt(np.sum(v * v)))
-    raise ConfigError(f"unsupported norm order {p}")
+        norm = np.max(np.abs(v), axis=-1, initial=0.0)
+    elif p == 1:
+        norm = np.sum(np.abs(v), axis=-1)
+    elif p == 2:
+        norm = np.sqrt(np.sum(v * v, axis=-1))
+    else:
+        raise ConfigError(f"unsupported norm order {p}")
+    return float(norm) if np.ndim(norm) == 0 else norm
 
 
 def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto the l1 ball via the sorted-threshold rule."""
-    a = np.abs(v)
-    if a.sum() <= radius:
-        return v.copy()
-    u = np.sort(a)[::-1]
-    css = np.cumsum(u)
-    k = np.arange(1, u.size + 1)
-    usable = u * k > (css - radius)
-    rho = int(k[usable][-1])
-    theta = (css[rho - 1] - radius) / rho
-    return np.sign(v) * np.maximum(a - theta, 0.0)
+    """Euclidean projection onto the l1 ball via the sorted-threshold rule;
+    row by row for an (n, d) block."""
+    rows = np.atleast_2d(v)
+    a = np.abs(rows)
+    out = rows.copy()
+    far = a.sum(axis=1) > radius
+    if np.any(far):
+        u = np.sort(a[far], axis=1)[:, ::-1]
+        css = np.cumsum(u, axis=1)
+        k = np.arange(1, u.shape[1] + 1)
+        usable = u * k > (css - radius)
+        rho = u.shape[1] - np.argmax(usable[:, ::-1], axis=1)  # last usable k
+        theta = (css[np.arange(len(rho)), rho - 1] - radius) / rho
+        out[far] = np.sign(rows[far]) * np.maximum(a[far] - theta[:, None], 0.0)
+    return out.reshape(np.shape(v))
 
 
 def project_lp_box(
@@ -61,10 +68,12 @@ def project_lp_box(
 ) -> np.ndarray:
     """Project candidate onto {r : ||r - center||_p <= epsilon} intersect [lo, hi]^d.
 
-    The lp-ball projection runs first (clamp for inf, rescale for 2, sorted
-    threshold for 1), then the box clip.  With the center inside the box the
-    clip only moves coordinates toward the center, so ball feasibility
-    survives and the result satisfies both constraints.
+    Takes one candidate and center (d,), or (n, d) blocks of them, which
+    are projected row by row.  The lp-ball projection runs first (clamp for
+    inf, rescale for 2, sorted threshold for 1), then the box clip.  With
+    the center inside the box the clip only moves coordinates toward the
+    center, so ball feasibility survives and the result satisfies both
+    constraints.
     """
     if p not in SUPPORTED_NORMS:
         raise ConfigError(f"unsupported norm order {p}")
@@ -74,17 +83,16 @@ def project_lp_box(
         raise ConfigError("box bounds must satisfy lo < hi")
     cand = np.asarray(candidate, dtype=np.float64)
     ctr = np.asarray(center, dtype=np.float64)
-    if cand.shape != ctr.shape or cand.ndim != 1:
-        raise ConfigError("candidate and center must be 1-D arrays of equal length")
+    if cand.shape != ctr.shape or cand.ndim not in (1, 2):
+        raise ConfigError("candidate and center must be 1-D arrays or (n, d) blocks of equal shape")
     if not (np.all(np.isfinite(cand)) and np.all(np.isfinite(ctr))):
         raise InvalidInputError("projection inputs must be finite")
     v = cand - ctr
     if p == math.inf:
         v = np.clip(v, -epsilon, epsilon)
     elif p == 2:
-        norm = float(np.sqrt(np.sum(v * v)))
-        if norm > epsilon:
-            v = v * (epsilon / norm)
+        norm = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
+        v = v * (epsilon / np.maximum(norm, epsilon))  # a factor of exactly 1 inside the ball
     else:
         v = project_l1_ball(v, epsilon)
     return np.clip(ctr + v, lo, hi)
@@ -152,7 +160,7 @@ class ApgdTrace:
         return self.points[int(np.argmax(self.losses))]
 
     def distances(self) -> np.ndarray:
-        return np.array([lp_norm(pt - self.center, self.p) for pt in self.points])
+        return lp_norm(self.points - self.center, self.p)
 
 
 def _checkpoint_iterations(n_iter: int) -> list[int]:
@@ -160,13 +168,82 @@ def _checkpoint_iterations(n_iter: int) -> list[int]:
     return sorted(pts)
 
 
+def _ascend(model: MLPClassifier, X: np.ndarray, Y: np.ndarray, config: AttackConfig, start, visit):
+    """One projected-ascent run for every row of X in lock step.
+
+    Each row keeps its own step size, loss, best point and gradient,
+    improvement count and restart-from-best, so its run is bitwise the one
+    it would make alone.  `visit(points, losses, predictions)` sees every
+    evaluated iterate of the block, the start first.  Returns each row's
+    best point and best loss.
+    """
+    p, eps = config.p, config.epsilon
+    checkpoints = set(_checkpoint_iterations(config.n_iter))
+
+    cur = X if start is None else project_lp_box(start, X, p, eps)
+    loss, probs, grad = sample_evaluation(model, cur, Y)
+    visit(cur, loss, np.argmax(probs, axis=1))
+
+    prev = cur
+    best_x, best_loss, best_grad = cur.copy(), loss.copy(), grad.copy()
+    eta = np.full(len(X), config.initial_step_fraction * eps)
+    eta_at_ck, best_at_ck = eta.copy(), best_loss.copy()
+    improved = np.zeros(len(X), dtype=np.int64)
+    last_ck = 0
+    for k in range(1, config.n_iter + 1):
+        if p == math.inf:
+            direction = np.sign(grad)
+        else:
+            gnorm = np.sqrt(np.sum(grad * grad, axis=1, keepdims=True))
+            direction = np.divide(grad, gnorm, out=np.zeros_like(grad), where=gnorm > 1e-30)
+        z = project_lp_box(cur + eta[:, None] * direction, X, p, eps)
+        blend = config.momentum if k > 1 else 1.0
+        nxt = project_lp_box(
+            cur + blend * (z - cur) + (1.0 - blend) * (cur - prev), X, p, eps
+        )
+        prev, cur = cur, nxt
+        new_loss, probs, grad = sample_evaluation(model, cur, Y)
+        improved += new_loss > loss
+        loss = new_loss
+        visit(cur, loss, np.argmax(probs, axis=1))
+        better = loss > best_loss
+        best_x[better], best_loss[better], best_grad[better] = cur[better], loss[better], grad[better]
+        if k in checkpoints:
+            stalled = (eta == eta_at_ck) & (best_loss == best_at_ck)
+            halve = (improved < 0.75 * (k - last_ck)) | stalled
+            eta[halve] *= 0.5
+            back = halve[:, None]
+            cur, prev = np.where(back, best_x, cur), np.where(back, best_x, prev)
+            loss, grad = np.where(halve, best_loss, loss), np.where(back, best_grad, grad)
+            eta_at_ck, best_at_ck = eta.copy(), best_loss.copy()
+            improved[:] = 0
+            last_ck = k
+    return best_x, best_loss
+
+
+def _row_traces(X: np.ndarray, config: AttackConfig, recorded: list) -> list:
+    """One ApgdTrace per row of X from the (points, losses, predictions)
+    blocks that `_ascend` visited."""
+    return [
+        ApgdTrace(
+            points=np.array([pts[i] for pts, _, _ in recorded]),
+            losses=np.array([losses[i] for _, losses, _ in recorded]),
+            predictions=np.array([preds[i] for _, _, preds in recorded], dtype=np.int64),
+            center=X[i].copy(),
+            p=config.p,
+            epsilon=config.epsilon,
+        )
+        for i in range(len(X))
+    ]
+
+
 def apgd_maximize_loss(
     model: MLPClassifier,
     x,
-    y: int,
+    y,
     config: AttackConfig,
     start: Optional[np.ndarray] = None,
-) -> ApgdTrace:
+):
     """One adaptive projected-gradient-ascent run on the true-label loss.
 
     Step rule: eta starts at initial_step_fraction * epsilon; at a fixed
@@ -176,71 +253,34 @@ def apgd_maximize_loss(
     best point seen.  Steps use the gradient sign for p=inf and the
     normalized gradient otherwise, with a momentum blend (weight 1 on the
     first step) and projection after both the raw step and the blend.
+
+    One input (d,) and label give one ApgdTrace.  A block (n, d) with n
+    labels (and an (n, d) start, if any) runs all rows in lock step and
+    gives one trace per row, each bitwise the row's run alone.
     """
-    x = np.asarray(x, dtype=np.float64)
-    p, eps = config.p, config.epsilon
-    eta = config.initial_step_fraction * eps
-    checkpoints = set(_checkpoint_iterations(config.n_iter))
-
-    cur = x if start is None else project_lp_box(start, x, p, eps)
-    loss, probs, grad = sample_evaluation(model, cur, y)
-    points = [cur]
-    losses = [loss]
-    preds = [int(np.argmax(probs))]
-
-    prev = cur
-    best_x, best_loss, best_grad = cur, loss, grad
-    eta_at_ck, best_at_ck = eta, best_loss
-    improved = 0
-    last_ck = 0
-    for k in range(1, config.n_iter + 1):
-        if p == math.inf:
-            direction = np.sign(grad)
-        else:
-            gnorm = float(np.sqrt(np.sum(grad * grad)))
-            direction = grad / gnorm if gnorm > 1e-30 else np.zeros_like(grad)
-        z = project_lp_box(cur + eta * direction, x, p, eps)
-        blend = config.momentum if k > 1 else 1.0
-        nxt = project_lp_box(
-            cur + blend * (z - cur) + (1.0 - blend) * (cur - prev), x, p, eps
-        )
-        prev, cur = cur, nxt
-        new_loss, probs, grad = sample_evaluation(model, cur, y)
-        if new_loss > loss:
-            improved += 1
-        loss = new_loss
-        points.append(cur)
-        losses.append(loss)
-        preds.append(int(np.argmax(probs)))
-        if loss > best_loss:
-            best_x, best_loss, best_grad = cur, loss, grad
-        if k in checkpoints:
-            window = k - last_ck
-            stalled = eta == eta_at_ck and best_loss == best_at_ck
-            if improved < 0.75 * window or stalled:
-                eta *= 0.5
-                cur, prev = best_x, best_x
-                loss, grad = best_loss, best_grad
-            eta_at_ck, best_at_ck = eta, best_loss
-            improved = 0
-            last_ck = k
-    return ApgdTrace(
-        points=np.array(points),
-        losses=np.array(losses),
-        predictions=np.array(preds, dtype=np.int64),
-        center=x.copy(),
-        p=p,
-        epsilon=eps,
+    X = np.asarray(x, dtype=np.float64)
+    block = np.atleast_2d(X)
+    recorded = []
+    _ascend(
+        model,
+        block,
+        np.array(y, dtype=np.int64, ndmin=1),
+        config,
+        None if start is None else np.atleast_2d(start),
+        lambda *iterate: recorded.append(iterate),
     )
+    traces = _row_traces(block, config, recorded)
+    return traces if X.ndim == 2 else traces[0]
 
 
-def _random_feasible_start(rng: np.random.Generator, x, config: AttackConfig):
-    lo = np.maximum(0.0, x - config.epsilon)
-    hi = np.minimum(1.0, x + config.epsilon)
-    z = rng.uniform(lo, hi)
+def _random_starts(rngs: list, X: np.ndarray, config: AttackConfig) -> np.ndarray:
+    """One random feasible start per row of X, drawn from that row's generator."""
+    lo = np.maximum(0.0, X - config.epsilon)
+    hi = np.minimum(1.0, X + config.epsilon)
+    Z = np.array([rng.uniform(a, b) for rng, a, b in zip(rngs, lo, hi)])
     if config.p == math.inf:
-        return z
-    return project_lp_box(z, x, config.p, config.epsilon)
+        return Z
+    return project_lp_box(Z, X, config.p, config.epsilon)
 
 
 def _candidate_feasible(pt: np.ndarray, x: np.ndarray, config: AttackConfig) -> bool:
@@ -249,6 +289,75 @@ def _candidate_feasible(pt: np.ndarray, x: np.ndarray, config: AttackConfig) -> 
     if np.min(pt) < -NORM_TOL or np.max(pt) > 1.0 + NORM_TOL:
         return False
     return lp_norm(pt - x, config.p) <= config.epsilon + NORM_TOL
+
+
+def find_adversarial_rows(
+    model: MLPClassifier, X, Y, config: AttackConfig, seeds, traces: bool = False
+):
+    """`find_adversarial` for every row of a block (n, d) with labels (n,).
+
+    All rows search in lock step.  Row i draws its random restarts from
+    `default_rng(seeds[i])` and its outcome is bitwise the one it gets
+    alone, whatever its block mates (`config.seed` is not used).  Each
+    row's closest misclassified iterate is kept as the search runs; no
+    iterate is stored.  With `traces`, the first run of every row, the one
+    started at the input, is also recorded, rows that start out
+    misclassified included, and returned as one ApgdTrace per row (what
+    `apgd_maximize_loss` gives); otherwise the second item is None.
+
+    Returns (one AdversarialOutcome per row, traces or None).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.int64)
+    if X.ndim != 2 or Y.shape != (len(X),) or len(seeds) != len(X):
+        raise ShapeError("find_adversarial_rows needs (n, d) inputs, n labels and n seeds")
+    n = len(X)
+    probs0 = forward_predict(model, X)
+    loss0 = np.array([cross_entropy_loss(probs, y) for probs, y in zip(probs0, Y)])
+    searched = np.argmax(probs0, axis=1) == Y  # the others are already misclassified
+
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    best_loss, best_loss_point = loss0.copy(), X.copy()
+    best_dist, best_point = np.full(n, math.inf), X.copy()
+    recorded = [] if traces else None
+    for run in range(max(config.n_restarts, int(traces))):
+        rows = np.arange(n) if run == 0 and traces else np.flatnonzero(searched)
+        if not rows.size:
+            break
+        counted = searched[rows] & (run < config.n_restarts)
+        Xr, Yr = X[rows], Y[rows]
+
+        def screen(points, losses, preds):
+            if run == 0 and recorded is not None:
+                recorded.append((points, losses, preds))
+            hit = counted & (preds != Yr)
+            if hit.any():
+                dist = lp_norm(points[hit] - Xr[hit], config.p)
+                closer = dist < best_dist[rows[hit]]
+                best_dist[rows[hit][closer]] = dist[closer]
+                best_point[rows[hit][closer]] = points[hit][closer]
+
+        start = None if run == 0 else _random_starts([rngs[i] for i in rows], Xr, config)
+        run_x, run_loss = _ascend(model, Xr, Yr, config, start, screen)
+        better = counted & (run_loss > best_loss[rows])
+        best_loss[rows[better]] = run_loss[better]
+        best_loss_point[rows[better]] = run_x[better]
+
+    iterations = config.n_iter * config.n_restarts
+    outcomes = []
+    for i in range(n):
+        if not searched[i]:
+            outcomes.append(AdversarialOutcome(np.zeros_like(X[i]), 0.0, True, 0, float(loss0[i])))
+        elif best_dist[i] < math.inf:
+            outcomes.append(AdversarialOutcome(
+                best_point[i] - X[i], float(best_dist[i]), True, iterations, float(best_loss[i])
+            ))
+        else:
+            outcomes.append(AdversarialOutcome(
+                best_loss_point[i] - X[i], float(config.epsilon), False, iterations,
+                float(best_loss[i]),
+            ))
+    return outcomes, (None if recorded is None else _row_traces(X, config, recorded))
 
 
 def find_adversarial(
@@ -266,51 +375,24 @@ def find_adversarial(
     joins the screening after a feasibility check; feeding the trace of a
     smaller-budget search keeps the reported distance monotone in epsilon.
     When nothing misclassifies, distance is reported as epsilon and v is the
-    best-loss perturbation found.
+    best-loss perturbation found.  This is the one-row call of
+    `find_adversarial_rows`, seeded with `config.seed`.
     """
     x = np.asarray(x, dtype=np.float64)
-    probs0 = forward_predict(model, x)
-    loss0 = cross_entropy_loss(probs0, y)
-    if int(np.argmax(probs0)) != y:
-        return AdversarialOutcome(np.zeros_like(x), 0.0, True, 0, loss0)
-
-    rng = np.random.default_rng(config.seed)
-    best_dist = math.inf
-    best_point = None
-    best_loss = loss0
-    best_loss_point = x
-    iterations = 0
-    for run in range(config.n_restarts):
-        start = None if run == 0 else _random_feasible_start(rng, x, config)
-        trace = apgd_maximize_loss(model, x, y, config, start=start)
-        iterations += len(trace.losses) - 1
-        if trace.best_loss > best_loss:
-            best_loss = trace.best_loss
-            best_loss_point = trace.best_point()
-        missed = trace.predictions != y
-        if missed.any():
-            dists = trace.distances()[missed]
-            i = int(np.argmin(dists))
-            if dists[i] < best_dist:
-                best_dist = float(dists[i])
-                best_point = trace.points[missed][i]
-    if extra_candidates is not None:
-        cands = np.atleast_2d(np.asarray(extra_candidates, dtype=np.float64))
-        for pt in cands:
-            if not _candidate_feasible(pt, x, config):
-                continue
-            if int(np.argmax(forward_predict(model, pt))) != y:
-                d = lp_norm(pt - x, config.p)
-                if d < best_dist:
-                    best_dist = d
-                    best_point = pt
-    if best_point is not None:
-        return AdversarialOutcome(
-            best_point - x, best_dist, True, iterations, best_loss
-        )
-    return AdversarialOutcome(
-        best_loss_point - x, float(config.epsilon), False, iterations, best_loss
-    )
+    (outcome,), _ = find_adversarial_rows(model, x[None, :], [y], config, [config.seed])
+    if extra_candidates is None:
+        return outcome
+    best_dist = outcome.distance if outcome.success else math.inf
+    cands = np.atleast_2d(np.asarray(extra_candidates, dtype=np.float64))
+    for pt in cands:
+        if not _candidate_feasible(pt, x, config):
+            continue
+        if int(np.argmax(forward_predict(model, pt))) != y:
+            d = lp_norm(pt - x, config.p)
+            if d < best_dist:
+                best_dist = d
+                outcome = replace(outcome, v=pt - x, distance=d, success=True)
+    return outcome
 
 
 def dump_trace_csv(trace: ApgdTrace, path) -> None:

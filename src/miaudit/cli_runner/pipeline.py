@@ -2,14 +2,15 @@
 
 Stages: data -> target -> scores -> attackers -> analyses -> export.  Every
 stage derives its seed from the master seed by name, per-sample attack seeds
-hash in the sample id, and the scoring stage fans out over MIAUDIT_WORKERS
-processes with an order-preserving map, so reports are byte-identical across
-runs and worker counts.  Stage failures re-raise with a [stage:...] tag.
+hash in the sample id, and the scoring stage splits the samples into one
+block of rows per MIAUDIT_WORKERS process with an order-preserving map.  A
+row's scores do not depend on its block mates, so reports are byte-identical
+across runs and worker counts.  Stage failures re-raise with a [stage:...]
+tag.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import multiprocessing
 import os
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import attack_models as am
-from ..adversarial import apgd_maximize_loss, dump_trace_csv
+from ..adversarial import dump_trace_csv
 from ..errors import AuditError, ConfigError, DataError
 from ..evaluation import (
     EvalReport,
@@ -89,42 +90,50 @@ def _init_worker(model, attack_template, attack_base_seed, score_names, attacker
     _WORKER["dump_traces"] = dump_traces
 
 
-def _sample_attack_config(sid: int):
-    return dataclasses.replace(
-        _WORKER["attack"], seed=stage_seed(_WORKER["attack_base"], f"sample:{sid}")
-    )
-
-
-def _sample_payload(task):
-    sid, x, y = task
+def _block_payloads(block):
+    """(scores, attacker features, debug trace or None) of every sample in
+    one block of rows.  The adversarial search runs once over the block;
+    each row is seeded by its sample id, so its results do not depend on
+    its block mates."""
+    sids, X, Y = block
     model = _WORKER["model"]
-    scores = {}
+    scores = [{} for _ in sids]
+    traces = [None] * len(sids)
     for name in _WORKER["scores"]:
-        attack = _sample_attack_config(sid) if STRATEGIES[name].needs_attack else None
-        scores[name] = compute_score(model, x, y, name, attack)
-    feats = {}
-    for name in _WORKER["attackers"]:
-        extractor = STRATEGIES[name].extractor
-        if extractor:
-            feats[name] = getattr(am, extractor)(model, x, y)
+        if STRATEGIES[name].needs_attack:
+            seeds = [stage_seed(_WORKER["attack_base"], f"sample:{sid}") for sid in sids]
+            values, found = STRATEGIES[name].score(
+                model, X, Y, _WORKER["attack"], seeds, _WORKER["dump_traces"]
+            )
+            traces = found if found is not None else traces
         else:
-            feats[name] = am.assemble_score_features(scores)
-    trace = None
-    if _WORKER["dump_traces"]:
-        trace = apgd_maximize_loss(model, x, y, _sample_attack_config(sid))
-    return scores, feats, trace
+            values = [compute_score(model, x, int(y), name) for x, y in zip(X, Y)]
+        for row, value in zip(scores, values):
+            row[name] = float(value)
+    payloads = []
+    for row, x, y, trace in zip(scores, X, Y, traces):
+        feats = {}
+        for name in _WORKER["attackers"]:
+            extractor = STRATEGIES[name].extractor
+            if extractor:
+                feats[name] = getattr(am, extractor)(model, x, int(y))
+            else:
+                feats[name] = am.assemble_score_features(row)
+        payloads.append((row, feats, trace))
+    return payloads
 
 
-def _compute_payloads(tasks, workers, init_args):
-    if workers <= 1 or len(tasks) < 2:
+def _compute_payloads(blocks, workers, init_args):
+    if workers <= 1 or len(blocks) < 2:
         _init_worker(*init_args)
         try:
-            return [_sample_payload(t) for t in tasks]
+            parts = [_block_payloads(b) for b in blocks]
         finally:
             _WORKER.clear()
-    chunk = max(1, len(tasks) // (workers * 4))
-    with multiprocessing.Pool(workers, initializer=_init_worker, initargs=init_args) as pool:
-        return pool.map(_sample_payload, tasks, chunksize=chunk)
+    else:
+        with multiprocessing.Pool(workers, initializer=_init_worker, initargs=init_args) as pool:
+            parts = pool.map(_block_payloads, blocks)
+    return [payload for part in parts for payload in part]
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +170,11 @@ def prepare_target(config: ExperimentConfig):
         ckpt = config["target.load_checkpoint"]
         if ckpt:
             model = load_checkpoint(ckpt)
+            if (model.input_dim, model.n_classes) != (manifest.feature_dim, manifest.n_classes):
+                raise DataError(
+                    f"checkpoint {ckpt} takes {model.input_dim} features and {model.n_classes} "
+                    f"classes; the dataset has {manifest.feature_dim} and {manifest.n_classes}"
+                )
             history = []
         else:
             dims = [manifest.feature_dim, *config.hidden_dims(), manifest.n_classes]
@@ -223,9 +237,12 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
     needed_scores = list(dict.fromkeys(n for s in strategies for n in STRATEGIES[s].needed_scores))
 
     with _stage("scores"):
-        tasks = [(sid, train_ds.X[sid], int(train_ds.y[sid])) for sid in range(n_members)]
-        tasks += [
-            (n_members + i, heldout_ds.X[i], int(heldout_ds.y[i])) for i in range(n_nonmembers)
+        X = np.concatenate([train_ds.X, heldout_ds.X])
+        Y = np.concatenate([train_ds.y, heldout_ds.y])
+        # rows are independent of their block mates, so one block per worker
+        blocks = [
+            (ids, X[ids], Y[ids])
+            for ids in np.array_split(np.arange(len(X)), max(1, min(workers, len(X))))
         ]
         init_args = (
             model,
@@ -235,7 +252,7 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
             tuple(attacker_names),
             bool(config["debug.dump_traces"]) and any(STRATEGIES[n].needs_attack for n in needed_scores),
         )
-        payloads = _compute_payloads(tasks, workers, init_args) if strategies else []
+        payloads = _compute_payloads(blocks, workers, init_args) if strategies else []
         scores = {name: np.array([p[0][name] for p in payloads]) for name in needed_scores}
         features = {name: [p[1][name] for p in payloads] for name in attacker_names}
 

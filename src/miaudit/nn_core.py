@@ -150,15 +150,17 @@ class DenseNet:
     def parameter_count(self) -> int:
         return sum(p.size for p in self.parameters())
 
-    def forward(self, X: np.ndarray):
+    def forward(self, X: np.ndarray, product=np.matmul):
         """Batch forward pass: (pre-activations, activations starting with
-        the input, head output)."""
+        the input, head output).  `product(A, W)` multiplies the activations
+        by a weight matrix; `row_product` makes every row independent of
+        the others."""
         pres = []
         acts = [X]
         a = X
         last = self.n_layers - 1
         for i in range(self.n_layers):
-            z = a @ self.weights[i] + self.biases[i]
+            z = product(a, self.weights[i]) + self.biases[i]
             pres.append(z)
             if i < last:
                 a = np.maximum(z, 0.0)
@@ -193,6 +195,32 @@ def build_mlp(layer_dims: Sequence[int], seed: int) -> MLPClassifier:
     return MLPClassifier.build(layer_dims, seed)
 
 
+def row_product(A: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """A @ W as one vector-matrix product per row of A.
+
+    Each row is then bitwise the product of that row alone, whatever the
+    block holds; a flat `A @ W` runs one matrix-matrix product whose rows
+    differ from the one-row product in the last bits.
+    """
+    return (A[:, None, :] @ W)[:, 0, :]
+
+
+def _backward(net: DenseNet, pres, acts, delta, need_params, need_input, product=np.matmul):
+    """Back-propagate the head delta through the dense core: (parameter
+    grads in `parameters()` order or None, input grad or None)."""
+    L = net.n_layers
+    grads = [None] * (2 * L) if need_params else None
+    for i in reversed(range(L)):
+        if need_params:
+            grads[2 * i] = acts[i].T @ delta
+            grads[2 * i + 1] = delta.sum(axis=0)
+        if i > 0:
+            delta = product(delta, net.weights[i].T) * (pres[i - 1] > 0.0)
+        elif need_input:
+            delta = product(delta, net.weights[0].T)
+    return grads, delta if need_input else None
+
+
 def loss_and_grads(net: DenseNet, X, Y, need_params=True, need_input=False):
     """Mean head loss over the batch plus its exact gradients.
 
@@ -202,17 +230,8 @@ def loss_and_grads(net: DenseNet, X, Y, need_params=True, need_input=False):
     pres, acts, out = net.forward(X)
     loss = float(np.mean(net.head_losses(pres[-1], out, Y)))
     delta = net.head_delta(out, Y) / X.shape[0]
-    L = net.n_layers
-    grads = [None] * (2 * L) if need_params else None
-    for i in reversed(range(L)):
-        if need_params:
-            grads[2 * i] = acts[i].T @ delta
-            grads[2 * i + 1] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ net.weights[i].T) * (pres[i - 1] > 0.0)
-        elif need_input:
-            delta = delta @ net.weights[0].T
-    return loss, grads, delta if need_input else None, out
+    grads, g_in = _backward(net, pres, acts, delta, need_params, need_input)
+    return loss, grads, g_in, out
 
 
 def mean_loss(net: DenseNet, X, Y) -> float:
@@ -221,58 +240,61 @@ def mean_loss(net: DenseNet, X, Y) -> float:
     return float(np.mean(net.head_losses(pres[-1], out, Y)))
 
 
-def _check_input(model: MLPClassifier, x) -> np.ndarray:
+def _check_rows(model: MLPClassifier, x) -> np.ndarray:
+    """One input (d,) or a block of inputs (n, d) as an (n, d) float array."""
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] != model.input_dim:
+    if arr.ndim not in (1, 2) or arr.shape[-1] != model.input_dim:
         raise ShapeError(
             f"input shape {arr.shape} does not match model input_dim {model.input_dim}"
         )
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("model input must be finite")
-    return arr
+    return arr.reshape(-1, model.input_dim)
 
 
-def _check_label(model: MLPClassifier, y) -> int:
-    label = int(y)
-    if label < 0 or label >= model.n_classes:
-        raise IndexError(f"label {label} out of range for {model.n_classes} classes")
-    return label
+def _check_labels(model: MLPClassifier, y, n: int) -> np.ndarray:
+    """One label or one per row, as an (n,) integer array."""
+    labels = np.array(y, dtype=np.int64, ndmin=1)
+    if labels.shape != (n,):
+        raise ShapeError(f"{labels.shape[0]} labels for {n} inputs")
+    bad = labels[(labels < 0) | (labels >= model.n_classes)]
+    if bad.size:
+        raise IndexError(f"label {bad[0]} out of range for {model.n_classes} classes")
+    return labels
 
 
 def forward_predict(model: MLPClassifier, x) -> np.ndarray:
-    """Class-probability vector for one input; sums to 1."""
-    arr = _check_input(model, x)
-    _, _, probs = model.forward(arr[None, :])
-    return probs[0]
-
-
-def forward_predict_batch(model: MLPClassifier, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.input_dim:
-        raise ShapeError("batch shape does not match model input_dim")
-    _, _, probs = model.forward(X)
-    return probs
+    """Class-probability vector of one input (d,), or one per row of a
+    block (n, d); each sums to 1 and is bitwise what the row alone gives."""
+    X = _check_rows(model, x)
+    _, _, probs = model.forward(X, row_product)
+    return probs[0] if np.ndim(x) == 1 else probs
 
 
 def sample_evaluation(model: MLPClassifier, x, y):
-    """Single-sample (loss, probs, input gradient); the attack hot path."""
-    arr = _check_input(model, x)
-    label = _check_label(model, y)
-    loss, _, g_in, probs = loss_and_grads(
-        model, arr[None, :], np.array([label]), need_params=False, need_input=True
-    )
-    return loss, probs[0], g_in[0]
+    """(loss, probs, input gradient) of the true-label cross entropy for one
+    input and label; the attack hot path.  Given a block (n, d) and n
+    labels it returns the (n,) losses, (n, c) probs and (n, d) input
+    gradients, each row bitwise what the row alone gives."""
+    X = _check_rows(model, x)
+    Y = _check_labels(model, y, X.shape[0])
+    pres, acts, probs = model.forward(X, row_product)
+    losses = model.head_losses(pres[-1], probs, Y)
+    _, g_in = _backward(model, pres, acts, model.head_delta(probs, Y), False, True, row_product)
+    if np.ndim(x) == 1:
+        return float(losses[0]), probs[0], g_in[0]
+    return losses, probs, g_in
 
 
 def backward_gradients(model: MLPClassifier, x, y):
     """Exact reverse-mode gradients of the per-sample loss: (parameter grads
     in `parameters()` order, input grad); shapes mirror the differentiated
     arrays."""
-    arr = _check_input(model, x)
-    label = _check_label(model, y)
-    _, grads, g_in, _ = loss_and_grads(
-        model, arr[None, :], np.array([label]), need_params=True, need_input=True
-    )
+    if np.ndim(x) != 1:
+        raise ShapeError("backward_gradients takes one input vector")
+    arr = _check_rows(model, x)
+    label = _check_labels(model, y, 1)
+    _, grads, g_in, _ = loss_and_grads(model, arr, label, need_params=True, need_input=True)
     return grads, g_in[0]
 
 

@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .adversarial import AttackConfig, find_adversarial
+from .adversarial import AttackConfig, find_adversarial, find_adversarial_rows
 from .errors import DataError
 from .nn_core import (
     PROB_FLOOR,
@@ -85,6 +85,14 @@ def adv_dist_score(model: MLPClassifier, x, y: int, attack: AttackConfig) -> flo
     return find_adversarial(model, x, y, attack).distance
 
 
+def adv_dist_scores(model: MLPClassifier, X, Y, attack: AttackConfig, seeds, traces=False):
+    """`adv_dist_score` of every row of a block, row i searched with seed
+    seeds[i] in one lock-step search.  Returns (distances, the first-run
+    trace of every row or None); see `find_adversarial_rows`."""
+    outcomes, found = find_adversarial_rows(model, X, Y, attack, seeds, traces)
+    return np.array([o.distance for o in outcomes]), found
+
+
 def membership_decision(score: float, tau: float) -> bool:
     return score >= tau
 
@@ -107,8 +115,9 @@ def _data_range(scores: np.ndarray, epsilon: float) -> tuple:
 class Strategy:
     """What one strategy is.
 
-    A threshold strategy scores one sample with `score(model, x, y)`, or
-    `score(model, x, y, attack)` when `needs_attack`.  An attacker trains
+    A threshold strategy scores one sample with `score(model, x, y)`, or,
+    when `needs_attack`, a block of samples at once with `score(model, X,
+    Y, attack, seeds, traces)` (see `adv_dist_scores`).  An attacker trains
     the attack_models function named `fitter` on one feature vector per
     sample: the output of the attack_models extractor named `extractor`,
     whose feature set is called `features`, or the six threshold scores
@@ -146,7 +155,7 @@ STRATEGIES = {
         Strategy("loss", _data_range, loss_score),
         Strategy("grad_w_norm", _data_range, grad_w_norm_score),
         Strategy("grad_x_norm", _data_range, grad_x_norm_score),
-        Strategy("adv_dist", _epsilon_range, adv_dist_score, needs_attack=True),
+        Strategy("adv_dist", _epsilon_range, adv_dist_scores, needs_attack=True),
         Strategy("attacker_grad_w", _unit_range, features="grad_w_stats",
                  extractor="extract_grad_w_stats", fitter="fit_logistic_attacker"),
         Strategy("attacker_grad_x", _unit_range, features="grad_x_stats",
@@ -177,7 +186,8 @@ def compute_score(
         return entry.score(model, x, y)
     if attack is None:
         raise DataError(f"{strategy} strategy needs an AttackConfig")
-    return entry.score(model, x, y, attack)
+    values, _ = entry.score(model, np.asarray(x, dtype=np.float64)[None, :], [y], attack, [attack.seed])
+    return float(values[0])
 
 
 def write_score_records(records, path) -> None:

@@ -102,3 +102,17 @@ def corrupt_net_params():
         block([65536, 65536], bytes(64)),
         block([3, 0, 2], bytes(16)),
     ]
+
+
+@pytest.fixture()
+def assert_same_tree():
+    """Asserts that two directories hold the same relative file paths, at
+    every depth, with the same bytes."""
+
+    def check(a, b):
+        files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+        for rel in files:
+            assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+    return check

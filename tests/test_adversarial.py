@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from miaudit.adversarial import (
     _checkpoint_iterations,
     apgd_maximize_loss,
     dump_trace_csv,
+    find_adversarial_rows,
     project_l1_ball,
 )
 from miaudit.errors import ConfigError, InvalidInputError
+from miaudit.nn_core import loss_and_grads
 
 INF = math.inf
 
@@ -99,6 +102,19 @@ class TestProjections:
         )
         out = mi.project_lp_box(cand, ctr, p, eps)
         assert feasible(out, ctr, p, eps)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, INF])
+    def test_block_rows_equal_one_row_calls(self, rng, p):
+        for dim in (1, 4, 24):
+            cand = rng.uniform(-2, 3, (40, dim))
+            ctr = rng.uniform(0, 1, (40, dim))
+            cand[:5] = ctr[:5] + 0.01  # inside the ball: left as they are
+            block = mi.project_lp_box(cand, ctr, p, 0.6)
+            norms = mi.lp_norm(block - ctr, p)
+            for i in range(40):
+                one = mi.project_lp_box(cand[i], ctr[i], p, 0.6)
+                assert block[i].tobytes() == one.tobytes()
+                assert norms[i] == mi.lp_norm(one - ctr[i], p)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -292,3 +308,174 @@ class TestTraceDump:
         assert float(rows[1][2]) == 0.0
         best = max(float(r[1]) for r in rows[1:])
         assert abs(best - trace.best_loss) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# Block search
+# ---------------------------------------------------------------------------
+
+
+def _reference_project(cand, ctr, p, eps):
+    """One-vector lp-ball projection followed by the unit-box clip."""
+    v = cand - ctr
+    if p == INF:
+        v = np.clip(v, -eps, eps)
+    elif p == 2:
+        norm = float(np.sqrt(np.sum(v * v)))
+        if norm > eps:
+            v = v * (eps / norm)
+    else:
+        a = np.abs(v)
+        if a.sum() > eps:
+            u = np.sort(a)[::-1]
+            css = np.cumsum(u)
+            k = np.arange(1, u.size + 1)
+            rho = int(k[u * k > (css - eps)][-1])
+            v = np.sign(v) * np.maximum(a - (css[rho - 1] - eps) / rho, 0.0)
+    return np.clip(ctr + v, 0.0, 1.0)
+
+
+def _reference_evaluate(model, x, y):
+    loss, _, g, probs = loss_and_grads(
+        model, x[None, :], np.array([y]), need_params=False, need_input=True
+    )
+    return loss, probs[0], g[0]
+
+
+def _reference_ascent(model, x, y, cfg, start=None):
+    """One-sample APGD run as a plain loop: (points, losses, predictions)."""
+    p, eps = cfg.p, cfg.epsilon
+    eta = cfg.initial_step_fraction * eps
+    checkpoints = set(_checkpoint_iterations(cfg.n_iter))
+    cur = x if start is None else _reference_project(start, x, p, eps)
+    loss, probs, grad = _reference_evaluate(model, cur, y)
+    points, losses, preds = [cur], [loss], [int(np.argmax(probs))]
+    prev = cur
+    best_x, best_loss, best_grad = cur, loss, grad
+    eta_at_ck, best_at_ck = eta, best_loss
+    improved = last_ck = 0
+    for k in range(1, cfg.n_iter + 1):
+        if p == INF:
+            direction = np.sign(grad)
+        else:
+            gnorm = float(np.sqrt(np.sum(grad * grad)))
+            direction = grad / gnorm if gnorm > 1e-30 else np.zeros_like(grad)
+        z = _reference_project(cur + eta * direction, x, p, eps)
+        blend = cfg.momentum if k > 1 else 1.0
+        nxt = _reference_project(cur + blend * (z - cur) + (1.0 - blend) * (cur - prev), x, p, eps)
+        prev, cur = cur, nxt
+        new_loss, probs, grad = _reference_evaluate(model, cur, y)
+        improved += new_loss > loss
+        loss = new_loss
+        points.append(cur)
+        losses.append(loss)
+        preds.append(int(np.argmax(probs)))
+        if loss > best_loss:
+            best_x, best_loss, best_grad = cur, loss, grad
+        if k in checkpoints:
+            stalled = eta == eta_at_ck and best_loss == best_at_ck
+            if improved < 0.75 * (k - last_ck) or stalled:
+                eta *= 0.5
+                cur, prev = best_x, best_x
+                loss, grad = best_loss, best_grad
+            eta_at_ck, best_at_ck = eta, best_loss
+            improved = 0
+            last_ck = k
+    return np.array(points), np.array(losses), np.array(preds)
+
+
+def _reference_search(model, x, y, cfg):
+    """One-sample search as a plain loop over restarts and iterates."""
+    probs0 = model.forward(x[None, :])[2][0]
+    loss0 = mi.cross_entropy_loss(probs0, y)
+    if int(np.argmax(probs0)) != y:
+        return mi.AdversarialOutcome(np.zeros_like(x), 0.0, True, 0, loss0)
+    rng = np.random.default_rng(cfg.seed)
+    best_dist, best_point = INF, None
+    best_loss, best_loss_point = loss0, x
+    for run in range(cfg.n_restarts):
+        start = None
+        if run:
+            start = rng.uniform(np.maximum(0.0, x - cfg.epsilon), np.minimum(1.0, x + cfg.epsilon))
+            if cfg.p != INF:
+                start = _reference_project(start, x, cfg.p, cfg.epsilon)
+        points, losses, preds = _reference_ascent(model, x, y, cfg, start)
+        if losses.max() > best_loss:
+            best_loss, best_loss_point = float(losses.max()), points[int(np.argmax(losses))]
+        for pt, pred in zip(points, preds):
+            d = mi.lp_norm(pt - x, cfg.p)
+            if pred != y and d < best_dist:
+                best_dist, best_point = d, pt
+    iterations = cfg.n_iter * cfg.n_restarts
+    if best_point is not None:
+        return mi.AdversarialOutcome(best_point - x, best_dist, True, iterations, best_loss)
+    return mi.AdversarialOutcome(best_loss_point - x, cfg.epsilon, False, iterations, best_loss)
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+def assert_same_outcome(a, b):
+    assert a.v.tobytes() == b.v.tobytes()
+    assert _bits(a.distance) == _bits(b.distance)
+    assert _bits(a.best_loss) == _bits(b.best_loss)
+    assert (a.success, a.iterations_used) == (b.success, b.iterations_used)
+
+
+class TestBlockSearch:
+    """Each row of the lock-step block search is bitwise its one-row call
+    and the one-sample reference loop, whatever its block mates."""
+
+    @pytest.fixture(scope="class")
+    def block(self):
+        model = mi.build_mlp([4, 8, 3], seed=7)
+        X = np.random.default_rng(2022).uniform(0, 1, (14, 4))
+        X[12], X[13] = 0.0, 1.0  # box corners
+        probs = mi.forward_predict(model, X)
+        Y = np.argmax(probs, axis=1)
+        Y[:3] = np.argmin(probs[:3], axis=1)  # already misclassified
+        seeds = [1000 + i for i in range(len(X))]
+        return model, X, Y, seeds
+
+    @pytest.mark.parametrize("n_restarts", [0, 1, 2])
+    @pytest.mark.parametrize("p", [1.0, 2.0, INF])
+    def test_rows_match_one_row_calls(self, block, p, n_restarts):
+        model, X, Y, seeds = block
+        cfg = mi.AttackConfig(p=p, epsilon=0.1, n_iter=12, n_restarts=n_restarts)
+        outcomes, traces = find_adversarial_rows(model, X, Y, cfg, seeds)
+        assert traces is None
+        kinds = {
+            "misclassified" if o.iterations_used == 0 and o.success
+            else "found" if o.success else "failed"
+            for o in outcomes
+        }
+        assert kinds == ({"misclassified", "found", "failed"} if n_restarts else {"misclassified", "failed"})
+        for i, out in enumerate(outcomes):
+            row_cfg = replace(cfg, seed=seeds[i])
+            assert_same_outcome(out, mi.find_adversarial(model, X[i], int(Y[i]), row_cfg))
+            assert_same_outcome(out, _reference_search(model, X[i], int(Y[i]), row_cfg))
+        order = np.random.default_rng(5).permutation(len(X))
+        for part in [order, *np.array_split(order, 2)]:
+            got, _ = find_adversarial_rows(model, X[part], Y[part], cfg, [seeds[i] for i in part])
+            for i, out in zip(part, got):
+                assert_same_outcome(out, outcomes[i])
+
+    @pytest.mark.parametrize("n_restarts", [0, 2])
+    @pytest.mark.parametrize("p", [1.0, 2.0, INF])
+    def test_first_run_traces_match_one_row_runs(self, block, p, n_restarts):
+        model, X, Y, seeds = block
+        cfg = mi.AttackConfig(p=p, epsilon=0.1, n_iter=12, n_restarts=n_restarts)
+        outcomes, traces = find_adversarial_rows(model, X, Y, cfg, seeds, traces=True)
+        plain, _ = find_adversarial_rows(model, X, Y, cfg, seeds)
+        runs = apgd_maximize_loss(model, X, Y, cfg)
+        assert len(traces) == len(runs) == len(X)  # misclassified rows included
+        for i in range(len(X)):
+            assert_same_outcome(outcomes[i], plain[i])
+            one = apgd_maximize_loss(model, X[i], int(Y[i]), cfg)
+            points, losses, preds = _reference_ascent(model, X[i], int(Y[i]), cfg)
+            for trace in (traces[i], runs[i], one):
+                assert trace.points.tobytes() == points.tobytes()
+                assert trace.losses.tobytes() == losses.tobytes()
+                assert trace.predictions.tobytes() == preds.astype(np.int64).tobytes()
+                assert trace.center.tobytes() == X[i].tobytes()

@@ -13,7 +13,7 @@ from miaudit.errors import ConfigError, DataError, InvalidInputError, ShapeError
 from miaudit.nn_core import (
     CHECKPOINT_MAGIC,
     classification_accuracy,
-    forward_predict_batch,
+    loss_and_grads,
     sample_evaluation,
 )
 
@@ -172,7 +172,7 @@ class TestForward:
 
     def test_batch_matches_single(self, tiny_model, rng):
         X = rng.uniform(0, 1, (8, 4))
-        batch = forward_predict_batch(tiny_model, X)
+        batch = mi.forward_predict(tiny_model, X)
         for i in range(8):
             assert np.allclose(batch[i], mi.forward_predict(tiny_model, X[i]), atol=1e-14)
 
@@ -181,6 +181,32 @@ class TestForward:
             mi.forward_predict(tiny_model, np.zeros(5))
         with pytest.raises(InvalidInputError):
             mi.forward_predict(tiny_model, np.array([0.1, np.nan, 0.2, 0.3]))
+
+
+class TestRowIndependence:
+    """Premise of the block search: each row of a stacked forward/backward
+    pass is bitwise the flat one-row pass, for every block size.  A numpy or
+    BLAS change that breaks it fails here instead of moving report bytes."""
+
+    @pytest.mark.parametrize(
+        "dims",
+        [[24, 128, 128, 10], [6, 16, 3], [4, 8, 3], [4, 12, 3], [3, 16, 3], [2, 5, 5, 2], [2, 2]],
+    )
+    def test_block_rows_equal_one_row_pass(self, dims):
+        model = mi.build_mlp(dims, seed=len(dims))
+        rng = np.random.default_rng(dims[1])
+        for n in (1, 2, 7, 160):
+            X = rng.uniform(0, 1, (n, dims[0]))
+            Y = rng.integers(dims[-1], size=n)
+            losses, probs, grads = sample_evaluation(model, X, Y)
+            predicted = mi.forward_predict(model, X)
+            for i in range(n):
+                loss, _, g, p = loss_and_grads(
+                    model, X[i : i + 1], Y[i : i + 1], need_params=False, need_input=True
+                )
+                assert np.float64(loss).tobytes() == losses[i].tobytes()
+                assert p[0].tobytes() == probs[i].tobytes() == predicted[i].tobytes()
+                assert g[0].tobytes() == grads[i].tobytes()
 
 
 class TestGradients:

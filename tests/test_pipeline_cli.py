@@ -259,16 +259,19 @@ class TestWorkers:
         with pytest.raises(ConfigError):
             resolve_workers()
 
-    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
-        config = fast_config(**{"strategies": "loss,adv_dist"})
+    def test_parallel_matches_serial(self, tmp_path, monkeypatch, assert_same_tree):
+        config = fast_config(
+            **{
+                "strategies": "loss,adv_dist,attacker_ensemble",
+                "debug.dump_traces": "true",
+            }
+        )
         monkeypatch.delenv("MIAUDIT_WORKERS", raising=False)
         _, out_serial = run_pipeline(config, out_dir=tmp_path / "serial")
         monkeypatch.setenv("MIAUDIT_WORKERS", "2")
         _, out_par = run_pipeline(config, out_dir=tmp_path / "par")
-        assert (out_serial / "report.json").read_bytes() == (out_par / "report.json").read_bytes()
-        assert (out_serial / "scores_adv_dist.csv").read_bytes() == (
-            out_par / "scores_adv_dist.csv"
-        ).read_bytes()
+        assert len(list((out_serial / "traces").glob("trace_*.csv"))) == 36
+        assert_same_tree(out_serial, out_par)
 
 
 class TestDebugDumps:
@@ -386,6 +389,15 @@ class TestCli:
             + "\n",
         )
         assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("dims", [[6, 8, 2], [4, 8, 3]], ids=["classes", "width"])
+    def test_checkpoint_not_fitting_the_data_exit_code(self, tmp_path, capsys, dims):
+        # the fast config's data has 6 features and 3 classes
+        ckpt = tmp_path / "target.ckpt"
+        mi.save_checkpoint(mi.build_mlp(dims, seed=0), ckpt)
+        cfg = self.write_cfg(tmp_path, f"strategies = loss\ntarget.load_checkpoint = {ckpt}\n")
+        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert "checkpoint" in capsys.readouterr().err
 
     def test_module_entrypoint_help(self):
         proc = subprocess.run(
