@@ -29,7 +29,10 @@ from .nn_core import (
     write_net_params,
     _read_exact,
 )
-from .scores import ENSEMBLE_FEATURE_ORDER
+from .scores import (
+    ENSEMBLE_FEATURE_ORDER,  # noqa: F401  re-exported: the ensemble attacker's input columns
+    parse_member_flag,
+)
 
 GRAD_STAT_NAMES = ("l1_norm", "l2_norm", "max_value", "mean", "skewness", "kurtosis", "abs_min")
 
@@ -125,14 +128,6 @@ def extract_wb_features(model: MLPClassifier, x, y: int) -> np.ndarray:
     return np.concatenate(
         [grads[-2].ravel(), grads[-1].ravel(), [loss], probs[0], acts[-1][0], onehot]
     )
-
-
-def assemble_score_features(score_row: dict) -> np.ndarray:
-    """Six-score vector for the ensemble, in the fixed strategy order."""
-    try:
-        return np.array([float(score_row[k]) for k in ENSEMBLE_FEATURE_ORDER])
-    except KeyError as exc:
-        raise ConfigError(f"ensemble features need score {exc.args[0]!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +444,7 @@ def read_feature_dump(path):
             try:
                 ids.append(int(row[0]))
                 rows.append([float(v) for v in row[1:-1]])
-                members.append(bool(int(row[-1])))
             except ValueError as exc:
                 raise DataError(f"{path}: row {lineno}: {exc}") from exc
+            members.append(parse_member_flag(row[-1], path, lineno))
     return ids, np.array(rows, dtype=np.float64), members

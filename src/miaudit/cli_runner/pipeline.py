@@ -2,17 +2,14 @@
 
 Stages: data -> target -> scores -> attackers -> analyses -> export.  Every
 stage derives its seed from the master seed by name, per-sample attack seeds
-hash in the sample id, and the scoring stage splits the samples into one
-block of rows per MIAUDIT_WORKERS process with an order-preserving map.  A
-row's scores do not depend on its block mates, so reports are byte-identical
-across runs and worker counts.  Stage failures re-raise with a [stage:...]
-tag.
+hash in the sample id, and the scoring stage scores all samples in one
+in-process pass, so reports are byte-identical across runs.  Stage failures
+re-raise with a [stage:...] tag.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -41,6 +38,7 @@ from ..nn_core import (
     train,
 )
 from ..scores import (
+    ENSEMBLE_FEATURE_ORDER,
     STRATEGIES,
     ScoreRecord,
     compute_score,
@@ -62,6 +60,9 @@ def _stage(name: str):
 
 
 def resolve_workers() -> int:
+    """The MIAUDIT_WORKERS count, 1 when unset.  The audit scores in one
+    process whatever it says; a value that is not a positive integer is
+    still a ConfigError."""
     raw = os.environ.get("MIAUDIT_WORKERS", "").strip()
     if not raw:
         return 1
@@ -72,68 +73,6 @@ def resolve_workers() -> int:
     if workers < 1:
         raise ConfigError("MIAUDIT_WORKERS must be >= 1")
     return workers
-
-
-# ---------------------------------------------------------------------------
-# Per-sample scoring (worker side)
-# ---------------------------------------------------------------------------
-
-_WORKER: dict = {}
-
-
-def _init_worker(model, attack_template, attack_base_seed, score_names, attacker_names, dump_traces):
-    _WORKER["model"] = model
-    _WORKER["attack"] = attack_template
-    _WORKER["attack_base"] = attack_base_seed
-    _WORKER["scores"] = score_names
-    _WORKER["attackers"] = attacker_names
-    _WORKER["dump_traces"] = dump_traces
-
-
-def _block_payloads(block):
-    """(scores, attacker features, debug trace or None) of every sample in
-    one block of rows.  The adversarial search runs once over the block;
-    each row is seeded by its sample id, so its results do not depend on
-    its block mates."""
-    sids, X, Y = block
-    model = _WORKER["model"]
-    scores = [{} for _ in sids]
-    traces = [None] * len(sids)
-    for name in _WORKER["scores"]:
-        if STRATEGIES[name].needs_attack:
-            seeds = [stage_seed(_WORKER["attack_base"], f"sample:{sid}") for sid in sids]
-            values, found = STRATEGIES[name].score(
-                model, X, Y, _WORKER["attack"], seeds, _WORKER["dump_traces"]
-            )
-            traces = found if found is not None else traces
-        else:
-            values = [compute_score(model, x, int(y), name) for x, y in zip(X, Y)]
-        for row, value in zip(scores, values):
-            row[name] = float(value)
-    payloads = []
-    for row, x, y, trace in zip(scores, X, Y, traces):
-        feats = {}
-        for name in _WORKER["attackers"]:
-            extractor = STRATEGIES[name].extractor
-            if extractor:
-                feats[name] = getattr(am, extractor)(model, x, int(y))
-            else:
-                feats[name] = am.assemble_score_features(row)
-        payloads.append((row, feats, trace))
-    return payloads
-
-
-def _compute_payloads(blocks, workers, init_args):
-    if workers <= 1 or len(blocks) < 2:
-        _init_worker(*init_args)
-        try:
-            parts = [_block_payloads(b) for b in blocks]
-        finally:
-            _WORKER.clear()
-    else:
-        with multiprocessing.Pool(workers, initializer=_init_worker, initargs=init_args) as pool:
-            parts = pool.map(_block_payloads, blocks)
-    return [payload for part in parts for payload in part]
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +151,44 @@ def _attacker_split(config: ExperimentConfig, n_members: int, n_nonmembers: int,
     return mask
 
 
-def _rows(vectors, mask) -> np.ndarray:
-    """Matrix of the per-sample vectors whose rows the mask keeps."""
-    return np.array([v for v, keep in zip(vectors, mask) if keep])
+def score_samples(config: ExperimentConfig, model, X, Y, score_names, attacker_names):
+    """Score every sample (row of X, label in Y, sample id = row index).
+
+    Returns (scores, features, traces): threshold strategy -> score array,
+    attacker -> feature matrix with one row per sample, and the adversarial
+    search's debug trace of every row (empty unless `debug.dump_traces` and
+    a score needs the search).  The search runs once over all rows; each row
+    is seeded by its sample id, so its results do not depend on the others.
+    """
+    scores, traces = {}, []
+    for name in score_names:
+        entry = STRATEGIES[name]
+        if entry.needs_attack:
+            base = stage_seed(config.seed, "attack")
+            seeds = [stage_seed(base, f"sample:{sid}") for sid in range(len(X))]
+            values, found = entry.score(
+                model, X, Y, config.attack_config(), seeds, bool(config["debug.dump_traces"])
+            )
+            traces = found or []
+        else:
+            values = [compute_score(model, x, int(y), name) for x, y in zip(X, Y)]
+        scores[name] = np.asarray(values, dtype=np.float64)
+    features = {}
+    for name in attacker_names:
+        extractor = STRATEGIES[name].extractor
+        if extractor:
+            extract = getattr(am, extractor)
+            features[name] = np.array([extract(model, x, int(y)) for x, y in zip(X, Y)])
+        else:
+            features[name] = np.column_stack([scores[s] for s in ENSEMBLE_FEATURE_ORDER])
+    return scores, features, traces
 
 
 def run_pipeline(config: ExperimentConfig, out_dir=None):
     """Full audit; returns (EvalReport, output_dir).  Writes report.json,
     per-strategy CSVs, and model/attacker checkpoints into out_dir."""
     out = Path(out_dir if out_dir is not None else config["output.dir"])
-    workers = resolve_workers()
+    resolve_workers()  # validated only: scoring runs in this process
     strategies = config.strategies()
     attacker_names = [s for s in strategies if STRATEGIES[s].kind == "attacker"]
 
@@ -239,22 +206,7 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
     with _stage("scores"):
         X = np.concatenate([train_ds.X, heldout_ds.X])
         Y = np.concatenate([train_ds.y, heldout_ds.y])
-        # rows are independent of their block mates, so one block per worker
-        blocks = [
-            (ids, X[ids], Y[ids])
-            for ids in np.array_split(np.arange(len(X)), max(1, min(workers, len(X))))
-        ]
-        init_args = (
-            model,
-            config.attack_config(),
-            stage_seed(config.seed, "attack"),
-            tuple(needed_scores),
-            tuple(attacker_names),
-            bool(config["debug.dump_traces"]) and any(STRATEGIES[n].needs_attack for n in needed_scores),
-        )
-        payloads = _compute_payloads(blocks, workers, init_args) if strategies else []
-        scores = {name: np.array([p[0][name] for p in payloads]) for name in needed_scores}
-        features = {name: [p[1][name] for p in payloads] for name in attacker_names}
+        scores, features, traces = score_samples(config, model, X, Y, needed_scores, attacker_names)
 
     with _stage("attackers"):
         train_mask = _attacker_split(config, n_members, n_nonmembers, bool(attacker_names))
@@ -263,12 +215,12 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
         attackers = {}
         for name in attacker_names:
             attacker = getattr(am, STRATEGIES[name].fitter)(
-                _rows(features[name], train_mask),
+                features[name][train_mask],
                 is_member[train_mask].astype(np.float64),
                 stage_seed(config.seed, f"attacker:{name}"),
             )
             attackers[name] = attacker
-            eval_scores[name] = am.attacker_scores(attacker, _rows(features[name], eval_mask))
+            eval_scores[name] = am.attacker_scores(attacker, features[name][eval_mask])
 
     # pools ordered by ascending sample id; all strategies share them
     eval_ids = np.flatnonzero(eval_mask)
@@ -305,14 +257,13 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
                 if STRATEGIES[name].features:
                     _atomic_file_write(
                         out / f"features_{STRATEGIES[name].features}.csv",
-                        lambda p, rows=_rows(features[name], eval_mask): am.write_feature_dump(
+                        lambda p, rows=features[name][eval_mask]: am.write_feature_dump(
                             p, eval_ids, rows, eval_member
                         ),
                     )
-        traces = [(sid, trace) for sid, (_, _, trace) in enumerate(payloads) if trace is not None]
         if traces:
             (out / "traces").mkdir(parents=True, exist_ok=True)
-        for sid, trace in traces:
+        for sid, trace in enumerate(traces):
             _atomic_file_write(
                 out / "traces" / f"trace_{sid}.csv", lambda p, t=trace: dump_trace_csv(t, p)
             )

@@ -201,6 +201,14 @@ def write_score_records(records, path) -> None:
             )
 
 
+def parse_member_flag(field: str, path, lineno: int) -> bool:
+    """The is_member column of a CSV row: "1" is a member, "0" is not."""
+    flag = field.strip()
+    if flag not in ("0", "1"):
+        raise DataError(f"{path}: row {lineno}: is_member must be 0 or 1, got {field!r}")
+    return flag == "1"
+
+
 def read_score_records(path) -> list[ScoreRecord]:
     records = []
     with open(path, newline="") as fh:
@@ -212,12 +220,11 @@ def read_score_records(path) -> list[ScoreRecord]:
             if len(row) != 4:
                 raise DataError(f"{path}: row {lineno} has {len(row)} fields, want 4")
             try:
-                score = float(row[2])
-                records.append(
-                    ScoreRecord(int(row[0]), row[1], score, bool(int(row[3])))
-                )
+                sample_id, score = int(row[0]), float(row[2])
             except ValueError as exc:
                 raise DataError(f"{path}: row {lineno}: {exc}") from exc
             if not math.isfinite(score):
                 raise DataError(f"{path}: row {lineno}: non-finite score")
+            member = parse_member_flag(row[3], path, lineno)
+            records.append(ScoreRecord(sample_id, row[1], score, member))
     return records

@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 import miaudit as mi
 from miaudit.attack_models import (
     ATTACKER_MAGIC,
-    ENSEMBLE_FEATURE_ORDER,
     ENSEMBLE_LAYER_DIMS,
     GRAD_STAT_NAMES,
     BinaryNet,
-    assemble_score_features,
     attacker_scores,
     load_attacker,
     read_feature_dump,
@@ -169,30 +167,6 @@ class TestExtractors:
         assert np.allclose(fv[n_w + n_b + 1 : n_w + n_b + 1 + k], probs, atol=1e-14)
         onehot = fv[-k:]
         assert list(onehot) == [0.0, 1.0, 0.0]
-
-    def test_assemble_score_features_order(self):
-        row = {
-            "softmax": 0.9,
-            "mentr": -0.1,
-            "loss": -0.2,
-            "grad_w_norm": -0.3,
-            "grad_x_norm": -0.4,
-            "adv_dist": 0.5,
-        }
-        fv = assemble_score_features(row)
-        assert np.array_equal(fv, [0.9, -0.1, -0.2, -0.3, -0.4, 0.5])
-        assert ENSEMBLE_FEATURE_ORDER == (
-            "softmax",
-            "mentr",
-            "loss",
-            "grad_w_norm",
-            "grad_x_norm",
-            "adv_dist",
-        )
-
-    def test_assemble_missing_score(self):
-        with pytest.raises(ConfigError):
-            assemble_score_features({"softmax": 1.0})
 
 
 class TestMinMaxScaler:
@@ -417,6 +391,13 @@ class TestFeatureDump:
         path = tmp_path / "features.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(DataError):
+            read_feature_dump(path)
+
+    @pytest.mark.parametrize("row", ["1,x,0", "1,0.5", "1,0.5,2", "1,0.5,-1", "1,0.5,7", "1,0.5,yes"])
+    def test_malformed_row(self, tmp_path, row):
+        path = tmp_path / "features.csv"
+        path.write_text(f"sample_id,f0,is_member\n0,0.25,1\n{row}\n")
+        with pytest.raises(DataError, match="row 3"):
             read_feature_dump(path)
 
     def test_length_mismatch(self, tmp_path, rng):

@@ -16,7 +16,7 @@ from miaudit.cli_runner import (
 )
 from miaudit.cli_runner.cli import main
 from miaudit.cli_runner.data import _atomic_file_write
-from miaudit.cli_runner.pipeline import resolve_workers
+from miaudit.cli_runner.pipeline import prepare_target, resolve_workers, score_samples
 from miaudit.errors import ConfigError
 from miaudit.scores import ScoreRecord, read_score_records, write_score_records
 
@@ -259,7 +259,8 @@ class TestWorkers:
         with pytest.raises(ConfigError):
             resolve_workers()
 
-    def test_parallel_matches_serial(self, tmp_path, monkeypatch, assert_same_tree):
+    def test_setting_changes_no_output_file(self, tmp_path, monkeypatch, assert_same_tree):
+        # an unset variable and MIAUDIT_WORKERS=2 give the same tree, traces/ included
         config = fast_config(
             **{
                 "strategies": "loss,adv_dist,attacker_ensemble",
@@ -267,11 +268,35 @@ class TestWorkers:
             }
         )
         monkeypatch.delenv("MIAUDIT_WORKERS", raising=False)
-        _, out_serial = run_pipeline(config, out_dir=tmp_path / "serial")
+        _, out_unset = run_pipeline(config, out_dir=tmp_path / "unset")
         monkeypatch.setenv("MIAUDIT_WORKERS", "2")
-        _, out_par = run_pipeline(config, out_dir=tmp_path / "par")
-        assert len(list((out_serial / "traces").glob("trace_*.csv"))) == 36
-        assert_same_tree(out_serial, out_par)
+        _, out_two = run_pipeline(config, out_dir=tmp_path / "two")
+        assert len(list((out_unset / "traces").glob("trace_*.csv"))) == 36
+        assert_same_tree(out_unset, out_two)
+
+    def test_invalid_setting_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in FAST_OVERRIDES.items()))
+        monkeypatch.setenv("MIAUDIT_WORKERS", "zero")
+        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "MIAUDIT_WORKERS" in capsys.readouterr().err
+
+
+class TestScoreSamples:
+    def test_ensemble_features_are_the_six_scores(self):
+        config = fast_config(**{"strategies": "attacker_ensemble,attacker_grad_x"})
+        train_ds, heldout_ds, _, model, _ = prepare_target(config)
+        X = np.concatenate([train_ds.X, heldout_ds.X])
+        Y = np.concatenate([train_ds.y, heldout_ds.y])
+        names = mi.THRESHOLD_STRATEGIES
+        scores, features, traces = score_samples(
+            config, model, X, Y, names, ["attacker_ensemble", "attacker_grad_x"]
+        )
+        assert traces == []
+        assert names == ("softmax", "mentr", "loss", "grad_w_norm", "grad_x_norm", "adv_dist")
+        assert np.array_equal(features["attacker_ensemble"], np.stack([scores[n] for n in names], axis=1))
+        assert features["attacker_grad_x"].shape == (len(X), 7)
+        assert np.array_equal(features["attacker_grad_x"][3], mi.extract_grad_x_stats(model, X[3], int(Y[3])))
 
 
 class TestDebugDumps:

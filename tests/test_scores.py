@@ -203,3 +203,10 @@ class TestScoreRecords:
         path.write_text("sample_id,strategy,score,is_member\n0,loss,abc,1\n")
         with pytest.raises(DataError):
             read_score_records(path)
+
+    @pytest.mark.parametrize("flag", ["2", "-1", "7", "yes", ""])
+    def test_bad_member_flag_rejected(self, tmp_path, flag):
+        path = tmp_path / "scores.csv"
+        path.write_text(f"sample_id,strategy,score,is_member\n0,loss,1.0,0\n1,loss,1.0,{flag}\n")
+        with pytest.raises(DataError, match="row 3"):
+            read_score_records(path)
