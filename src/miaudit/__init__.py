@@ -67,7 +67,6 @@ from .nn_core import (
 )
 from .scores import (
     THRESHOLD_STRATEGIES,
-    ScoreRecord,
     adv_dist_score,
     compute_score,
     grad_w_norm_score,

@@ -313,7 +313,7 @@ def find_adversarial_rows(
         raise ShapeError("find_adversarial_rows needs (n, d) inputs, n labels and n seeds")
     n = len(X)
     probs0 = forward_predict(model, X)
-    loss0 = np.array([cross_entropy_loss(probs, y) for probs, y in zip(probs0, Y)])
+    loss0 = cross_entropy_loss(probs0, Y)
     searched = np.argmax(probs0, axis=1) == Y  # the others are already misclassified
 
     rngs = [np.random.default_rng(seed) for seed in seeds]

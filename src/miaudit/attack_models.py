@@ -1,9 +1,10 @@
 """Trained membership attackers.
 
-Feature extractors turn (model, sample) pairs into fixed-length vectors;
-attackers are binary nets (logistic = no hidden layer, combiner = two ReLU
-layers, ensemble = the fixed [6, 40, 40, 20, 10, 1] stack) trained on
-min-max scaled features with member = 1, nonmember = 0.
+Feature extractors turn a block of samples into one fixed-length row per
+sample, and one sample into one vector; attackers are binary nets
+(logistic = no hidden layer, combiner = two ReLU layers, ensemble = the
+fixed [6, 40, 40, 20, 10, 1] stack) trained on min-max scaled features
+with member = 1, nonmember = 0.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import struct
+from array import array
 from dataclasses import dataclass, field
 from typing import BinaryIO, Sequence
 
@@ -21,11 +23,14 @@ from .nn_core import (
     AdamState,
     DenseNet,
     MLPClassifier,
-    backward_gradients,
     cross_entropy_loss,
     loss_and_grads,
     mean_loss,
+    one_or_block,
     read_net_params,
+    row_backward,
+    row_parameter_grads,
+    row_product,
     write_net_params,
     _read_exact,
 )
@@ -91,43 +96,46 @@ def gradient_statistics(grad) -> GradStats:
 # ---------------------------------------------------------------------------
 
 
-def extract_grad_w_stats(model: MLPClassifier, x, y: int) -> np.ndarray:
+def extract_grad_w_stats(model: MLPClassifier, x, y) -> np.ndarray:
     """Statistics of the full parameter gradient, flattened in `parameters()`
-    order."""
-    grads, _ = backward_gradients(model, x, y)
-    return gradient_statistics(np.concatenate([g.ravel() for g in grads])).as_array()
+    order; one row per sample, built one row at a time."""
+    _, acts, _, deltas, _ = row_backward(model, x, y)
+    rows = [
+        gradient_statistics(np.concatenate([g.ravel() for g in row_parameter_grads(acts, deltas, k)]))
+        for k in range(acts[0].shape[0])
+    ]
+    return one_or_block(x, np.array([r.as_array() for r in rows]))
 
 
-def extract_grad_x_stats(model: MLPClassifier, x, y: int) -> np.ndarray:
+def extract_grad_x_stats(model: MLPClassifier, x, y) -> np.ndarray:
     """Statistics of the input gradient."""
-    _, g_in = backward_gradients(model, x, y)
-    return gradient_statistics(g_in).as_array()
+    *_, g_in = row_backward(model, x, y)
+    return one_or_block(x, np.array([gradient_statistics(g).as_array() for g in g_in]))
 
 
-def extract_intermediate_outputs(model: MLPClassifier, x, y: int = None) -> np.ndarray:
+def extract_intermediate_outputs(model: MLPClassifier, x, y=None) -> np.ndarray:
     """Softmax probabilities plus the penultimate activation; the label is
     not used."""
     if model.n_layers < 2:
         raise ConfigError("intermediate outputs need at least one hidden layer")
-    arr = np.asarray(x, dtype=np.float64)
-    _, acts, probs = model.forward(arr[None, :])
-    return np.concatenate([probs[0], acts[-1][0]])
+    _, acts, probs = model.forward(np.atleast_2d(np.asarray(x, dtype=np.float64)), row_product)
+    return one_or_block(x, np.concatenate([probs, acts[-1]], axis=1))
 
 
-def extract_wb_features(model: MLPClassifier, x, y: int) -> np.ndarray:
+def extract_wb_features(model: MLPClassifier, x, y) -> np.ndarray:
     """White-box concat: last-layer parameter gradient, loss, intermediate
     outputs, one-hot label."""
     if model.n_layers < 2:
         raise ConfigError("white-box features need at least one hidden layer")
-    grads, _ = backward_gradients(model, x, y)
-    arr = np.asarray(x, dtype=np.float64)
-    _, acts, probs = model.forward(arr[None, :])
-    loss = cross_entropy_loss(probs[0], y)
-    onehot = np.zeros(model.n_classes)
-    onehot[int(y)] = 1.0
-    return np.concatenate(
-        [grads[-2].ravel(), grads[-1].ravel(), [loss], probs[0], acts[-1][0], onehot]
-    )
+    _, acts, probs, deltas, _ = row_backward(model, x, y)
+    Y = np.array(y, dtype=np.int64, ndmin=1)
+    # a batched gemm per row, not an outer product, which gives -0.0 where
+    # the gemm gives +0.0; the last delta, probs minus the one-hot label,
+    # holds no -0.0, so it is its own bias gradient
+    g_w = acts[-1][:, :, None] @ deltas[-1][:, None, :]
+    loss = cross_entropy_loss(probs, Y)[:, None]
+    features = [g_w.reshape(len(Y), -1), deltas[-1], loss, probs, acts[-1], np.eye(model.n_classes)[Y]]
+    return one_or_block(x, np.concatenate(features, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -430,13 +438,13 @@ def write_feature_dump(path, sample_ids, features, is_member) -> None:
 
 
 def read_feature_dump(path):
-    """Inverse of write_feature_dump: (ids, matrix, is_member)."""
+    """Inverse of write_feature_dump: (ids, matrix, is_member) arrays."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[0] != "sample_id" or header[-1] != "is_member":
             raise DataError(f"unexpected feature CSV header in {path}")
-        ids, rows, members = [], [], []
+        ids, rows, members = array("q"), [], []
         width = len(header) - 2
         for lineno, row in enumerate(reader, start=2):
             if len(row) != width + 2:
@@ -444,7 +452,7 @@ def read_feature_dump(path):
             try:
                 ids.append(int(row[0]))
                 rows.append([float(v) for v in row[1:-1]])
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise DataError(f"{path}: row {lineno}: {exc}") from exc
             members.append(parse_member_flag(row[-1], path, lineno))
-    return ids, np.array(rows, dtype=np.float64), members
+    return np.array(ids, dtype=np.int64), np.array(rows, dtype=np.float64), np.array(members, dtype=bool)

@@ -256,11 +256,24 @@ def save_dataset(train: Dataset, heldout: Dataset, manifest: DatasetManifest, ou
     )
 
 
+def read_json_object(path: Path) -> dict:
+    """A JSON file whose top level is an object; anything else is a DataError."""
+    try:
+        value = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise DataError(f"{path}: top level is not a JSON object")
+    return value
+
+
 def load_dataset(path, fmt: str = "csv"):
     """Load train + heldout splits from a dataset directory.
 
     Features outside [0, 1] are min-max normalized per feature, with the map
-    fitted jointly over both splits and recorded in the manifest.
+    fitted jointly over both splits and recorded in the manifest.  When the
+    directory holds a manifest.json (`gen-data` writes one), its train_size,
+    heldout_size and feature_dim must match the files.
     Returns (train, heldout, manifest).
     """
     if fmt not in _EXT:
@@ -284,6 +297,13 @@ def load_dataset(path, fmt: str = "csv"):
         k = k1
     if Xt.shape[1] != Xh.shape[1]:
         raise DataError("train and heldout disagree on the feature dimension")
+    manifest_path = base / "manifest.json"
+    # a CSV cut at a row boundary still parses; the manifest's sizes catch it
+    if manifest_path.is_file():
+        recorded = read_json_object(manifest_path)
+        for key, n in (("train_size", len(Xt)), ("heldout_size", len(Xh)), ("feature_dim", Xt.shape[1])):
+            if recorded.get(key) != n:
+                raise DataError(f"{manifest_path}: {key} is {recorded.get(key)!r}, the files hold {n}")
     both = np.vstack([Xt, Xh])
     lo = both.min(axis=0)
     hi = both.max(axis=0)

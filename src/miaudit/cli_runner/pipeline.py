@@ -40,13 +40,18 @@ from ..nn_core import (
 from ..scores import (
     ENSEMBLE_FEATURE_ORDER,
     STRATEGIES,
-    ScoreRecord,
     compute_score,
     read_score_records,
     write_score_records,
 )
 from .config import ExperimentConfig, stage_seed
-from .data import _atomic_file_write, _atomic_write_text, generate_synthetic_dataset, load_dataset
+from .data import (
+    _atomic_file_write,
+    _atomic_write_text,
+    generate_synthetic_dataset,
+    load_dataset,
+    read_json_object,
+)
 
 SCHEMA_VERSION = 1
 
@@ -157,8 +162,9 @@ def score_samples(config: ExperimentConfig, model, X, Y, score_names, attacker_n
     Returns (scores, features, traces): threshold strategy -> score array,
     attacker -> feature matrix with one row per sample, and the adversarial
     search's debug trace of every row (empty unless `debug.dump_traces` and
-    a score needs the search).  The search runs once over all rows; each row
-    is seeded by its sample id, so its results do not depend on the others.
+    a score needs the search).  Every score and extractor takes all rows in
+    one call.  The search is seeded per row by its sample id, so its
+    results do not depend on the other rows.
     """
     scores, traces = {}, []
     for name in score_names:
@@ -166,19 +172,16 @@ def score_samples(config: ExperimentConfig, model, X, Y, score_names, attacker_n
         if entry.needs_attack:
             base = stage_seed(config.seed, "attack")
             seeds = [stage_seed(base, f"sample:{sid}") for sid in range(len(X))]
-            values, found = entry.score(
-                model, X, Y, config.attack_config(), seeds, bool(config["debug.dump_traces"])
-            )
+            found = [] if config["debug.dump_traces"] else None
+            scores[name] = entry.score(model, X, Y, config.attack_config(), seeds, found)
             traces = found or []
         else:
-            values = [compute_score(model, x, int(y), name) for x, y in zip(X, Y)]
-        scores[name] = np.asarray(values, dtype=np.float64)
+            scores[name] = compute_score(model, X, Y, name)
     features = {}
     for name in attacker_names:
         extractor = STRATEGIES[name].extractor
         if extractor:
-            extract = getattr(am, extractor)
-            features[name] = np.array([extract(model, x, int(y)) for x, y in zip(X, Y)])
+            features[name] = getattr(am, extractor)(model, X, Y)
         else:
             features[name] = np.column_stack([scores[s] for s in ENSEMBLE_FEATURE_ORDER])
     return scores, features, traces
@@ -227,13 +230,6 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
     eval_member = is_member[eval_mask]
     member_pool = {name: eval_scores[name][eval_member] for name in strategies}
     nonmember_pool = {name: eval_scores[name][~eval_member] for name in strategies}
-    score_records = {
-        name: [
-            ScoreRecord(int(i), name, float(v), bool(m))
-            for i, v, m in zip(eval_ids, eval_scores[name], eval_member)
-        ]
-        for name in strategies
-    }
 
     splits = {
         "members_total": n_members,
@@ -244,8 +240,10 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
         "eval_nonmembers": int(np.sum(~eval_member)),
     }
     report = build_report(
-        config, member_pool, nonmember_pool, manifest.to_dict(), target_summary, splits, score_records
+        config, member_pool, nonmember_pool, manifest.to_dict(), target_summary, splits
     )
+    report.sample_ids, report.is_member = eval_ids, eval_member
+    report.scores = {name: eval_scores[name] for name in strategies}
 
     with _stage("export"):
         export_report(report, out)
@@ -276,7 +274,7 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
 
 
 def build_report(
-    config: ExperimentConfig, member_pool, nonmember_pool, dataset, target, splits, score_records
+    config: ExperimentConfig, member_pool, nonmember_pool, dataset, target, splits
 ) -> EvalReport:
     """Run the analyses on the score pools and wrap them in the report.
 
@@ -368,7 +366,6 @@ def build_report(
         strategies=strategy_reports,
         roc_grids=roc_grids,
         histograms=histograms,
-        score_records=score_records,
     )
 
 
@@ -396,8 +393,11 @@ def export_report(report: EvalReport, out_dir) -> Path:
                 f"{int(hist.member_counts[i])},{int(hist.nonmember_counts[i])}"
             )
         _atomic_write_text(out / f"hist_{name}.csv", "\n".join(lines) + "\n")
-    for name, records in report.score_records.items():
-        _atomic_file_write(out / f"scores_{name}.csv", lambda p, r=records: write_score_records(r, p))
+    for name, scores in report.scores.items():
+        _atomic_file_write(
+            out / f"scores_{name}.csv",
+            lambda p, n=name, s=scores: write_score_records(p, n, report.sample_ids, s, report.is_member),
+        )
     return out / "report.json"
 
 
@@ -411,10 +411,13 @@ def rerender_from_scores(config: ExperimentConfig, scores_dir, out_dir):
 
     Stage seeds come from the config, so a re-render of an unmodified audit
     directory reproduces the audit's numbers.  Every file must list the same
-    (sample_id, is_member) sequence, each id once, and name its own strategy
-    in every row; otherwise the pools would pair different samples or count
-    one twice.  Dataset/target
-    sections are carried over from an existing report.json when present.
+    (sample_id, is_member) sequence, each id once, with members and
+    nonmembers both present, and name its own strategy in every row;
+    otherwise the pools would pair different samples, count one twice or
+    leave nothing to compare.  Dataset/target/splits sections are carried
+    over from an existing report.json when present, and then the pools must
+    have the sizes its splits give, so a score file cut at a row boundary
+    is caught.
     """
     scores_path = Path(scores_dir)
     strategies = config.strategies()
@@ -425,38 +428,40 @@ def rerender_from_scores(config: ExperimentConfig, scores_dir, out_dir):
         csv_path = scores_path / f"scores_{name}.csv"
         if not csv_path.is_file():
             raise DataError(f"missing score file {csv_path}")
-        records = read_score_records(csv_path)
-        if any(r.strategy != name for r in records):
-            raise DataError(f"{csv_path}: strategy column does not name {name!r}")
-        records.sort(key=lambda r: r.sample_id)
-        ids = np.array([r.sample_id for r in records])
-        members = np.array([r.is_member for r in records], dtype=bool)
+        ids, scores, members = read_score_records(csv_path, name)
+        order = np.argsort(ids, kind="stable")
+        ids, scores, members = ids[order], scores[order], members[order]
         if samples is None:
             repeated = ids[1:][ids[1:] == ids[:-1]]
             if repeated.size:
                 raise DataError(f"{csv_path}: sample_id {repeated[0]} appears more than once")
+            if members.all() or not members.any():
+                raise DataError(f"{csv_path}: needs both member and nonmember rows")
             samples = (ids, members)
         elif not (np.array_equal(ids, samples[0]) and np.array_equal(members, samples[1])):
             raise DataError(f"{csv_path}: samples differ from scores_{strategies[0]}.csv")
-        scores = np.array([r.score for r in records])
         member_pool[name] = scores[members]
         nonmember_pool[name] = scores[~members]
 
     dataset_section, target_section, splits_section = {}, {}, {}
     old_report = scores_path / "report.json"
     if old_report.is_file():
-        try:
-            old = json.loads(old_report.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise DataError(f"{old_report}: not valid JSON: {exc}") from exc
-        if not isinstance(old, dict):
-            raise DataError(f"{old_report}: top level is not a JSON object")
+        old = read_json_object(old_report)
         dataset_section = old.get("dataset", {})
         target_section = old.get("target", {})
         splits_section = old.get("splits", {})
+        if not isinstance(splits_section, dict):
+            raise DataError(f"{old_report}: splits is not a JSON object")
+        flags = () if samples is None else (("eval_members", samples[1]), ("eval_nonmembers", ~samples[1]))
+        for key, in_pool in flags:
+            n = int(in_pool.sum())
+            if key in splits_section and splits_section[key] != n:
+                raise DataError(
+                    f"{scores_path}: {n} rows of {key}, {old_report} splits say {splits_section[key]}"
+                )
 
     report = build_report(
-        config, member_pool, nonmember_pool, dataset_section, target_section, splits_section, {}
+        config, member_pool, nonmember_pool, dataset_section, target_section, splits_section
     )
     with _stage("export"):
         export_report(report, out_dir)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -377,7 +378,11 @@ def score_histogram(score_set: LabeledScoreSet, n_bins: int, value_range) -> His
 @dataclass
 class EvalReport:
     """Everything the pipeline publishes: the JSON payload plus side tables
-    (ROC grids, histograms, score records) written as CSV files."""
+    (ROC grids, histograms, score columns) written as CSV files.
+
+    The score columns are the per-sample rows behind the pools: `scores`
+    maps a strategy to one score per row of `sample_ids` and `is_member`.
+    A re-render has none."""
 
     schema_version: int
     seed: int
@@ -388,7 +393,9 @@ class EvalReport:
     strategies: dict
     roc_grids: dict = field(default_factory=dict)
     histograms: dict = field(default_factory=dict)
-    score_records: dict = field(default_factory=dict)
+    sample_ids: Optional[np.ndarray] = None
+    is_member: Optional[np.ndarray] = None
+    scores: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {

@@ -72,14 +72,28 @@ def softmax(logits) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy_loss(probs, label: int) -> float:
-    """-log p[label] with the probability clamped below by PROB_FLOOR."""
+def cross_entropy_loss(probs, label):
+    """-log p[label] with the probability clamped below by PROB_FLOOR: a
+    float for one probability vector (c,) and label, one loss per row for a
+    block (n, c) and n labels.  Each log is `math.log` of one value; numpy's
+    vectorised log differs from it in the last bit for some inputs."""
     p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 1:
-        raise ShapeError("cross_entropy_loss expects a 1-D probability vector")
-    if label < 0 or label >= p.shape[0]:
-        raise IndexError(f"label {label} out of range for {p.shape[0]} classes")
-    return float(-math.log(min(max(float(p[label]), PROB_FLOOR), 1.0)))
+    rows = np.atleast_2d(p)
+    labels = np.array(label, dtype=np.int64, ndmin=1)
+    if p.ndim not in (1, 2) or labels.shape != rows.shape[:1]:
+        raise ShapeError(f"cross_entropy_loss got probs {p.shape} and labels {labels.shape}")
+    if np.any((labels < 0) | (labels >= rows.shape[1])):
+        raise IndexError(f"label out of range for {rows.shape[1]} classes")
+    picked = np.clip(rows[np.arange(len(labels)), labels], PROB_FLOOR, 1.0)
+    return one_or_block(p, np.array([-math.log(v) for v in picked.tolist()]))
+
+
+def one_or_block(x, block):
+    """`block`, one result per row of `x`, as a call on `x` returns it: when
+    `x` is one input (d,), its row 0, as a float where that row is a scalar."""
+    if np.ndim(x) != 1:
+        return block
+    return float(block[0]) if block.ndim == 1 else block[0]
 
 
 def _check_layer_dims(layer_dims) -> list[int]:
@@ -205,33 +219,35 @@ def row_product(A: np.ndarray, W: np.ndarray) -> np.ndarray:
     return (A[:, None, :] @ W)[:, 0, :]
 
 
-def _backward(net: DenseNet, pres, acts, delta, need_params, need_input, product=np.matmul):
-    """Back-propagate the head delta through the dense core: (parameter
-    grads in `parameters()` order or None, input grad or None)."""
-    L = net.n_layers
-    grads = [None] * (2 * L) if need_params else None
-    for i in reversed(range(L)):
-        if need_params:
-            grads[2 * i] = acts[i].T @ delta
-            grads[2 * i + 1] = delta.sum(axis=0)
+def _backward(net: DenseNet, pres, delta, need_input, product=np.matmul):
+    """Back-propagate the head delta through the dense core: (each layer's
+    delta, the gradient w.r.t. its pre-activation; the input grad or None)."""
+    deltas = [None] * net.n_layers
+    for i in reversed(range(net.n_layers)):
+        deltas[i] = delta
         if i > 0:
             delta = product(delta, net.weights[i].T) * (pres[i - 1] > 0.0)
-        elif need_input:
-            delta = product(delta, net.weights[0].T)
-    return grads, delta if need_input else None
+    return deltas, product(delta, net.weights[0].T) if need_input else None
 
 
-def loss_and_grads(net: DenseNet, X, Y, need_params=True, need_input=False):
+def _parameter_grads(acts, deltas) -> list:
+    """Gradients of the batch's summed head loss in `parameters()` order."""
+    grads = []
+    for a, delta in zip(acts, deltas):
+        grads += [a.T @ delta, delta.sum(axis=0)]
+    return grads
+
+
+def loss_and_grads(net: DenseNet, X, Y, need_input=False):
     """Mean head loss over the batch plus its exact gradients.
 
-    Returns (loss, parameter grads in `parameters()` order or None, input
-    grad or None, head output).
+    Returns (loss, parameter grads in `parameters()` order, input grad or
+    None, head output).
     """
     pres, acts, out = net.forward(X)
     loss = float(np.mean(net.head_losses(pres[-1], out, Y)))
-    delta = net.head_delta(out, Y) / X.shape[0]
-    grads, g_in = _backward(net, pres, acts, delta, need_params, need_input)
-    return loss, grads, g_in, out
+    deltas, g_in = _backward(net, pres, net.head_delta(out, Y) / X.shape[0], need_input)
+    return loss, _parameter_grads(acts, deltas), g_in, out
 
 
 def mean_loss(net: DenseNet, X, Y) -> float:
@@ -266,9 +282,29 @@ def _check_labels(model: MLPClassifier, y, n: int) -> np.ndarray:
 def forward_predict(model: MLPClassifier, x) -> np.ndarray:
     """Class-probability vector of one input (d,), or one per row of a
     block (n, d); each sums to 1 and is bitwise what the row alone gives."""
+    _, _, probs = model.forward(_check_rows(model, x), row_product)
+    return one_or_block(x, probs)
+
+
+def row_backward(model: MLPClassifier, x, y):
+    """One forward and backward pass of the true-label cross entropy over a
+    block (n, d) and n labels, or one input and label, each row bitwise what
+    the row alone gives: block arrays (pre-activations, activations, probs,
+    deltas, input grads).  deltas[i] is each row's gradient w.r.t. layer
+    i's pre-activation; see `row_parameter_grads`."""
     X = _check_rows(model, x)
-    _, _, probs = model.forward(X, row_product)
-    return probs[0] if np.ndim(x) == 1 else probs
+    Y = _check_labels(model, y, X.shape[0])
+    pres, acts, probs = model.forward(X, row_product)
+    deltas, g_in = _backward(model, pres, model.head_delta(probs, Y), True, row_product)
+    return pres, acts, probs, deltas, g_in
+
+
+def row_parameter_grads(acts, deltas, k: int) -> list:
+    """Row k's parameter gradients in `parameters()` order from a
+    `row_backward` pass: the batch gradient of that row alone, so layer i's
+    weight gradient is the gemm `a_i[k][:, None] @ delta_i[k][None, :]`
+    (an outer product by multiplication gives -0.0 where it gives +0.0)."""
+    return _parameter_grads([a[k : k + 1] for a in acts], [d[k : k + 1] for d in deltas])
 
 
 def sample_evaluation(model: MLPClassifier, x, y):
@@ -276,26 +312,19 @@ def sample_evaluation(model: MLPClassifier, x, y):
     input and label; the attack hot path.  Given a block (n, d) and n
     labels it returns the (n,) losses, (n, c) probs and (n, d) input
     gradients, each row bitwise what the row alone gives."""
-    X = _check_rows(model, x)
-    Y = _check_labels(model, y, X.shape[0])
-    pres, acts, probs = model.forward(X, row_product)
-    losses = model.head_losses(pres[-1], probs, Y)
-    _, g_in = _backward(model, pres, acts, model.head_delta(probs, Y), False, True, row_product)
-    if np.ndim(x) == 1:
-        return float(losses[0]), probs[0], g_in[0]
-    return losses, probs, g_in
+    pres, _, probs, _, g_in = row_backward(model, x, y)
+    losses = model.head_losses(pres[-1], probs, _check_labels(model, y, probs.shape[0]))
+    return one_or_block(x, losses), one_or_block(x, probs), one_or_block(x, g_in)
 
 
 def backward_gradients(model: MLPClassifier, x, y):
     """Exact reverse-mode gradients of the per-sample loss: (parameter grads
     in `parameters()` order, input grad); shapes mirror the differentiated
-    arrays."""
+    arrays.  The one-row call of `row_backward`."""
     if np.ndim(x) != 1:
         raise ShapeError("backward_gradients takes one input vector")
-    arr = _check_rows(model, x)
-    label = _check_labels(model, y, 1)
-    _, grads, g_in, _ = loss_and_grads(model, arr, label, need_params=True, need_input=True)
-    return grads, g_in[0]
+    _, acts, _, deltas, g_in = row_backward(model, x, y)
+    return row_parameter_grads(acts, deltas, 0), g_in[0]
 
 
 def _dataset_arrays(model: MLPClassifier, X, Y) -> tuple[np.ndarray, np.ndarray]:

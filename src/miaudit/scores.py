@@ -1,96 +1,111 @@
 """Membership scores: one scalar phi per strategy, oriented so larger
 values point toward "member".  The decision rule is phi >= tau.
+
+Every score takes a block of samples (n, d) with n labels and returns one
+value per row, each bitwise what the row alone gives; one input (d,) and
+its label give that row's float.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .adversarial import AttackConfig, find_adversarial, find_adversarial_rows
+from .adversarial import (
+    AttackConfig,
+    find_adversarial,  # noqa: F401  bench/tracing.py patches scores.find_adversarial by name
+    find_adversarial_rows,
+)
 from .errors import DataError
 from .nn_core import (
     PROB_FLOOR,
     MLPClassifier,
-    backward_gradients,
+    _check_labels,
     cross_entropy_loss,
     forward_predict,
+    one_or_block,
+    row_backward,
+    row_parameter_grads,
     sample_evaluation,
 )
 
 
-@dataclass(frozen=True)
-class ScoreRecord:
-    sample_id: int
-    strategy: str
-    score: float
-    is_member: bool
-
-
-def softmax_response(model: MLPClassifier, x, y: int = None) -> float:
+def softmax_response(model: MLPClassifier, x, y=None):
     """Largest output probability; the label is not used."""
-    return float(np.max(forward_predict(model, x)))
+    return one_or_block(x, np.max(forward_predict(model, np.atleast_2d(x)), axis=1))
 
 
-def modified_entropy(model: MLPClassifier, x, y: int) -> float:
+def modified_entropy(model: MLPClassifier, x, y):
     """Label-aware entropy variant; small for confident correct predictions.
 
     Probabilities are clamped to [PROB_FLOOR, 1 - PROB_FLOOR] inside the
     logs only, so a probability of exactly 1 on the true class gives 0.
+    The sum runs over the c - 1 other classes only: a zero term in the true
+    class's place would move some sums by one ulp.
     """
-    probs = forward_predict(model, x)
-    if y < 0 or y >= probs.shape[0]:
-        raise IndexError(f"label {y} out of range for {probs.shape[0]} classes")
-    clamped = np.clip(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    log_p = np.log(clamped)
+    probs = forward_predict(model, np.atleast_2d(x))
+    n, c = probs.shape
+    Y = _check_labels(model, y, n)
+    log_p = np.log(np.clip(probs, PROB_FLOOR, 1.0 - PROB_FLOOR))
     log_1mp = np.log(np.clip(1.0 - probs, PROB_FLOOR, 1.0 - PROB_FLOOR))
-    total = -(1.0 - probs[y]) * log_p[y]
-    mask = np.arange(probs.shape[0]) != y
-    total -= float(np.sum(probs[mask] * log_1mp[mask]))
-    return float(total)
+    rows = np.arange(n)
+    others = np.arange(c)[None, :] != Y[:, None]
+    rest = np.sum((probs[others] * log_1mp[others]).reshape(n, c - 1), axis=1)
+    return one_or_block(x, -(1.0 - probs[rows, Y]) * log_p[rows, Y] - rest)
 
 
-def mentr_score(model: MLPClassifier, x, y: int) -> float:
+def mentr_score(model: MLPClassifier, x, y):
     """Negated modified entropy (members score high)."""
-    return -modified_entropy(model, x, y)
+    return one_or_block(x, -modified_entropy(model, np.atleast_2d(x), y))
 
 
-def loss_score(model: MLPClassifier, x, y: int) -> float:
+def loss_score(model: MLPClassifier, x, y):
     """Negated true-label cross entropy."""
-    return -cross_entropy_loss(forward_predict(model, x), y)
+    return one_or_block(x, -cross_entropy_loss(forward_predict(model, np.atleast_2d(x)), y))
 
 
-def grad_w_norm_score(model: MLPClassifier, x, y: int) -> float:
+def grad_w_norm_score(model: MLPClassifier, x, y):
     """Negated SQUARED l2 norm of the full parameter gradient."""
-    grads, _ = backward_gradients(model, x, y)
-    total = 0.0
-    for g in grads:  # this order and grouping fix the score's last bits
-        total += float(np.sum(g * g))
-    return -total
+    _, acts, _, deltas, _ = row_backward(model, x, y)
+    scores = np.empty(acts[0].shape[0])
+    # one row at a time: the parameter gradients of a whole block can take
+    # more memory than the rest of the audit
+    for k in range(len(scores)):
+        total = 0.0
+        for g in row_parameter_grads(acts, deltas, k):  # this order and grouping fix the score's last bits
+            total += float(np.sum(g * g))
+        scores[k] = -total
+    return one_or_block(x, scores)
 
 
-def grad_x_norm_score(model: MLPClassifier, x, y: int) -> float:
+def grad_x_norm_score(model: MLPClassifier, x, y):
     """Negated l2 norm (not squared) of the input gradient."""
-    _, _, g = sample_evaluation(model, x, y)
-    return -float(np.sqrt(np.sum(g * g)))
+    _, _, g = sample_evaluation(model, np.atleast_2d(x), y)
+    return one_or_block(x, -np.sqrt(np.sum(g * g, axis=1)))
 
 
-def adv_dist_score(model: MLPClassifier, x, y: int, attack: AttackConfig) -> float:
+def adv_dist_score(model: MLPClassifier, x, y, attack: AttackConfig, seeds=None, traces=None):
     """Adversarial distance: lp norm of the minimal misclassifying
-    perturbation, epsilon when the attack fails, 0 when x already misses."""
-    return find_adversarial(model, x, y, attack).distance
+    perturbation, epsilon when the attack fails, 0 when x already misses.
 
-
-def adv_dist_scores(model: MLPClassifier, X, Y, attack: AttackConfig, seeds, traces=False):
-    """`adv_dist_score` of every row of a block, row i searched with seed
-    seeds[i] in one lock-step search.  Returns (distances, the first-run
-    trace of every row or None); see `find_adversarial_rows`."""
-    outcomes, found = find_adversarial_rows(model, X, Y, attack, seeds, traces)
-    return np.array([o.distance for o in outcomes]), found
+    All rows search in lock step; row i draws its restarts from seeds[i],
+    or from `attack.seed` when no seeds are given.  A list passed as
+    `traces` receives the first-run trace of every row (see
+    `find_adversarial_rows`).
+    """
+    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    seeds = [attack.seed] * len(X) if seeds is None else seeds
+    outcomes, found = find_adversarial_rows(
+        model, X, np.array(y, dtype=np.int64, ndmin=1), attack, seeds, traces is not None
+    )
+    if traces is not None:
+        traces.extend(found)
+    return one_or_block(x, np.array([o.distance for o in outcomes]))
 
 
 def membership_decision(score: float, tau: float) -> bool:
@@ -115,15 +130,15 @@ def _data_range(scores: np.ndarray, epsilon: float) -> tuple:
 class Strategy:
     """What one strategy is.
 
-    A threshold strategy scores one sample with `score(model, x, y)`, or,
-    when `needs_attack`, a block of samples at once with `score(model, X,
-    Y, attack, seeds, traces)` (see `adv_dist_scores`).  An attacker trains
-    the attack_models function named `fitter` on one feature vector per
-    sample: the output of the attack_models extractor named `extractor`,
-    whose feature set is called `features`, or the six threshold scores
-    when it has none.  Attacker functions are held by name so that they
-    are looked up on attack_models when called.  `hist_range(scores,
-    epsilon)` gives the range of the score histogram.
+    A threshold strategy scores a block of samples with `score(model, X,
+    Y)`, or `score(model, X, Y, attack)` when `needs_attack` (see
+    `adv_dist_score`), one value per row.  An attacker trains the
+    attack_models function named `fitter` on one feature row per sample:
+    the output of the attack_models extractor named `extractor`, which
+    also takes a block, whose feature set is called `features`, or the six
+    threshold scores when it has none.  Attacker functions are held by
+    name so that they are looked up on attack_models when called.
+    `hist_range(scores, epsilon)` gives the range of the score histogram.
     """
 
     name: str
@@ -155,7 +170,7 @@ STRATEGIES = {
         Strategy("loss", _data_range, loss_score),
         Strategy("grad_w_norm", _data_range, grad_w_norm_score),
         Strategy("grad_x_norm", _data_range, grad_x_norm_score),
-        Strategy("adv_dist", _epsilon_range, adv_dist_scores, needs_attack=True),
+        Strategy("adv_dist", _epsilon_range, adv_dist_score, needs_attack=True),
         Strategy("attacker_grad_w", _unit_range, features="grad_w_stats",
                  extractor="extract_grad_w_stats", fitter="fit_logistic_attacker"),
         Strategy("attacker_grad_x", _unit_range, features="grad_x_stats",
@@ -175,30 +190,29 @@ ATTACKER_STRATEGIES = tuple(n for n, s in STRATEGIES.items() if s.kind == "attac
 ENSEMBLE_FEATURE_ORDER = THRESHOLD_STRATEGIES
 
 
-def compute_score(
-    model: MLPClassifier, x, y: int, strategy: str, attack: AttackConfig = None
-) -> float:
-    """Score one sample with one threshold strategy."""
+def compute_score(model: MLPClassifier, x, y, strategy: str, attack: AttackConfig = None):
+    """Score a block of samples (n, d) with labels (n,), or one sample, with
+    one threshold strategy; every row of the search draws from `attack.seed`."""
     entry = STRATEGIES.get(strategy)
     if entry is None or entry.score is None:
         raise DataError(f"unknown strategy {strategy!r}")
-    if not entry.needs_attack:
-        return entry.score(model, x, y)
-    if attack is None:
+    if entry.needs_attack and attack is None:
         raise DataError(f"{strategy} strategy needs an AttackConfig")
-    values, _ = entry.score(model, np.asarray(x, dtype=np.float64)[None, :], [y], attack, [attack.seed])
-    return float(values[0])
+    extra = (attack,) if entry.needs_attack else ()
+    return entry.score(model, x, y, *extra)
 
 
-def write_score_records(records, path) -> None:
-    """CSV dump, one row per (sample, strategy); floats as shortest repr."""
+SCORE_HEADER = ["sample_id", "strategy", "score", "is_member"]
+
+
+def write_score_records(path, strategy: str, sample_ids, scores, is_member) -> None:
+    """CSV dump, one row per sample of one strategy; floats as shortest repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["sample_id", "strategy", "score", "is_member"])
-        for r in records:
-            writer.writerow(
-                [r.sample_id, r.strategy, repr(float(r.score)), int(r.is_member)]
-            )
+        writer.writerow(SCORE_HEADER)
+        rows = zip(np.asarray(sample_ids).tolist(), np.asarray(scores).tolist(), is_member)
+        for sid, score, member in rows:
+            writer.writerow([sid, strategy, repr(float(score)), int(member)])
 
 
 def parse_member_flag(field: str, path, lineno: int) -> bool:
@@ -209,22 +223,26 @@ def parse_member_flag(field: str, path, lineno: int) -> bool:
     return flag == "1"
 
 
-def read_score_records(path) -> list[ScoreRecord]:
-    records = []
+def read_score_records(path, strategy: str):
+    """One strategy's score CSV, streamed row by row into (sample ids,
+    scores, member flags) arrays in file order.  Every row must name
+    `strategy`."""
+    ids, scores, members = array("q"), array("d"), []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["sample_id", "strategy", "score", "is_member"]:
+        if next(reader, None) != SCORE_HEADER:
             raise DataError(f"unexpected score CSV header in {path}")
         for lineno, row in enumerate(reader, start=2):
             if len(row) != 4:
                 raise DataError(f"{path}: row {lineno} has {len(row)} fields, want 4")
             try:
-                sample_id, score = int(row[0]), float(row[2])
-            except ValueError as exc:
+                ids.append(int(row[0]))
+                scores.append(float(row[2]))
+            except (ValueError, OverflowError) as exc:
                 raise DataError(f"{path}: row {lineno}: {exc}") from exc
-            if not math.isfinite(score):
+            if not math.isfinite(scores[-1]):
                 raise DataError(f"{path}: row {lineno}: non-finite score")
-            member = parse_member_flag(row[3], path, lineno)
-            records.append(ScoreRecord(sample_id, row[1], score, member))
-    return records
+            if row[1] != strategy:
+                raise DataError(f"{path}: row {lineno}: strategy column does not name {strategy!r}")
+            members.append(parse_member_flag(row[3], path, lineno))
+    return np.array(ids, dtype=np.int64), np.array(scores), np.array(members, dtype=bool)

@@ -56,15 +56,10 @@ def desk_audit():
     for seed in DESK_SEEDS:
         model, train, held = train_desk_target(seed)
         attack = mi.AttackConfig(seed=seed, **DESK_ATTACK)
-        member = {}
-        nonmember = {}
-        for name in mi.THRESHOLD_STRATEGIES:
-            member[name] = np.array(
-                [mi.compute_score(model, train.X[i], int(train.y[i]), name, attack) for i in range(len(train))]
-            )
-            nonmember[name] = np.array(
-                [mi.compute_score(model, held.X[i], int(held.y[i]), name, attack) for i in range(len(held))]
-            )
+        member, nonmember = {}, {}
+        for name in mi.THRESHOLD_STRATEGIES:  # one block call per pool
+            member[name] = mi.compute_score(model, train.X, train.y, name, attack)
+            nonmember[name] = mi.compute_score(model, held.X, held.y, name, attack)
         runs.append(
             {
                 "seed": seed,

@@ -18,7 +18,7 @@ from miaudit.adversarial import (
     project_l1_ball,
 )
 from miaudit.errors import ConfigError, InvalidInputError
-from miaudit.nn_core import loss_and_grads
+from miaudit.nn_core import PROB_FLOOR, loss_and_grads, row_backward
 
 INF = math.inf
 
@@ -337,7 +337,7 @@ def _reference_project(cand, ctr, p, eps):
 
 def _reference_evaluate(model, x, y):
     loss, _, g, probs = loss_and_grads(
-        model, x[None, :], np.array([y]), need_params=False, need_input=True
+        model, x[None, :], np.array([y]), need_input=True
     )
     return loss, probs[0], g[0]
 
@@ -479,3 +479,93 @@ class TestBlockSearch:
                 assert trace.losses.tobytes() == losses.tobytes()
                 assert trace.predictions.tobytes() == preds.astype(np.int64).tobytes()
                 assert trace.center.tobytes() == X[i].tobytes()
+
+
+def _reference_row(model, x, y):
+    """The scores and features of one sample as plain one-sample code: the
+    one-row training pass (`np.matmul`, batch gradients of that row alone)
+    and a loop over the classes."""
+    _, grads, g_in, probs = loss_and_grads(model, x[None, :], np.array([y]), need_input=True)
+    _, acts, _ = model.forward(x[None, :])
+    p = probs[0]
+    loss = mi.cross_entropy_loss(p, y)
+    log_p = np.log(np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR))
+    log_1mp = np.log(np.clip(1.0 - p, PROB_FLOOR, 1.0 - PROB_FLOOR))
+    mentr = -(1.0 - p[y]) * log_p[y]
+    mentr -= float(np.sum([p[j] * log_1mp[j] for j in range(len(p)) if j != y]))
+    total = 0.0
+    for g in grads:
+        total += float(np.sum(g * g))
+    flat = np.concatenate([g.ravel() for g in grads])
+    onehot = np.eye(model.n_classes)[y]
+    wb = np.concatenate([grads[-2].ravel(), grads[-1], [loss], p, acts[-1][0], onehot])
+    return {
+        "softmax": float(np.max(p)),
+        "mentr": -float(mentr),
+        "loss": -loss,
+        "grad_w_norm": -total,
+        "grad_x_norm": -float(np.sqrt(np.sum(g_in[0] * g_in[0]))),
+        mi.extract_grad_w_stats: mi.gradient_statistics(flat).as_array(),
+        mi.extract_grad_x_stats: mi.gradient_statistics(g_in[0]).as_array(),
+        mi.extract_intermediate_outputs: np.concatenate([p, acts[-1][0]]),
+        mi.extract_wb_features: wb,
+    }
+
+
+BLOCK_CALLS = (
+    *mi.THRESHOLD_STRATEGIES,
+    mi.extract_grad_w_stats,
+    mi.extract_grad_x_stats,
+    mi.extract_intermediate_outputs,
+    mi.extract_wb_features,
+)
+
+
+class TestBlockScores:
+    """Every threshold score and feature extractor takes a block and gives
+    each row bitwise what its one-row call gives, whatever its block mates;
+    a one-row call gives a float or a 1-D vector."""
+
+    @pytest.fixture(scope="class", params=[[24, 128, 128, 10], [6, 16, 3], [4, 8, 3], [3, 5, 5, 2]])
+    def block(self, request):
+        dims = request.param
+        model = mi.build_mlp(dims, seed=dims[1])
+        # a dead ReLU: its zero activations and masked deltas give -0.0 terms,
+        # which an outer product and a gemm sum to different signed zeros
+        model.biases[0][0] = -100.0
+        X = np.random.default_rng(dims[0]).uniform(0, 1, (40, dims[0]))
+        probs = mi.forward_predict(model, X)
+        Y = np.argmax(probs, axis=1)
+        Y[:4] = np.argmin(probs[:4], axis=1)  # already misclassified
+        return model, X, Y
+
+    @staticmethod
+    def call(fn, model, X, Y):
+        if callable(fn):
+            return fn(model, X, Y)
+        return mi.compute_score(model, X, Y, fn, mi.AttackConfig(epsilon=0.2, n_iter=6, seed=3))
+
+    @pytest.mark.parametrize("fn", BLOCK_CALLS, ids=lambda f: getattr(f, "__name__", f))
+    def test_rows_match_one_row_calls(self, block, fn):
+        model, X, Y = block
+        got = self.call(fn, model, X, Y)
+        assert got.shape[0] == len(X)
+        ones = [self.call(fn, model, X[i], int(Y[i])) for i in range(len(X))]
+        for i, one in enumerate(ones):
+            if got.ndim == 1:
+                assert type(one) is float
+            else:
+                assert isinstance(one, np.ndarray) and one.shape == got.shape[1:]
+            assert _bits(one) == _bits(got[i])
+            want = _reference_row(model, X[i], int(Y[i])).get(fn)
+            if want is not None:
+                assert _bits(one) == _bits(want)
+        order = np.random.default_rng(8).permutation(len(X))
+        assert _bits(self.call(fn, model, X[order], Y[order])) == _bits(got[order])
+        parts = [self.call(fn, model, X[part], Y[part]) for part in np.array_split(order, 3)]
+        assert _bits(np.concatenate(parts)) == _bits(got[order])
+
+    def test_block_has_signed_zero_gradients(self, block):
+        model, X, Y = block
+        _, _, _, deltas, _ = row_backward(model, X, Y)
+        assert any(np.any(np.signbit(d) & (d == 0.0)) for d in deltas)

@@ -383,9 +383,9 @@ class TestFeatureDump:
         path = tmp_path / "features.csv"
         write_feature_dump(path, ids, X, members)
         rids, RX, rmembers = read_feature_dump(path)
-        assert rids == ids
+        assert rids.tolist() == ids
         assert np.array_equal(RX, X)
-        assert rmembers == members
+        assert rmembers.tolist() == members
 
     def test_header_check(self, tmp_path):
         path = tmp_path / "features.csv"

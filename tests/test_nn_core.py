@@ -202,7 +202,7 @@ class TestRowIndependence:
             predicted = mi.forward_predict(model, X)
             for i in range(n):
                 loss, _, g, p = loss_and_grads(
-                    model, X[i : i + 1], Y[i : i + 1], need_params=False, need_input=True
+                    model, X[i : i + 1], Y[i : i + 1], need_input=True
                 )
                 assert np.float64(loss).tobytes() == losses[i].tobytes()
                 assert p[0].tobytes() == probs[i].tobytes() == predicted[i].tobytes()

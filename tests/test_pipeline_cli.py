@@ -18,7 +18,7 @@ from miaudit.cli_runner.cli import main
 from miaudit.cli_runner.data import _atomic_file_write
 from miaudit.cli_runner.pipeline import prepare_target, resolve_workers, score_samples
 from miaudit.errors import ConfigError
-from miaudit.scores import ScoreRecord, read_score_records, write_score_records
+from miaudit.scores import read_score_records, write_score_records
 
 FAST_OVERRIDES = {
     "seed": "5",
@@ -108,23 +108,20 @@ class TestPipelineRun:
 
     def test_score_csv_matches_split(self, full_run):
         _, out, _ = full_run
-        records = read_score_records(out / "scores_loss.csv")
-        members = [r for r in records if r.is_member]
-        nonmembers = [r for r in records if not r.is_member]
-        assert len(members) == 11 and len(nonmembers) == 11
-        assert all(r.strategy == "loss" for r in records)
+        ids, _, members = read_score_records(out / "scores_loss.csv", "loss")
+        assert members.sum() == 11 and (~members).sum() == 11
         # member ids precede nonmember ids in the global numbering
-        assert max(r.sample_id for r in members) < min(r.sample_id for r in nonmembers)
+        assert ids[members].max() < ids[~members].min()
 
     def test_adv_dist_scores_within_budget(self, full_run):
         _, out, _ = full_run
-        records = read_score_records(out / "scores_adv_dist.csv")
-        assert all(0.0 <= r.score <= 1.0 for r in records)
+        _, scores, _ = read_score_records(out / "scores_adv_dist.csv", "adv_dist")
+        assert np.all((0.0 <= scores) & (scores <= 1.0))
 
     def test_attacker_scores_are_probabilities(self, full_run):
         _, out, _ = full_run
-        records = read_score_records(out / "scores_attacker_ensemble.csv")
-        assert all(0.0 <= r.score <= 1.0 for r in records)
+        _, scores, _ = read_score_records(out / "scores_attacker_ensemble.csv", "attacker_ensemble")
+        assert np.all((0.0 <= scores) & (scores <= 1.0))
 
     def test_roc_csv_parses(self, full_run):
         _, out, _ = full_run
@@ -198,16 +195,14 @@ class TestRerender:
         for path in out.glob("scores_*.csv"):
             (scores_dir / path.name).write_bytes(path.read_bytes())
         target = scores_dir / "scores_adv_dist.csv"
-        records = read_score_records(target)
+        name = "adv_dist"
+        ids, scores, members = read_score_records(target, name)
         if tamper == "sample_ids":
-            records = [
-                r if r.is_member else ScoreRecord(r.sample_id + 1000, r.strategy, r.score, False)
-                for r in records
-            ]
+            ids = np.where(members, ids, ids + 1000)
         elif tamper == "strategy_column":
-            records = [ScoreRecord(r.sample_id, "mentr", r.score, r.is_member) for r in records]
+            name = "mentr"
         elif tamper == "pool_size":
-            records = records[:-1]
+            ids, scores, members = ids[:-1], scores[:-1], members[:-1]
         elif tamper == "truncated_report":
             (scores_dir / "report.json").write_bytes((out / "report.json").read_bytes()[:100])
         elif tamper == "list_report":
@@ -215,10 +210,11 @@ class TestRerender:
         if tamper == "duplicate_id":
             # every file lists the first sample twice, so all files agree
             for path in scores_dir.glob("scores_*.csv"):
-                rows = read_score_records(path)
-                write_score_records(rows + rows[:1], path)
+                strategy = path.stem[len("scores_"):]
+                cols = read_score_records(path, strategy)
+                write_score_records(path, strategy, *(np.append(c, c[:1]) for c in cols))
         else:
-            write_score_records(records, target)
+            write_score_records(target, name, ids, scores, members)
         with pytest.raises(mi.DataError):
             rerender_from_scores(config, scores_dir, tmp_path / "out")
 
@@ -397,6 +393,38 @@ class TestCli:
         )
         assert rc == 0
         assert (tmp_path / "re" / "report.json").is_file()
+
+    @pytest.mark.parametrize("tamper", ["cut_train", "cut_heldout", "bad_manifest"])
+    def test_dataset_disagreeing_with_its_manifest_exit_code(self, tmp_path, capsys, tamper):
+        cfg = self.write_cfg(tmp_path)
+        assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "ds")]) == 0
+        ds = tmp_path / "ds"
+        if tamper == "bad_manifest":
+            (ds / "manifest.json").write_text('{"train_size": 18,')
+        else:
+            # 3 classes x 6 per class; a cut after 9 data rows is still valid CSV
+            path = ds / ("train.csv" if tamper == "cut_train" else "heldout.csv")
+            path.write_text("".join(path.read_text().splitlines(keepends=True)[:10]))
+        cfg2 = tmp_path / "run2.cfg"
+        cfg2.write_text(cfg.read_text() + f"strategies = loss\ndataset.source = csv\ndataset.path = {ds}\n")
+        assert main(["audit", "--config", str(cfg2), "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("tamper", ["cut_beside_report", "members_only", "nonmembers_only"])
+    def test_report_on_cut_score_file_exit_code(self, tmp_path, capsys, tamper):
+        cfg = self.write_cfg(tmp_path, "strategies = loss\n")
+        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        scores_dir = tmp_path / "scores"
+        scores_dir.mkdir()
+        lines = (tmp_path / "out" / "scores_loss.csv").read_text().splitlines(keepends=True)
+        # 18 member rows, then 18 nonmember rows
+        if tamper == "cut_beside_report":
+            (scores_dir / "report.json").write_bytes((tmp_path / "out" / "report.json").read_bytes())
+            kept = lines[:-1]
+        else:
+            kept = lines[:19] if tamper == "members_only" else lines[:1] + lines[19:]
+        (scores_dir / "scores_loss.csv").write_text("".join(kept))
+        args = ["report", "--config", str(cfg), "--scores-dir", str(scores_dir)]
+        assert main(args + ["--out", str(tmp_path / "re")]) == 3
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "absent.cfg"

@@ -8,7 +8,7 @@ import pytest
 import miaudit as mi
 from miaudit.errors import DataError
 from miaudit.nn_core import classification_accuracy
-from miaudit.scores import ScoreRecord, read_score_records, write_score_records
+from miaudit.scores import read_score_records, write_score_records
 from test_nn_core import make_blobs
 
 
@@ -159,54 +159,52 @@ class TestOrientation:
 
 class TestScoreRecords:
     def test_roundtrip_exact(self, tmp_path):
-        records = [
-            ScoreRecord(0, "loss", -0.123456789012345, True),
-            ScoreRecord(1, "loss", -2.5e-17, False),
-            ScoreRecord(2, "adv_dist", 0.75, True),
-        ]
+        ids, scores, members = [0, 1, 2], [-0.123456789012345, -2.5e-17, 0.75], [True, False, True]
         path = tmp_path / "scores.csv"
-        write_score_records(records, path)
-        back = read_score_records(path)
-        assert back == records
+        write_score_records(path, "loss", ids, scores, members)
+        back = read_score_records(path, "loss")
+        assert [c.tolist() for c in back] == [ids, scores, members]
 
     def test_repr_floats_preserved(self, tmp_path, rng):
-        records = [
-            ScoreRecord(i, "softmax", float(v), bool(i % 2))
-            for i, v in enumerate(rng.normal(0, 1, 50))
-        ]
+        scores = rng.normal(0, 1, 50)
         path = tmp_path / "scores.csv"
-        write_score_records(records, path)
-        for a, b in zip(records, read_score_records(path)):
-            assert a.score == b.score
+        write_score_records(path, "softmax", np.arange(50), scores, np.arange(50) % 2 == 1)
+        assert read_score_records(path, "softmax")[1].tobytes() == scores.tobytes()
+
+    def test_strategy_column_must_name_the_strategy(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("sample_id,strategy,score,is_member\n0,loss,1.0,0\n1,mentr,1.0,1\n")
+        with pytest.raises(DataError, match="row 3"):
+            read_score_records(path, "loss")
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text("id,strategy,score\n0,loss,1.0\n")
         with pytest.raises(DataError):
-            read_score_records(path)
+            read_score_records(path, "loss")
 
     def test_bad_field_count(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text("sample_id,strategy,score,is_member\n0,loss,1.0\n")
         with pytest.raises(DataError) as err:
-            read_score_records(path)
+            read_score_records(path, "loss")
         assert "row 2" in str(err.value)
 
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text("sample_id,strategy,score,is_member\n0,loss,nan,1\n")
         with pytest.raises(DataError):
-            read_score_records(path)
+            read_score_records(path, "loss")
 
     def test_non_numeric_rejected(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text("sample_id,strategy,score,is_member\n0,loss,abc,1\n")
         with pytest.raises(DataError):
-            read_score_records(path)
+            read_score_records(path, "loss")
 
     @pytest.mark.parametrize("flag", ["2", "-1", "7", "yes", ""])
     def test_bad_member_flag_rejected(self, tmp_path, flag):
         path = tmp_path / "scores.csv"
         path.write_text(f"sample_id,strategy,score,is_member\n0,loss,1.0,0\n1,loss,1.0,{flag}\n")
         with pytest.raises(DataError, match="row 3"):
-            read_score_records(path)
+            read_score_records(path, "loss")
