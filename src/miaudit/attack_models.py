@@ -48,6 +48,13 @@ ATTACKER_VERSION = 1
 
 _MOMENT_FLOOR = 1e-24
 
+# Ridge weight of the logistic attackers' penalised objective.  The unpenalised
+# maximum-likelihood fit overfits the seven collinear gradient statistics and
+# scores worse; any value from 1e-4 to 1e-2 keeps the reference AUROCs.
+LOGISTIC_RIDGE = 1e-3
+_ARMIJO = 1e-4  # sufficient-decrease fraction of the Newton line search
+_MAX_HALVINGS = 40
+
 
 @dataclass(frozen=True)
 class GradStats:
@@ -218,8 +225,10 @@ class BinaryNet(DenseNet):
 class TrainedAttacker:
     """Binary net plus the scaler fitted on its training features.
 
-    `history` holds the full-dataset training loss per step (logistic) or
-    per epoch (mlp/ensemble); it is not persisted by save_attacker.
+    `history` holds the full-dataset training loss per Newton iteration
+    (logistic) or per epoch (mlp/ensemble); the logistic entries are the
+    penalised objective, from the zero init on.  It is not persisted by
+    save_attacker.
     """
 
     kind: str  # "logistic" or "mlp"
@@ -253,31 +262,61 @@ def _check_labels(labels, n: int) -> np.ndarray:
     return y
 
 
-def fit_logistic_attacker(features, labels, seed: int = 0, max_steps: int = 10000):
-    """Logistic regression by full-batch gradient descent.
+def fit_logistic_attacker(features, labels, seed: int = 0, max_steps: int = 50):
+    """Logistic regression fitted exactly, by damped Newton.
 
-    Zero init, data-scaled step, stop at relative loss improvement < 1e-8.
+    Minimises the mean BCE plus a fixed weight ridge of 1e-3,
+    LOGISTIC_RIDGE / 2 * ||w||^2 (the bias is not penalised), from zero
+    init.  Each iteration solves the (d + 1)-square Newton system and halves
+    the step until the penalised objective decreases enough (Armijo); the
+    fit stops after the full step whose predicted decrease is below 1e-12
+    relative, or after `max_steps` iterations.
     """
     X_raw = _feature_matrix(features)
     y = _check_labels(labels, X_raw.shape[0])
     scaler = MinMaxScaler.fit(X_raw)
     X = scaler.transform(X_raw)
-    d = X.shape[1]
+    n, d = X.shape
     net = BinaryNet([d, 1], [np.zeros((d, 1))], [np.zeros(1)])
-    params = net.parameters()
-    # Smoothness of mean BCE is bounded by mean ||x||^2 / 4; stay below 1/L.
-    mean_sq = float(np.mean(np.sum(X * X, axis=1))) + 1.0
-    lr = 4.0 / mean_sq
-    prev = math.inf
-    history = []
+    w, b = net.parameters()
+    A = np.hstack([X, np.ones((n, 1))])
+    ridge = np.r_[np.full(d, LOGISTIC_RIDGE), 0.0]
+
+    def objective():
+        loss, (g_w, g_b), _, p = loss_and_grads(net, X, y)
+        loss += 0.5 * LOGISTIC_RIDGE * float(w[:, 0] @ w[:, 0])
+        if not math.isfinite(loss):
+            raise TrainingError("logistic attacker loss is not finite")
+        return loss, np.r_[g_w[:, 0] + LOGISTIC_RIDGE * w[:, 0], g_b], p
+
+    loss, grad, p = objective()
+    history = [loss]
     for _ in range(max_steps):
-        loss, grads, _, _ = loss_and_grads(net, X, y)
-        history.append(loss)
-        if prev - loss < 1e-8 * max(abs(prev), 1.0) and math.isfinite(prev):
+        hessian = (A.T * (p * (1.0 - p))) @ A / n + np.diag(ridge)
+        try:
+            step = np.linalg.solve(hessian, grad)
+        except np.linalg.LinAlgError as exc:
+            raise TrainingError(f"logistic attacker Newton system is singular: {exc}") from exc
+        theta = np.r_[w[:, 0], b]
+        slope = float(grad @ step)
+        # the quadratic model predicts a decrease of slope / 2; below 1e-12
+        # relative the loss no longer resolves it, so this last step is full
+        converged = slope < 2e-12 * max(abs(loss), 1.0)
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            w[:, 0], b[:] = np.split(theta - t * step, [d])
+            trial, trial_grad, trial_p = objective()
+            if converged or trial <= loss - _ARMIJO * t * slope:
+                break
+            t *= 0.5
+        else:
+            # no representable decrease is left along the Newton direction
+            w[:, 0], b[:] = np.split(theta, [d])
             break
-        for p, g in zip(params, grads):
-            p -= lr * g
-        prev = loss
+        loss, grad, p = trial, trial_grad, trial_p
+        history.append(loss)
+        if converged:
+            break
     return TrainedAttacker("logistic", net, scaler, history)
 
 

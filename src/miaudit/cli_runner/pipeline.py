@@ -24,6 +24,7 @@ from ..evaluation import (
     LabeledScoreSet,
     averaged_roc_on_grid,
     default_fpr_grid,
+    holdout_cut,
     holdout_threshold_eval,
     ratio_robustness_experiment,
     repeated_subset_experiment,
@@ -411,16 +412,17 @@ def rerender_from_scores(config: ExperimentConfig, scores_dir, out_dir):
 
     Stage seeds come from the config, so a re-render of an unmodified audit
     directory reproduces the audit's numbers.  Every file must list the same
-    (sample_id, is_member) sequence, each id once, with members and
-    nonmembers both present, and name its own strategy in every row;
-    otherwise the pools would pair different samples, count one twice or
-    leave nothing to compare.  Dataset/target/splits sections are carried
-    over from an existing report.json when present, and then the pools must
-    have the sizes its splits give, so a score file cut at a row boundary
-    is caught.
+    (sample_id, is_member) sequence, each id once, with enough members and
+    nonmembers for analysis2's holdout split (both sides of it keep some of
+    each), and name its own strategy in every row; otherwise the pools would
+    pair different samples, count one twice or leave nothing to compare.
+    Dataset/target/splits sections are carried over from an existing
+    report.json when present, and then the pools must have the sizes its
+    splits give, so a score file cut at a row boundary is caught.
     """
     scores_path = Path(scores_dir)
     strategies = config.strategies()
+    fraction = config["protocol.holdout_fraction"]
     member_pool = {}
     nonmember_pool = {}
     samples = None
@@ -435,8 +437,12 @@ def rerender_from_scores(config: ExperimentConfig, scores_dir, out_dir):
             repeated = ids[1:][ids[1:] == ids[:-1]]
             if repeated.size:
                 raise DataError(f"{csv_path}: sample_id {repeated[0]} appears more than once")
-            if members.all() or not members.any():
-                raise DataError(f"{csv_path}: needs both member and nonmember rows")
+            sizes = (int(members.sum()), int((~members).sum()))
+            if any(not 0 < holdout_cut(n, fraction) < n for n in sizes):
+                raise DataError(
+                    f"{csv_path}: {sizes[0]} members and {sizes[1]} nonmembers are too few for "
+                    f"analysis2's holdout split (protocol.holdout_fraction = {fraction})"
+                )
             samples = (ids, members)
         elif not (np.array_equal(ids, samples[0]) and np.array_equal(members, samples[1])):
             raise DataError(f"{csv_path}: samples differ from scores_{strategies[0]}.csv")

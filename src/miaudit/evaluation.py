@@ -142,6 +142,12 @@ def decision_rates(score_set: LabeledScoreSet, tau: float) -> tuple[float, float
     return 0.5 * (tpr + (1.0 - fpr)), fpr, tpr
 
 
+def holdout_cut(n: int, holdout_fraction: float) -> int:
+    """Rows of one class, of n, that holdout_threshold_eval uses to pick tau;
+    the other n - cut rows are its evaluation side."""
+    return int(round(holdout_fraction * n))
+
+
 def holdout_threshold_eval(
     score_set: LabeledScoreSet,
     holdout_fraction: float = 0.8,
@@ -160,7 +166,7 @@ def holdout_threshold_eval(
     for cls in (True, False):
         idx = np.nonzero(score_set.is_member == cls)[0]
         idx = idx[rng.permutation(idx.shape[0])]
-        cut = int(round(holdout_fraction * idx.shape[0]))
+        cut = holdout_cut(idx.shape[0], holdout_fraction)
         sel_idx.append(idx[:cut])
         eval_idx.append(idx[cut:])
     sel = np.concatenate(sel_idx)

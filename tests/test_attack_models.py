@@ -13,6 +13,7 @@ from miaudit.attack_models import (
     ATTACKER_MAGIC,
     ENSEMBLE_LAYER_DIMS,
     GRAD_STAT_NAMES,
+    LOGISTIC_RIDGE,
     BinaryNet,
     attacker_scores,
     load_attacker,
@@ -259,6 +260,86 @@ class TestLogisticAttacker:
         b = mi.fit_logistic_attacker(X, y)
         for ta, tb in zip(a.net.parameters(), b.net.parameters()):
             assert np.array_equal(ta, tb)
+
+    def test_weights_stay_finite_on_separable_set(self, rng):
+        # the ridge bounds the weights where plain maximum likelihood has none
+        X, y = separable_features(rng)
+        attacker = mi.fit_logistic_attacker(X, y)
+        assert all(np.all(np.isfinite(p)) for p in attacker.net.parameters())
+        assert len(attacker.history) <= 26
+
+    def test_collinear_overlapping_features_converge_fast(self, rng):
+        # two nearly proportional columns make gradient descent crawl; the
+        # Newton fit must stop on its own rule, far below max_steps
+        X = rng.normal(0.0, 1.0, (64, 7))
+        X[:, 1] = 2.0 * X[:, 0] + rng.normal(0.0, 1e-4, 64)
+        y = (X[:, 0] + X[:, 2] + rng.normal(0.0, 1.5, 64) > 0).astype(float)
+        attacker = mi.fit_logistic_attacker(X, y)
+        assert len(attacker.history) - 1 <= 25
+        assert np.all(np.diff(attacker.history) <= 1e-12)
+
+    def test_singular_newton_system_is_a_training_error(self, rng, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        X, y = separable_features(rng, n_per_side=10)
+        with pytest.raises(TrainingError, match="singular"):
+            mi.fit_logistic_attacker(X, y)
+
+
+def python_scaled(X):
+    """Min-max scaling of each column to [0, 1], as plain nested lists."""
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    return [[(v - a) / (b - a) for v, a, b in zip(row, lo, hi)] for row in X.tolist()]
+
+
+def python_penalised_grad(rows, y, w, b):
+    """Gradient of mean BCE + LOGISTIC_RIDGE / 2 * ||w||^2 at (w, b), one
+    math.exp per row."""
+    n = len(rows)
+    g_w = [LOGISTIC_RIDGE * wj for wj in w]
+    g_b = 0.0
+    for row, label in zip(rows, y):
+        z = sum(wj * xj for wj, xj in zip(w, row)) + b
+        p = 1.0 / (1.0 + math.exp(-z))
+        for j, xj in enumerate(row):
+            g_w[j] += (p - label) * xj / n
+        g_b += (p - label) / n
+    return g_w, g_b
+
+
+def overlapping_features(rng, n, dim):
+    X = rng.normal(0.0, 1.0, (n, dim))
+    logits = X @ rng.normal(0.0, 1.0, dim)
+    y = (rng.uniform(0.0, 1.0, n) < 1.0 / (1.0 + np.exp(-logits))).astype(float)
+    return X, y
+
+
+class TestLogisticAttackerOracle:
+    def test_penalised_gradient_vanishes(self, rng):
+        X, y = overlapping_features(rng, 80, 7)
+        attacker = mi.fit_logistic_attacker(X, y)
+        w = attacker.net.weights[0][:, 0].tolist()
+        b = float(attacker.net.biases[0][0])
+        g_w, g_b = python_penalised_grad(python_scaled(X), y.tolist(), w, b)
+        assert max(abs(g) for g in g_w + [g_b]) <= 1e-8
+
+    def test_matches_long_gradient_descent(self, rng):
+        X, y = overlapping_features(rng, 30, 2)
+        rows, labels = python_scaled(X), y.tolist()
+        # 1/L step: the mean BCE's curvature is at most max ||(x, 1)||^2 / 4
+        lr = 1.0 / (max(sum(v * v for v in row) + 1.0 for row in rows) / 4.0 + LOGISTIC_RIDGE)
+        w, b = [0.0, 0.0], 0.0
+        for _ in range(20000):
+            g_w, g_b = python_penalised_grad(rows, labels, w, b)
+            if max(abs(g) for g in g_w + [g_b]) < 1e-12:
+                break
+            w = [wj - lr * gj for wj, gj in zip(w, g_w)]
+            b -= lr * g_b
+        attacker = mi.fit_logistic_attacker(X, y)
+        assert np.allclose(attacker.net.weights[0][:, 0], w, rtol=0.0, atol=1e-6)
+        assert attacker.net.biases[0][0] == pytest.approx(b, abs=1e-6)
 
 
 class TestMlpAttacker:

@@ -426,6 +426,23 @@ class TestCli:
         args = ["report", "--config", str(cfg), "--scores-dir", str(scores_dir)]
         assert main(args + ["--out", str(tmp_path / "re")]) == 3
 
+    @pytest.mark.parametrize("n_lines", [20, 21])
+    def test_report_on_pools_too_small_for_holdout_exit_code(self, tmp_path, capsys, n_lines):
+        cfg = self.write_cfg(tmp_path, "strategies = loss\n")
+        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        scores_dir = tmp_path / "scores"
+        scores_dir.mkdir()
+        lines = (tmp_path / "out" / "scores_loss.csv").read_text().splitlines(keepends=True)
+        # header, 18 member rows and 1 or 2 nonmember rows, none of which
+        # is left for evaluation after the default 0.8 holdout split
+        (scores_dir / "scores_loss.csv").write_text("".join(lines[:n_lines]))
+        capsys.readouterr()
+        args = ["report", "--config", str(cfg), "--scores-dir", str(scores_dir)]
+        assert main(args + ["--out", str(tmp_path / "re")]) == 3
+        err = capsys.readouterr().err
+        assert "scores_loss.csv" in err
+        assert f"18 members and {n_lines - 19} nonmembers" in err
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "absent.cfg"
         assert main(["audit", "--config", str(missing)]) == 2
