@@ -245,6 +245,7 @@ class ExperimentConfig:
             ratio=self.analysis_ratio(),
             holdout_fraction=v["protocol.holdout_fraction"],
             seed=seed,
+            fpr_grid_points=v["protocol.fpr_grid_points"],
         )
 
     def echo(self) -> dict:

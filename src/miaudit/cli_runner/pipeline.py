@@ -22,7 +22,7 @@ from ..errors import AuditError, ConfigError, DataError
 from ..evaluation import (
     EvalReport,
     LabeledScoreSet,
-    averaged_roc_on_grid,
+    averaged_roc_on_grid,  # noqa: F401  bench/tracing.py patches pipeline.averaged_roc_on_grid by name
     default_fpr_grid,
     holdout_cut,
     holdout_threshold_eval,
@@ -157,6 +157,17 @@ def _attacker_split(config: ExperimentConfig, n_members: int, n_nonmembers: int,
     return mask
 
 
+def _holdout_shortfall(n_members: int, n_nonmembers: int, fraction: float):
+    """Why analysis2's holdout split cannot use pools of these sizes (a side
+    of it would get no members or no nonmembers), or None when it can."""
+    if all(0 < holdout_cut(n, fraction) < n for n in (n_members, n_nonmembers)):
+        return None
+    return (
+        f"{n_members} members and {n_nonmembers} nonmembers are too few for "
+        f"analysis2's holdout split (protocol.holdout_fraction = {fraction})"
+    )
+
+
 def score_samples(config: ExperimentConfig, model, X, Y, score_names, attacker_names):
     """Score every sample (row of X, label in Y, sample id = row index).
 
@@ -202,6 +213,16 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
     n_members = len(train_ds)
     n_nonmembers = len(heldout_ds)
     is_member = np.arange(n_members + n_nonmembers) < n_members
+    with _stage("attackers"):
+        train_mask = _attacker_split(config, n_members, n_nonmembers, bool(attacker_names))
+    eval_mask = ~train_mask
+    eval_member = is_member[eval_mask]
+    # the pool sizes follow from the config, so an unusable split is caught
+    # before any scoring
+    shortfall = _holdout_shortfall(int(eval_member.sum()), int((~eval_member).sum()),
+                                  config["protocol.holdout_fraction"])
+    if strategies and shortfall:
+        raise ConfigError(shortfall)
 
     # per-sample work: the threshold scores every strategy needs, and one
     # feature vector per attacker
@@ -213,8 +234,6 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
         scores, features, traces = score_samples(config, model, X, Y, needed_scores, attacker_names)
 
     with _stage("attackers"):
-        train_mask = _attacker_split(config, n_members, n_nonmembers, bool(attacker_names))
-        eval_mask = ~train_mask
         eval_scores = {name: scores[name][eval_mask] for name in strategies if name in scores}
         attackers = {}
         for name in attacker_names:
@@ -228,7 +247,6 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
 
     # pools ordered by ascending sample id; all strategies share them
     eval_ids = np.flatnonzero(eval_mask)
-    eval_member = is_member[eval_mask]
     member_pool = {name: eval_scores[name][eval_member] for name in strategies}
     nonmember_pool = {name: eval_scores[name][~eval_member] for name in strategies}
 
@@ -306,8 +324,7 @@ def build_report(
                     "aurocs": [float(v) for v in res.aurocs],
                     "accuracies": [float(v) for v in res.accuracies],
                 }
-                mean_tpr, std_tpr = averaged_roc_on_grid(res.curves, grid)
-                roc_grids[name] = (grid, mean_tpr, std_tpr)
+                roc_grids[name] = (grid, res.grid_rows.mean(axis=0), res.grid_rows.std(axis=0))
 
         with _stage("analysis2"):
             seed2 = stage_seed(config.seed, "analysis2")
@@ -437,12 +454,9 @@ def rerender_from_scores(config: ExperimentConfig, scores_dir, out_dir):
             repeated = ids[1:][ids[1:] == ids[:-1]]
             if repeated.size:
                 raise DataError(f"{csv_path}: sample_id {repeated[0]} appears more than once")
-            sizes = (int(members.sum()), int((~members).sum()))
-            if any(not 0 < holdout_cut(n, fraction) < n for n in sizes):
-                raise DataError(
-                    f"{csv_path}: {sizes[0]} members and {sizes[1]} nonmembers are too few for "
-                    f"analysis2's holdout split (protocol.holdout_fraction = {fraction})"
-                )
+            shortfall = _holdout_shortfall(int(members.sum()), int((~members).sum()), fraction)
+            if shortfall:
+                raise DataError(f"{csv_path}: {shortfall}")
             samples = (ids, members)
         elif not (np.array_equal(ids, samples[0]) and np.array_equal(members, samples[1])):
             raise DataError(f"{csv_path}: samples differ from scores_{strategies[0]}.csv")

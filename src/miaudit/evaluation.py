@@ -65,21 +65,49 @@ class ROCCurve:
 
 
 def _sweep(score_set: LabeledScoreSet):
-    """Sort the scores once and group ties.
-
-    Returns (sorted scores, boundaries, tp, fp): boundary j predicts
-    "member" for the top `boundaries[j]` scores and admits tp[j] members
-    and fp[j] nonmembers; entry 0 is the empty boundary.
-    """
+    """Sort the scores once and group ties; see `_sorted_sweep`."""
     _require_both_classes(score_set)
     order = np.argsort(-score_set.scores, kind="stable")
-    ss = score_set.scores[order]
-    mm = score_set.is_member[order]
+    return _sorted_sweep(score_set.scores[order], score_set.is_member[order])
+
+
+def _sorted_sweep(ss, mm):
+    """Group the ties of scores already in descending order.
+
+    Returns (ss, boundaries, tp, fp): boundary j predicts "member" for the
+    top `boundaries[j]` scores and admits tp[j] members and fp[j]
+    nonmembers; entry 0 is the empty boundary.  Only the score sequence and
+    each tie group's member count matter, so any descending order of the
+    same scores gives the same result.
+    """
     # last index of each tie group
     ends = np.append(np.nonzero(np.diff(ss) != 0)[0], ss.shape[0] - 1)
-    tp = np.concatenate([[0], np.cumsum(mm)[ends]]).astype(np.float64)
-    fp = np.concatenate([[0], np.cumsum(~mm)[ends]]).astype(np.float64)
+    members = np.cumsum(mm)[ends]
+    tp = np.concatenate([[0], members]).astype(np.float64)
+    fp = np.concatenate([[0], ends + 1 - members]).astype(np.float64)
     return ss, np.concatenate([[0], ends + 1]), tp, fp
+
+
+class _SortedPools:
+    """Both pools of one strategy (members first), stable-sorted by
+    descending score once.  `sweep(member_idx)` is the sweep of the chosen
+    members against every nonmember: filtering the pool's order by a mask
+    leaves the subset's scores in descending order with the same tie
+    groups, so it equals `_sweep` of a fresh sort, bit for bit."""
+
+    def __init__(self, member_scores, nonmember_scores):
+        pool = LabeledScoreSet.from_pools(member_scores, nonmember_scores)
+        self.n_members = int(pool.is_member.sum())
+        self.order = np.argsort(-pool.scores, kind="stable")
+        self.ss = pool.scores[self.order]
+        self.mm = pool.is_member[self.order]
+
+    def sweep(self, member_idx):
+        keep = np.ones(self.order.shape[0], dtype=bool)
+        keep[: self.n_members] = False
+        keep[member_idx] = True
+        keep = keep[self.order]
+        return _sorted_sweep(self.ss[keep], self.mm[keep])
 
 
 def _curve(ss, boundaries, tp, fp) -> ROCCurve:
@@ -183,26 +211,29 @@ def holdout_threshold_eval(
     return bal, fpr
 
 
+def _grid_row(curve: ROCCurve, grid) -> np.ndarray:
+    """TPR of one curve at each grid FPR: the curve keeps one (max) TPR per
+    distinct FPR, the last of its run since fpr is non-decreasing, and is
+    linearly interpolated between them."""
+    ends = np.append(np.nonzero(np.diff(curve.fpr) != 0)[0], curve.fpr.shape[0] - 1)
+    return np.interp(grid, curve.fpr[ends], curve.tpr[ends])
+
+
 def averaged_roc_on_grid(curves, fpr_grid) -> tuple[np.ndarray, np.ndarray]:
     """Mean and population std of TPR at fixed FPR grid points.
 
-    Each curve is reduced to one (max) TPR per distinct FPR, then linearly
-    interpolated on the grid.
+    Each curve is reduced to its grid row as the repeated protocol reduces
+    each repeat's curve (`StrategyRepeats.grid_rows`), so the mean and std
+    of a protocol's curves are those of its grid rows.
     """
     grid = np.asarray(fpr_grid, dtype=np.float64)
     if grid.size == 0:
         raise ConfigError("fpr grid must be non-empty")
     if np.any(np.diff(grid) <= 0) or grid[0] < 0 or grid[-1] > 1:
         raise ConfigError("fpr grid must be strictly increasing within [0, 1]")
-    curves = list(curves)
-    if not curves:
+    rows = [_grid_row(c, grid) for c in curves]
+    if not rows:
         raise ConfigError("need at least one ROC curve to average")
-    rows = []
-    for c in curves:
-        uniq = np.unique(c.fpr)
-        # keep the highest TPR at each FPR: last occurrence along the curve
-        idx = np.searchsorted(c.fpr, uniq, side="right") - 1
-        rows.append(np.interp(grid, uniq, c.tpr[idx]))
     stack = np.vstack(rows)
     return stack.mean(axis=0), stack.std(axis=0)
 
@@ -224,6 +255,7 @@ class ProtocolConfig:
     ratio: tuple = (1, 1)  # member:nonmember target for derived subsets
     holdout_fraction: float = 0.8
     seed: int = 0
+    fpr_grid_points: int = DEFAULT_FPR_GRID_POINTS  # of each repeat's grid row
 
     def __post_init__(self):
         if self.member_pool_size < 1 or self.nonmember_pool_size < 1:
@@ -253,11 +285,16 @@ class ProtocolConfig:
 
 @dataclass
 class StrategyRepeats:
-    """Per-repeat metrics for one strategy under the balanced protocol."""
+    """Per-repeat metrics for one strategy under the balanced protocol.
+
+    Row r of `grid_rows` is repeat r's ROC curve reduced to its TPR at each
+    point of `default_fpr_grid(protocol.fpr_grid_points)`, as
+    `averaged_roc_on_grid` reduces a curve; the curves are not kept.
+    """
 
     aurocs: np.ndarray
     accuracies: np.ndarray
-    curves: list = field(default_factory=list)
+    grid_rows: np.ndarray  # (repeats, grid points)
 
     @property
     def auroc_mean(self) -> float:
@@ -283,7 +320,9 @@ def repeated_subset_experiment(
 ) -> dict:
     """Repeat: draw a member subset, evaluate every strategy on subset vs the
     full nonmember pool.  The same subset indices serve all strategies within
-    a repeat; stds are population stds over repeats.
+    a repeat; stds are population stds over repeats.  Each strategy's pools
+    are sorted once and every repeat sweeps that order filtered to its
+    subset.
     """
     if set(member_scores) != set(nonmember_scores):
         raise ConfigError("member and nonmember score tables list different strategies")
@@ -296,22 +335,24 @@ def repeated_subset_experiment(
     if sizes_m != {protocol.member_pool_size} or sizes_n != {protocol.nonmember_pool_size}:
         raise ConfigError("score pools do not match the protocol pool sizes")
     subset = protocol.resolved_subset_size()
+    grid = default_fpr_grid(protocol.fpr_grid_points)
+    names = sorted(member_scores)
+    pools = {name: _SortedPools(member_scores[name], nonmember_scores[name]) for name in names}
     results = {
         name: StrategyRepeats(
-            np.zeros(protocol.repeats), np.zeros(protocol.repeats), []
+            np.zeros(protocol.repeats), np.zeros(protocol.repeats), np.zeros((protocol.repeats, grid.size))
         )
         for name in member_scores
     }
     for r in range(protocol.repeats):
         rng = np.random.default_rng([protocol.seed, r])
         idx = rng.choice(protocol.member_pool_size, size=subset, replace=False)
-        for name in sorted(member_scores):
-            pool_m = np.ravel(member_scores[name])[idx]
-            sweep = _sweep(LabeledScoreSet.from_pools(pool_m, nonmember_scores[name]))
+        for name in names:
+            sweep = pools[name].sweep(idx)
             curve = _curve(*sweep)
             results[name].aurocs[r] = _area(curve)
             results[name].accuracies[r] = _best_accuracy(*sweep)[1]
-            results[name].curves.append(curve)
+            results[name].grid_rows[r] = _grid_row(curve, grid)
     return results
 
 
@@ -326,7 +367,8 @@ def ratio_robustness_experiment(
 
     Nonmembers stay fixed; the member side is subsampled to round(a/b * n)
     per ratio a:b and averaged over seeded draws.  A ratio that needs more
-    members than the pool holds raises ConfigError.
+    members than the pool holds raises ConfigError.  The pools are sorted
+    once and every draw sweeps that order filtered to its members.
     """
     ms = np.asarray(member_scores, dtype=np.float64).ravel()
     ns = np.asarray(nonmember_scores, dtype=np.float64).ravel()
@@ -334,6 +376,7 @@ def ratio_robustness_experiment(
         raise EvaluationError("ratio experiment needs both pools non-empty")
     if repeats < 1:
         raise ConfigError("ratio repeats must be >= 1")
+    pools = _SortedPools(ms, ns)
     out = {}
     for a, b in ratios:
         if a < 1 or b < 1:
@@ -347,13 +390,12 @@ def ratio_robustness_experiment(
             )
         key = f"{a}:{b}"
         if need == ms.size:
-            out[key] = auroc(LabeledScoreSet.from_pools(ms, ns))
+            out[key] = _area(_curve(*_sorted_sweep(pools.ss, pools.mm)))
             continue
         vals = np.zeros(repeats)
         for r in range(repeats):
             rng = np.random.default_rng([seed, a, b, r])
-            sub = ms[rng.choice(ms.size, size=need, replace=False)]
-            vals[r] = auroc(LabeledScoreSet.from_pools(sub, ns))
+            vals[r] = _area(_curve(*pools.sweep(rng.choice(ms.size, size=need, replace=False))))
         out[key] = float(vals.mean())
     return out
 

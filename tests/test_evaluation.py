@@ -276,7 +276,7 @@ class TestRepeatedSubset:
         out = mi.repeated_subset_experiment(member, nonmember, proto)
         for rep in out.values():
             assert rep.aurocs.shape == (5,)
-            assert len(rep.curves) == 5
+            assert rep.grid_rows.shape == (5, proto.fpr_grid_points)
             assert abs(rep.auroc_std - float(np.std(rep.aurocs))) < 1e-15
             assert abs(rep.auroc_mean - float(np.mean(rep.aurocs))) < 1e-15
 
@@ -344,6 +344,79 @@ class TestRatioRobustness:
         a = mi.ratio_robustness_experiment(m, n, ratios=((2, 1),), repeats=5, seed=7)
         b = mi.ratio_robustness_experiment(m, n, ratios=((2, 1),), repeats=5, seed=7)
         assert a == b
+
+
+def unique_grid_row(curve, grid):
+    """A curve's TPR on the grid, reduced with np.unique and searchsorted:
+    the highest TPR at each distinct FPR, linearly interpolated."""
+    uniq = np.unique(curve.fpr)
+    idx = np.searchsorted(curve.fpr, uniq, side="right") - 1
+    return np.interp(grid, uniq, curve.tpr[idx])
+
+
+class TestSortOnceOracle:
+    """The protocols sort each pool once and sweep it filtered per draw;
+    every draw must be bitwise what a fresh sort of its own subset gives."""
+
+    def _pools(self, rng, n_m=60, n_n=40):
+        def streams(n, shift):
+            z = rng.normal(shift, 1, n)
+            return {
+                "coarse": np.round(z, 1),  # many ties across both pools
+                "clipped": np.clip(0.45 + 0.3 * z, 0.0, 1.0),  # ties at both ends
+                "signed_zero": np.where(z < 0, -0.0, np.where(z > 1, 0.0, z)),
+                "smooth": z,
+            }
+
+        return streams(n_m, 0.5), streams(n_n, 0.0)
+
+    @pytest.mark.parametrize("subset", [0, 17, 60])
+    def test_repeats_match_a_fresh_sort_of_each_subset(self, rng, subset):
+        member, nonmember = self._pools(rng)
+        proto = mi.ProtocolConfig(60, 40, member_subset_size=subset, repeats=7, seed=3,
+                                  fpr_grid_points=33)
+        out = mi.repeated_subset_experiment(member, nonmember, proto)
+        grid = default_fpr_grid(33)
+        size = proto.resolved_subset_size()
+        for name in member:
+            rows = []
+            for r in range(proto.repeats):
+                idx = np.random.default_rng([proto.seed, r]).choice(60, size=size, replace=False)
+                sset = spools(member[name][idx], nonmember[name])
+                curve = mi.roc_curve(sset)
+                rows.append(unique_grid_row(curve, grid))
+                assert out[name].aurocs[r] == mi.auroc(sset)
+                assert out[name].aurocs[r] == pytest.approx(
+                    pair_count_auc(member[name][idx], nonmember[name]), abs=1e-12
+                )
+                assert out[name].accuracies[r] == mi.best_threshold_accuracy(sset)[1]
+            assert out[name].grid_rows.tobytes() == np.vstack(rows).tobytes()
+
+    def test_ratio_draws_match_a_fresh_sort_of_each_draw(self, rng):
+        member, nonmember = self._pools(rng)
+        ratios = ((3, 1), (2, 1), (1, 1), (1, 4))  # 3:1 takes the whole member pool
+        for name in member:
+            ms, ns = member[name], nonmember[name][:20]
+            out = mi.ratio_robustness_experiment(ms, ns, ratios=ratios, repeats=6, seed=11)
+            for a, b in ratios:
+                need = int(round(ns.size * a / b))
+                if need == ms.size:
+                    assert out[f"{a}:{b}"] == mi.auroc(spools(ms, ns))
+                    continue
+                vals = np.zeros(6)
+                for r in range(6):
+                    sub = np.random.default_rng([11, a, b, r]).choice(ms.size, size=need, replace=False)
+                    vals[r] = mi.auroc(spools(ms[sub], ns))
+                assert out[f"{a}:{b}"] == float(vals.mean())
+
+    def test_averaged_roc_matches_the_unique_reduction(self, rng):
+        member, nonmember = self._pools(rng)
+        grid = default_fpr_grid(41)
+        curves = [mi.roc_curve(spools(member[n], nonmember[n])) for n in member]
+        mean, std = mi.averaged_roc_on_grid(curves, grid)
+        rows = np.vstack([unique_grid_row(c, grid) for c in curves])
+        assert mean.tobytes() == rows.mean(axis=0).tobytes()
+        assert std.tobytes() == rows.std(axis=0).tobytes()
 
 
 class TestScoreHistogram:

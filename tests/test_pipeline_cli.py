@@ -443,6 +443,24 @@ class TestCli:
         assert "scores_loss.csv" in err
         assert f"18 members and {n_lines - 19} nonmembers" in err
 
+    @pytest.mark.parametrize("case", ["tiny_dataset", "holdout_fraction"])
+    def test_audit_on_pools_too_small_for_holdout_exit_code(self, tmp_path, capsys, case):
+        if case == "tiny_dataset":
+            # 2 samples per pool: the 0.8 cut keeps both for picking tau
+            cfg = tmp_path / "tiny.cfg"
+            cfg.write_text(
+                "dataset.classes = 2\ndataset.n_per_class = 1\ndataset.heldout_per_class = 1\n"
+                "target.epochs = 2\nstrategies = loss\n"
+            )
+        else:
+            # 18 samples per pool: the 0.99 cut leaves none to evaluate
+            cfg = self.write_cfg(tmp_path, "strategies = loss\nprotocol.holdout_fraction = 0.99\n")
+        capsys.readouterr()
+        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "protocol.holdout_fraction" in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "absent.cfg"
         assert main(["audit", "--config", str(missing)]) == 2

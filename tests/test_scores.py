@@ -1,6 +1,9 @@
 """Per-sample membership scores: formulas, orientation, CSV round trips."""
 
+import csv
+import gc
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -8,7 +11,12 @@ import pytest
 import miaudit as mi
 from miaudit.errors import DataError
 from miaudit.nn_core import classification_accuracy
-from miaudit.scores import read_score_records, write_score_records
+from miaudit.scores import (
+    SCORE_CHUNK_ROWS,
+    SCORE_HEADER,
+    read_score_records,
+    write_score_records,
+)
 from test_nn_core import make_blobs
 
 
@@ -208,3 +216,137 @@ class TestScoreRecords:
         path.write_text(f"sample_id,strategy,score,is_member\n0,loss,1.0,0\n1,loss,1.0,{flag}\n")
         with pytest.raises(DataError, match="row 3"):
             read_score_records(path, "loss")
+
+
+def row_by_row_score_reader(path, strategy):
+    """Reference reader: one row at a time, the first bad row raises.  Per
+    row the checks run in this order: field count, sample id (a 64-bit
+    int), score (a float), finite score, strategy name, member flag."""
+    ids, scores, members = array("q"), array("d"), []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == SCORE_HEADER
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != 4:
+                raise DataError(f"{path}: row {lineno} has {len(row)} fields, want 4")
+            try:
+                ids.append(int(row[0]))
+                scores.append(float(row[2]))
+            except (ValueError, OverflowError) as exc:
+                raise DataError(f"{path}: row {lineno}: {exc}") from exc
+            if not math.isfinite(scores[-1]):
+                raise DataError(f"{path}: row {lineno}: non-finite score")
+            if row[1] != strategy:
+                raise DataError(f"{path}: row {lineno}: strategy column does not name {strategy!r}")
+            if row[3].strip() not in ("0", "1"):
+                raise DataError(f"{path}: row {lineno}: is_member must be 0 or 1, got {row[3]!r}")
+            members.append(row[3].strip() == "1")
+    return np.array(ids, dtype=np.int64), np.array(scores), np.array(members, dtype=bool)
+
+
+def score_lines(n):
+    return [f"{i},loss,{0.001 * i - 1.5!r},{i % 2}" for i in range(n)]
+
+
+def write_score_lines(path, lines, newline="\n"):
+    path.write_bytes(newline.join(["sample_id,strategy,score,is_member", *lines, ""]).encode())
+
+
+BAD_ROWS = {
+    "field_count": "5,loss,1.0",
+    "bad_int": "x5,loss,1.0,1",
+    "id_beyond_64_bits": f"{2**64},loss,1.0,1",
+    "id_below_64_bits": f"{-2**63 - 1},loss,1.0,0",
+    "bad_float": "5,loss,abc,1",
+    "inf": "5,loss,inf,1",
+    "nan": "5,loss,NaN,0",
+    "strategy": "5,mentr,1.0,1",
+    "flag": "5,loss,1.0,2",
+}
+
+
+class TestScoreReaderParity:
+    """The column-wise reader against the row-by-row reference."""
+
+    @staticmethod
+    def assert_same_error(path, strategy="loss"):
+        with pytest.raises(DataError) as want:
+            row_by_row_score_reader(path, strategy)
+        with pytest.raises(DataError) as got:
+            read_score_records(path, strategy)
+        assert str(got.value) == str(want.value)
+        return str(got.value)
+
+    @staticmethod
+    def assert_same_arrays(path, strategy="loss"):
+        want = row_by_row_score_reader(path, strategy)
+        got = read_score_records(path, strategy)
+        for w, g in zip(want, got):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        return got
+
+    @pytest.mark.parametrize("defect", sorted(BAD_ROWS))
+    @pytest.mark.parametrize(
+        "n_rows, bad_at",
+        [
+            pytest.param(9, 4, id="first_chunk"),
+            pytest.param(3 * SCORE_CHUNK_ROWS, SCORE_CHUNK_ROWS + SCORE_CHUNK_ROWS // 2, id="second_chunk"),
+        ],
+    )
+    def test_bad_row_in_the_middle(self, tmp_path, defect, n_rows, bad_at):
+        lines = score_lines(n_rows)
+        lines[bad_at] = BAD_ROWS[defect]
+        write_score_lines(tmp_path / "scores.csv", lines)
+        message = self.assert_same_error(tmp_path / "scores.csv")
+        assert f"row {bad_at + 2}" in message
+
+    def test_first_bad_row_wins_over_a_later_one(self, tmp_path):
+        # the later row fails a check that runs earlier within a row
+        lines = score_lines(300)
+        lines[100] = BAD_ROWS["flag"]
+        lines[200] = BAD_ROWS["field_count"]
+        write_score_lines(tmp_path / "scores.csv", lines)
+        assert "row 102" in self.assert_same_error(tmp_path / "scores.csv")
+
+    def test_bad_row_before_a_csv_error_wins(self, tmp_path):
+        lines = score_lines(300)
+        lines[100] = BAD_ROWS["bad_float"]
+        lines[200] = f"7,loss,{'9' * (csv.field_size_limit() + 1)},1"
+        write_score_lines(tmp_path / "scores.csv", lines)
+        assert "row 102" in self.assert_same_error(tmp_path / "scores.csv")
+
+    def test_whitespace_quotes_and_crlf_load_the_same(self, tmp_path):
+        lines = [
+            " 3 ,loss, 0.25 , 1 ",
+            '"4","loss","-1e-3","0"',
+            '5,"loss",  7.5,"\t1"',
+            "6,loss,+2.5, 0",
+        ]
+        for newline in ("\n", "\r\n"):
+            write_score_lines(tmp_path / "scores.csv", lines, newline)
+            ids, scores, members = self.assert_same_arrays(tmp_path / "scores.csv")
+            assert ids.tolist() == [3, 4, 5, 6]
+            assert scores.tolist() == [0.25, -1e-3, 7.5, 2.5]
+            assert members.tolist() == [True, False, True, False]
+
+    @pytest.mark.parametrize(
+        "n_rows",
+        [0, 1, SCORE_CHUNK_ROWS, SCORE_CHUNK_ROWS + 1],
+        ids=["empty", "one_row", "one_chunk", "one_chunk_plus_one"],
+    )
+    def test_chunk_edges_load_the_same(self, tmp_path, n_rows):
+        write_score_lines(tmp_path / "scores.csv", score_lines(n_rows))
+        ids, _, _ = self.assert_same_arrays(tmp_path / "scores.csv")
+        assert ids.tolist() == list(range(n_rows))
+
+    def test_read_triggers_no_cyclic_collection(self, tmp_path):
+        # a chunk's row lists die before the collector's first threshold
+        write_score_lines(tmp_path / "scores.csv", score_lines(20 * SCORE_CHUNK_ROWS))
+        collections = []
+        gc.collect()
+        gc.callbacks.append(lambda phase, info: collections.append(info["generation"]))
+        try:
+            read_score_records(tmp_path / "scores.csv", "loss")
+        finally:
+            gc.callbacks.pop()
+        assert collections == []
