@@ -29,13 +29,14 @@ from .nn_core import (
     one_or_block,
     read_net_params,
     row_backward,
-    row_parameter_grads,
+    row_gradient_factors,
     row_product,
     write_net_params,
     _read_exact,
 )
 from .scores import (
     ENSEMBLE_FEATURE_ORDER,  # noqa: F401  re-exported: the ensemble attacker's input columns
+    csv_rows,
     parse_member_flag,
 )
 
@@ -104,14 +105,39 @@ def gradient_statistics(grad) -> GradStats:
 
 
 def extract_grad_w_stats(model: MLPClassifier, x, y) -> np.ndarray:
-    """Statistics of the full parameter gradient, flattened in `parameters()`
-    order; one row per sample, built one row at a time."""
+    """`gradient_statistics` of the full parameter gradient, one row per
+    sample, from the per-layer factor sums of `row_gradient_factors`: the
+    power sums give the raw moments, and the central ones follow from the
+    binomial expansion around the mean.  No row's gradient is formed."""
     _, acts, _, deltas, _ = row_backward(model, x, y)
-    rows = [
-        gradient_statistics(np.concatenate([g.ravel() for g in row_parameter_grads(acts, deltas, k)]))
-        for k in range(acts[0].shape[0])
+    factors = row_gradient_factors(acts, deltas)
+    n = model.parameter_count()
+    # the sum of g**p over the whole gradient, for p = 1..4
+    sums = [sum((a.powers[p] + 1.0) * d.powers[p] for a, d in factors) for p in range(4)]
+    mean, e2, e3, e4 = (s / n for s in sums)
+    m2 = e2 - mean * mean
+    m3 = e3 - 3.0 * mean * e2 + 2.0 * mean**3
+    m4 = e4 - 4.0 * mean * e3 + 6.0 * mean * mean * e2 - 3.0 * mean**4
+    flat = m2 < _MOMENT_FLOOR
+    m2 = np.where(flat, 1.0, m2)
+    # per layer: the largest entry is a product of the factors' extremes or
+    # the largest bias entry, the smallest |entry| min|a| * min|delta| or
+    # the smallest |bias entry|
+    largest = [
+        np.maximum.reduce([a.max * d.max, a.max * d.min, a.min * d.max, a.min * d.min, d.max])
+        for a, d in factors
     ]
-    return one_or_block(x, np.array([r.as_array() for r in rows]))
+    smallest = [np.minimum(a.abs_min * d.abs_min, d.abs_min) for a, d in factors]
+    stats = [
+        sum((a.abs_sum + 1.0) * d.abs_sum for a, d in factors),
+        np.sqrt(sums[1]),
+        np.max(largest, axis=0),
+        mean,
+        np.where(flat, 0.0, m3 / m2**1.5),
+        np.where(flat, 0.0, m4 / m2**2 - 3.0),
+        np.min(smallest, axis=0),
+    ]
+    return one_or_block(x, np.stack(stats, axis=1))
 
 
 def extract_grad_x_stats(model: MLPClassifier, x, y) -> np.ndarray:
@@ -332,8 +358,9 @@ def _train_binary_net(
     patience: int = 20,
 ) -> list[float]:
     rng = np.random.default_rng(seed)
-    params = net.parameters()
-    adam = AdamState([p.shape for p in params])
+    grad = np.empty_like(net.flat)
+    grads = net.parameter_views(grad)
+    adam = AdamState(grad.size)
     n = X.shape[0]
     history = []
     best = math.inf
@@ -342,8 +369,8 @@ def _train_binary_net(
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            _, grads, _, _ = loss_and_grads(net, X[idx], y[idx])
-            adam.step(params, grads, learning_rate)
+            loss_and_grads(net, X[idx], y[idx], grads=grads)
+            adam.step(net.flat, grad, learning_rate)
         loss = mean_loss(net, X, y)
         if not math.isfinite(loss):
             raise TrainingError("attacker training diverged")
@@ -479,7 +506,7 @@ def write_feature_dump(path, sample_ids, features, is_member) -> None:
 def read_feature_dump(path):
     """Inverse of write_feature_dump: (ids, matrix, is_member) arrays."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv_rows(fh, path)
         header = next(reader, None)
         if not header or header[0] != "sample_id" or header[-1] != "is_member":
             raise DataError(f"unexpected feature CSV header in {path}")

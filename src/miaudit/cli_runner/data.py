@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConfigError, DataError
+from ..scores import csv_rows
 
 DATA_MAGIC = b"MIADATA\x00"
 DATA_VERSION = 1
@@ -144,7 +145,7 @@ def save_csv_file(dataset: Dataset, path) -> None:
 def read_csv_file(path):
     """(features, labels) from one CSV file; errors carry the line number."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv_rows(fh, path)
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path}: empty file")

@@ -114,13 +114,14 @@ class DenseNet:
     """
 
     def __init__(self, layer_dims: Sequence[int], weights: list, biases: list):
-        """Copies every parameter into a C-ordered float64 array, so a net
-        never aliases its caller's arrays."""
+        """Copies every parameter into one flat float64 buffer, `flat`, so a
+        net never aliases its caller's arrays; `weights[i]` and `biases[i]`
+        are C-contiguous views of it, laid out in `parameters()` order."""
         dims = _check_layer_dims(layer_dims)
         if len(weights) != len(dims) - 1 or len(biases) != len(dims) - 1:
             raise ShapeError("parameter list length does not match layer_dims")
-        weights = [np.array(w, dtype=np.float64, order="C") for w in weights]
-        biases = [np.array(b, dtype=np.float64, order="C") for b in biases]
+        weights = [np.asarray(w, dtype=np.float64) for w in weights]
+        biases = [np.asarray(b, dtype=np.float64) for b in biases]
         if not all(np.all(np.isfinite(p)) for p in weights + biases):
             raise InvalidInputError("network parameters must be finite")
         for i, (w, b) in enumerate(zip(weights, biases)):
@@ -131,8 +132,12 @@ class DenseNet:
             if b.shape != (dims[i + 1],):
                 raise ShapeError(f"layer {i} bias shape {b.shape} != ({dims[i + 1]},)")
         self.layer_dims = dims
-        self.weights = weights
-        self.biases = biases
+        self.flat = np.empty(sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:])))
+        views = self.parameter_views(self.flat)
+        for view, p in zip(views, [p for pair in zip(weights, biases) for p in pair]):
+            view[...] = p
+        self.weights = views[0::2]
+        self.biases = views[1::2]
 
     @classmethod
     def build(cls, layer_dims: Sequence[int], seed: int):
@@ -162,7 +167,18 @@ class DenseNet:
         return out
 
     def parameter_count(self) -> int:
-        return sum(p.size for p in self.parameters())
+        return self.flat.size
+
+    def parameter_views(self, flat: np.ndarray) -> list:
+        """C-contiguous views of a flat buffer shaped like `parameters()`:
+        each layer's weight (fan_in, fan_out) and then its bias (fan_out,)."""
+        views, start = [], 0
+        for fan_in, fan_out in zip(self.layer_dims, self.layer_dims[1:]):
+            for shape in ((fan_in, fan_out), (fan_out,)):
+                size = math.prod(shape)
+                views.append(flat[start : start + size].reshape(shape))
+                start += size
+        return views
 
     def forward(self, X: np.ndarray, product=np.matmul):
         """Batch forward pass: (pre-activations, activations starting with
@@ -230,24 +246,28 @@ def _backward(net: DenseNet, pres, delta, need_input, product=np.matmul):
     return deltas, product(delta, net.weights[0].T) if need_input else None
 
 
-def _parameter_grads(acts, deltas) -> list:
-    """Gradients of the batch's summed head loss in `parameters()` order."""
-    grads = []
-    for a, delta in zip(acts, deltas):
-        grads += [a.T @ delta, delta.sum(axis=0)]
+def _parameter_grads(acts, deltas, grads: list) -> list:
+    """Gradients of the batch's summed head loss, written into `grads`, one
+    array per parameter in `parameters()` order, and returned."""
+    for a, delta, g_w, g_b in zip(acts, deltas, grads[0::2], grads[1::2]):
+        np.matmul(a.T, delta, out=g_w)
+        delta.sum(axis=0, out=g_b)
     return grads
 
 
-def loss_and_grads(net: DenseNet, X, Y, need_input=False):
+def loss_and_grads(net: DenseNet, X, Y, need_input=False, grads=None):
     """Mean head loss over the batch plus its exact gradients.
 
     Returns (loss, parameter grads in `parameters()` order, input grad or
-    None, head output).
+    None, head output).  The parameter grads are written into `grads`, for
+    example `net.parameter_views` of a flat buffer, or into new arrays.
     """
     pres, acts, out = net.forward(X)
     loss = float(np.mean(net.head_losses(pres[-1], out, Y)))
     deltas, g_in = _backward(net, pres, net.head_delta(out, Y) / X.shape[0], need_input)
-    return loss, _parameter_grads(acts, deltas), g_in, out
+    if grads is None:
+        grads = net.parameter_views(np.empty(net.parameter_count()))
+    return loss, _parameter_grads(acts, deltas, grads), g_in, out
 
 
 def mean_loss(net: DenseNet, X, Y) -> float:
@@ -291,7 +311,7 @@ def row_backward(model: MLPClassifier, x, y):
     block (n, d) and n labels, or one input and label, each row bitwise what
     the row alone gives: block arrays (pre-activations, activations, probs,
     deltas, input grads).  deltas[i] is each row's gradient w.r.t. layer
-    i's pre-activation; see `row_parameter_grads`."""
+    i's pre-activation; see `row_gradient_factors`."""
     X = _check_rows(model, x)
     Y = _check_labels(model, y, X.shape[0])
     pres, acts, probs = model.forward(X, row_product)
@@ -299,12 +319,47 @@ def row_backward(model: MLPClassifier, x, y):
     return pres, acts, probs, deltas, g_in
 
 
-def row_parameter_grads(acts, deltas, k: int) -> list:
-    """Row k's parameter gradients in `parameters()` order from a
-    `row_backward` pass: the batch gradient of that row alone, so layer i's
-    weight gradient is the gemm `a_i[k][:, None] @ delta_i[k][None, :]`
-    (an outer product by multiplication gives -0.0 where it gives +0.0)."""
-    return _parameter_grads([a[k : k + 1] for a in acts], [d[k : k + 1] for d in deltas])
+@dataclass(frozen=True)
+class FactorSums:
+    """Per-row reductions of one factor of a rank-1 gradient block, each an
+    (n,) array; `powers[p - 1]` is the sum of x**p, for p = 1..4."""
+
+    powers: tuple
+    abs_sum: np.ndarray
+    min: np.ndarray
+    max: np.ndarray
+    abs_min: np.ndarray
+
+
+def _factor_sums(x: np.ndarray) -> FactorSums:
+    # a C-ordered block reduces each row along axis 1 on its own, so every
+    # row's sums are bitwise what the row alone gives
+    x = np.ascontiguousarray(x)
+    x2 = x * x
+    x_abs = np.abs(x)
+    return FactorSums(
+        powers=(x.sum(axis=1), x2.sum(axis=1), (x2 * x).sum(axis=1), (x2 * x2).sum(axis=1)),
+        abs_sum=x_abs.sum(axis=1),
+        min=x.min(axis=1),
+        max=x.max(axis=1),
+        abs_min=x_abs.min(axis=1),
+    )
+
+
+def row_gradient_factors(acts, deltas) -> list:
+    """Per layer, the (activation, delta) `FactorSums` of every row of a
+    `row_backward` pass.
+
+    Row k's gradient of layer i's parameters is the weight block
+    `a_i[k] (x) delta_i[k]` and the bias block `delta_i[k]`: the rank-1
+    block of `(a_i[k], 1) (x) delta_i[k]`.  So its sum of g**p is
+    `(sum a**p + 1) * sum delta**p`, its l1 norm factorises the same way,
+    its largest entry is one of the four products of the two factors'
+    extremes or the largest delta, and its smallest |g| is
+    `min|a| * min|delta|` or the smallest |delta| (Goodfellow 2015,
+    arXiv:1510.01799).  No row's gradient is ever formed.
+    """
+    return [(_factor_sums(a), _factor_sums(d)) for a, d in zip(acts, deltas)]
 
 
 def sample_evaluation(model: MLPClassifier, x, y):
@@ -324,7 +379,11 @@ def backward_gradients(model: MLPClassifier, x, y):
     if np.ndim(x) != 1:
         raise ShapeError("backward_gradients takes one input vector")
     _, acts, _, deltas, g_in = row_backward(model, x, y)
-    return row_parameter_grads(acts, deltas, 0), g_in[0]
+    # the batch gradient of the row alone: layer i's weight gradient is the
+    # gemm a_i.T @ delta_i (an outer product by multiplication gives -0.0
+    # where the gemm gives +0.0)
+    grads = model.parameter_views(np.empty(model.parameter_count()))
+    return _parameter_grads(acts, deltas, grads), g_in[0]
 
 
 def _dataset_arrays(model: MLPClassifier, X, Y) -> tuple[np.ndarray, np.ndarray]:
@@ -344,27 +403,40 @@ def _dataset_arrays(model: MLPClassifier, X, Y) -> tuple[np.ndarray, np.ndarray]
 
 
 class AdamState:
-    """Adam moment buffers with bias correction, one pair per parameter."""
+    """Adam moment buffers with bias correction over one flat parameter
+    buffer (Kingma & Ba, arXiv:1412.6980).  The update is elementwise, so it
+    runs once over the whole buffer, in place."""
 
-    def __init__(self, shapes, beta1=0.9, beta2=0.999, epsilon=1e-8):
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
+    def __init__(self, size: int, beta1=0.9, beta2=0.999, epsilon=1e-8):
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._scratch = (np.empty(size), np.empty(size))
         self.t = 0
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
 
-    def step(self, params: list, grads: list, lr: float) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray, lr: float) -> None:
+        """Moment updates, then
+        `params -= lr * (m / c1) / (sqrt(v / c2) + epsilon)`, each operation
+        in this order and grouping."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + self.epsilon)
+        m, v = self.m, self.v
+        s, u = self._scratch
+        m *= b1
+        m += np.multiply(1.0 - b1, grads, out=s)
+        v *= b2
+        np.multiply(grads, grads, out=s)
+        v += np.multiply(1.0 - b2, s, out=s)
+        np.divide(v, c2, out=s)
+        np.sqrt(s, out=s)
+        s += self.epsilon
+        np.divide(m, c1, out=u)
+        np.multiply(lr, u, out=u)
+        params -= np.divide(u, s, out=u)
 
 
 def train(model: MLPClassifier, X, Y, config: TrainConfig):
@@ -376,11 +448,12 @@ def train(model: MLPClassifier, X, Y, config: TrainConfig):
     X, Y = _dataset_arrays(model, X, Y)
     n = X.shape[0]
     rng = np.random.default_rng(config.seed)
-    params = model.parameters()
+    grad = np.empty_like(model.flat)
+    grads = model.parameter_views(grad)
     adam = None
     if config.optimizer == "adam":
         adam = AdamState(
-            [p.shape for p in params],
+            grad.size,
             beta1=config.adam_beta1,
             beta2=config.adam_beta2,
             epsilon=config.adam_epsilon,
@@ -392,15 +465,14 @@ def train(model: MLPClassifier, X, Y, config: TrainConfig):
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             try:
-                loss, grads, _, _ = loss_and_grads(model, X[idx], Y[idx])
+                loss, _, _, _ = loss_and_grads(model, X[idx], Y[idx], grads=grads)
             except InvalidInputError as exc:
                 # overflowed parameters poison the forward pass
                 raise TrainingError(f"training diverged: {exc}") from exc
             if adam is not None:
-                adam.step(params, grads, config.learning_rate)
+                adam.step(model.flat, grad, config.learning_rate)
             else:
-                for p, g in zip(params, grads):
-                    p -= config.learning_rate * g
+                model.flat -= config.learning_rate * grad
             total += loss * len(idx)
         epoch_loss = total / n
         if not math.isfinite(epoch_loss):

@@ -31,7 +31,7 @@ from .nn_core import (
     forward_predict,
     one_or_block,
     row_backward,
-    row_parameter_grads,
+    row_gradient_factors,
     sample_evaluation,
 )
 
@@ -71,17 +71,11 @@ def loss_score(model: MLPClassifier, x, y):
 
 
 def grad_w_norm_score(model: MLPClassifier, x, y):
-    """Negated SQUARED l2 norm of the full parameter gradient."""
+    """Negated SQUARED l2 norm of the full parameter gradient, summed over
+    the layers as `(sum a**2 + 1) * sum delta**2` (`row_gradient_factors`)."""
     _, acts, _, deltas, _ = row_backward(model, x, y)
-    scores = np.empty(acts[0].shape[0])
-    # one row at a time: the parameter gradients of a whole block can take
-    # more memory than the rest of the audit
-    for k in range(len(scores)):
-        total = 0.0
-        for g in row_parameter_grads(acts, deltas, k):  # this order and grouping fix the score's last bits
-            total += float(np.sum(g * g))
-        scores[k] = -total
-    return one_or_block(x, scores)
+    squares = sum((a.powers[1] + 1.0) * d.powers[1] for a, d in row_gradient_factors(acts, deltas))
+    return one_or_block(x, -squares)
 
 
 def grad_x_norm_score(model: MLPClassifier, x, y):
@@ -216,6 +210,16 @@ def write_score_records(path, strategy: str, sample_ids, scores, is_member) -> N
             writer.writerow([sid, strategy, repr(float(score)), int(member)])
 
 
+def csv_rows(fh, path):
+    """The rows of `csv.reader(fh)`.  A `csv.Error`, such as a field over
+    `csv.field_size_limit()`, raises DataError naming the file and line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
+
+
 def parse_member_flag(field: str, path, lineno: int) -> bool:
     """The is_member column of a CSV row: "1" is a member, "0" is not."""
     flag = field.strip()
@@ -279,14 +283,14 @@ def read_score_records(path, strategy: str):
     fails is read again row by row, to report its first bad row."""
     chunks = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv_rows(fh, path)
         if next(reader, None) != SCORE_HEADER:
             raise DataError(f"unexpected score CSV header in {path}")
         for lineno in itertools.count(2, SCORE_CHUNK_ROWS):
             rows = []
             try:
                 rows.extend(itertools.islice(reader, SCORE_CHUNK_ROWS))
-            except csv.Error:
+            except DataError:
                 _score_rows(rows, strategy, path, lineno)  # a bad row before it comes first
                 raise
             columns = _score_columns(rows, strategy)

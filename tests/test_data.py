@@ -99,6 +99,12 @@ class TestCsvFormat:
             read_csv_file(path)
         assert "3" in str(err.value)
 
+    def test_oversized_field_is_a_data_error(self, tmp_path):
+        path = tmp_path / "part.csv"
+        path.write_text(f"f0,f1,label\n0.1,0.2,0\n0.3,{'9' * 140_000},1\n")  # over csv.field_size_limit()
+        with pytest.raises(DataError, match="part.csv: line 3: field larger than field limit"):
+            read_csv_file(path)
+
     def test_negative_label_rejected(self, tmp_path):
         path = tmp_path / "part.csv"
         path.write_text("f0,label\n0.5,-1\n")

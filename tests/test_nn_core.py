@@ -7,11 +7,23 @@ import numpy as np
 import pytest
 
 import miaudit as mi
-from miaudit.attack_models import ATTACKER_MAGIC, load_attacker, save_attacker
+from miaudit.attack_models import (
+    ATTACKER_MAGIC,
+    ATTACKER_VERSION,
+    ENSEMBLE_LAYER_DIMS,
+    BinaryNet,
+    MinMaxScaler,
+    TrainedAttacker,
+    _train_binary_net,
+    load_attacker,
+    save_attacker,
+)
 from miaudit.cli_runner.cli import main
 from miaudit.errors import ConfigError, DataError, InvalidInputError, ShapeError, TrainingError
 from miaudit.nn_core import (
     CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    _backward,
     classification_accuracy,
     loss_and_grads,
     sample_evaluation,
@@ -348,6 +360,133 @@ class TestEmpiricalRisk:
             [mi.cross_entropy_loss(mi.forward_predict(tiny_model, X[i]), int(y[i])) for i in range(9)]
         )
         assert abs(mi.empirical_risk(tiny_model, X, y) - manual) < 1e-12
+
+
+def reference_train(net, X, Y, seed, epochs, batch_size, lr, optimizer="adam"):
+    """The per-array training loop: fresh gradient arrays per batch, one
+    Adam moment pair per parameter array, each array updated on its own.
+    Returns the number of steps."""
+    rng = np.random.default_rng(seed)
+    params = net.parameters()
+    m = [np.zeros(p.shape) for p in params]
+    v = [np.zeros(p.shape) for p in params]
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    t = 0
+    for _ in range(epochs):
+        order = rng.permutation(len(X))
+        for start in range(0, len(X), batch_size):
+            idx = order[start : start + batch_size]
+            pres, acts, out = net.forward(X[idx])
+            deltas, _ = _backward(net, pres, net.head_delta(out, Y[idx]) / len(idx), False)
+            grads = [g for a, d in zip(acts, deltas) for g in (a.T @ d, d.sum(axis=0))]
+            t += 1
+            if optimizer == "sgd":
+                for p, g in zip(params, grads):
+                    p -= lr * g
+                continue
+            c1 = 1.0 - b1**t
+            c2 = 1.0 - b2**t
+            for p, g, mp, vp in zip(params, grads, m, v):
+                mp *= b1
+                mp += (1.0 - b1) * g
+                vp *= b2
+                vp += (1.0 - b2) * (g * g)
+                p -= lr * (mp / c1) / (np.sqrt(vp / c2) + eps)
+    return t
+
+
+def parameter_bytes(net) -> bytes:
+    return b"".join(p.tobytes() for p in net.parameters())
+
+
+class TestFlatTraining:
+    """Training over one flat parameter, gradient and moment buffer is
+    bitwise the per-array loop."""
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_target_training_matches_per_array_loop(self, optimizer):
+        dims = [24, 128, 128, 10]
+        rng = np.random.default_rng(5)
+        X = rng.uniform(0, 1, (64, 24))
+        y = rng.integers(0, 10, 64)
+        model = mi.build_mlp(dims, seed=3)
+        cfg = mi.TrainConfig(epochs=100, batch_size=32, learning_rate=1e-3, optimizer=optimizer, seed=4)
+        mi.train(model, X, y, cfg)
+        reference = mi.build_mlp(dims, seed=3)
+        assert reference_train(reference, X, y, 4, 100, 32, 1e-3, optimizer) == 200
+        assert parameter_bytes(model) == parameter_bytes(reference)
+        assert model.flat.tobytes() == parameter_bytes(reference)
+
+    @pytest.mark.parametrize("dims", [[1439, 64, 32, 1], list(ENSEMBLE_LAYER_DIMS)], ids=["wb", "ensemble"])
+    def test_attacker_training_matches_per_array_loop(self, dims):
+        rng = np.random.default_rng(6)
+        X = rng.uniform(0, 1, (64, dims[0]))
+        y = (np.arange(64) % 2).astype(np.float64)
+        net = BinaryNet.build(dims, seed=7)
+        # a patience past the last epoch: every epoch runs
+        history = _train_binary_net(net, X, y, 8, 100, 1e-3, 32, patience=101)
+        assert len(history) == 100
+        reference = BinaryNet.build(dims, seed=7)
+        assert reference_train(reference, X, y, 8, 100, 32, 1e-3) == 200
+        assert parameter_bytes(net) == parameter_bytes(reference)
+
+
+class TestFlatParameters:
+    def test_parameters_are_views_of_one_flat_buffer(self):
+        model = mi.build_mlp([5, 7, 3], seed=1)
+        params = model.parameters()
+        assert model.flat.size == model.parameter_count() == sum(p.size for p in params)
+        assert model.flat.tobytes() == parameter_bytes(model)
+        for p in params:
+            assert p.flags.c_contiguous and np.shares_memory(p, model.flat)
+
+    def test_net_does_not_alias_callers_arrays(self):
+        rng = np.random.default_rng(2)
+        weights = [np.asfortranarray(rng.normal(size=(4, 6))), rng.normal(size=(3, 6)).T]
+        biases = [rng.normal(size=6), rng.normal(size=(2, 3))[0]]
+        kept = [a.copy() for a in weights + biases]
+        model = mi.MLPClassifier([4, 6, 3], weights, biases)
+        for a, k in zip(model.parameters(), [kept[0], kept[2], kept[1], kept[3]]):
+            assert np.array_equal(a, k)
+        assert not any(np.shares_memory(model.flat, a) for a in weights + biases)
+        for a in weights + biases:
+            a[...] = 0.0
+        model.flat[:] = 7.0
+        assert all(np.all(p == 7.0) for p in model.parameters())
+        assert all(not np.any(a) for a in weights + biases)
+
+    def test_checkpoint_bytes_are_the_per_array_layout(self, tmp_path):
+        rng = np.random.default_rng(3)
+        dims = [4, 6, 3]
+        weights = [rng.normal(size=(4, 6)), rng.normal(size=(6, 3))]
+        biases = [rng.normal(size=6), rng.normal(size=3)]
+        layers = b"".join(w.astype("<f8").tobytes() + b.astype("<f8").tobytes() for w, b in zip(weights, biases))
+        net_bytes = struct.pack("<I", 3) + struct.pack("<3I", *dims) + layers
+        path = tmp_path / "model.ckpt"
+        mi.save_checkpoint(mi.MLPClassifier(dims, weights, biases), path)
+        assert path.read_bytes() == CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION) + net_bytes
+        bin_dims = [4, 6, 1]
+        bin_weights = [weights[0], weights[1][:, :1]]
+        bin_biases = [biases[0], biases[1][:1]]
+        layers = b"".join(
+            w.astype("<f8").tobytes() + b.astype("<f8").tobytes() for w, b in zip(bin_weights, bin_biases)
+        )
+        mins, maxs = rng.normal(size=4), rng.normal(size=4) + 5.0
+        attacker = TrainedAttacker(
+            "mlp", BinaryNet(bin_dims, bin_weights, bin_biases), MinMaxScaler(mins, maxs)
+        )
+        save_attacker(attacker, path)
+        assert path.read_bytes() == (
+            ATTACKER_MAGIC
+            + struct.pack("<I", ATTACKER_VERSION)
+            + struct.pack("<B", 1)
+            + struct.pack("<I", 3)
+            + struct.pack("<3I", *bin_dims)
+            + layers
+            + struct.pack("<I", 4)
+            + mins.astype("<f8").tobytes()
+            + maxs.astype("<f8").tobytes()
+        )
 
 
 class TestCheckpoint:

@@ -426,6 +426,18 @@ class TestCli:
         args = ["report", "--config", str(cfg), "--scores-dir", str(scores_dir)]
         assert main(args + ["--out", str(tmp_path / "re")]) == 3
 
+    def test_report_on_oversized_score_field_exit_code(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, "strategies = loss\n")
+        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        scores_dir = tmp_path / "scores"
+        scores_dir.mkdir()
+        lines = (tmp_path / "out" / "scores_loss.csv").read_text().splitlines(keepends=True)
+        lines[5] = f"4,loss,{'9' * 140_000},1\n"  # over csv.field_size_limit()
+        (scores_dir / "scores_loss.csv").write_text("".join(lines))
+        args = ["report", "--config", str(cfg), "--scores-dir", str(scores_dir)]
+        assert main(args + ["--out", str(tmp_path / "re")]) == 3
+        assert "scores_loss.csv: line 6: field larger than field limit" in capsys.readouterr().err
+
     @pytest.mark.parametrize("n_lines", [20, 21])
     def test_report_on_pools_too_small_for_holdout_exit_code(self, tmp_path, capsys, n_lines):
         cfg = self.write_cfg(tmp_path, "strategies = loss\n")

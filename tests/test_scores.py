@@ -217,6 +217,14 @@ class TestScoreRecords:
         with pytest.raises(DataError, match="row 3"):
             read_score_records(path, "loss")
 
+    @pytest.mark.parametrize("line", [1, 4, SCORE_CHUNK_ROWS + 40], ids=["header", "first_chunk", "second_chunk"])
+    def test_oversized_field_is_a_data_error(self, tmp_path, line):
+        lines = ["sample_id,strategy,score,is_member", *score_lines(2 * SCORE_CHUNK_ROWS)]
+        lines[line - 1] = f"7,loss,{'9' * 140_000},1"  # over csv.field_size_limit(), 131,072
+        (tmp_path / "scores.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"scores.csv: line {line}: field larger than field limit"):
+            read_score_records(tmp_path / "scores.csv", "loss")
+
 
 def row_by_row_score_reader(path, strategy):
     """Reference reader: one row at a time, the first bad row raises.  Per
