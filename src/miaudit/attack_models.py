@@ -18,7 +18,7 @@ from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError, TrainingError
+from .errors import ConfigError, DataError, InvalidInputError, ShapeError, TrainingError
 from .nn_core import (
     AdamState,
     DenseNet,
@@ -180,8 +180,8 @@ def extract_wb_features(model: MLPClassifier, x, y) -> np.ndarray:
 class MinMaxScaler:
     """Per-column affine map to [0, 1] with clipping outside the fit range.
 
-    Degenerate columns (max == min) map to 0.  Refitting on a transformed
-    split reproduces the identity on that split.
+    Degenerate columns (max == min) map to 0; the others are `live`.
+    Refitting on a transformed split reproduces the identity on that split.
     """
 
     mins: np.ndarray
@@ -194,16 +194,21 @@ class MinMaxScaler:
             raise ShapeError("scaler fit needs a non-empty 2-D matrix")
         return cls(arr.min(axis=0), arr.max(axis=0))
 
+    @property
+    def live(self) -> np.ndarray:
+        """Boolean mask of the columns with a positive span on the fit rows;
+        `transform` maps every other column to 0 on every row."""
+        return self.maxs - self.mins > 0
+
     def transform(self, X) -> np.ndarray:
         arr = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if arr.shape[1] != self.mins.shape[0]:
             raise ShapeError(
                 f"scaler expects {self.mins.shape[0]} columns, got {arr.shape[1]}"
             )
-        span = self.maxs - self.mins
-        safe = np.where(span > 0, span, 1.0)
-        out = (arr - self.mins) / safe
-        out = np.where(span > 0, out, 0.0)
+        live = self.live
+        out = (arr - self.mins) / np.where(live, self.maxs - self.mins, 1.0)
+        out = np.where(live, out, 0.0)
         return np.clip(out, 0.0, 1.0)
 
 
@@ -213,12 +218,11 @@ class MinMaxScaler:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """`1 / (1 + exp(-z))` for z >= 0 and `exp(z) / (1 + exp(z))` below,
+    elementwise bitwise that two-branch form: `exp(-|z|)` is `exp(-z)` on
+    the first branch and `exp(z)` on the second, and never overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class BinaryNet(DenseNet):
@@ -274,6 +278,8 @@ def _feature_matrix(features) -> np.ndarray:
         raise ShapeError(f"feature vectors must share one length: {exc}") from exc
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ShapeError("attacker training needs a non-empty feature matrix")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError("attacker features must be finite")
     return arr
 
 
@@ -385,12 +391,27 @@ def _train_binary_net(
 
 def _fit_mlp(X_raw, labels, seed, hidden, epochs, learning_rate, batch_size) -> TrainedAttacker:
     """Scale the features, then train a ReLU net with the given hidden
-    widths under a sigmoid output."""
+    widths under a sigmoid output.
+
+    A column constant on the training rows scales to 0 on every row, so its
+    first-layer weights get a zero gradient and Adam leaves them at their
+    init.  So a core net that starts from the full net's init is trained on
+    the live columns only, and its parameters are written back; with no live
+    column, every column is trained.
+    """
     y = _check_labels(labels, X_raw.shape[0])
     scaler = MinMaxScaler.fit(X_raw)
     X = scaler.transform(X_raw)
     net = BinaryNet.build([X.shape[1], *hidden, 1], seed)
-    history = _train_binary_net(net, X, y, seed + 1, epochs, learning_rate, batch_size)
+    live = scaler.live
+    cols = live if live.any() else ~live
+    core = BinaryNet(
+        [int(cols.sum()), *hidden, 1], [net.weights[0][cols], *net.weights[1:]], net.biases
+    )
+    history = _train_binary_net(core, X[:, cols], y, seed + 1, epochs, learning_rate, batch_size)
+    net.weights[0][cols] = core.weights[0]
+    for dst, src in zip(net.parameters()[1:], core.parameters()[1:]):
+        dst[...] = src
     return TrainedAttacker("mlp", net, scaler, history)
 
 
@@ -403,7 +424,9 @@ def fit_mlp_attacker(
     learning_rate: float = 1e-3,
     batch_size: int = 32,
 ) -> TrainedAttacker:
-    """Two-hidden-layer combiner for wide feature vectors."""
+    """Two-hidden-layer combiner for wide feature vectors.  The first-layer
+    weights of a column constant on the training rows stay at their init
+    and are not trained."""
     return _fit_mlp(_feature_matrix(features), labels, seed, hidden, epochs, learning_rate, batch_size)
 
 
@@ -419,7 +442,9 @@ def build_and_train_ensemble(
 
     Architecture is fixed at [6, 40, 40, 20, 10, 1]; Adam for at most
     `epochs` epochs with early stop when the full-set BCE fails to improve
-    by 1e-6 for 20 consecutive epochs.
+    by 1e-6 for 20 consecutive epochs.  The first-layer weights of a
+    score column constant on the training rows stay at their init and are
+    not trained.
     """
     X_raw = _feature_matrix(features)
     if X_raw.shape[1] != ENSEMBLE_LAYER_DIMS[0]:
@@ -485,6 +510,10 @@ def load_attacker(path) -> TrainedAttacker:
         maxs = np.frombuffer(_read_exact(fh, 8 * n_feat), dtype="<f8")
         if fh.read(1):
             raise DataError("trailing bytes after attacker checkpoint payload")
+    if not (np.all(np.isfinite(mins)) and np.all(np.isfinite(maxs))):
+        raise DataError("attacker checkpoint holds non-finite scaler bounds")
+    if np.any(maxs < mins):
+        raise DataError("attacker checkpoint holds a scaler bound with max < min")
     net = BinaryNet(dims, weights, biases)
     return TrainedAttacker(_KIND_NAMES[kind_code], net, MinMaxScaler(mins.copy(), maxs.copy()))
 
@@ -520,5 +549,7 @@ def read_feature_dump(path):
                 rows.append([float(v) for v in row[1:-1]])
             except (ValueError, OverflowError) as exc:
                 raise DataError(f"{path}: row {lineno}: {exc}") from exc
+            if not all(map(math.isfinite, rows[-1])):
+                raise DataError(f"{path}: row {lineno}: non-finite feature value")
             members.append(parse_member_flag(row[-1], path, lineno))
     return np.array(ids, dtype=np.int64), np.array(rows, dtype=np.float64), np.array(members, dtype=bool)

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -15,14 +16,17 @@ from miaudit.attack_models import (
     GRAD_STAT_NAMES,
     LOGISTIC_RIDGE,
     BinaryNet,
+    MinMaxScaler,
+    _sigmoid,
+    _train_binary_net,
     attacker_scores,
     load_attacker,
     read_feature_dump,
     save_attacker,
     write_feature_dump,
 )
-from miaudit.errors import ConfigError, DataError, ShapeError, TrainingError
-from miaudit.nn_core import cross_entropy_loss, forward_predict, loss_and_grads, row_backward
+from miaudit.errors import ConfigError, DataError, InvalidInputError, ShapeError, TrainingError
+from miaudit.nn_core import _mean, cross_entropy_loss, forward_predict, loss_and_grads, row_backward
 
 
 def python_stats(values):
@@ -275,6 +279,42 @@ class TestMinMaxScaler:
         with pytest.raises(ShapeError):
             scaler.transform(np.zeros((2, 4)))
 
+    def test_live_marks_the_columns_with_a_span(self):
+        X = np.array([[2.0, 1.0, 0.0, 5e-324], [2.0, 3.0, 0.0, 0.0]])
+        assert MinMaxScaler.fit(X).live.tolist() == [False, True, False, True]
+
+
+def two_branch_sigmoid(z):
+    """The sigmoid as two masked branches, each exp taken only where it
+    cannot overflow."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestHeadArithmetic:
+    def test_sigmoid_is_bitwise_the_two_branch_form(self, rng):
+        edges = [0.0, 5e-324, 1e-300, 1e-8, 0.5, 1.0, 36.7, 37.0, 709.0, 744.9, 745.0, 746.0]
+        edges += [1e300, 1.7976931348623157e308, np.inf]
+        z = np.r_[edges, np.negative(edges), rng.normal(0.0, 30.0, 500), np.nan]
+        with warnings.catch_warnings():  # overflow or invalid would warn
+            warnings.simplefilter("error")
+            got = _sigmoid(z)
+        want = two_branch_sigmoid(z)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        finite = ~np.isnan(want)
+        assert np.array_equal(got[finite].view(np.int64), want[finite].view(np.int64))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 17, 32, 127, 128, 129, 1000, 4099])
+    def test_mean_is_bitwise_np_mean(self, rng, n):
+        for losses in (rng.exponential(1.0, n), rng.normal(0.0, 1e6, n) ** 3):
+            got, want = _mean(losses), float(np.mean(losses))
+            assert type(got) is float
+            assert struct.pack("<d", got) == struct.pack("<d", want)
+
 
 def python_bce(net, X, y):
     """Independent forward pass and mean binary cross entropy."""
@@ -432,6 +472,71 @@ class TestMlpAttacker:
             assert np.array_equal(ta, tb)
 
 
+def full_width_fit(X, y, seed, hidden, epochs):
+    """The MLP attacker fit on every scaled column, constant ones included:
+    (the trained net, its init, the loss history)."""
+    dims = [X.shape[1], *hidden, 1]
+    net = BinaryNet.build(dims, seed)
+    history = _train_binary_net(net, MinMaxScaler.fit(X).transform(X), y, seed + 1, epochs, 1e-3, 32)
+    return net, BinaryNet.build(dims, seed), history
+
+
+def columns_with_constants(rng, n=48):
+    """Live columns around zero columns and constant non-zero ones."""
+    X, y = separable_features(rng, n_per_side=n // 2, dim=6, gap=0.7)
+    consts = [0.0, 2.5, 0.0, -1e3, 0.0, 7.0, 0.0]
+    cols = [X[:, :3]] + [np.full((n, 1), c) for c in consts] + [X[:, 3:], np.zeros((n, 2))]
+    return np.hstack(cols), y
+
+
+class TestLiveColumnFit:
+    """Only the columns with a span on the training rows are trained; a
+    constant column's first-layer rows would get a zero gradient anyway."""
+
+    HIDDEN = (16, 8)
+
+    def test_matches_full_width_fit(self, rng):
+        X, y = columns_with_constants(rng)
+        live = np.ptp(X, axis=0) > 0
+        assert 0 < live.sum() < X.shape[1]
+        attacker = mi.fit_mlp_attacker(X, y, seed=5, hidden=self.HIDDEN, epochs=60)
+        want, init, history = full_width_fit(X, y, 5, self.HIDDEN, 60)
+        got_w0 = attacker.net.weights[0]
+        assert np.array_equal(got_w0[~live], init.weights[0][~live])
+        assert np.array_equal(want.weights[0][~live], init.weights[0][~live])
+        assert np.max(np.abs(got_w0[live] - want.weights[0][live])) <= 1e-12
+        assert not np.array_equal(got_w0[live], init.weights[0][live])
+        for got, ref in zip(attacker.net.parameters()[1:], want.parameters()[1:]):
+            assert np.max(np.abs(got - ref)) <= 1e-12
+        assert len(attacker.history) == len(history)
+        assert np.max(np.abs(np.subtract(attacker.history, history))) <= 1e-12
+
+    def test_ensemble_trains_live_columns_only(self, rng):
+        X = np.hstack([rng.uniform(0, 1, (40, 4)), np.full((40, 2), 0.5)])
+        y = (X[:, 0] > 0.5).astype(float)
+        attacker = mi.build_and_train_ensemble(X, y, seed=3, epochs=20)
+        init = BinaryNet.build(ENSEMBLE_LAYER_DIMS, 3)
+        assert np.array_equal(attacker.net.weights[0][4:], init.weights[0][4:])
+        assert not np.array_equal(attacker.net.weights[0][:4], init.weights[0][:4])
+
+    def test_no_constant_column_is_bitwise_the_full_width_fit(self, rng):
+        X, y = separable_features(rng, n_per_side=20, dim=9, gap=0.7)
+        attacker = mi.fit_mlp_attacker(X, y, seed=2, hidden=self.HIDDEN, epochs=40)
+        want, _, history = full_width_fit(X, y, 2, self.HIDDEN, 40)
+        assert np.array_equal(attacker.net.flat, want.flat)
+        assert attacker.history == history
+
+    def test_every_column_constant_still_trains(self):
+        X = np.hstack([np.zeros((12, 3)), np.full((12, 2), -4.0)])
+        y = np.r_[np.ones(9), np.zeros(3)]
+        attacker = mi.fit_mlp_attacker(X, y, seed=4, hidden=self.HIDDEN, epochs=30)
+        want, init, history = full_width_fit(X, y, 4, self.HIDDEN, 30)
+        assert np.array_equal(attacker.net.flat, want.flat)
+        assert attacker.history == history
+        assert np.array_equal(attacker.net.weights[0], init.weights[0])
+        assert history[-1] < history[0]
+
+
 class TestEnsembleAttacker:
     def test_architecture_frozen(self, rng):
         X = rng.uniform(0, 1, (50, 6))
@@ -483,6 +588,22 @@ class TestAttackerScoring:
         with pytest.raises(ShapeError):
             mi.fit_logistic_attacker(X, np.ones(9))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, tmp_path, rng, bad):
+        X, y = separable_features(rng, n_per_side=10)
+        attacker = mi.fit_logistic_attacker(X, y)
+        X[3, 1] = bad
+        for call in (
+            lambda: mi.fit_logistic_attacker(X, y),
+            lambda: mi.fit_mlp_attacker(X, y, epochs=2),
+            lambda: mi.build_and_train_ensemble(np.hstack([X, X[:, :2]]), y, epochs=2),
+            lambda: attacker_scores(attacker, X),
+            lambda: write_feature_dump(tmp_path / "f.csv", range(len(X)), X, y == 1.0),
+        ):
+            with pytest.raises(InvalidInputError, match="finite"):
+                call()
+        assert not (tmp_path / "f.csv").exists()
+
     def test_inconsistent_feature_lengths(self):
         feats = [np.zeros(3), np.zeros(4)]
         with pytest.raises(ShapeError):
@@ -503,6 +624,21 @@ class TestAttackerPersistence:
         assert loaded.kind == attacker.kind
         probe = rng.normal(0, 3, (12, X.shape[1]))
         assert np.array_equal(attacker_scores(attacker, probe), attacker_scores(loaded, probe))
+
+    @pytest.mark.parametrize("where", ["nan_min", "inf_max", "max_below_min"])
+    def test_bad_scaler_bounds(self, tmp_path, rng, where):
+        X, y = separable_features(rng, n_per_side=10)
+        path = tmp_path / "attacker.ckpt"
+        save_attacker(mi.fit_logistic_attacker(X, y), path)
+        d = X.shape[1]
+        blob = bytearray(path.read_bytes())
+        mins_at = len(blob) - 16 * d  # the mins, then the maxs, end the file
+        value = {"nan_min": np.nan, "inf_max": np.inf, "max_below_min": -1e9}[where]
+        at = mins_at if where == "nan_min" else mins_at + 8 * d
+        blob[at : at + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="scaler"):
+            load_attacker(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "attacker.ckpt"
@@ -547,7 +683,10 @@ class TestFeatureDump:
         with pytest.raises(DataError):
             read_feature_dump(path)
 
-    @pytest.mark.parametrize("row", ["1,x,0", "1,0.5", "1,0.5,2", "1,0.5,-1", "1,0.5,7", "1,0.5,yes"])
+    @pytest.mark.parametrize(
+        "row",
+        ["1,x,0", "1,0.5", "1,0.5,2", "1,0.5,-1", "1,0.5,7", "1,0.5,yes", "1,nan,0", "1,inf,1", "1,-inf,0"],
+    )
     def test_malformed_row(self, tmp_path, row):
         path = tmp_path / "features.csv"
         path.write_text(f"sample_id,f0,is_member\n0,0.25,1\n{row}\n")
