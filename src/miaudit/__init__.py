@@ -9,7 +9,6 @@ from .adversarial import (
     AdversarialOutcome,
     ApgdTrace,
     AttackConfig,
-    apgd_maximize_loss,
     find_adversarial,
     find_adversarial_rows,
     lp_norm,

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,8 +18,9 @@ from .nn_core import MLPClassifier, cross_entropy_loss, forward_predict, sample_
 
 SUPPORTED_NORMS = (1.0, 2.0, math.inf)
 
-# Feasibility slack used when validating externally supplied candidates.
-NORM_TOL = 1e-9
+# APGD's published step-rule values (Croce & Hein 2020, arXiv:2003.01690).
+INITIAL_STEP_FRACTION = 2.0
+MOMENTUM = 0.75
 
 # Step-halving checkpoints as fractions of the iteration budget.
 _CHECKPOINT_FRACTIONS = (0.22, 0.42, 0.57, 0.69, 0.78, 0.85, 0.90, 0.94, 0.97)
@@ -103,8 +103,8 @@ class AttackConfig:
     """Attack search budget and geometry.
 
     p: norm order (1, 2, or inf); epsilon: ball radius; n_iter: gradient
-    steps per run; n_restarts: total runs per sample (first starts at the
-    input itself, later ones at seeded random feasible points).
+    steps per run; n_restarts: total runs per sample, at least 1 (the first
+    starts at the input itself, later ones at seeded random feasible points).
     """
 
     p: float = math.inf
@@ -112,8 +112,6 @@ class AttackConfig:
     n_iter: int = 100
     n_restarts: int = 1
     seed: int = 0
-    initial_step_fraction: float = 2.0
-    momentum: float = 0.75
 
     def __post_init__(self):
         if self.p not in SUPPORTED_NORMS:
@@ -122,12 +120,8 @@ class AttackConfig:
             raise ConfigError("attack epsilon must be positive and finite")
         if self.n_iter < 1:
             raise ConfigError("attack n_iter must be >= 1")
-        if self.n_restarts < 0:
-            raise ConfigError("attack n_restarts must be >= 0")
-        if self.initial_step_fraction <= 0:
-            raise ConfigError("initial_step_fraction must be positive")
-        if not 0 <= self.momentum <= 1:
-            raise ConfigError("momentum must lie in [0, 1]")
+        if self.n_restarts < 1:
+            raise ConfigError("attack.n_restarts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -152,13 +146,6 @@ class ApgdTrace:
     p: float
     epsilon: float
 
-    @property
-    def best_loss(self) -> float:
-        return float(self.losses.max())
-
-    def best_point(self) -> np.ndarray:
-        return self.points[int(np.argmax(self.losses))]
-
     def distances(self) -> np.ndarray:
         return lp_norm(self.points - self.center, self.p)
 
@@ -169,7 +156,16 @@ def _checkpoint_iterations(n_iter: int) -> list[int]:
 
 
 def _ascend(model: MLPClassifier, X: np.ndarray, Y: np.ndarray, config: AttackConfig, start, visit):
-    """One projected-ascent run for every row of X in lock step.
+    """One adaptive projected-gradient-ascent run on the true-label loss
+    for every row of X in lock step.
+
+    Step rule: eta starts at INITIAL_STEP_FRACTION * epsilon; at a fixed
+    schedule of checkpoints it halves when under 75% of steps since the last
+    checkpoint improved the loss, or when both eta and the best loss sat
+    still across the window.  Every halving restarts the iterate from the
+    best point seen.  Steps use the gradient sign for p=inf and the
+    normalized gradient otherwise, with a MOMENTUM blend (weight 1 on the
+    first step) and projection after both the raw step and the blend.
 
     Each row keeps its own step size, loss, best point and gradient,
     improvement count and restart-from-best, so its run is bitwise the one
@@ -186,7 +182,7 @@ def _ascend(model: MLPClassifier, X: np.ndarray, Y: np.ndarray, config: AttackCo
 
     prev = cur
     best_x, best_loss, best_grad = cur.copy(), loss.copy(), grad.copy()
-    eta = np.full(len(X), config.initial_step_fraction * eps)
+    eta = np.full(len(X), INITIAL_STEP_FRACTION * eps)
     eta_at_ck, best_at_ck = eta.copy(), best_loss.copy()
     improved = np.zeros(len(X), dtype=np.int64)
     last_ck = 0
@@ -197,7 +193,7 @@ def _ascend(model: MLPClassifier, X: np.ndarray, Y: np.ndarray, config: AttackCo
             gnorm = np.sqrt(np.sum(grad * grad, axis=1, keepdims=True))
             direction = np.divide(grad, gnorm, out=np.zeros_like(grad), where=gnorm > 1e-30)
         z = project_lp_box(cur + eta[:, None] * direction, X, p, eps)
-        blend = config.momentum if k > 1 else 1.0
+        blend = MOMENTUM if k > 1 else 1.0
         nxt = project_lp_box(
             cur + blend * (z - cur) + (1.0 - blend) * (cur - prev), X, p, eps
         )
@@ -237,42 +233,6 @@ def _row_traces(X: np.ndarray, config: AttackConfig, recorded: list) -> list:
     ]
 
 
-def apgd_maximize_loss(
-    model: MLPClassifier,
-    x,
-    y,
-    config: AttackConfig,
-    start: Optional[np.ndarray] = None,
-):
-    """One adaptive projected-gradient-ascent run on the true-label loss.
-
-    Step rule: eta starts at initial_step_fraction * epsilon; at a fixed
-    schedule of checkpoints it halves when under 75% of steps since the last
-    checkpoint improved the loss, or when both eta and the best loss sat
-    still across the window.  Every halving restarts the iterate from the
-    best point seen.  Steps use the gradient sign for p=inf and the
-    normalized gradient otherwise, with a momentum blend (weight 1 on the
-    first step) and projection after both the raw step and the blend.
-
-    One input (d,) and label give one ApgdTrace.  A block (n, d) with n
-    labels (and an (n, d) start, if any) runs all rows in lock step and
-    gives one trace per row, each bitwise the row's run alone.
-    """
-    X = np.asarray(x, dtype=np.float64)
-    block = np.atleast_2d(X)
-    recorded = []
-    _ascend(
-        model,
-        block,
-        np.array(y, dtype=np.int64, ndmin=1),
-        config,
-        None if start is None else np.atleast_2d(start),
-        lambda *iterate: recorded.append(iterate),
-    )
-    traces = _row_traces(block, config, recorded)
-    return traces if X.ndim == 2 else traces[0]
-
-
 def _random_starts(rngs: list, X: np.ndarray, config: AttackConfig) -> np.ndarray:
     """One random feasible start per row of X, drawn from that row's generator."""
     lo = np.maximum(0.0, X - config.epsilon)
@@ -281,14 +241,6 @@ def _random_starts(rngs: list, X: np.ndarray, config: AttackConfig) -> np.ndarra
     if config.p == math.inf:
         return Z
     return project_lp_box(Z, X, config.p, config.epsilon)
-
-
-def _candidate_feasible(pt: np.ndarray, x: np.ndarray, config: AttackConfig) -> bool:
-    if pt.shape != x.shape:
-        return False
-    if np.min(pt) < -NORM_TOL or np.max(pt) > 1.0 + NORM_TOL:
-        return False
-    return lp_norm(pt - x, config.p) <= config.epsilon + NORM_TOL
 
 
 def find_adversarial_rows(
@@ -302,8 +254,8 @@ def find_adversarial_rows(
     row's closest misclassified iterate is kept as the search runs; no
     iterate is stored.  With `traces`, the first run of every row, the one
     started at the input, is also recorded, rows that start out
-    misclassified included, and returned as one ApgdTrace per row (what
-    `apgd_maximize_loss` gives); otherwise the second item is None.
+    misclassified included, and returned as one ApgdTrace per row;
+    otherwise the second item is None.
 
     Returns (one AdversarialOutcome per row, traces or None).
     """
@@ -320,11 +272,11 @@ def find_adversarial_rows(
     best_loss, best_loss_point = loss0.copy(), X.copy()
     best_dist, best_point = np.full(n, math.inf), X.copy()
     recorded = [] if traces else None
-    for run in range(max(config.n_restarts, int(traces))):
+    for run in range(config.n_restarts):
         rows = np.arange(n) if run == 0 and traces else np.flatnonzero(searched)
         if not rows.size:
             break
-        counted = searched[rows] & (run < config.n_restarts)
+        counted = searched[rows]
         Xr, Yr = X[rows], Y[rows]
 
         def screen(points, losses, preds):
@@ -360,38 +312,18 @@ def find_adversarial_rows(
     return outcomes, (None if recorded is None else _row_traces(X, config, recorded))
 
 
-def find_adversarial(
-    model: MLPClassifier,
-    x,
-    y: int,
-    config: AttackConfig,
-    extra_candidates: Optional[np.ndarray] = None,
-) -> AdversarialOutcome:
+def find_adversarial(model: MLPClassifier, x, y: int, config: AttackConfig) -> AdversarialOutcome:
     """Minimum-norm misclassifying perturbation within the epsilon budget.
 
     Already-misclassified inputs return v = 0 immediately.  Otherwise every
     iterate of every run is screened and the feasible misclassified point
-    closest to x (in the attack norm) wins.  extra_candidates, if given,
-    joins the screening after a feasibility check; feeding the trace of a
-    smaller-budget search keeps the reported distance monotone in epsilon.
-    When nothing misclassifies, distance is reported as epsilon and v is the
-    best-loss perturbation found.  This is the one-row call of
-    `find_adversarial_rows`, seeded with `config.seed`.
+    closest to x (in the attack norm) wins.  When nothing misclassifies,
+    distance is reported as epsilon and v is the best-loss perturbation
+    found.  This is the one-row call of `find_adversarial_rows`, seeded with
+    `config.seed`.
     """
     x = np.asarray(x, dtype=np.float64)
     (outcome,), _ = find_adversarial_rows(model, x[None, :], [y], config, [config.seed])
-    if extra_candidates is None:
-        return outcome
-    best_dist = outcome.distance if outcome.success else math.inf
-    cands = np.atleast_2d(np.asarray(extra_candidates, dtype=np.float64))
-    for pt in cands:
-        if not _candidate_feasible(pt, x, config):
-            continue
-        if int(np.argmax(forward_predict(model, pt))) != y:
-            d = lp_norm(pt - x, config.p)
-            if d < best_dist:
-                best_dist = d
-                outcome = replace(outcome, v=pt - x, distance=d, success=True)
     return outcome
 
 

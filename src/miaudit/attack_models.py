@@ -182,6 +182,9 @@ class MinMaxScaler:
 
     Degenerate columns (max == min) map to 0; the others are `live`.
     Refitting on a transformed split reproduces the identity on that split.
+    A column whose span max - min overflows to inf is mapped as
+    `(x/2 - min/2) / (max/2 - min/2)`, which halving at that size leaves
+    exact and finite; every other column as `(x - min) / (max - min)`.
     """
 
     mins: np.ndarray
@@ -198,7 +201,7 @@ class MinMaxScaler:
     def live(self) -> np.ndarray:
         """Boolean mask of the columns with a positive span on the fit rows;
         `transform` maps every other column to 0 on every row."""
-        return self.maxs - self.mins > 0
+        return self.maxs > self.mins
 
     def transform(self, X) -> np.ndarray:
         arr = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -207,7 +210,10 @@ class MinMaxScaler:
                 f"scaler expects {self.mins.shape[0]} columns, got {arr.shape[1]}"
             )
         live = self.live
-        out = (arr - self.mins) / np.where(live, self.maxs - self.mins, 1.0)
+        with np.errstate(over="ignore"):
+            h = np.where(np.isinf(self.maxs - self.mins), 0.5, 1.0)
+        lo, hi = self.mins * h, self.maxs * h
+        out = (arr * h - lo) / np.where(live, hi - lo, 1.0)
         out = np.where(live, out, 0.0)
         return np.clip(out, 0.0, 1.0)
 

@@ -67,8 +67,6 @@ _SCHEMA = {
     "attack.epsilon": (float, 1.0),
     "attack.n_iter": (int, 50),
     "attack.n_restarts": (int, 1),
-    "attack.initial_step_fraction": (float, 2.0),
-    "attack.momentum": (float, 0.75),
     "strategies": (str, ",".join(THRESHOLD_STRATEGIES)),
     "attacker.train_fraction": (float, 0.4),
     "protocol.repeats": (int, 20),
@@ -169,8 +167,9 @@ class ExperimentConfig:
         bad = [s for s in self.strategies() if s not in ALL_STRATEGIES]
         if bad:
             raise ConfigError(f"unknown strategies {bad}; known: {list(ALL_STRATEGIES)}")
-        if not 0.0 < v["attacker.train_fraction"] < 1.0:
-            raise ConfigError("attacker.train_fraction must lie strictly between 0 and 1")
+        for key in ("attacker.train_fraction", "protocol.holdout_fraction"):
+            if not 0.0 < v[key] < 1.0:
+                raise ConfigError(f"{key} must lie strictly between 0 and 1")
         if v["protocol.fpr_grid_points"] < 2:
             raise ConfigError("protocol.fpr_grid_points must be >= 2")
         if v["histogram.bins"] < 1:
@@ -219,8 +218,6 @@ class ExperimentConfig:
             n_iter=v["attack.n_iter"],
             n_restarts=v["attack.n_restarts"],
             seed=seed,
-            initial_step_fraction=v["attack.initial_step_fraction"],
-            momentum=v["attack.momentum"],
         )
 
     def train_config(self, seed: int = 0) -> TrainConfig:
@@ -243,7 +240,6 @@ class ExperimentConfig:
             else 0,
             repeats=v["protocol.repeats"],
             ratio=self.analysis_ratio(),
-            holdout_fraction=v["protocol.holdout_fraction"],
             seed=seed,
             fpr_grid_points=v["protocol.fpr_grid_points"],
         )

@@ -253,7 +253,6 @@ class ProtocolConfig:
     member_subset_size: int = 0  # 0 = derive from ratio
     repeats: int = 20
     ratio: tuple = (1, 1)  # member:nonmember target for derived subsets
-    holdout_fraction: float = 0.8
     seed: int = 0
     fpr_grid_points: int = DEFAULT_FPR_GRID_POINTS  # of each repeat's grid row
 
@@ -269,8 +268,6 @@ class ProtocolConfig:
         a, b = self.ratio
         if a < 1 or b < 1:
             raise ConfigError("protocol ratio parts must be >= 1")
-        if not 0.0 < self.holdout_fraction < 1.0:
-            raise ConfigError("holdout_fraction must lie strictly between 0 and 1")
 
     def resolved_subset_size(self) -> int:
         if self.member_subset_size:

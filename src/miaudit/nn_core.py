@@ -42,9 +42,6 @@ class TrainConfig:
     batch_size: int
     learning_rate: float
     optimizer: str = "adam"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -56,10 +53,6 @@ class TrainConfig:
             raise ConfigError("learning_rate must be positive and finite")
         if self.optimizer not in _OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {_OPTIMIZERS}")
-        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
-            raise ConfigError("adam betas must lie in [0, 1)")
-        if self.adam_epsilon <= 0:
-            raise ConfigError("adam_epsilon must be positive")
 
 
 def softmax(logits) -> np.ndarray:
@@ -411,24 +404,24 @@ def _dataset_arrays(model: MLPClassifier, X, Y) -> tuple[np.ndarray, np.ndarray]
 
 class AdamState:
     """Adam moment buffers with bias correction over one flat parameter
-    buffer (Kingma & Ba, arXiv:1412.6980).  The update is elementwise, so it
-    runs once over the whole buffer, in place."""
+    buffer (Kingma & Ba, arXiv:1412.6980), with the paper's default betas
+    and epsilon.  The update is elementwise, so it runs once over the whole
+    buffer, in place."""
 
-    def __init__(self, size: int, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
+    def __init__(self, size: int):
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self._scratch = (np.empty(size), np.empty(size))
         self.t = 0
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
 
     def step(self, params: np.ndarray, grads: np.ndarray, lr: float) -> None:
         """Moment updates, then
-        `params -= lr * (m / c1) / (sqrt(v / c2) + epsilon)`, each operation
+        `params -= lr * (m / c1) / (sqrt(v / c2) + EPSILON)`, each operation
         in this order and grouping."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
         m, v = self.m, self.v
@@ -440,7 +433,7 @@ class AdamState:
         v += np.multiply(1.0 - b2, s, out=s)
         np.divide(v, c2, out=s)
         np.sqrt(s, out=s)
-        s += self.epsilon
+        s += self.EPSILON
         np.divide(m, c1, out=u)
         np.multiply(lr, u, out=u)
         params -= np.divide(u, s, out=u)
@@ -457,14 +450,7 @@ def train(model: MLPClassifier, X, Y, config: TrainConfig):
     rng = np.random.default_rng(config.seed)
     grad = np.empty_like(model.flat)
     grads = model.parameter_views(grad)
-    adam = None
-    if config.optimizer == "adam":
-        adam = AdamState(
-            grad.size,
-            beta1=config.adam_beta1,
-            beta2=config.adam_beta2,
-            epsilon=config.adam_epsilon,
-        )
+    adam = AdamState(grad.size) if config.optimizer == "adam" else None
     history = []
     for _ in range(config.epochs):
         order = rng.permutation(n)

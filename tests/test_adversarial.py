@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 import miaudit as mi
 from miaudit.adversarial import (
+    INITIAL_STEP_FRACTION,
+    MOMENTUM,
     _checkpoint_iterations,
-    apgd_maximize_loss,
     dump_trace_csv,
     find_adversarial_rows,
     project_l1_ball,
@@ -30,6 +31,12 @@ def feasible(point, center, p, eps, lo=0.0, hi=1.0, tol=1e-9):
         and np.min(point) >= lo - 1e-12
         and np.max(point) <= hi + 1e-12
     )
+
+
+def first_run_trace(model, x, y, cfg):
+    """The ApgdTrace of the search's first run, the one started at x."""
+    _, (trace,) = find_adversarial_rows(model, x[None, :], [y], cfg, [cfg.seed], traces=True)
+    return trace
 
 
 class TestLpNorm:
@@ -142,14 +149,14 @@ class TestAttackConfig:
             mi.AttackConfig(epsilon=-1)
         with pytest.raises(ConfigError):
             mi.AttackConfig(n_iter=0)
-        with pytest.raises(ConfigError):
-            mi.AttackConfig(n_restarts=-1)
-        with pytest.raises(ConfigError):
-            mi.AttackConfig(momentum=1.5)
+        for bad in (0, -1):
+            with pytest.raises(ConfigError, match="attack.n_restarts"):
+                mi.AttackConfig(n_restarts=bad)
 
     def test_defaults(self):
         cfg = mi.AttackConfig()
-        assert cfg.p == INF and cfg.epsilon == 1.0 and cfg.momentum == 0.75
+        assert cfg.p == INF and cfg.epsilon == 1.0 and cfg.n_restarts == 1
+        assert (INITIAL_STEP_FRACTION, MOMENTUM) == (2.0, 0.75)
 
 
 class TestCheckpointSchedule:
@@ -167,13 +174,12 @@ class TestApgd:
     def test_trace_shape_and_feasibility(self, tiny_model, rng):
         x = rng.uniform(0.2, 0.8, 4)
         cfg = mi.AttackConfig(p=INF, epsilon=0.3, n_iter=25, seed=1)
-        trace = apgd_maximize_loss(tiny_model, x, 0, cfg)
+        trace = first_run_trace(tiny_model, x, 0, cfg)
         assert len(trace.losses) == 26
         assert np.allclose(trace.points[0], x)
         for pt in trace.points:
             assert feasible(pt, x, INF, 0.3)
-        assert trace.best_loss == trace.losses.max()
-        assert trace.best_loss >= trace.losses[0]
+        assert trace.losses.max() >= trace.losses[0]
 
     def test_seeded_start_reproducible(self, tiny_model, rng):
         x = rng.uniform(0.2, 0.8, 4)
@@ -195,7 +201,7 @@ class TestApgd:
         x = np.array([0.55, 0.45])
         eps = 0.3
         cfg = mi.AttackConfig(p=p, epsilon=eps, n_iter=80, seed=0)
-        trace = apgd_maximize_loss(model, x, 0, cfg)
+        trace = first_run_trace(model, x, 0, cfg)
 
         axis = np.linspace(-eps, eps, 401)
         gx, gy = np.meshgrid(axis, axis)
@@ -209,8 +215,8 @@ class TestApgd:
         probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
         grid_best = float(np.max(-np.log(np.clip(probs[:, 0], 1e-12, 1.0))))
 
-        assert trace.best_loss >= 0.98 * grid_best
-        assert trace.best_loss <= grid_best * 1.02
+        assert trace.losses.max() >= 0.98 * grid_best
+        assert trace.losses.max() <= grid_best * 1.02
 
     def test_loss_never_below_start_after_restart(self, tiny_model, rng):
         # halving restarts from the best iterate, so the final best can
@@ -218,8 +224,8 @@ class TestApgd:
         for seed in range(5):
             x = rng.uniform(0.1, 0.9, 4)
             cfg = mi.AttackConfig(p=1, epsilon=0.8, n_iter=40, seed=seed)
-            trace = apgd_maximize_loss(tiny_model, x, int(rng.integers(3)), cfg)
-            assert trace.best_loss >= trace.losses[0] - 1e-12
+            trace = first_run_trace(tiny_model, x, int(rng.integers(3)), cfg)
+            assert trace.losses.max() >= trace.losses[0] - 1e-12
 
 
 class TestFindAdversarial:
@@ -262,30 +268,6 @@ class TestFindAdversarial:
                 assert abs(mi.lp_norm(out.v, 2) - out.distance) < 1e-9
         assert hits > 0
 
-    def test_distance_monotone_in_epsilon_with_candidates(self, rng):
-        model = mi.build_mlp([4, 12, 3], seed=8)
-        for trial in range(10):
-            x = rng.uniform(0, 1, 4)
-            y = int(np.argmax(mi.forward_predict(model, x)))
-            small = mi.AttackConfig(p=INF, epsilon=0.25, n_iter=20, seed=trial)
-            large = mi.AttackConfig(p=INF, epsilon=0.75, n_iter=20, seed=trial)
-            out_small = mi.find_adversarial(model, x, y, small)
-            carried = (
-                (x + out_small.v)[None, :] if out_small.success else None
-            )
-            out_large = mi.find_adversarial(model, x, y, large, extra_candidates=carried)
-            if out_small.success:
-                assert out_large.success
-                assert out_large.distance <= out_small.distance + 1e-9
-
-    def test_zero_restarts_only_screens_candidates(self, tiny_model, rng):
-        x = rng.uniform(0.2, 0.8, 4)
-        y = int(np.argmax(mi.forward_predict(tiny_model, x)))
-        cfg = mi.AttackConfig(p=INF, epsilon=0.3, n_iter=10, n_restarts=0, seed=0)
-        out = mi.find_adversarial(tiny_model, x, y, cfg)
-        assert out.iterations_used == 0
-        assert not out.success
-
     def test_restarts_add_iterations(self, tiny_model, rng):
         x = rng.uniform(0.2, 0.8, 4)
         y = int(np.argmax(mi.forward_predict(tiny_model, x)))
@@ -298,7 +280,7 @@ class TestFindAdversarial:
 class TestTraceDump:
     def test_csv_round_shape(self, tmp_path, tiny_model, rng):
         x = rng.uniform(0.2, 0.8, 4)
-        trace = apgd_maximize_loss(tiny_model, x, 0, mi.AttackConfig(n_iter=12, epsilon=0.4))
+        trace = first_run_trace(tiny_model, x, 0, mi.AttackConfig(n_iter=12, epsilon=0.4))
         path = tmp_path / "trace.csv"
         dump_trace_csv(trace, path)
         with open(path, newline="") as fh:
@@ -307,7 +289,7 @@ class TestTraceDump:
         assert len(rows) == 14
         assert float(rows[1][2]) == 0.0
         best = max(float(r[1]) for r in rows[1:])
-        assert abs(best - trace.best_loss) < 1e-15
+        assert abs(best - trace.losses.max()) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +327,7 @@ def _reference_evaluate(model, x, y):
 def _reference_ascent(model, x, y, cfg, start=None):
     """One-sample APGD run as a plain loop: (points, losses, predictions)."""
     p, eps = cfg.p, cfg.epsilon
-    eta = cfg.initial_step_fraction * eps
+    eta = INITIAL_STEP_FRACTION * eps
     checkpoints = set(_checkpoint_iterations(cfg.n_iter))
     cur = x if start is None else _reference_project(start, x, p, eps)
     loss, probs, grad = _reference_evaluate(model, cur, y)
@@ -361,7 +343,7 @@ def _reference_ascent(model, x, y, cfg, start=None):
             gnorm = float(np.sqrt(np.sum(grad * grad)))
             direction = grad / gnorm if gnorm > 1e-30 else np.zeros_like(grad)
         z = _reference_project(cur + eta * direction, x, p, eps)
-        blend = cfg.momentum if k > 1 else 1.0
+        blend = MOMENTUM if k > 1 else 1.0
         nxt = _reference_project(cur + blend * (z - cur) + (1.0 - blend) * (cur - prev), x, p, eps)
         prev, cur = cur, nxt
         new_loss, probs, grad = _reference_evaluate(model, cur, y)
@@ -438,7 +420,7 @@ class TestBlockSearch:
         seeds = [1000 + i for i in range(len(X))]
         return model, X, Y, seeds
 
-    @pytest.mark.parametrize("n_restarts", [0, 1, 2])
+    @pytest.mark.parametrize("n_restarts", [1, 2])
     @pytest.mark.parametrize("p", [1.0, 2.0, INF])
     def test_rows_match_one_row_calls(self, block, p, n_restarts):
         model, X, Y, seeds = block
@@ -450,7 +432,7 @@ class TestBlockSearch:
             else "found" if o.success else "failed"
             for o in outcomes
         }
-        assert kinds == ({"misclassified", "found", "failed"} if n_restarts else {"misclassified", "failed"})
+        assert kinds == {"misclassified", "found", "failed"}
         for i, out in enumerate(outcomes):
             row_cfg = replace(cfg, seed=seeds[i])
             assert_same_outcome(out, mi.find_adversarial(model, X[i], int(Y[i]), row_cfg))
@@ -461,20 +443,19 @@ class TestBlockSearch:
             for i, out in zip(part, got):
                 assert_same_outcome(out, outcomes[i])
 
-    @pytest.mark.parametrize("n_restarts", [0, 2])
+    @pytest.mark.parametrize("n_restarts", [1, 2])
     @pytest.mark.parametrize("p", [1.0, 2.0, INF])
     def test_first_run_traces_match_one_row_runs(self, block, p, n_restarts):
         model, X, Y, seeds = block
         cfg = mi.AttackConfig(p=p, epsilon=0.1, n_iter=12, n_restarts=n_restarts)
         outcomes, traces = find_adversarial_rows(model, X, Y, cfg, seeds, traces=True)
         plain, _ = find_adversarial_rows(model, X, Y, cfg, seeds)
-        runs = apgd_maximize_loss(model, X, Y, cfg)
-        assert len(traces) == len(runs) == len(X)  # misclassified rows included
+        assert len(traces) == len(X)  # misclassified rows included
         for i in range(len(X)):
             assert_same_outcome(outcomes[i], plain[i])
-            one = apgd_maximize_loss(model, X[i], int(Y[i]), cfg)
+            one = first_run_trace(model, X[i], int(Y[i]), replace(cfg, seed=seeds[i]))
             points, losses, preds = _reference_ascent(model, X[i], int(Y[i]), cfg)
-            for trace in (traces[i], runs[i], one):
+            for trace in (traces[i], one):
                 assert trace.points.tobytes() == points.tobytes()
                 assert trace.losses.tobytes() == losses.tobytes()
                 assert trace.predictions.tobytes() == preds.astype(np.int64).tobytes()

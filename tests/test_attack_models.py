@@ -283,6 +283,19 @@ class TestMinMaxScaler:
         X = np.array([[2.0, 1.0, 0.0, 5e-324], [2.0, 3.0, 0.0, 0.0]])
         assert MinMaxScaler.fit(X).live.tolist() == [False, True, False, True]
 
+    def test_span_overflowing_to_inf_still_scales(self):
+        # max - min overflows, but the column and everything else is finite
+        X = np.array([[-1e308, 0.0], [0.0, 1.0], [1e308, 2.0], [-1e308, 3.0]])
+        scaler = MinMaxScaler.fit(X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Z = scaler.transform(X)
+        assert scaler.live.tolist() == [True, True]
+        assert Z[:, 0].tolist() == [0.0, 0.5, 1.0, 0.0]
+        assert Z[:, 1].tolist() == [0.0, 1 / 3, 2 / 3, 1.0]
+        attacker = mi.fit_logistic_attacker(X, np.array([0, 1, 1, 0]))
+        assert np.all(np.isfinite(attacker_scores(attacker, X)))
+
 
 def two_branch_sigmoid(z):
     """The sigmoid as two masked branches, each exp taken only where it

@@ -168,6 +168,11 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig({"attack.n_iter": "0"})
 
+    @pytest.mark.parametrize("bad", ["0", "1.0", "1.5", "-0.2"])
+    def test_holdout_fraction_strictly_inside_unit_interval(self, bad):
+        with pytest.raises(ConfigError, match="protocol.holdout_fraction"):
+            ExperimentConfig({"protocol.holdout_fraction": bad})
+
     def test_protocol_config_clamps_subset(self):
         cfg = ExperimentConfig({"protocol.member_subset_size": "100"})
         proto = cfg.protocol_config(member_pool=40, nonmember_pool=40, seed=1)

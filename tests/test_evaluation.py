@@ -244,8 +244,6 @@ class TestProtocolConfig:
             mi.ProtocolConfig(10, 10, member_subset_size=11)
         with pytest.raises(ConfigError):
             mi.ProtocolConfig(10, 10, ratio=(0, 1))
-        with pytest.raises(ConfigError):
-            mi.ProtocolConfig(10, 10, holdout_fraction=1.0)
 
     def test_resolved_subset_size(self):
         assert mi.ProtocolConfig(30, 10).resolved_subset_size() == 10

@@ -481,6 +481,25 @@ class TestCli:
         assert main(["audit", "--config", str(bad)]) == 2
         assert "mystery.key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["audit", "report"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "attack.momentum = 0.75",
+            "attack.initial_step_fraction = 2.0",
+            "attack.n_restarts = 0",
+            "protocol.holdout_fraction = 1.5",
+        ],
+    )
+    def test_rejected_setting_exit_code(self, tmp_path, capsys, command, line):
+        cfg = self.write_cfg(tmp_path, f"strategies = loss\n{line}\n")
+        args = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        if command == "report":
+            args += ["--scores-dir", str(tmp_path / "scores")]
+        assert main(args) == 2
+        assert line.split(" = ")[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_data_error_exit_code(self, tmp_path, capsys):
         cfg = self.write_cfg(
             tmp_path,
