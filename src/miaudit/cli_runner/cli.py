@@ -14,7 +14,7 @@ from pathlib import Path
 from ..errors import AuditError, ConfigError, DataError
 from ..nn_core import save_checkpoint
 from .config import load_config
-from .data import _atomic_file_write, _atomic_write_text, save_dataset
+from .data import _atomic_file_write, _atomic_write_text, read_json_object, save_dataset
 from .pipeline import (
     prepare_target,
     rerender_from_scores,
@@ -79,10 +79,36 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return 0
 
 
+# Settings that change what `report` computes from the same score files,
+# besides every protocol.* key.
+_REPORT_KEYS = ("seed", "strategies", "attack.epsilon", "histogram.bins")
+
+
+def _config_notes(config, scores_dir) -> list:
+    """One note for each setting that changes the analyses and differs from
+    the `config` echo of the audit's report.json in `scores_dir`."""
+    path = Path(scores_dir) / "report.json"
+    if not path.is_file():
+        return []
+    try:
+        old = read_json_object(path).get("config")
+    except (DataError, OSError):
+        return []  # the re-render reads it again and reports the error
+    if not isinstance(old, dict):
+        return []
+    return [
+        f"note: {key} = {value}, but {path} was written with {old[key]}"
+        for key, value in config.echo().items()
+        if (key in _REPORT_KEYS or key.startswith("protocol.")) and key in old and old[key] != value
+    ]
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     config = _load(args)
     scores_dir = args.scores_dir or config["output.dir"]
     out = args.out or config["output.dir"]
+    for note in _config_notes(config, scores_dir):
+        print(note, file=sys.stderr)
     _, out_path = rerender_from_scores(config, scores_dir, out)
     print(f"report re-rendered to {Path(out_path) / 'report.json'}")
     return 0

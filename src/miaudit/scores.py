@@ -9,8 +9,9 @@ its label give that row's float.
 from __future__ import annotations
 
 import csv
-import itertools
+import io
 import math
+import warnings
 from array import array
 from dataclasses import dataclass
 from typing import Callable
@@ -198,6 +199,9 @@ def compute_score(model: MLPClassifier, x, y, strategy: str, attack: AttackConfi
 
 
 SCORE_HEADER = ["sample_id", "strategy", "score", "is_member"]
+_HEADER_LINE = ",".join(SCORE_HEADER).encode() + b"\n"
+# The bytes _parse_plain_score_csv takes: printable ASCII but the quote, and LF.
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
 
 
 def write_score_records(path, strategy: str, sample_ids, scores, is_member) -> None:
@@ -228,31 +232,11 @@ def parse_member_flag(field: str, path, lineno: int) -> bool:
     return flag == "1"
 
 
-def _score_columns(rows, strategy: str):
-    """(sample ids, scores, member flags) of CSV rows, checked column by
-    column; None when any row fails a check."""
-    if set(map(len, rows)) - {4}:
-        return None
-    ids, names, scores, flags = list(zip(*rows)) or ((), (), (), ())
-    try:
-        ids = np.fromiter(map(int, ids), dtype=np.int64, count=len(rows))
-        scores = np.fromiter(map(float, scores), dtype=np.float64, count=len(rows))
-    except (ValueError, OverflowError):
-        return None
-    is_one = {flag: flag.strip() == "1" for flag in set(flags)}
-    if (
-        not np.all(np.isfinite(scores))
-        or not set(names) <= {strategy}
-        or not {flag.strip() for flag in is_one} <= {"0", "1"}
-    ):
-        return None
-    return ids, scores, np.fromiter(map(is_one.__getitem__, flags), dtype=bool, count=len(rows))
-
-
-def _score_rows(rows, strategy: str, path, first_lineno: int):
-    """_score_columns row by row: raises DataError naming the first bad row."""
+def _score_rows(rows, strategy: str, path):
+    """(sample ids, scores, member flags) of the CSV rows after the header,
+    read one row at a time: raises DataError naming the first bad row."""
     ids, scores, members = array("q"), array("d"), []
-    for lineno, row in enumerate(rows, start=first_lineno):
+    for lineno, row in enumerate(rows, start=2):
         if len(row) != 4:
             raise DataError(f"{path}: row {lineno} has {len(row)} fields, want 4")
         try:
@@ -268,33 +252,69 @@ def _score_rows(rows, strategy: str, path, first_lineno: int):
     return np.array(ids, dtype=np.int64), np.array(scores), np.array(members, dtype=bool)
 
 
-# Fewer rows than the cyclic collector's first threshold (700 new container
-# objects), so a chunk's row lists are freed before a collection has to scan
-# and promote them: a read triggers no collection.  At 4,096 rows the six
-# 20,000-row files of a report triggered about 300 collections, two of them
-# full ones, some 30 ms of the read.
-SCORE_CHUNK_ROWS = 256
+def _parse_plain_score_csv(data: bytes, strategy: str):
+    """(sample ids, scores, member flags) of a score CSV's bytes, parsed by
+    one np.loadtxt call; None for any file on which loadtxt and the row
+    reader could differ.
+
+    Only printable ASCII without quotes, with LF or CRLF line ends, is
+    parsed here: loadtxt reads some control bytes as spaces, skips blank
+    lines, splits at a lone CR and has no field size limit, so a file with
+    a quote, a control byte, a lone CR, a line over csv.field_size_limit()
+    or other than one row per newline after the header (a blank line, no
+    final newline) is left to the row reader.  The string columns are one
+    character wider than any field they accept, so a longer field, which
+    loadtxt cuts to fit, never reads as a match.
+    """
+    text = data.replace(b"\r\n", b"\n") if b"\r" in data else data
+    if not text.startswith(_HEADER_LINE) or text.translate(None, _PLAIN_BYTES):
+        return None
+    ends = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord("\n"))
+    if np.diff(ends, append=len(text)).max() > csv.field_size_limit() + 1:
+        return None
+    dtype = np.dtype(
+        [("id", np.int64), ("strategy", f"U{len(strategy) + 1}"), ("score", np.float64), ("flag", "U2")]
+    )
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.24-1.26 read "1.0" into an int column with only a DeprecationWarning
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                io.StringIO(text.decode("ascii")),
+                dtype=dtype,
+                delimiter=",",
+                comments=None,
+                quotechar=None,
+                skiprows=1,
+                ndmin=1,
+            )
+    except (ValueError, Warning):
+        return None
+    members = table["flag"] == "1"
+    if (
+        len(table) != len(ends) - 1
+        or not np.all(table["strategy"] == strategy)
+        or not np.all(members | (table["flag"] == "0"))
+        or not np.all(np.isfinite(table["score"]))
+    ):
+        return None
+    return np.ascontiguousarray(table["id"]), np.ascontiguousarray(table["score"]), members
 
 
 def read_score_records(path, strategy: str):
-    """One strategy's score CSV, read SCORE_CHUNK_ROWS rows at a time into
-    (sample ids, scores, member flags) arrays in file order.  Every row must
-    name `strategy`.  A chunk is checked column by column; only a chunk that
-    fails is read again row by row, to report its first bad row."""
-    chunks = []
-    with open(path, newline="") as fh:
-        reader = csv_rows(fh, path)
-        if next(reader, None) != SCORE_HEADER:
-            raise DataError(f"unexpected score CSV header in {path}")
-        for lineno in itertools.count(2, SCORE_CHUNK_ROWS):
-            rows = []
-            try:
-                rows.extend(itertools.islice(reader, SCORE_CHUNK_ROWS))
-            except DataError:
-                _score_rows(rows, strategy, path, lineno)  # a bad row before it comes first
-                raise
-            columns = _score_columns(rows, strategy)
-            chunks.append(columns if columns is not None else _score_rows(rows, strategy, path, lineno))
-            if len(rows) < SCORE_CHUNK_ROWS:
-                break
-    return tuple(np.concatenate(column) for column in zip(*chunks))
+    """One strategy's score CSV as (sample ids, scores, member flags) arrays
+    in file order.  Every row must name `strategy`.
+
+    A file in the plain layout `write_score_records` writes is parsed in one
+    pass (`_parse_plain_score_csv`); any other file, valid or not, is read
+    row by row, which gives the same arrays or names the first bad row.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    columns = _parse_plain_score_csv(data, strategy)
+    if columns is not None:
+        return columns
+    reader = csv_rows(io.TextIOWrapper(io.BytesIO(data), newline=""), path)
+    if next(reader, None) != SCORE_HEADER:
+        raise DataError(f"unexpected score CSV header in {path}")
+    return _score_rows(reader, strategy, path)

@@ -394,6 +394,34 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "re" / "report.json").is_file()
 
+    @pytest.mark.parametrize(
+        "changes, noted",
+        [
+            ({}, []),
+            ({"protocol.repeats = 3": "protocol.repeats = 4"}, ["protocol.repeats"]),
+            ({"attack.n_iter = 8": "attack.n_iter = 9"}, []),
+            ({"seed = 5": "seed = 6", "histogram.bins = 10": "histogram.bins = 12"}, ["histogram.bins", "seed"]),
+        ],
+        ids=["same", "protocol_repeats", "search_only", "seed_and_bins"],
+    )
+    def test_report_notes_settings_that_differ_from_the_audit(self, tmp_path, capsys, changes, noted):
+        cfg = self.write_cfg(tmp_path, "strategies = loss\n")
+        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        text = cfg.read_text()
+        for old, new in changes.items():
+            assert old in text
+            text = text.replace(old, new)
+        cfg2 = tmp_path / "report.cfg"
+        cfg2.write_text(text)
+        capsys.readouterr()
+        args = ["report", "--config", str(cfg2), "--scores-dir", str(tmp_path / "out")]
+        assert main(args + ["--out", str(tmp_path / "re")]) == 0
+        shown = capsys.readouterr()
+        assert shown.out == f"report re-rendered to {tmp_path / 're' / 'report.json'}\n"
+        notes = shown.err.splitlines()
+        assert [line.split()[1] for line in notes] == noted
+        assert all(line.startswith("note: ") and "report.json was written with" in line for line in notes)
+
     @pytest.mark.parametrize("tamper", ["cut_train", "cut_heldout", "bad_manifest"])
     def test_dataset_disagreeing_with_its_manifest_exit_code(self, tmp_path, capsys, tamper):
         cfg = self.write_cfg(tmp_path)

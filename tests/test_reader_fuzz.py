@@ -1,13 +1,14 @@
-"""Truncation and trailing-byte fuzz of the binary readers.
+"""Truncation and trailing-byte fuzz of the file readers.
 
-A valid file cut at every offset from 0 to its length - 1, and the same
-file with one byte appended, must each fail with DataError: never with
+A valid binary file cut at every offset from 0 to its length - 1, and the
+same file with one byte appended, must each fail with DataError: never with
 another exception and never with a successful load.  The readers are
 `load_checkpoint`, `load_attacker` and `load_dataset(..., "binary")`.
 
-The CSV readers are left out on purpose: a cut inside the last number of a
-CSV file leaves a shorter number, which is still valid CSV, so some cut
-CSV files load without error by design.
+A cut CSV file can still be valid: a cut inside the last number leaves a
+shorter number.  So a score CSV cut at every offset, or with one byte
+appended, must instead give exactly what the row-by-row reference reader
+of test_scores gives: the same arrays, bitwise, or the same DataError.
 """
 
 import numpy as np
@@ -17,6 +18,8 @@ import miaudit as mi
 from miaudit import attack_models as am
 from miaudit.cli_runner.data import generate_synthetic_dataset, load_dataset, save_dataset
 from miaudit.errors import DataError
+from miaudit.scores import write_score_records
+from test_scores import assert_reads_like_reference
 
 
 def fuzz_file(path, load) -> None:
@@ -51,3 +54,14 @@ def test_binary_dataset(tmp_path, split):
     train, heldout, manifest = generate_synthetic_dataset(2, 2, 3, 1.0, 0, 2)
     save_dataset(train, heldout, manifest, tmp_path, "binary")
     fuzz_file(tmp_path / f"{split}.bin", lambda: load_dataset(tmp_path, "binary"))
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\n"], ids=["as_written", "lf"])
+def test_score_csv(tmp_path, newline):
+    path = tmp_path / "scores_loss.csv"
+    write_score_records(path, "loss", [0, 1, 22], [-0.125, 3e-07, 12.5], [True, False, True])
+    blob = path.read_bytes().replace(b"\r\n", newline)
+    cases = [blob[:cut] for cut in range(len(blob))] + [blob + bytes([b]) for b in b'\x00\r\n 0,#"x']
+    for case in cases:
+        path.write_bytes(case)
+        assert_reads_like_reference(path)

@@ -3,17 +3,20 @@
 import csv
 import gc
 import math
+import warnings
 from array import array
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import miaudit as mi
 from miaudit.errors import DataError
 from miaudit.nn_core import classification_accuracy
 from miaudit.scores import (
-    SCORE_CHUNK_ROWS,
     SCORE_HEADER,
+    _parse_plain_score_csv,
     read_score_records,
     write_score_records,
 )
@@ -217,9 +220,19 @@ class TestScoreRecords:
         with pytest.raises(DataError, match="row 3"):
             read_score_records(path, "loss")
 
-    @pytest.mark.parametrize("line", [1, 4, SCORE_CHUNK_ROWS + 40], ids=["header", "first_chunk", "second_chunk"])
+    def test_header_only_file_warns_nothing(self, tmp_path):
+        # np.loadtxt warns "input contained no data"; the reader must not pass it on
+        path = tmp_path / "scores.csv"
+        write_score_records(path, "loss", [], [], [])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            columns = read_score_records(path, "loss")
+        assert caught == []
+        assert [c.size for c in columns] == [0, 0, 0]
+
+    @pytest.mark.parametrize("line", [1, 4, 296], ids=["header", "first_chunk", "second_chunk"])
     def test_oversized_field_is_a_data_error(self, tmp_path, line):
-        lines = ["sample_id,strategy,score,is_member", *score_lines(2 * SCORE_CHUNK_ROWS)]
+        lines = ["sample_id,strategy,score,is_member", *score_lines(512)]
         lines[line - 1] = f"7,loss,{'9' * 140_000},1"  # over csv.field_size_limit(), 131,072
         (tmp_path / "scores.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match=f"scores.csv: line {line}: field larger than field limit"):
@@ -227,28 +240,34 @@ class TestScoreRecords:
 
 
 def row_by_row_score_reader(path, strategy):
-    """Reference reader: one row at a time, the first bad row raises.  Per
-    row the checks run in this order: field count, sample id (a 64-bit
-    int), score (a float), finite score, strategy name, member flag."""
+    """Reference reader: one row at a time, the first bad row raises.  The
+    header must be SCORE_HEADER, and a csv.Error (a NUL byte, a field over
+    csv.field_size_limit()) names its line.  Per row the checks run in this
+    order: field count, sample id (a 64-bit int), score (a float), finite
+    score, strategy name, member flag."""
     ids, scores, members = array("q"), array("d"), []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        assert next(reader) == SCORE_HEADER
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise DataError(f"{path}: row {lineno} has {len(row)} fields, want 4")
-            try:
-                ids.append(int(row[0]))
-                scores.append(float(row[2]))
-            except (ValueError, OverflowError) as exc:
-                raise DataError(f"{path}: row {lineno}: {exc}") from exc
-            if not math.isfinite(scores[-1]):
-                raise DataError(f"{path}: row {lineno}: non-finite score")
-            if row[1] != strategy:
-                raise DataError(f"{path}: row {lineno}: strategy column does not name {strategy!r}")
-            if row[3].strip() not in ("0", "1"):
-                raise DataError(f"{path}: row {lineno}: is_member must be 0 or 1, got {row[3]!r}")
-            members.append(row[3].strip() == "1")
+        try:
+            if next(reader, None) != SCORE_HEADER:
+                raise DataError(f"unexpected score CSV header in {path}")
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != 4:
+                    raise DataError(f"{path}: row {lineno} has {len(row)} fields, want 4")
+                try:
+                    ids.append(int(row[0]))
+                    scores.append(float(row[2]))
+                except (ValueError, OverflowError) as exc:
+                    raise DataError(f"{path}: row {lineno}: {exc}") from exc
+                if not math.isfinite(scores[-1]):
+                    raise DataError(f"{path}: row {lineno}: non-finite score")
+                if row[1] != strategy:
+                    raise DataError(f"{path}: row {lineno}: strategy column does not name {strategy!r}")
+                if row[3].strip() not in ("0", "1"):
+                    raise DataError(f"{path}: row {lineno}: is_member must be 0 or 1, got {row[3]!r}")
+                members.append(row[3].strip() == "1")
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
     return np.array(ids, dtype=np.int64), np.array(scores), np.array(members, dtype=bool)
 
 
@@ -273,8 +292,10 @@ BAD_ROWS = {
 }
 
 
+@pytest.mark.filterwarnings("error")
 class TestScoreReaderParity:
-    """The column-wise reader against the row-by-row reference."""
+    """read_score_records against the row-by-row reference: the same arrays,
+    bitwise, or the same DataError message, with warnings as errors."""
 
     @staticmethod
     def assert_same_error(path, strategy="loss"):
@@ -290,16 +311,13 @@ class TestScoreReaderParity:
         want = row_by_row_score_reader(path, strategy)
         got = read_score_records(path, strategy)
         for w, g in zip(want, got):
-            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
         return got
 
     @pytest.mark.parametrize("defect", sorted(BAD_ROWS))
     @pytest.mark.parametrize(
         "n_rows, bad_at",
-        [
-            pytest.param(9, 4, id="first_chunk"),
-            pytest.param(3 * SCORE_CHUNK_ROWS, SCORE_CHUNK_ROWS + SCORE_CHUNK_ROWS // 2, id="second_chunk"),
-        ],
+        [pytest.param(9, 4, id="first_chunk"), pytest.param(768, 384, id="second_chunk")],
     )
     def test_bad_row_in_the_middle(self, tmp_path, defect, n_rows, bad_at):
         lines = score_lines(n_rows)
@@ -338,9 +356,7 @@ class TestScoreReaderParity:
             assert members.tolist() == [True, False, True, False]
 
     @pytest.mark.parametrize(
-        "n_rows",
-        [0, 1, SCORE_CHUNK_ROWS, SCORE_CHUNK_ROWS + 1],
-        ids=["empty", "one_row", "one_chunk", "one_chunk_plus_one"],
+        "n_rows", [0, 1, 256, 257], ids=["empty", "one_row", "one_chunk", "one_chunk_plus_one"]
     )
     def test_chunk_edges_load_the_same(self, tmp_path, n_rows):
         write_score_lines(tmp_path / "scores.csv", score_lines(n_rows))
@@ -348,8 +364,7 @@ class TestScoreReaderParity:
         assert ids.tolist() == list(range(n_rows))
 
     def test_read_triggers_no_cyclic_collection(self, tmp_path):
-        # a chunk's row lists die before the collector's first threshold
-        write_score_lines(tmp_path / "scores.csv", score_lines(20 * SCORE_CHUNK_ROWS))
+        write_score_lines(tmp_path / "scores.csv", score_lines(5120))
         collections = []
         gc.collect()
         gc.callbacks.append(lambda phase, info: collections.append(info["generation"]))
@@ -358,3 +373,108 @@ class TestScoreReaderParity:
         finally:
             gc.callbacks.pop()
         assert collections == []
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_written_files_load_the_same(self, tmp_path, rng, newline):
+        # and in one pass: the row reader would give the same arrays, only slower
+        path = tmp_path / "scores.csv"
+        scores = rng.normal(0, 1, 300) * 10.0 ** rng.integers(-300, 300, 300)
+        write_score_records(path, "adv_dist", np.arange(300) * 7 - 900, scores, rng.random(300) < 0.5)
+        path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n").replace(b"\n", newline.encode()))
+        assert self.assert_same_arrays(path, "adv_dist")[1].tobytes() == scores.tobytes()
+        assert _parse_plain_score_csv(path.read_bytes(), "adv_dist") is not None
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            pytest.param("0,loss,1.0,1\n\n1,loss,2.0,0\n", id="blank_line_in_the_middle"),
+            pytest.param("0,loss,1.0,1\n1,loss,2.0,0\n\n", id="blank_line_at_the_end"),
+            pytest.param("0,loss,1.0,1\n  \n1,loss,2.0,0\n", id="spaces_only_line"),
+            pytest.param("0,loss,1.0,1\n1,loss,2.0,1\x00x\n", id="nul_in_flag"),
+            pytest.param("0,loss,1.0,1\r1,loss,2.0,0\n", id="lone_cr_line_end"),
+            pytest.param("0,loss,1.0,1\n1,loss,2.0,0\r", id="lone_cr_at_the_end"),
+            pytest.param("0,loss,1.0,1\r\r\n1,loss,2.0,0\n", id="cr_cr_lf"),
+            pytest.param("0,loss,1.0,1\r\n1,loss,2.0,0\n", id="mixed_line_ends"),
+            pytest.param("", id="header_only"),
+            pytest.param("0,loss,1.0,1\n1,loss,2.0,0", id="no_final_newline"),
+            pytest.param("0,loss,1.0,1\n1,loss,2.0,0\r\n", id="crlf_at_the_end_only"),
+            pytest.param(f"0,loss,0.{'0' * 140_000}1,1\n", id="finite_score_over_field_limit"),
+            pytest.param(f"0,loss,1.0,1\n1,loss,{'0' * 131_068}1.5,1\n", id="line_at_field_limit"),
+            pytest.param("0,loss,1.0,1\n1,loss,2.0,0\n2,loss,3.0,1\x00\n", id="trailing_nul"),
+            pytest.param("0,loss,1.0,1\n1,loss ,2.0,0\n", id="space_after_strategy"),
+            pytest.param("0,loss,1.0,1\n1,losss,2.0,0\n", id="longer_strategy"),
+            pytest.param("0,loss,1.0,1\n1,los,2.0,0\n", id="shorter_strategy"),
+            pytest.param("0,loss,1.0,1\n1,loss,2.0,0,\n", id="trailing_comma"),
+            pytest.param("1.0,loss,1.0,1\n", id="float_id"),
+            pytest.param("1_0,loss,1_0.5,1\n", id="underscores"),
+            pytest.param("+ 1,loss,1.0,1\n", id="sign_space_id"),
+            pytest.param("1,loss,1e400,1\n", id="score_overflows_to_inf"),
+            pytest.param("1,loss,-0,1\n2,loss,  -1e-320 ,0\n", id="signed_zero_and_subnormal"),
+            pytest.param("1,loss,infinity,1\n", id="infinity"),
+            pytest.param("9223372036854775807,loss,1,1\n-9223372036854775808,loss,1,0\n", id="int64_ends"),
+            *(
+                pytest.param(f"0,loss,1.0,{flag}\n", id=f"flag_{name}")
+                for name, flag in [("01", "01"), ("plus_1", "+1"), ("space_1", " 1"), ("1_space", "1 "), ("10", "10"), ("100", "100")]
+            ),
+            *(
+                pytest.param(f"0,loss,1.0,1\n{field},1\n", id=f"hash_{i}")
+                for i, field in enumerate(["#1,loss,2.0", "1#,loss,2.0", "1,#loss,2.0", "1,loss,#2.0", "1,loss,2.0#"])
+            ),
+            pytest.param("0,loss,1.0,#1\n", id="hash_in_flag"),
+            *(
+                pytest.param(row, id=f"x{ord(c):x}_{where}")
+                for c in "\x1c\x1d\x1e\x1f"
+                for where, row in [
+                    ("before_id", f"{c}3,loss,1.0,1\n"),
+                    ("after_id", f"3{c},loss,1.0,1\n"),
+                    ("before_score", f"3,loss,{c}1.0,1\n"),
+                    ("after_score", f"3,loss,1.0{c},1\n"),
+                ]
+            ),
+            pytest.param("3,loss,\t1.0\t,\t1\t\n", id="tabs"),
+            pytest.param("3,loss,\x0b1.0,1\n", id="vertical_tab"),
+        ],
+    )
+    def test_layouts_loadtxt_could_misread(self, tmp_path, body):
+        """Inputs on which a bare np.loadtxt parse reads differently from
+        csv.reader, int() and float(), or on which the row reader fails."""
+        (tmp_path / "scores.csv").write_bytes(("sample_id,strategy,score,is_member\n" + body).encode())
+        assert_reads_like_reference(tmp_path / "scores.csv")
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        edits=st.lists(
+            st.tuples(
+                st.integers(0, 10**6),
+                st.one_of(
+                    st.none(),
+                    st.sampled_from(b'0123456789,.-+e \r\n#"\t\x00\x0b\x1c\x1flosinf'),
+                    st.integers(0, 127),
+                ),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_random_byte_edits_read_the_same(self, tmp_path, edits):
+        """Insert (a byte) or delete (None) at random offsets of a valid
+        file; bytes stay ASCII, which every reader decodes alike."""
+        blob = bytearray(b"sample_id,strategy,score,is_member\n0,loss,-0.25,1\n1,loss,1e-05,0\n12,loss,3.5,1\r\n")
+        for offset, byte in edits:
+            if byte is None:
+                del blob[offset % len(blob)]
+            else:
+                blob.insert(offset % (len(blob) + 1), byte)
+        (tmp_path / "scores.csv").write_bytes(bytes(blob))
+        assert_reads_like_reference(tmp_path / "scores.csv")
+
+
+def assert_reads_like_reference(path, strategy="loss"):
+    """read_score_records gives whatever the reference gives: its arrays,
+    bitwise, or its DataError message."""
+    try:
+        row_by_row_score_reader(path, strategy)
+    except DataError:
+        TestScoreReaderParity.assert_same_error(path, strategy)
+    else:
+        TestScoreReaderParity.assert_same_arrays(path, strategy)
