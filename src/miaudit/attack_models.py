@@ -540,8 +540,8 @@ def write_feature_dump(path, sample_ids, features, is_member) -> None:
 
 def read_feature_dump(path):
     """Inverse of write_feature_dump: (ids, matrix, is_member) arrays."""
-    with open(path, newline="") as fh:
-        reader = csv_rows(fh, path)
+    with open(path, "rb") as fh:
+        reader = csv_rows(fh.read(), path)
         header = next(reader, None)
         if not header or header[0] != "sample_id" or header[-1] != "is_member":
             raise DataError(f"unexpected feature CSV header in {path}")

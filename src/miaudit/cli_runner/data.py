@@ -144,8 +144,8 @@ def save_csv_file(dataset: Dataset, path) -> None:
 
 def read_csv_file(path):
     """(features, labels) from one CSV file; errors carry the line number."""
-    with open(path, newline="") as fh:
-        reader = csv_rows(fh, path)
+    with open(path, "rb") as fh:
+        reader = csv_rows(fh.read(), path)
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path}: empty file")

@@ -91,9 +91,10 @@ def _sorted_sweep(ss, mm):
 class _SortedPools:
     """Both pools of one strategy (members first), stable-sorted by
     descending score once.  `sweep(member_idx)` is the sweep of the chosen
-    members against every nonmember: filtering the pool's order by a mask
-    leaves the subset's scores in descending order with the same tie
-    groups, so it equals `_sweep` of a fresh sort, bit for bit."""
+    members (all of them for None) against every nonmember: filtering the
+    pool's order by a mask leaves the subset's scores in descending order
+    with the same tie groups, so it equals `_sweep` of a fresh sort, bit
+    for bit."""
 
     def __init__(self, member_scores, nonmember_scores):
         pool = LabeledScoreSet.from_pools(member_scores, nonmember_scores)
@@ -102,7 +103,9 @@ class _SortedPools:
         self.ss = pool.scores[self.order]
         self.mm = pool.is_member[self.order]
 
-    def sweep(self, member_idx):
+    def sweep(self, member_idx=None):
+        if member_idx is None:  # every member
+            return _sorted_sweep(self.ss, self.mm)
         keep = np.ones(self.order.shape[0], dtype=bool)
         keep[: self.n_members] = False
         keep[member_idx] = True
@@ -310,6 +313,20 @@ class StrategyRepeats:
         return float(self.accuracies.std())
 
 
+def _member_draws(pool_size: int, size: int, repeats: int, seed: list) -> list:
+    """Member indices of each repeat: `repeats` seeded draws of `size` of
+    the pool without replacement, drawn from `[*seed, r]` for repeat r.
+    When `size` is the whole pool every draw is a permutation of it, which
+    sweeps alike, so the list is one None (every member) that stands for
+    all repeats."""
+    if size == pool_size:
+        return [None]
+    return [
+        np.random.default_rng([*seed, r]).choice(pool_size, size=size, replace=False)
+        for r in range(repeats)
+    ]
+
+
 def repeated_subset_experiment(
     member_scores: dict,
     nonmember_scores: dict,
@@ -319,7 +336,9 @@ def repeated_subset_experiment(
     full nonmember pool.  The same subset indices serve all strategies within
     a repeat; stds are population stds over repeats.  Each strategy's pools
     are sorted once and every repeat sweeps that order filtered to its
-    subset.
+    subset.  When the subset is the whole member pool every repeat is the
+    same set, so it is swept once per strategy and that row fills every
+    repeat: the stds are 0 up to the rounding of the mean.
     """
     if set(member_scores) != set(nonmember_scores):
         raise ConfigError("member and nonmember score tables list different strategies")
@@ -331,25 +350,24 @@ def repeated_subset_experiment(
         raise ConfigError("per-strategy score pools differ in length")
     if sizes_m != {protocol.member_pool_size} or sizes_n != {protocol.nonmember_pool_size}:
         raise ConfigError("score pools do not match the protocol pool sizes")
-    subset = protocol.resolved_subset_size()
+    draws = _member_draws(
+        protocol.member_pool_size, protocol.resolved_subset_size(), protocol.repeats, [protocol.seed]
+    )
+    copies = protocol.repeats // len(draws)  # repeats each draw stands for
     grid = default_fpr_grid(protocol.fpr_grid_points)
-    names = sorted(member_scores)
-    pools = {name: _SortedPools(member_scores[name], nonmember_scores[name]) for name in names}
-    results = {
-        name: StrategyRepeats(
-            np.zeros(protocol.repeats), np.zeros(protocol.repeats), np.zeros((protocol.repeats, grid.size))
-        )
-        for name in member_scores
-    }
-    for r in range(protocol.repeats):
-        rng = np.random.default_rng([protocol.seed, r])
-        idx = rng.choice(protocol.member_pool_size, size=subset, replace=False)
-        for name in names:
-            sweep = pools[name].sweep(idx)
+    results = {}
+    for name in member_scores:
+        pools = _SortedPools(member_scores[name], nonmember_scores[name])
+        aurocs, accuracies, grid_rows = [], [], []
+        for idx in draws:
+            sweep = pools.sweep(idx)
             curve = _curve(*sweep)
-            results[name].aurocs[r] = _area(curve)
-            results[name].accuracies[r] = _best_accuracy(*sweep)[1]
-            results[name].grid_rows[r] = _grid_row(curve, grid)
+            aurocs.append(_area(curve))
+            accuracies.append(_best_accuracy(*sweep)[1])
+            grid_rows.append(_grid_row(curve, grid))
+        results[name] = StrategyRepeats(
+            np.repeat(aurocs, copies), np.repeat(accuracies, copies), np.repeat(grid_rows, copies, axis=0)
+        )
     return results
 
 
@@ -365,7 +383,8 @@ def ratio_robustness_experiment(
     Nonmembers stay fixed; the member side is subsampled to round(a/b * n)
     per ratio a:b and averaged over seeded draws.  A ratio that needs more
     members than the pool holds raises ConfigError.  The pools are sorted
-    once and every draw sweeps that order filtered to its members.
+    once and every draw sweeps that order filtered to its members; a ratio
+    that needs the whole member pool is swept once.
     """
     ms = np.asarray(member_scores, dtype=np.float64).ravel()
     ns = np.asarray(nonmember_scores, dtype=np.float64).ravel()
@@ -385,15 +404,8 @@ def ratio_robustness_experiment(
             raise ConfigError(
                 f"ratio {a}:{b} needs {need} members but the pool has {ms.size}"
             )
-        key = f"{a}:{b}"
-        if need == ms.size:
-            out[key] = _area(_curve(*_sorted_sweep(pools.ss, pools.mm)))
-            continue
-        vals = np.zeros(repeats)
-        for r in range(repeats):
-            rng = np.random.default_rng([seed, a, b, r])
-            vals[r] = _area(_curve(*pools.sweep(rng.choice(ms.size, size=need, replace=False))))
-        out[key] = float(vals.mean())
+        draws = _member_draws(ms.size, need, repeats, [seed, a, b])
+        out[f"{a}:{b}"] = float(np.mean([_area(_curve(*pools.sweep(idx))) for idx in draws]))
     return out
 
 

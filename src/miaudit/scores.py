@@ -214,10 +214,18 @@ def write_score_records(path, strategy: str, sample_ids, scores, is_member) -> N
             writer.writerow([sid, strategy, repr(float(score)), int(member)])
 
 
-def csv_rows(fh, path):
-    """The rows of `csv.reader(fh)`.  A `csv.Error`, such as a field over
-    `csv.field_size_limit()`, raises DataError naming the file and line."""
-    reader = csv.reader(fh)
+def csv_rows(data: bytes, path):
+    """The rows of a CSV file's bytes, decoded as UTF-8.  Bytes that are not
+    UTF-8, or a `csv.Error` such as a field over `csv.field_size_limit()`,
+    raise DataError naming the file and line.  The whole file is decoded
+    before the first row is returned, so the line of a bad byte is exact."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise DataError(f"{path}: line {line}: {exc}") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         yield from reader
     except csv.Error as exc:
@@ -314,7 +322,7 @@ def read_score_records(path, strategy: str):
     columns = _parse_plain_score_csv(data, strategy)
     if columns is not None:
         return columns
-    reader = csv_rows(io.TextIOWrapper(io.BytesIO(data), newline=""), path)
+    reader = csv_rows(data, path)
     if next(reader, None) != SCORE_HEADER:
         raise DataError(f"unexpected score CSV header in {path}")
     return _score_rows(reader, strategy, path)

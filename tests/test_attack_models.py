@@ -712,6 +712,12 @@ class TestFeatureDump:
         with pytest.raises(DataError, match="features.csv: line 3: field larger than field limit"):
             read_feature_dump(path)
 
+    def test_undecodable_bytes_are_a_data_error(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_bytes(b"sample_id,f0,is_member\r\n0,0.25,1\r\n1,\x800.5,0\r\n")
+        with pytest.raises(DataError, match="features.csv: line 3: 'utf-8' codec can't decode byte 0x80"):
+            read_feature_dump(path)
+
     def test_length_mismatch(self, tmp_path, rng):
         with pytest.raises(ShapeError):
             write_feature_dump(tmp_path / "f.csv", [0, 1], rng.normal(0, 1, (3, 2)), [True, False, True])

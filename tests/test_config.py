@@ -51,6 +51,12 @@ class TestParseFile:
         with pytest.raises(ConfigError):
             parse_config_file(tmp_path / "absent.cfg")
 
+    def test_undecodable_bytes_are_a_config_error(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"seed = 1\n\xff\n")
+        with pytest.raises(ConfigError, match="run.cfg: 'utf-8' codec can't decode byte 0xff"):
+            parse_config_file(path)
+
     def test_value_may_contain_equals(self, tmp_path):
         path = write_config(tmp_path, "output.dir = out=dir\n")
         assert parse_config_file(path) == {"output.dir": "out=dir"}

@@ -105,6 +105,12 @@ class TestCsvFormat:
         with pytest.raises(DataError, match="part.csv: line 3: field larger than field limit"):
             read_csv_file(path)
 
+    def test_undecodable_bytes_are_a_data_error(self, tmp_path):
+        path = tmp_path / "part.csv"
+        path.write_bytes(b"f0,f1,label\n0.1,0.2,0\n0.3,0.4\xff,1\n")
+        with pytest.raises(DataError, match="part.csv: line 3: 'utf-8' codec can't decode byte 0xff"):
+            read_csv_file(path)
+
     def test_negative_label_rejected(self, tmp_path):
         path = tmp_path / "part.csv"
         path.write_text("f0,label\n0.5,-1\n")

@@ -12,6 +12,7 @@ from miaudit.errors import ConfigError, EvaluationError
 from miaudit.evaluation import (
     HistogramResult,
     StrategyRepeats,
+    _SortedPools,
     decision_rates,
     default_fpr_grid,
 )
@@ -305,6 +306,37 @@ class TestRepeatedSubset:
     def test_empty_tables(self):
         assert mi.repeated_subset_experiment({}, {}, mi.ProtocolConfig(5, 5)) == {}
 
+    @pytest.mark.parametrize(
+        "proto, sweeps_per_strategy",
+        [
+            (mi.ProtocolConfig(30, 10, repeats=6), 6),  # derived: 10 of 30
+            (mi.ProtocolConfig(30, 10, member_subset_size=29, repeats=6), 6),
+            (mi.ProtocolConfig(30, 10, member_subset_size=30, repeats=6), 1),
+            (mi.ProtocolConfig(30, 40, repeats=6), 1),  # derived: the whole pool
+        ],
+        ids=["derived_subset", "proper_subset", "whole_pool", "derived_whole_pool"],
+    )
+    def test_whole_pool_is_swept_once(self, rng, monkeypatch, proto, sweeps_per_strategy):
+        member, nonmember = self._pools(rng, n_m=30, n_n=proto.nonmember_pool_size)
+        calls = []
+        sweep = _SortedPools.sweep
+
+        def counted(pools, member_idx=None):
+            calls.append(member_idx)
+            return sweep(pools, member_idx)
+
+        monkeypatch.setattr(_SortedPools, "sweep", counted)
+        out = mi.repeated_subset_experiment(member, nonmember, proto)
+        assert len(calls) == sweeps_per_strategy * len(member)
+        for rep in out.values():
+            assert rep.aurocs.shape == rep.accuracies.shape == (proto.repeats,)
+            assert rep.grid_rows.shape == (proto.repeats, proto.fpr_grid_points)
+            if sweeps_per_strategy == 1:
+                assert np.all(rep.aurocs == rep.aurocs[0])
+                assert np.all(rep.accuracies == rep.accuracies[0])
+                assert np.all(rep.grid_rows == rep.grid_rows[0])
+                assert rep.auroc_std < 1e-15
+
 
 class TestRatioRobustness:
     def test_exact_pool_single_shot(self, rng):
@@ -368,10 +400,18 @@ class TestSortOnceOracle:
 
         return streams(n_m, 0.5), streams(n_n, 0.0)
 
-    @pytest.mark.parametrize("subset", [0, 17, 60])
-    def test_repeats_match_a_fresh_sort_of_each_subset(self, rng, subset):
-        member, nonmember = self._pools(rng)
-        proto = mi.ProtocolConfig(60, 40, member_subset_size=subset, repeats=7, seed=3,
+    @pytest.mark.parametrize(
+        "n_m, n_n, subset",
+        [
+            pytest.param(60, 40, 0, id="0"),  # derived: 40 of 60
+            pytest.param(60, 40, 17, id="17"),
+            pytest.param(60, 40, 60, id="60"),  # the whole pool, set explicitly
+            pytest.param(40, 60, 0, id="derived_whole_pool"),  # 40 of 40, as in the default audit
+        ],
+    )
+    def test_repeats_match_a_fresh_sort_of_each_subset(self, rng, n_m, n_n, subset):
+        member, nonmember = self._pools(rng, n_m, n_n)
+        proto = mi.ProtocolConfig(n_m, n_n, member_subset_size=subset, repeats=7, seed=3,
                                   fpr_grid_points=33)
         out = mi.repeated_subset_experiment(member, nonmember, proto)
         grid = default_fpr_grid(33)
@@ -379,7 +419,7 @@ class TestSortOnceOracle:
         for name in member:
             rows = []
             for r in range(proto.repeats):
-                idx = np.random.default_rng([proto.seed, r]).choice(60, size=size, replace=False)
+                idx = np.random.default_rng([proto.seed, r]).choice(n_m, size=size, replace=False)
                 sset = spools(member[name][idx], nonmember[name])
                 curve = mi.roc_curve(sset)
                 rows.append(unique_grid_row(curve, grid))

@@ -466,6 +466,18 @@ class TestCli:
         assert main(args + ["--out", str(tmp_path / "re")]) == 3
         assert "scores_loss.csv: line 6: field larger than field limit" in capsys.readouterr().err
 
+    def test_report_on_undecodable_score_file_exit_code(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, "strategies = loss\n")
+        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        scores_dir = tmp_path / "scores"
+        scores_dir.mkdir()
+        blob = (tmp_path / "out" / "scores_loss.csv").read_bytes()
+        (scores_dir / "scores_loss.csv").write_bytes(blob + b"\xff")
+        capsys.readouterr()
+        args = ["report", "--config", str(cfg), "--scores-dir", str(scores_dir)]
+        assert main(args + ["--out", str(tmp_path / "re")]) == 3
+        assert "scores_loss.csv: line 38: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
     @pytest.mark.parametrize("n_lines", [20, 21])
     def test_report_on_pools_too_small_for_holdout_exit_code(self, tmp_path, capsys, n_lines):
         cfg = self.write_cfg(tmp_path, "strategies = loss\n")
@@ -508,6 +520,13 @@ class TestCli:
         bad.write_text("mystery.key = 1\n")
         assert main(["audit", "--config", str(bad)]) == 2
         assert "mystery.key" in capsys.readouterr().err
+
+    def test_undecodable_config_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seed = 1\n\xff\n")
+        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "bad.cfg" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["audit", "report"])
     @pytest.mark.parametrize(

@@ -61,7 +61,7 @@ def test_score_csv(tmp_path, newline):
     path = tmp_path / "scores_loss.csv"
     write_score_records(path, "loss", [0, 1, 22], [-0.125, 3e-07, 12.5], [True, False, True])
     blob = path.read_bytes().replace(b"\r\n", newline)
-    cases = [blob[:cut] for cut in range(len(blob))] + [blob + bytes([b]) for b in b'\x00\r\n 0,#"x']
+    cases = [blob[:cut] for cut in range(len(blob))] + [blob + bytes([b]) for b in b'\x00\r\n 0,#"x\xff\x80']
     for case in cases:
         path.write_bytes(case)
         assert_reads_like_reference(path)

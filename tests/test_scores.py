@@ -3,8 +3,10 @@
 import csv
 import gc
 import math
+import re
 import warnings
 from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,15 +240,39 @@ class TestScoreRecords:
         with pytest.raises(DataError, match=f"scores.csv: line {line}: field larger than field limit"):
             read_score_records(tmp_path / "scores.csv", "loss")
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("bad", [b"\xff", b"\x80", b"\xc3"], ids=["ff", "continuation", "cut_sequence"])
+    def test_undecodable_bytes_are_a_data_error(self, tmp_path, newline, bad):
+        # line 500 starts past the first 8 KiB: a decoder reading the file in
+        # 8 KiB chunks fails before the csv reader reaches it
+        lines = ["sample_id,strategy,score,is_member", *score_lines(512)]
+        blob = newline.join(lines + [""]).encode()
+        at = blob.index(b"498,loss,") + 4
+        assert at > 8192
+        (tmp_path / "scores.csv").write_bytes(blob[:at] + bad + blob[at:])
+        with pytest.raises(DataError, match="scores.csv: line 500: 'utf-8' codec can't decode byte"):
+            read_score_records(tmp_path / "scores.csv", "loss")
+
 
 def row_by_row_score_reader(path, strategy):
-    """Reference reader: one row at a time, the first bad row raises.  The
-    header must be SCORE_HEADER, and a csv.Error (a NUL byte, a field over
-    csv.field_size_limit()) names its line.  Per row the checks run in this
-    order: field count, sample id (a 64-bit int), score (a float), finite
-    score, strategy name, member flag."""
+    """Reference reader: one row at a time, the first bad row raises.  A
+    file that is not UTF-8 raises first, naming the first line (split at
+    CRLF, CR or LF) that does not decode.  The header must be SCORE_HEADER,
+    and a csv.Error (a NUL byte, a field over csv.field_size_limit()) names
+    its line.  Per row the checks run in this order: field count, sample id
+    (a 64-bit int), score (a float), finite score, strategy name, member
+    flag."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        for lineno, line in enumerate(re.split(rb"\r\n|\r|\n", data), start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                raise DataError(f"{path}: line {lineno}: {exc}") from exc
     ids, scores, members = array("q"), array("d"), []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             if next(reader, None) != SCORE_HEADER:
