@@ -39,7 +39,6 @@ from .errors import (
 )
 from .evaluation import (
     EvalReport,
-    LabeledScoreSet,
     ProtocolConfig,
     ROCCurve,
     auroc,

@@ -243,21 +243,15 @@ def _random_starts(rngs: list, X: np.ndarray, config: AttackConfig) -> np.ndarra
     return project_lp_box(Z, X, config.p, config.epsilon)
 
 
-def find_adversarial_rows(
-    model: MLPClassifier, X, Y, config: AttackConfig, seeds, traces: bool = False
-):
-    """`find_adversarial` for every row of a block (n, d) with labels (n,).
+def find_adversarial_rows(model: MLPClassifier, X, Y, config: AttackConfig, seeds) -> list:
+    """`find_adversarial` for every row of a block (n, d) with labels (n,);
+    returns one AdversarialOutcome per row.
 
     All rows search in lock step.  Row i draws its random restarts from
     `default_rng(seeds[i])` and its outcome is bitwise the one it gets
     alone, whatever its block mates (`config.seed` is not used).  Each
     row's closest misclassified iterate is kept as the search runs; no
-    iterate is stored.  With `traces`, the first run of every row, the one
-    started at the input, is also recorded, rows that start out
-    misclassified included, and returned as one ApgdTrace per row;
-    otherwise the second item is None.
-
-    Returns (one AdversarialOutcome per row, traces or None).
+    iterate is stored.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.int64)
@@ -271,27 +265,23 @@ def find_adversarial_rows(
     rngs = [np.random.default_rng(seed) for seed in seeds]
     best_loss, best_loss_point = loss0.copy(), X.copy()
     best_dist, best_point = np.full(n, math.inf), X.copy()
-    recorded = [] if traces else None
+    rows = np.flatnonzero(searched)
+    Xr, Yr = X[rows], Y[rows]
+
+    def screen(points, losses, preds):
+        hit = preds != Yr
+        if hit.any():
+            dist = lp_norm(points[hit] - Xr[hit], config.p)
+            closer = dist < best_dist[rows[hit]]
+            best_dist[rows[hit][closer]] = dist[closer]
+            best_point[rows[hit][closer]] = points[hit][closer]
+
     for run in range(config.n_restarts):
-        rows = np.arange(n) if run == 0 and traces else np.flatnonzero(searched)
-        if not rows.size:
+        if not rows.size:  # every row starts out misclassified
             break
-        counted = searched[rows]
-        Xr, Yr = X[rows], Y[rows]
-
-        def screen(points, losses, preds):
-            if run == 0 and recorded is not None:
-                recorded.append((points, losses, preds))
-            hit = counted & (preds != Yr)
-            if hit.any():
-                dist = lp_norm(points[hit] - Xr[hit], config.p)
-                closer = dist < best_dist[rows[hit]]
-                best_dist[rows[hit][closer]] = dist[closer]
-                best_point[rows[hit][closer]] = points[hit][closer]
-
         start = None if run == 0 else _random_starts([rngs[i] for i in rows], Xr, config)
         run_x, run_loss = _ascend(model, Xr, Yr, config, start, screen)
-        better = counted & (run_loss > best_loss[rows])
+        better = run_loss > best_loss[rows]
         best_loss[rows[better]] = run_loss[better]
         best_loss_point[rows[better]] = run_x[better]
 
@@ -309,7 +299,18 @@ def find_adversarial_rows(
                 best_loss_point[i] - X[i], float(config.epsilon), False, iterations,
                 float(best_loss[i]),
             ))
-    return outcomes, (None if recorded is None else _row_traces(X, config, recorded))
+    return outcomes
+
+
+def first_run_traces(model: MLPClassifier, X, Y, config: AttackConfig) -> list:
+    """One ApgdTrace per row of a block (n, d) with labels (n,): the run of
+    `find_adversarial_rows` that starts at the input, misclassified rows
+    included.  Rows run in lock step, each bitwise as it would alone."""
+    X = np.asarray(X, dtype=np.float64)
+    recorded = []
+    _ascend(model, X, np.asarray(Y, dtype=np.int64), config, None,
+            lambda *visited: recorded.append(visited))
+    return _row_traces(X, config, recorded)
 
 
 def find_adversarial(model: MLPClassifier, x, y: int, config: AttackConfig) -> AdversarialOutcome:
@@ -323,7 +324,7 @@ def find_adversarial(model: MLPClassifier, x, y: int, config: AttackConfig) -> A
     `config.seed`.
     """
     x = np.asarray(x, dtype=np.float64)
-    (outcome,), _ = find_adversarial_rows(model, x[None, :], [y], config, [config.seed])
+    (outcome,) = find_adversarial_rows(model, x[None, :], [y], config, [config.seed])
     return outcome
 
 

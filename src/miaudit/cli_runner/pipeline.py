@@ -17,11 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .. import attack_models as am
-from ..adversarial import dump_trace_csv
+from ..adversarial import dump_trace_csv, first_run_traces
 from ..errors import AuditError, ConfigError, DataError
 from ..evaluation import (
     EvalReport,
-    LabeledScoreSet,
     averaged_roc_on_grid,  # noqa: F401  bench/tracing.py patches pipeline.averaged_roc_on_grid by name
     default_fpr_grid,
     holdout_cut,
@@ -176,7 +175,8 @@ def score_samples(config: ExperimentConfig, model, X, Y, score_names, attacker_n
     search's debug trace of every row (empty unless `debug.dump_traces` and
     a score needs the search).  Every score and extractor takes all rows in
     one call.  The search is seeded per row by its sample id, so its
-    results do not depend on the other rows.
+    results do not depend on the other rows.  The traces replay the
+    search's first run, the one started at each input, for every row.
     """
     scores, traces = {}, []
     for name in score_names:
@@ -184,9 +184,9 @@ def score_samples(config: ExperimentConfig, model, X, Y, score_names, attacker_n
         if entry.needs_attack:
             base = stage_seed(config.seed, "attack")
             seeds = [stage_seed(base, f"sample:{sid}") for sid in range(len(X))]
-            found = [] if config["debug.dump_traces"] else None
-            scores[name] = entry.score(model, X, Y, config.attack_config(), seeds, found)
-            traces = found or []
+            scores[name] = entry.score(model, X, Y, config.attack_config(), seeds)
+            if config["debug.dump_traces"]:
+                traces = first_run_traces(model, X, Y, config.attack_config())
         else:
             scores[name] = compute_score(model, X, Y, name)
     features = {}
@@ -329,11 +329,11 @@ def build_report(
         with _stage("analysis2"):
             seed2 = stage_seed(config.seed, "analysis2")
             for name in strategies:
-                sset = LabeledScoreSet.from_pools(member_pool[name], nonmember_pool[name])
                 # attackers output a membership probability
                 fixed = 0.5 if STRATEGIES[name].kind == "attacker" else None
                 bal, fpr = holdout_threshold_eval(
-                    sset, config["protocol.holdout_fraction"], seed2, fixed_tau=fixed
+                    member_pool[name], nonmember_pool[name], config["protocol.holdout_fraction"],
+                    seed2, fixed_tau=fixed,
                 )
                 strategy_reports[name]["analysis2"] = {
                     "balanced_accuracy": bal,
@@ -362,9 +362,9 @@ def build_report(
 
         with _stage("histograms"):
             for name in strategies:
-                sset = LabeledScoreSet.from_pools(member_pool[name], nonmember_pool[name])
-                rng_range = STRATEGIES[name].hist_range(sset.scores, config["attack.epsilon"])
-                histograms[name] = score_histogram(sset, config["histogram.bins"], rng_range)
+                pools = member_pool[name], nonmember_pool[name]
+                rng_range = STRATEGIES[name].hist_range(*pools, config["attack.epsilon"])
+                histograms[name] = score_histogram(*pools, config["histogram.bins"], rng_range)
 
     for name in strategies:
         strategy_reports[name]["kind"] = STRATEGIES[name].kind

@@ -16,39 +16,16 @@ from .errors import ConfigError, EvaluationError
 DEFAULT_FPR_GRID_POINTS = 201
 
 
-@dataclass(frozen=True)
-class LabeledScoreSet:
-    """Scores with membership ground truth; higher score = more member-like."""
-
-    scores: np.ndarray
-    is_member: np.ndarray
-
-    @classmethod
-    def from_arrays(cls, scores, is_member) -> "LabeledScoreSet":
-        s = np.asarray(scores, dtype=np.float64).ravel()
-        m = np.asarray(is_member, dtype=bool).ravel()
-        if s.shape[0] != m.shape[0]:
-            raise EvaluationError("scores and labels differ in length")
-        if s.shape[0] == 0:
-            raise EvaluationError("empty score set")
-        if not np.all(np.isfinite(s)):
-            raise EvaluationError("scores must be finite")
-        return cls(s, m)
-
-    @classmethod
-    def from_pools(cls, member_scores, nonmember_scores) -> "LabeledScoreSet":
-        ms = np.asarray(member_scores, dtype=np.float64).ravel()
-        ns = np.asarray(nonmember_scores, dtype=np.float64).ravel()
-        return cls.from_arrays(
-            np.concatenate([ms, ns]),
-            np.concatenate([np.ones(len(ms), bool), np.zeros(len(ns), bool)]),
-        )
-
-
-def _require_both_classes(score_set: LabeledScoreSet) -> None:
-    n_m = int(score_set.is_member.sum())
-    if n_m == 0 or n_m == score_set.is_member.shape[0]:
-        raise EvaluationError("score set needs both members and nonmembers")
+def _pools(member_scores, nonmember_scores) -> tuple[np.ndarray, np.ndarray]:
+    """The member and nonmember scores as float64 vectors, each non-empty
+    and finite; higher score = more member-like."""
+    ms = np.asarray(member_scores, dtype=np.float64).ravel()
+    ns = np.asarray(nonmember_scores, dtype=np.float64).ravel()
+    if ms.size == 0 or ns.size == 0:
+        raise EvaluationError("scores need both members and nonmembers")
+    if not (np.all(np.isfinite(ms)) and np.all(np.isfinite(ns))):
+        raise EvaluationError("scores must be finite")
+    return ms, ns
 
 
 @dataclass(frozen=True)
@@ -62,13 +39,6 @@ class ROCCurve:
     fpr: np.ndarray
     tpr: np.ndarray
     thresholds: np.ndarray
-
-
-def _sweep(score_set: LabeledScoreSet):
-    """Sort the scores once and group ties; see `_sorted_sweep`."""
-    _require_both_classes(score_set)
-    order = np.argsort(-score_set.scores, kind="stable")
-    return _sorted_sweep(score_set.scores[order], score_set.is_member[order])
 
 
 def _sorted_sweep(ss, mm):
@@ -93,15 +63,16 @@ class _SortedPools:
     descending score once.  `sweep(member_idx)` is the sweep of the chosen
     members (all of them for None) against every nonmember: filtering the
     pool's order by a mask leaves the subset's scores in descending order
-    with the same tie groups, so it equals `_sweep` of a fresh sort, bit
-    for bit."""
+    with the same tie groups, so it equals the sweep of a fresh sort of the
+    subset, bit for bit."""
 
     def __init__(self, member_scores, nonmember_scores):
-        pool = LabeledScoreSet.from_pools(member_scores, nonmember_scores)
-        self.n_members = int(pool.is_member.sum())
-        self.order = np.argsort(-pool.scores, kind="stable")
-        self.ss = pool.scores[self.order]
-        self.mm = pool.is_member[self.order]
+        ms, ns = _pools(member_scores, nonmember_scores)
+        scores = np.concatenate([ms, ns])
+        self.n_members = ms.size
+        self.order = np.argsort(-scores, kind="stable")
+        self.ss = scores[self.order]
+        self.mm = self.order < ms.size
 
     def sweep(self, member_idx=None):
         if member_idx is None:  # every member
@@ -138,38 +109,36 @@ def _best_accuracy(ss, boundaries, tp, fp) -> tuple[float, float]:
     return _best_boundary(ss, boundaries, (tp + (fp[-1] - fp)) / (tp[-1] + fp[-1]))
 
 
-def roc_curve(score_set: LabeledScoreSet) -> ROCCurve:
-    return _curve(*_sweep(score_set))
+def roc_curve(member_scores, nonmember_scores) -> ROCCurve:
+    return _curve(*_SortedPools(member_scores, nonmember_scores).sweep())
 
 
-def auroc(score_set: LabeledScoreSet) -> float:
+def auroc(member_scores, nonmember_scores) -> float:
     """Trapezoid area under the tie-grouped ROC; equals the tied-rank
     Mann-Whitney statistic."""
-    return _area(roc_curve(score_set))
+    return _area(roc_curve(member_scores, nonmember_scores))
 
 
-def best_threshold_accuracy(score_set: LabeledScoreSet) -> tuple[float, float]:
+def best_threshold_accuracy(member_scores, nonmember_scores) -> tuple[float, float]:
     """(tau, accuracy) maximizing plain accuracy of score >= tau.
 
     The sweep covers every distinct operating point (midpoints between
     adjacent distinct scores plus both infinities); among ties the smallest
     tau wins.
     """
-    return _best_accuracy(*_sweep(score_set))
+    return _best_accuracy(*_SortedPools(member_scores, nonmember_scores).sweep())
 
 
-def _best_balanced_threshold(score_set: LabeledScoreSet) -> float:
-    ss, boundaries, tp, fp = _sweep(score_set)
+def _best_balanced_threshold(member_scores, nonmember_scores) -> float:
+    ss, boundaries, tp, fp = _SortedPools(member_scores, nonmember_scores).sweep()
     return _best_boundary(ss, boundaries, 0.5 * (tp / tp[-1] + (fp[-1] - fp) / fp[-1]))[0]
 
 
-def decision_rates(score_set: LabeledScoreSet, tau: float) -> tuple[float, float, float]:
+def decision_rates(member_scores, nonmember_scores, tau: float) -> tuple[float, float, float]:
     """(balanced_accuracy, fpr, tpr) of the rule score >= tau."""
-    _require_both_classes(score_set)
-    pred = score_set.scores >= tau
-    m = score_set.is_member
-    tpr = float(pred[m].mean())
-    fpr = float(pred[~m].mean())
+    ms, ns = _pools(member_scores, nonmember_scores)
+    tpr = float((ms >= tau).mean())
+    fpr = float((ns >= tau).mean())
     return 0.5 * (tpr + (1.0 - fpr)), fpr, tpr
 
 
@@ -180,7 +149,8 @@ def holdout_cut(n: int, holdout_fraction: float) -> int:
 
 
 def holdout_threshold_eval(
-    score_set: LabeledScoreSet,
+    member_scores,
+    nonmember_scores,
     holdout_fraction: float = 0.8,
     seed: int = 0,
     fixed_tau=None,
@@ -188,29 +158,22 @@ def holdout_threshold_eval(
     """Imbalanced-aware protocol: pick tau for balanced accuracy on a
     stratified holdout_fraction of the data, report (balanced_accuracy, fpr)
     on the rest.  fixed_tau skips the sweep (trained attackers use 0.5).
+    Each pool is shuffled by its own permutation, members first, and cut
+    at `holdout_cut`.
     """
     if not 0.0 < holdout_fraction < 1.0:
         raise ConfigError("holdout_fraction must lie strictly between 0 and 1")
-    _require_both_classes(score_set)
     rng = np.random.default_rng(seed)
-    sel_idx, eval_idx = [], []
-    for cls in (True, False):
-        idx = np.nonzero(score_set.is_member == cls)[0]
-        idx = idx[rng.permutation(idx.shape[0])]
-        cut = holdout_cut(idx.shape[0], holdout_fraction)
-        sel_idx.append(idx[:cut])
-        eval_idx.append(idx[cut:])
-    sel = np.concatenate(sel_idx)
-    ev = np.concatenate(eval_idx)
-    if min(len(i) for i in sel_idx) == 0 or min(len(i) for i in eval_idx) == 0:
+    sel, ev = [], []
+    for pool in _pools(member_scores, nonmember_scores):
+        pool = pool[rng.permutation(pool.size)]
+        cut = holdout_cut(pool.size, holdout_fraction)
+        sel.append(pool[:cut])
+        ev.append(pool[cut:])
+    if min(p.size for p in sel + ev) == 0:
         raise EvaluationError("degenerate holdout split: a side lost a class")
-    eval_set = LabeledScoreSet(score_set.scores[ev], score_set.is_member[ev])
-    if fixed_tau is None:
-        sel_set = LabeledScoreSet(score_set.scores[sel], score_set.is_member[sel])
-        tau = _best_balanced_threshold(sel_set)
-    else:
-        tau = float(fixed_tau)
-    bal, fpr, _ = decision_rates(eval_set, tau)
+    tau = _best_balanced_threshold(*sel) if fixed_tau is None else float(fixed_tau)
+    bal, fpr, _ = decision_rates(*ev, tau)
     return bal, fpr
 
 
@@ -386,10 +349,7 @@ def ratio_robustness_experiment(
     once and every draw sweeps that order filtered to its members; a ratio
     that needs the whole member pool is swept once.
     """
-    ms = np.asarray(member_scores, dtype=np.float64).ravel()
-    ns = np.asarray(nonmember_scores, dtype=np.float64).ravel()
-    if ms.size == 0 or ns.size == 0:
-        raise EvaluationError("ratio experiment needs both pools non-empty")
+    ms, ns = _pools(member_scores, nonmember_scores)
     if repeats < 1:
         raise ConfigError("ratio repeats must be >= 1")
     pools = _SortedPools(ms, ns)
@@ -416,7 +376,7 @@ class HistogramResult:
     nonmember_counts: np.ndarray
 
 
-def score_histogram(score_set: LabeledScoreSet, n_bins: int, value_range) -> HistogramResult:
+def score_histogram(member_scores, nonmember_scores, n_bins: int, value_range) -> HistogramResult:
     """Fixed-range histograms per class; out-of-range values land in the
     first or last bin."""
     if n_bins < 1:
@@ -425,10 +385,9 @@ def score_histogram(score_set: LabeledScoreSet, n_bins: int, value_range) -> His
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ConfigError("histogram range must be finite with lo < hi")
     edges = np.linspace(lo, hi, n_bins + 1)
-    clipped = np.clip(score_set.scores, lo, hi)
-    m = score_set.is_member
-    mc, _ = np.histogram(clipped[m], bins=edges)
-    nc, _ = np.histogram(clipped[~m], bins=edges)
+    ms, ns = _pools(member_scores, nonmember_scores)
+    mc, _ = np.histogram(np.clip(ms, lo, hi), bins=edges)
+    nc, _ = np.histogram(np.clip(ns, lo, hi), bins=edges)
     return HistogramResult(edges, mc.astype(np.int64), nc.astype(np.int64))
 
 

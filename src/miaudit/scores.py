@@ -85,22 +85,16 @@ def grad_x_norm_score(model: MLPClassifier, x, y):
     return one_or_block(x, -np.sqrt(np.sum(g * g, axis=1)))
 
 
-def adv_dist_score(model: MLPClassifier, x, y, attack: AttackConfig, seeds=None, traces=None):
+def adv_dist_score(model: MLPClassifier, x, y, attack: AttackConfig, seeds=None):
     """Adversarial distance: lp norm of the minimal misclassifying
     perturbation, epsilon when the attack fails, 0 when x already misses.
 
     All rows search in lock step; row i draws its restarts from seeds[i],
-    or from `attack.seed` when no seeds are given.  A list passed as
-    `traces` receives the first-run trace of every row (see
-    `find_adversarial_rows`).
+    or from `attack.seed` when no seeds are given.
     """
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
     seeds = [attack.seed] * len(X) if seeds is None else seeds
-    outcomes, found = find_adversarial_rows(
-        model, X, np.array(y, dtype=np.int64, ndmin=1), attack, seeds, traces is not None
-    )
-    if traces is not None:
-        traces.extend(found)
+    outcomes = find_adversarial_rows(model, X, np.array(y, dtype=np.int64, ndmin=1), attack, seeds)
     return one_or_block(x, np.array([o.distance for o in outcomes]))
 
 
@@ -108,15 +102,16 @@ def membership_decision(score: float, tau: float) -> bool:
     return score >= tau
 
 
-def _unit_range(scores: np.ndarray, epsilon: float) -> tuple:
+def _unit_range(member: np.ndarray, nonmember: np.ndarray, epsilon: float) -> tuple:
     return (0.0, 1.0)
 
 
-def _epsilon_range(scores: np.ndarray, epsilon: float) -> tuple:
+def _epsilon_range(member: np.ndarray, nonmember: np.ndarray, epsilon: float) -> tuple:
     return (0.0, epsilon)
 
 
-def _data_range(scores: np.ndarray, epsilon: float) -> tuple:
+def _data_range(member: np.ndarray, nonmember: np.ndarray, epsilon: float) -> tuple:
+    scores = np.concatenate([member, nonmember])
     lo = float(scores.min())
     hi = float(scores.max())
     return (lo, hi if hi > lo else lo + 1.0)
@@ -134,7 +129,8 @@ class Strategy:
     also takes a block, whose feature set is called `features`, or the six
     threshold scores when it has none.  Attacker functions are held by
     name so that they are looked up on attack_models when called.
-    `hist_range(scores, epsilon)` gives the range of the score histogram.
+    `hist_range(member, nonmember, epsilon)` gives the range of the score
+    histogram of the two score pools.
     """
 
     name: str

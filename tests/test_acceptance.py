@@ -104,7 +104,7 @@ def test_criterion_2_auroc_matches_rank_statistic():
         else:
             m = rng.normal(0.3, 1.0, n_m)
             n = rng.normal(0.0, 1.0, n_n)
-        got = mi.auroc(mi.LabeledScoreSet.from_pools(m, n))
+        got = mi.auroc(m, n)
         wins = np.sum(m[:, None] > n[None, :], dtype=np.float64)
         ties = np.sum(m[:, None] == n[None, :], dtype=np.float64)
         want = (wins + 0.5 * ties) / (n_m * n_n)
@@ -270,8 +270,7 @@ def test_criterion_5_desk_scale_attack_trend(desk_audit):
             f"seed {run['seed']}: no generalization gap to attack"
         )
         for name in mi.THRESHOLD_STRATEGIES:
-            ss = mi.LabeledScoreSet.from_pools(run["member"][name], run["nonmember"][name])
-            val = mi.auroc(ss)
+            val = mi.auroc(run["member"][name], run["nonmember"][name])
             min_auroc[name] = min(min_auroc[name], val)
             floor = 0.65 if name == "adv_dist" else 0.60
             assert val >= floor, f"seed {run['seed']} {name} auroc {val:.3f} < {floor}"
@@ -329,14 +328,12 @@ def test_criterion_7_ensemble_vs_best_single(desk_audit):
         assert attacker.net.layer_dims == [6, 40, 40, 20, 10, 1]
         s_m = attacker_scores(attacker, feats_m[perm_m[half_m:]])
         s_n = attacker_scores(attacker, feats_n[perm_n[half_n:]])
-        ens = mi.auroc(mi.LabeledScoreSet.from_pools(s_m, s_n))
+        ens = mi.auroc(s_m, s_n)
         best = 0.0
         for name in mi.THRESHOLD_STRATEGIES:
             single = mi.auroc(
-                mi.LabeledScoreSet.from_pools(
-                    run["member"][name][perm_m[half_m:]],
-                    run["nonmember"][name][perm_n[half_n:]],
-                )
+                run["member"][name][perm_m[half_m:]],
+                run["nonmember"][name][perm_n[half_n:]],
             )
             best = max(best, single)
         ens_aurocs.append(ens)

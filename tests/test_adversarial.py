@@ -16,6 +16,7 @@ from miaudit.adversarial import (
     _checkpoint_iterations,
     dump_trace_csv,
     find_adversarial_rows,
+    first_run_traces,
     project_l1_ball,
 )
 from miaudit.errors import ConfigError, InvalidInputError
@@ -35,7 +36,7 @@ def feasible(point, center, p, eps, lo=0.0, hi=1.0, tol=1e-9):
 
 def first_run_trace(model, x, y, cfg):
     """The ApgdTrace of the search's first run, the one started at x."""
-    _, (trace,) = find_adversarial_rows(model, x[None, :], [y], cfg, [cfg.seed], traces=True)
+    (trace,) = first_run_traces(model, x[None, :], [y], cfg)
     return trace
 
 
@@ -425,8 +426,7 @@ class TestBlockSearch:
     def test_rows_match_one_row_calls(self, block, p, n_restarts):
         model, X, Y, seeds = block
         cfg = mi.AttackConfig(p=p, epsilon=0.1, n_iter=12, n_restarts=n_restarts)
-        outcomes, traces = find_adversarial_rows(model, X, Y, cfg, seeds)
-        assert traces is None
+        outcomes = find_adversarial_rows(model, X, Y, cfg, seeds)
         kinds = {
             "misclassified" if o.iterations_used == 0 and o.success
             else "found" if o.success else "failed"
@@ -439,7 +439,7 @@ class TestBlockSearch:
             assert_same_outcome(out, _reference_search(model, X[i], int(Y[i]), row_cfg))
         order = np.random.default_rng(5).permutation(len(X))
         for part in [order, *np.array_split(order, 2)]:
-            got, _ = find_adversarial_rows(model, X[part], Y[part], cfg, [seeds[i] for i in part])
+            got = find_adversarial_rows(model, X[part], Y[part], cfg, [seeds[i] for i in part])
             for i, out in zip(part, got):
                 assert_same_outcome(out, outcomes[i])
 
@@ -448,11 +448,9 @@ class TestBlockSearch:
     def test_first_run_traces_match_one_row_runs(self, block, p, n_restarts):
         model, X, Y, seeds = block
         cfg = mi.AttackConfig(p=p, epsilon=0.1, n_iter=12, n_restarts=n_restarts)
-        outcomes, traces = find_adversarial_rows(model, X, Y, cfg, seeds, traces=True)
-        plain, _ = find_adversarial_rows(model, X, Y, cfg, seeds)
+        traces = first_run_traces(model, X, Y, cfg)
         assert len(traces) == len(X)  # misclassified rows included
         for i in range(len(X)):
-            assert_same_outcome(outcomes[i], plain[i])
             one = first_run_trace(model, X[i], int(Y[i]), replace(cfg, seed=seeds[i]))
             points, losses, preds = _reference_ascent(model, X[i], int(Y[i]), cfg)
             for trace in (traces[i], one):

@@ -30,34 +30,40 @@ def pair_count_auc(member, nonmember):
     return (wins + 0.5 * ties) / (m.size * n.size)
 
 
-def spools(member, nonmember):
-    return mi.LabeledScoreSet.from_pools(member, nonmember)
+def pool_entry_points(member, nonmember):
+    """Call every evaluation function that takes the two score pools."""
+    yield lambda: mi.roc_curve(member, nonmember)
+    yield lambda: mi.auroc(member, nonmember)
+    yield lambda: mi.best_threshold_accuracy(member, nonmember)
+    yield lambda: decision_rates(member, nonmember, 0.5)
+    yield lambda: mi.holdout_threshold_eval(member, nonmember)
+    yield lambda: mi.score_histogram(member, nonmember, 4, (0.0, 1.0))
+    yield lambda: mi.ratio_robustness_experiment(member, nonmember, ratios=((1, 1),))
 
 
 class TestScoreSet:
-    def test_from_pools_layout(self):
-        ss = spools(MEM, NON)
-        assert ss.scores.shape == (6,)
-        assert list(ss.is_member) == [True] * 3 + [False] * 3
-
-    def test_length_mismatch(self):
-        with pytest.raises(EvaluationError):
-            mi.LabeledScoreSet.from_arrays(np.zeros(3), np.array([True, False]))
+    """Every evaluation function takes (member scores, nonmember scores)
+    and checks both pools alike."""
 
     def test_empty_rejected(self):
-        with pytest.raises(EvaluationError):
-            mi.LabeledScoreSet.from_arrays(np.array([]), np.array([], dtype=bool))
+        for member, nonmember in (([], []), ([], [0.2, 0.3]), ([0.1, 0.4], [])):
+            for call in pool_entry_points(np.array(member), np.array(nonmember)):
+                with pytest.raises(EvaluationError):
+                    call()
 
     def test_non_finite_rejected(self):
-        with pytest.raises(EvaluationError):
-            spools(np.array([0.1, np.nan]), np.array([0.2]))
+        good = np.linspace(0.1, 0.9, 5)
+        for bad in (np.nan, np.inf, -np.inf):
+            for member, nonmember in ((np.append(good, bad), good), (good, np.append(good, bad))):
+                for call in pool_entry_points(member, nonmember):
+                    with pytest.raises(EvaluationError):
+                        call()
 
 
 class TestRocCurve:
     def test_endpoints_and_monotonicity(self, rng):
         for _ in range(20):
-            ss = spools(rng.normal(1, 1, 12), rng.normal(0, 1, 9))
-            curve = mi.roc_curve(ss)
+            curve = mi.roc_curve(rng.normal(1, 1, 12), rng.normal(0, 1, 9))
             assert curve.fpr[0] == 0.0 and curve.tpr[0] == 0.0
             assert curve.fpr[-1] == 1.0 and curve.tpr[-1] == 1.0
             assert np.all(np.diff(curve.fpr) >= 0)
@@ -68,29 +74,29 @@ class TestRocCurve:
     def test_ties_collapse_to_one_point(self):
         # two members and one nonmember share a score; the tie group moves
         # diagonally in a single step
-        curve = mi.roc_curve(spools([1.0, 1.0], [1.0, 0.0]))
+        curve = mi.roc_curve([1.0, 1.0], [1.0, 0.0])
         assert np.allclose(curve.fpr, [0.0, 0.5, 1.0])
         assert np.allclose(curve.tpr, [0.0, 1.0, 1.0])
 
     def test_single_class_rejected(self):
         with pytest.raises(EvaluationError):
-            mi.roc_curve(mi.LabeledScoreSet.from_arrays(np.array([1.0, 2.0]), np.array([True, True])))
+            mi.roc_curve(np.array([1.0, 2.0]), np.array([]))
 
 
 class TestAuroc:
     def test_frozen_example(self):
-        assert abs(mi.auroc(spools(MEM, NON)) - 8.0 / 9.0) < 1e-12
+        assert abs(mi.auroc(MEM, NON) - 8.0 / 9.0) < 1e-12
 
     def test_perfect_reversed_chance(self):
-        assert mi.auroc(spools([0.8, 0.9], [0.1, 0.2])) == 1.0
-        assert mi.auroc(spools([0.1, 0.2], [0.8, 0.9])) == 0.0
-        assert mi.auroc(spools([0.5, 0.5], [0.5, 0.5])) == 0.5
+        assert mi.auroc([0.8, 0.9], [0.1, 0.2]) == 1.0
+        assert mi.auroc([0.1, 0.2], [0.8, 0.9]) == 0.0
+        assert mi.auroc([0.5, 0.5], [0.5, 0.5]) == 0.5
 
     def test_matches_pair_count_oracle(self, rng):
         for _ in range(40):
             m = rng.choice(np.linspace(0, 1, 7), size=int(rng.integers(2, 30)))
             n = rng.choice(np.linspace(0, 1, 7), size=int(rng.integers(2, 30)))
-            assert abs(mi.auroc(spools(m, n)) - pair_count_auc(m, n)) < 1e-12
+            assert abs(mi.auroc(m, n) - pair_count_auc(m, n)) < 1e-12
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -98,8 +104,8 @@ class TestAuroc:
         n=st.lists(st.floats(-5, 5), min_size=1, max_size=15),
     )
     def test_negation_symmetry(self, m, n):
-        fwd = mi.auroc(spools(m, n))
-        rev = mi.auroc(spools([-v for v in m], [-v for v in n]))
+        fwd = mi.auroc(m, n)
+        rev = mi.auroc([-v for v in m], [-v for v in n])
         assert abs(fwd + rev - 1.0) < 1e-12
 
     @settings(max_examples=80, deadline=None)
@@ -111,20 +117,20 @@ class TestAuroc:
         # replace scores by their ranks: strictly monotone, tie-preserving
         levels = np.unique(np.concatenate([m, n]))
         rank = {v: i for i, v in enumerate(levels)}
-        base = mi.auroc(spools(m, n))
-        moved = mi.auroc(spools([rank[v] for v in m], [rank[v] for v in n]))
+        base = mi.auroc(m, n)
+        moved = mi.auroc([rank[v] for v in m], [rank[v] for v in n])
         assert abs(base - moved) < 1e-12
 
 
 class TestBestThreshold:
     def test_frozen_example(self):
-        tau, acc = mi.best_threshold_accuracy(spools(MEM, NON))
+        tau, acc = mi.best_threshold_accuracy(MEM, NON)
         assert abs(acc - 5.0 / 6.0) < 1e-12
         assert abs(tau - 0.35) < 1e-12
 
     def test_smallest_tau_wins_ties(self):
         # boundaries after 0.9 and after the 0.5 tie group both give 0.75
-        tau, acc = mi.best_threshold_accuracy(spools([0.9, 0.5], [0.5, 0.1]))
+        tau, acc = mi.best_threshold_accuracy([0.9, 0.5], [0.5, 0.1])
         assert abs(acc - 0.75) < 1e-12
         assert abs(tau - 0.3) < 1e-12
 
@@ -132,76 +138,127 @@ class TestBestThreshold:
         for _ in range(25):
             m = rng.choice(np.linspace(0, 1, 9), size=int(rng.integers(2, 20)))
             n = rng.choice(np.linspace(0, 1, 9), size=int(rng.integers(2, 20)))
-            ss = spools(m, n)
-            tau, acc = mi.best_threshold_accuracy(ss)
-            preds = np.array([mi.membership_decision(s, tau) for s in ss.scores])
-            assert abs(np.mean(preds == ss.is_member) - acc) < 1e-12
+            tau, acc = mi.best_threshold_accuracy(m, n)
+            preds = np.array([mi.membership_decision(s, tau) for s in np.concatenate([m, n])])
+            truth = np.arange(m.size + n.size) < m.size
+            assert abs(np.mean(preds == truth) - acc) < 1e-12
 
     def test_beats_majority_baseline(self, rng):
         for _ in range(10):
             m = rng.normal(0.6, 0.3, 14)
             n = rng.normal(0.4, 0.3, 6)
-            _, acc = mi.best_threshold_accuracy(spools(m, n))
+            _, acc = mi.best_threshold_accuracy(m, n)
             assert acc >= 14.0 / 20.0 - 1e-12
 
     def test_perfect_separation_inner_threshold(self):
-        tau, acc = mi.best_threshold_accuracy(spools([0.9, 0.7], [0.3, 0.1]))
+        tau, acc = mi.best_threshold_accuracy([0.9, 0.7], [0.3, 0.1])
         assert acc == 1.0
         assert abs(tau - 0.5) < 1e-12
 
 
 class TestDecisionRates:
     def test_known_rates(self):
-        bal, fpr, tpr = decision_rates(spools(MEM, NON), 0.35)
+        bal, fpr, tpr = decision_rates(MEM, NON, 0.35)
         assert tpr == 1.0
         assert abs(fpr - 1.0 / 3.0) < 1e-12
         assert abs(bal - (1.0 + 2.0 / 3.0) / 2.0) < 1e-12
 
     def test_extreme_taus(self):
-        ss = spools(MEM, NON)
-        bal_lo, fpr_lo, tpr_lo = decision_rates(ss, -math.inf)
+        bal_lo, fpr_lo, tpr_lo = decision_rates(MEM, NON, -math.inf)
         assert (tpr_lo, fpr_lo, bal_lo) == (1.0, 1.0, 0.5)
-        bal_hi, fpr_hi, tpr_hi = decision_rates(ss, math.inf)
+        bal_hi, fpr_hi, tpr_hi = decision_rates(MEM, NON, math.inf)
         assert (tpr_hi, fpr_hi, bal_hi) == (0.0, 0.0, 0.5)
+
+
+def mask_holdout_eval(member, nonmember, fraction, seed, fixed_tau):
+    """Reference for holdout_threshold_eval on one concatenated score vector
+    and a membership mask: each class's indices are found with np.nonzero
+    and permuted, members first; tau comes from a stable sort of the
+    selection side and a sweep of its tie groups."""
+    scores = np.concatenate([member, nonmember]).astype(np.float64)
+    mask = np.arange(scores.size) < len(member)
+    rng = np.random.default_rng(seed)
+    sel, ev = [], []
+    for cls in (True, False):
+        idx = np.nonzero(mask == cls)[0]
+        idx = idx[rng.permutation(idx.shape[0])]
+        cut = int(round(fraction * idx.shape[0]))
+        sel.append(idx[:cut])
+        ev.append(idx[cut:])
+    sel, ev = np.concatenate(sel), np.concatenate(ev)
+    if fixed_tau is None:
+        order = np.argsort(-scores[sel], kind="stable")
+        ss, mm = scores[sel][order], mask[sel][order]
+        ends = np.append(np.nonzero(np.diff(ss) != 0)[0], ss.shape[0] - 1)
+        members = np.cumsum(mm)[ends]
+        tp = np.concatenate([[0], members]).astype(np.float64)
+        fp = np.concatenate([[0], ends + 1 - members]).astype(np.float64)
+        boundaries = np.concatenate([[0], ends + 1])
+        rate = 0.5 * (tp / tp[-1] + (fp[-1] - fp) / fp[-1])
+        j = int(boundaries[np.nonzero(rate == rate.max())[0][-1]])
+        if j == 0:
+            tau = math.inf
+        elif j == ss.shape[0]:
+            tau = -math.inf
+        else:
+            tau = float(0.5 * (ss[j - 1] + ss[j]))
+    else:
+        tau = float(fixed_tau)
+    pred = scores[ev] >= tau
+    tpr = float(pred[mask[ev]].mean())
+    fpr = float(pred[~mask[ev]].mean())
+    return 0.5 * (tpr + (1.0 - fpr)), fpr
 
 
 class TestHoldoutEval:
     def test_separable_scores_score_perfectly(self, rng):
         m = rng.uniform(0.7, 1.0, 40)
         n = rng.uniform(0.0, 0.3, 40)
-        bal, fpr = mi.holdout_threshold_eval(spools(m, n), seed=3)
+        bal, fpr = mi.holdout_threshold_eval(m, n, seed=3)
         assert bal == 1.0 and fpr == 0.0
 
     def test_fixed_tau_skips_sweep(self, rng):
         m = rng.uniform(0.6, 1.0, 25)
         n = rng.uniform(0.0, 0.4, 25)
-        bal, fpr = mi.holdout_threshold_eval(spools(m, n), seed=1, fixed_tau=0.5)
+        bal, fpr = mi.holdout_threshold_eval(m, n, seed=1, fixed_tau=0.5)
         assert bal == 1.0 and fpr == 0.0
         # a fixed threshold above every score predicts nonmember everywhere
-        bal2, fpr2 = mi.holdout_threshold_eval(spools(m, n), seed=1, fixed_tau=2.0)
+        bal2, fpr2 = mi.holdout_threshold_eval(m, n, seed=1, fixed_tau=2.0)
         assert bal2 == 0.5 and fpr2 == 0.0
 
     def test_deterministic_and_seed_sensitive(self, rng):
-        ss = spools(rng.normal(1, 1, 30), rng.normal(0, 1, 30))
-        a = mi.holdout_threshold_eval(ss, seed=5)
-        b = mi.holdout_threshold_eval(ss, seed=5)
+        pools = rng.normal(1, 1, 30), rng.normal(0, 1, 30)
+        a = mi.holdout_threshold_eval(*pools, seed=5)
+        b = mi.holdout_threshold_eval(*pools, seed=5)
         assert a == b
 
     def test_fraction_validation(self, rng):
-        ss = spools(rng.normal(1, 1, 10), rng.normal(0, 1, 10))
+        pools = rng.normal(1, 1, 10), rng.normal(0, 1, 10)
         for bad in (0.0, 1.0, -0.5):
             with pytest.raises(ConfigError):
-                mi.holdout_threshold_eval(ss, holdout_fraction=bad)
+                mi.holdout_threshold_eval(*pools, holdout_fraction=bad)
 
     def test_degenerate_split_rejected(self):
         with pytest.raises(EvaluationError):
-            mi.holdout_threshold_eval(spools([1.0], [0.0, 0.1]), holdout_fraction=0.8)
+            mi.holdout_threshold_eval([1.0], [0.0, 0.1], holdout_fraction=0.8)
+
+    @pytest.mark.parametrize("fixed_tau", [None, 0.5])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_matches_the_mask_based_protocol(self, rng, ties, fixed_tau):
+        for seed in range(25):
+            m = rng.normal(0.6, 0.3, int(rng.integers(3, 40)))
+            n = rng.normal(0.4, 0.3, int(rng.integers(3, 40)))
+            if ties:
+                m, n = np.round(m, 1), np.round(n, 1)
+            fraction = float(rng.choice([0.5, 0.7, 0.8]))
+            got = mi.holdout_threshold_eval(m, n, fraction, seed, fixed_tau=fixed_tau)
+            want = mask_holdout_eval(m, n, fraction, seed, fixed_tau)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 class TestAveragedRoc:
     def test_identical_curves_zero_std(self, rng):
-        ss = spools(rng.normal(1, 1, 15), rng.normal(0, 1, 15))
-        curve = mi.roc_curve(ss)
+        curve = mi.roc_curve(rng.normal(1, 1, 15), rng.normal(0, 1, 15))
         grid = default_fpr_grid(51)
         mean, std = mi.averaged_roc_on_grid([curve, curve, curve], grid)
         assert mean.shape == (51,) and std.shape == (51,)
@@ -211,13 +268,13 @@ class TestAveragedRoc:
 
     def test_duplicate_fpr_keeps_max_tpr(self):
         # the vertical segment at fpr 0 collapses to its top before interp
-        curve = mi.roc_curve(spools([0.9, 0.4], [0.7, 0.6]))
+        curve = mi.roc_curve([0.9, 0.4], [0.7, 0.6])
         grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
         mean, _ = mi.averaged_roc_on_grid([curve], grid)
         assert np.allclose(mean, [0.5, 0.5, 0.5, 0.75, 1.0], atol=1e-12)
 
     def test_grid_validation(self, rng):
-        curve = mi.roc_curve(spools(rng.normal(1, 1, 5), rng.normal(0, 1, 5)))
+        curve = mi.roc_curve(rng.normal(1, 1, 5), rng.normal(0, 1, 5))
         with pytest.raises(ConfigError):
             mi.averaged_roc_on_grid([curve], np.array([0.5, 0.4]))
         with pytest.raises(ConfigError):
@@ -344,7 +401,7 @@ class TestRatioRobustness:
         n = rng.normal(0, 1, 20)
         out = mi.ratio_robustness_experiment(m, n, ratios=((1, 1),), repeats=3, seed=0)
         assert set(out) == {"1:1"}
-        assert out["1:1"] == mi.auroc(spools(m, n))
+        assert out["1:1"] == mi.auroc(m, n)
 
     def test_subsampled_mean_bounded(self, rng):
         m = rng.normal(1, 1, 100)
@@ -420,14 +477,14 @@ class TestSortOnceOracle:
             rows = []
             for r in range(proto.repeats):
                 idx = np.random.default_rng([proto.seed, r]).choice(n_m, size=size, replace=False)
-                sset = spools(member[name][idx], nonmember[name])
-                curve = mi.roc_curve(sset)
+                pools = member[name][idx], nonmember[name]
+                curve = mi.roc_curve(*pools)
                 rows.append(unique_grid_row(curve, grid))
-                assert out[name].aurocs[r] == mi.auroc(sset)
+                assert out[name].aurocs[r] == mi.auroc(*pools)
                 assert out[name].aurocs[r] == pytest.approx(
                     pair_count_auc(member[name][idx], nonmember[name]), abs=1e-12
                 )
-                assert out[name].accuracies[r] == mi.best_threshold_accuracy(sset)[1]
+                assert out[name].accuracies[r] == mi.best_threshold_accuracy(*pools)[1]
             assert out[name].grid_rows.tobytes() == np.vstack(rows).tobytes()
 
     def test_ratio_draws_match_a_fresh_sort_of_each_draw(self, rng):
@@ -439,18 +496,18 @@ class TestSortOnceOracle:
             for a, b in ratios:
                 need = int(round(ns.size * a / b))
                 if need == ms.size:
-                    assert out[f"{a}:{b}"] == mi.auroc(spools(ms, ns))
+                    assert out[f"{a}:{b}"] == mi.auroc(ms, ns)
                     continue
                 vals = np.zeros(6)
                 for r in range(6):
                     sub = np.random.default_rng([11, a, b, r]).choice(ms.size, size=need, replace=False)
-                    vals[r] = mi.auroc(spools(ms[sub], ns))
+                    vals[r] = mi.auroc(ms[sub], ns)
                 assert out[f"{a}:{b}"] == float(vals.mean())
 
     def test_averaged_roc_matches_the_unique_reduction(self, rng):
         member, nonmember = self._pools(rng)
         grid = default_fpr_grid(41)
-        curves = [mi.roc_curve(spools(member[n], nonmember[n])) for n in member]
+        curves = [mi.roc_curve(member[n], nonmember[n]) for n in member]
         mean, std = mi.averaged_roc_on_grid(curves, grid)
         rows = np.vstack([unique_grid_row(c, grid) for c in curves])
         assert mean.tobytes() == rows.mean(axis=0).tobytes()
@@ -459,8 +516,7 @@ class TestSortOnceOracle:
 
 class TestScoreHistogram:
     def test_counts_and_clamping(self):
-        ss = spools([-5.0, 0.2, 0.8, 9.0], [0.5, 0.5])
-        hist = mi.score_histogram(ss, 4, (0.0, 1.0))
+        hist = mi.score_histogram([-5.0, 0.2, 0.8, 9.0], [0.5, 0.5], 4, (0.0, 1.0))
         assert isinstance(hist, HistogramResult)
         assert hist.member_counts.sum() == 4
         assert hist.nonmember_counts.sum() == 2
@@ -469,14 +525,29 @@ class TestScoreHistogram:
         assert hist.nonmember_counts[2] == 2
         assert hist.edges.shape == (5,)
 
+    def test_matches_np_histogram_of_the_clipped_scores(self, rng):
+        for _ in range(20):
+            m = rng.normal(0.6, 0.4, int(rng.integers(1, 60)))
+            n = np.round(rng.normal(0.4, 0.4, int(rng.integers(1, 60))), 1)
+            n_bins = int(rng.integers(1, 12))
+            lo, hi = sorted(rng.uniform(-0.5, 1.5, 2))
+            hist = mi.score_histogram(m, n, n_bins, (lo, hi))
+            clipped = np.clip(np.concatenate([m, n]), lo, hi)
+            member = np.arange(clipped.size) < m.size
+            want_m, edges = np.histogram(clipped[member], bins=n_bins, range=(lo, hi))
+            want_n, _ = np.histogram(clipped[~member], bins=n_bins, range=(lo, hi))
+            assert hist.edges.tobytes() == edges.tobytes()
+            assert hist.member_counts.tobytes() == want_m.astype(np.int64).tobytes()
+            assert hist.nonmember_counts.tobytes() == want_n.astype(np.int64).tobytes()
+
     def test_validation(self):
-        ss = spools([0.1], [0.9])
+        pools = [0.1], [0.9]
         with pytest.raises(ConfigError):
-            mi.score_histogram(ss, 0, (0, 1))
+            mi.score_histogram(*pools, 0, (0, 1))
         with pytest.raises(ConfigError):
-            mi.score_histogram(ss, 4, (1, 1))
+            mi.score_histogram(*pools, 4, (1, 1))
         with pytest.raises(ConfigError):
-            mi.score_histogram(ss, 4, (0, math.inf))
+            mi.score_histogram(*pools, 4, (0, math.inf))
 
 
 class TestStrategyRepeats:
