@@ -26,6 +26,7 @@ DATA_MAGIC = b"MIADATA\x00"
 DATA_VERSION = 1
 
 _EXT = {"csv": "csv", "binary": "bin"}
+_LABEL_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -161,8 +162,8 @@ def read_csv_file(path):
                 labels.append(int(row[-1]))
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: {exc}") from exc
-            if labels[-1] < 0:
-                raise DataError(f"{path}: line {lineno}: negative label {labels[-1]}")
+            if not 0 <= labels[-1] <= _LABEL_MAX:
+                raise DataError(f"{path}: line {lineno}: label {labels[-1]} outside [0, {_LABEL_MAX}]")
     if not feats:
         raise DataError(f"{path}: no data rows")
     X = np.array(feats, dtype=np.float64)
@@ -274,7 +275,7 @@ def load_dataset(path, fmt: str = "csv"):
     Features outside [0, 1] are min-max normalized per feature, with the map
     fitted jointly over both splits and recorded in the manifest.  When the
     directory holds a manifest.json (`gen-data` writes one), its train_size,
-    heldout_size and feature_dim must match the files.
+    heldout_size, feature_dim and n_classes must match the files.
     Returns (train, heldout, manifest).
     """
     if fmt not in _EXT:
@@ -299,10 +300,13 @@ def load_dataset(path, fmt: str = "csv"):
     if Xt.shape[1] != Xh.shape[1]:
         raise DataError("train and heldout disagree on the feature dimension")
     manifest_path = base / "manifest.json"
-    # a CSV cut at a row boundary still parses; the manifest's sizes catch it
+    # a CSV cut at a row boundary still parses, and an edited CSV label sizes
+    # the target's output layer; the manifest catches both
     if manifest_path.is_file():
         recorded = read_json_object(manifest_path)
-        for key, n in (("train_size", len(Xt)), ("heldout_size", len(Xh)), ("feature_dim", Xt.shape[1])):
+        for key, n in (
+            ("train_size", len(Xt)), ("heldout_size", len(Xh)), ("feature_dim", Xt.shape[1]), ("n_classes", k)
+        ):
             if recorded.get(key) != n:
                 raise DataError(f"{manifest_path}: {key} is {recorded.get(key)!r}, the files hold {n}")
     both = np.vstack([Xt, Xh])

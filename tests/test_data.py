@@ -117,6 +117,12 @@ class TestCsvFormat:
         with pytest.raises(DataError):
             read_csv_file(path)
 
+    def test_label_beyond_int64_is_a_data_error(self, tmp_path):
+        path = tmp_path / "part.csv"
+        path.write_text("f0,label\n0.5,0\n0.5,99999999999999999999\n")
+        with pytest.raises(DataError, match="part.csv: line 3: label 99999999999999999999 outside"):
+            read_csv_file(path)
+
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "part.csv"
         path.write_text("f0,label\ninf,0\n")
@@ -214,6 +220,17 @@ class TestDatasetDirectory:
         ltrain, _, lmanifest = load_dataset(tmp_path, fmt="csv")
         assert not lmanifest.normalized
         assert np.allclose(ltrain.X, train.X, atol=1e-7)
+
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    def test_class_count_disagreeing_with_manifest(self, tmp_path, fmt):
+        train, held, manifest = generate_synthetic_dataset(2, 10, 3, 1.0, seed=4)
+        train.y[0] = 11
+        save_dataset(train, held, manifest, tmp_path, fmt=fmt)
+        if fmt == "binary":  # a header that agrees with the edited label
+            save_binary_file(train, tmp_path / "train.bin", n_classes=12)
+            save_binary_file(held, tmp_path / "heldout.bin", n_classes=12)
+        with pytest.raises(DataError, match="n_classes is 10, the files hold 12"):
+            load_dataset(tmp_path, fmt=fmt)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):

@@ -422,13 +422,21 @@ class TestCli:
         assert [line.split()[1] for line in notes] == noted
         assert all(line.startswith("note: ") and "report.json was written with" in line for line in notes)
 
-    @pytest.mark.parametrize("tamper", ["cut_train", "cut_heldout", "bad_manifest"])
+    @pytest.mark.parametrize(
+        "tamper", ["cut_train", "cut_heldout", "bad_manifest", "label_11", "label_beyond_int64"]
+    )
     def test_dataset_disagreeing_with_its_manifest_exit_code(self, tmp_path, capsys, tamper):
         cfg = self.write_cfg(tmp_path)
         assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "ds")]) == 0
         ds = tmp_path / "ds"
         if tamper == "bad_manifest":
             (ds / "manifest.json").write_text('{"train_size": 18,')
+        elif tamper.startswith("label"):
+            # the last field of the first data row is its label
+            lines = (ds / "train.csv").read_text().splitlines(keepends=True)
+            label = "11" if tamper == "label_11" else "99999999999999999999"
+            lines[1] = lines[1].rsplit(",", 1)[0] + f",{label}\n"
+            (ds / "train.csv").write_text("".join(lines))
         else:
             # 3 classes x 6 per class; a cut after 9 data rows is still valid CSV
             path = ds / ("train.csv" if tamper == "cut_train" else "heldout.csv")
