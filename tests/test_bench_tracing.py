@@ -26,8 +26,14 @@ def traced_totals(tmp_path, monkeypatch, workload):
 
 def test_traced_report_rerender_records_its_spans(tmp_path, monkeypatch):
     wl, _, totals = traced_totals(tmp_path, monkeypatch, "report_rerender")
-    assert totals["scores.read_records"]["calls"] == len(wl.WORKLOADS["report_rerender"].strategies)
+    n_strategies = len(wl.WORKLOADS["report_rerender"].strategies)
+    assert totals["scores.read_records"]["calls"] == n_strategies
     assert totals["evaluation.repeated_subset"]["calls"] == 1
+    # analysis2 and the histograms call these once per strategy by their
+    # pipeline names; the ratio study runs on the one default ratio strategy
+    assert totals["evaluation.holdout"]["calls"] == n_strategies
+    assert totals["evaluation.hist"]["calls"] == n_strategies
+    assert totals["evaluation.ratio"]["calls"] == 1
     assert (tmp_path / "out" / "report.json").is_file()
 
 
