@@ -324,7 +324,7 @@ def build_report(
                     "aurocs": [float(v) for v in res.aurocs],
                     "accuracies": [float(v) for v in res.accuracies],
                 }
-                roc_grids[name] = (grid, res.grid_rows.mean(axis=0), res.grid_rows.std(axis=0))
+                roc_grids[name] = (grid, *res.tpr_stats)
 
         with _stage("analysis2"):
             seed2 = stage_seed(config.seed, "analysis2")

@@ -252,28 +252,41 @@ class StrategyRepeats:
 
     Row r of `grid_rows` is repeat r's ROC curve reduced to its TPR at each
     point of `default_fpr_grid(protocol.fpr_grid_points)`, as
-    `averaged_roc_on_grid` reduces a curve; the curves are not kept.
+    `averaged_roc_on_grid` reduces a curve; the curves are not kept.  Each
+    distinct draw fills `copies` consecutive repeats.  Means and population
+    stds run over the distinct draws, so a draw that stands for every
+    repeat gives its own values and stds of exactly 0.
     """
 
     aurocs: np.ndarray
     accuracies: np.ndarray
     grid_rows: np.ndarray  # (repeats, grid points)
+    copies: int = 1
+
+    def _stats(self, values: np.ndarray) -> tuple:
+        draws = values[:: self.copies]
+        return draws.mean(axis=0), draws.std(axis=0)
 
     @property
     def auroc_mean(self) -> float:
-        return float(self.aurocs.mean())
+        return float(self._stats(self.aurocs)[0])
 
     @property
     def auroc_std(self) -> float:
-        return float(self.aurocs.std())
+        return float(self._stats(self.aurocs)[1])
 
     @property
     def accuracy_mean(self) -> float:
-        return float(self.accuracies.mean())
+        return float(self._stats(self.accuracies)[0])
 
     @property
     def accuracy_std(self) -> float:
-        return float(self.accuracies.std())
+        return float(self._stats(self.accuracies)[1])
+
+    @property
+    def tpr_stats(self) -> tuple:
+        """(mean, std) of the TPR at each grid point."""
+        return self._stats(self.grid_rows)
 
 
 def _member_draws(pool_size: int, size: int, repeats: int, seed: list) -> list:
@@ -301,7 +314,7 @@ def repeated_subset_experiment(
     are sorted once and every repeat sweeps that order filtered to its
     subset.  When the subset is the whole member pool every repeat is the
     same set, so it is swept once per strategy and that row fills every
-    repeat: the stds are 0 up to the rounding of the mean.
+    repeat: the means are its values and the stds 0.
     """
     if set(member_scores) != set(nonmember_scores):
         raise ConfigError("member and nonmember score tables list different strategies")
@@ -329,7 +342,8 @@ def repeated_subset_experiment(
             accuracies.append(_best_accuracy(*sweep)[1])
             grid_rows.append(_grid_row(curve, grid))
         results[name] = StrategyRepeats(
-            np.repeat(aurocs, copies), np.repeat(accuracies, copies), np.repeat(grid_rows, copies, axis=0)
+            np.repeat(aurocs, copies), np.repeat(accuracies, copies), np.repeat(grid_rows, copies, axis=0),
+            copies,
         )
     return results
 

@@ -392,7 +392,19 @@ class TestRepeatedSubset:
                 assert np.all(rep.aurocs == rep.aurocs[0])
                 assert np.all(rep.accuracies == rep.accuracies[0])
                 assert np.all(rep.grid_rows == rep.grid_rows[0])
-                assert rep.auroc_std < 1e-15
+                assert (rep.auroc_mean, rep.auroc_std) == (rep.aurocs[0], 0.0)
+                assert (rep.accuracy_mean, rep.accuracy_std) == (rep.accuracies[0], 0.0)
+                tpr_mean, tpr_std = rep.tpr_stats
+                assert tpr_mean.tobytes() == rep.grid_rows[0].tobytes()
+                assert not np.any(tpr_std)
+            else:
+                assert rep.auroc_mean == float(np.mean(rep.aurocs))
+                assert rep.auroc_std == float(np.std(rep.aurocs))
+                assert rep.accuracy_mean == float(np.mean(rep.accuracies))
+                assert rep.accuracy_std == float(np.std(rep.accuracies))
+                tpr_mean, tpr_std = rep.tpr_stats
+                assert tpr_mean.tobytes() == rep.grid_rows.mean(axis=0).tobytes()
+                assert tpr_std.tobytes() == rep.grid_rows.std(axis=0).tobytes()
 
 
 class TestRatioRobustness:
