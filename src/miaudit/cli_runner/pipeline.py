@@ -184,9 +184,10 @@ def score_samples(config: ExperimentConfig, model, X, Y, score_names, attacker_n
         if entry.needs_attack:
             base = stage_seed(config.seed, "attack")
             seeds = [stage_seed(base, f"sample:{sid}") for sid in range(len(X))]
-            scores[name] = entry.score(model, X, Y, config.attack_config(), seeds)
+            attack = config.attack_config()
+            scores[name] = entry.score(model, X, Y, attack, seeds)
             if config["debug.dump_traces"]:
-                traces = first_run_traces(model, X, Y, config.attack_config())
+                traces = first_run_traces(model, X, Y, attack)
         else:
             scores[name] = compute_score(model, X, Y, name)
     features = {}

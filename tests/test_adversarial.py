@@ -451,7 +451,7 @@ class TestBlockSearch:
         traces = first_run_traces(model, X, Y, cfg)
         assert len(traces) == len(X)  # misclassified rows included
         for i in range(len(X)):
-            one = first_run_trace(model, X[i], int(Y[i]), replace(cfg, seed=seeds[i]))
+            one = first_run_trace(model, X[i], int(Y[i]), cfg)
             points, losses, preds = _reference_ascent(model, X[i], int(Y[i]), cfg)
             for trace in (traces[i], one):
                 assert trace.points.tobytes() == points.tobytes()
