@@ -23,6 +23,7 @@ from .nn_core import (
     AdamState,
     DenseNet,
     MLPClassifier,
+    batch_grads,
     cross_entropy_loss,
     loss_and_grads,
     mean_loss,
@@ -378,10 +379,13 @@ def _train_binary_net(
     best = math.inf
     best_epoch = 0
     for epoch in range(epochs):
+        # one gather per epoch; each batch is a slice of it, with the same
+        # rows in the same order as gathering the batch alone
         order = rng.permutation(n)
+        X_epoch, y_epoch = X[order], y[order]
         for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            loss_and_grads(net, X[idx], y[idx], grads=grads)
+            stop = start + batch_size
+            batch_grads(net, X_epoch[start:stop], y_epoch[start:stop], grads)
             adam.step(net.flat, grad, learning_rate)
         loss = mean_loss(net, X, y)
         if not math.isfinite(loss):
@@ -395,29 +399,66 @@ def _train_binary_net(
     return history
 
 
+def _all_if_none(mask: np.ndarray) -> np.ndarray:
+    """`mask`, or every entry when it selects none."""
+    return mask if mask.any() else ~mask
+
+
+def _live_units(X: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of the ReLU units of the layer `X @ w + b` that some row of X
+    may make active, under any summation order.
+
+    The computed pre-activation z and the one any minibatch gemm computes
+    both lie within `gamma * (|X| @ |w| + |b|)` of the exact one, with
+    Higham's `gamma_k = k u / (1 - k u)` for the K products and the bias
+    add.  So a unit with `z + 2 gamma (|X| @ |w| + |b|) <= 0` on every row
+    is inactive in every batch of a fit that starts here: its delta, and so
+    its incoming weights', its bias' and its outgoing weights' gradients,
+    are exactly 0, and Adam leaves them at their init.  gamma_{K+2} in
+    place of gamma_{K+1} also covers the rounding of this test.
+    """
+    k = X.shape[1] + 2
+    u = np.finfo(np.float64).eps / 2
+    gamma = k * u / (1.0 - k * u)
+    bound = np.abs(X) @ np.abs(w) + np.abs(b)
+    return np.any(X @ w + b + 2.0 * gamma * bound > 0.0, axis=0)
+
+
 def _fit_mlp(X_raw, labels, seed, hidden, epochs, learning_rate, batch_size) -> TrainedAttacker:
     """Scale the features, then train a ReLU net with the given hidden
     widths under a sigmoid output.
 
+    Two kinds of parameter provably never move, so they are not trained.
     A column constant on the training rows scales to 0 on every row, so its
-    first-layer weights get a zero gradient and Adam leaves them at their
-    init.  So a core net that starts from the full net's init is trained on
-    the live columns only, and its parameters are written back; with no live
-    column, every column is trained.
+    first-layer weights get a zero gradient.  A first-layer unit that no
+    training row can make active at init (`_live_units`) stays inactive for
+    the whole fit, so its incoming weights, its bias and its outgoing
+    weights get zero gradients.  Adam leaves all of these at their init.
+    So a core net that starts from the full net's init is trained on the
+    live columns and the live units only, and its parameters are written
+    back into the full net; with no live column, every column is trained,
+    and with no live unit, every unit.
     """
     y = _check_labels(labels, X_raw.shape[0])
     scaler = MinMaxScaler.fit(X_raw)
-    X = scaler.transform(X_raw)
-    net = BinaryNet.build([X.shape[1], *hidden, 1], seed)
-    live = scaler.live
-    cols = live if live.any() else ~live
+    net = BinaryNet.build([X_raw.shape[1], *hidden, 1], seed)
+    # the kept rows of each layer's weights, then the kept units of the next
+    keep = [np.ones(d, dtype=bool) for d in net.layer_dims]
+    keep[0] = _all_if_none(scaler.live)
+    X = scaler.transform(X_raw)[:, keep[0]]
+    if net.n_layers > 1:
+        keep[1] = _all_if_none(_live_units(X, net.weights[0][keep[0]], net.biases[0]))
+    blocks = [np.ix_(rows, cols) for rows, cols in zip(keep, keep[1:])]
     core = BinaryNet(
-        [int(cols.sum()), *hidden, 1], [net.weights[0][cols], *net.weights[1:]], net.biases
+        [int(k.sum()) for k in keep],
+        [w[block] for w, block in zip(net.weights, blocks)],
+        [b[cols] for b, cols in zip(net.biases, keep[1:])],
     )
-    history = _train_binary_net(core, X[:, cols], y, seed + 1, epochs, learning_rate, batch_size)
-    net.weights[0][cols] = core.weights[0]
-    for dst, src in zip(net.parameters()[1:], core.parameters()[1:]):
-        dst[...] = src
+    history = _train_binary_net(core, X, y, seed + 1, epochs, learning_rate, batch_size)
+    for w, block, trained in zip(net.weights, blocks, core.weights):
+        w[block] = trained
+    for b, cols, trained in zip(net.biases, keep[1:], core.biases):
+        b[cols] = trained
     return TrainedAttacker("mlp", net, scaler, history)
 
 
@@ -431,8 +472,10 @@ def fit_mlp_attacker(
     batch_size: int = 32,
 ) -> TrainedAttacker:
     """Two-hidden-layer combiner for wide feature vectors.  The first-layer
-    weights of a column constant on the training rows stay at their init
-    and are not trained."""
+    weights of a column constant on the training rows, and the incoming
+    weights, bias and outgoing weights of a first-layer unit that no
+    training row can make active at init, stay at their init and are not
+    trained (see `_fit_mlp`)."""
     return _fit_mlp(_feature_matrix(features), labels, seed, hidden, epochs, learning_rate, batch_size)
 
 
@@ -449,8 +492,9 @@ def build_and_train_ensemble(
     Architecture is fixed at [6, 40, 40, 20, 10, 1]; Adam for at most
     `epochs` epochs with early stop when the full-set BCE fails to improve
     by 1e-6 for 20 consecutive epochs.  The first-layer weights of a
-    score column constant on the training rows stay at their init and are
-    not trained.
+    score column constant on the training rows, and the parameters of a
+    first-layer unit that no training row can make active at init, stay at
+    their init and are not trained (see `_fit_mlp`).
     """
     X_raw = _feature_matrix(features)
     if X_raw.shape[1] != ENSEMBLE_LAYER_DIMS[0]:

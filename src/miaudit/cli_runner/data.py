@@ -275,7 +275,8 @@ def load_dataset(path, fmt: str = "csv"):
     Features outside [0, 1] are min-max normalized per feature, with the map
     fitted jointly over both splits and recorded in the manifest.  When the
     directory holds a manifest.json (`gen-data` writes one), its train_size,
-    heldout_size, feature_dim and n_classes must match the files.
+    heldout_size, feature_dim and n_classes must match the files.  With or
+    without one, the class count may not exceed the rows of both splits.
     Returns (train, heldout, manifest).
     """
     if fmt not in _EXT:
@@ -309,6 +310,10 @@ def load_dataset(path, fmt: str = "csv"):
         ):
             if recorded.get(key) != n:
                 raise DataError(f"{manifest_path}: {key} is {recorded.get(key)!r}, the files hold {n}")
+    # the class count sizes the target's output layer; more classes than
+    # rows cannot all appear in the data, so the count is not trusted
+    if k > len(Xt) + len(Xh):
+        raise DataError(f"{base}: {k} classes, more than the {len(Xt) + len(Xh)} rows of both splits")
     both = np.vstack([Xt, Xh])
     lo = both.min(axis=0)
     hi = both.max(axis=0)

@@ -200,6 +200,46 @@ def score_samples(config: ExperimentConfig, model, X, Y, score_names, attacker_n
     return scores, features, traces
 
 
+def fit_workers(n_fits: int) -> int:
+    """Threads of the attacker fit pool: one per fit, at most one per core
+    this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(n_fits, len(os.sched_getaffinity(0)))
+    return min(n_fits, os.cpu_count() or 1)
+
+
+def fit_attackers(config: ExperimentConfig, features: dict, labels: np.ndarray) -> dict:
+    """Fit every attacker on its training feature matrix (`features` maps
+    attacker -> matrix, in strategy order) and the shared 0/1 labels, side
+    by side in a thread pool; returns attacker -> TrainedAttacker in the
+    same order.
+
+    A fit is a pure function of its features, labels and seed, so no byte
+    depends on the pool size.  The fits overlap where they run BLAS calls
+    and large ufunc passes, which release the GIL; their many small numpy
+    calls hold it.  The widest matrix, the longest fit, is submitted first.
+    Results are read in strategy order, so the first failing attacker in
+    that order raises.
+    """
+    if not features:
+        return {}
+    # imported here, so that the CLI's start-up and an audit without
+    # attackers do not load it
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(fit_workers(len(features))) as pool:
+        futures = {
+            name: pool.submit(
+                getattr(am, STRATEGIES[name].fitter),
+                features[name],
+                labels,
+                stage_seed(config.seed, f"attacker:{name}"),
+            )
+            for name in sorted(features, key=lambda n: features[n].shape[1], reverse=True)
+        }
+        return {name: futures[name].result() for name in features}
+
+
 def run_pipeline(config: ExperimentConfig, out_dir=None):
     """Full audit; returns (EvalReport, output_dir).  Writes report.json,
     per-strategy CSVs, and model/attacker checkpoints into out_dir."""
@@ -236,14 +276,12 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
 
     with _stage("attackers"):
         eval_scores = {name: scores[name][eval_mask] for name in strategies if name in scores}
-        attackers = {}
-        for name in attacker_names:
-            attacker = getattr(am, STRATEGIES[name].fitter)(
-                features[name][train_mask],
-                is_member[train_mask].astype(np.float64),
-                stage_seed(config.seed, f"attacker:{name}"),
-            )
-            attackers[name] = attacker
+        attackers = fit_attackers(
+            config,
+            {name: features[name][train_mask] for name in attacker_names},
+            is_member[train_mask].astype(np.float64),
+        )
+        for name, attacker in attackers.items():
             eval_scores[name] = am.attacker_scores(attacker, features[name][eval_mask])
 
     # pools ordered by ascending sample id; all strategies share them

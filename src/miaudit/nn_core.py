@@ -255,6 +255,15 @@ def _mean(losses: np.ndarray) -> float:
     return float(losses.sum() / losses.shape[0])
 
 
+def batch_grads(net: DenseNet, X, Y, grads: list, need_input=False):
+    """Forward and backward pass of the batch's mean head loss, without the
+    loss itself: (pre-activations, head output, parameter grads written into
+    `grads`, input grad or None)."""
+    pres, acts, out = net.forward(X)
+    deltas, g_in = _backward(net, pres, net.head_delta(out, Y) / X.shape[0], need_input)
+    return pres, out, _parameter_grads(acts, deltas, grads), g_in
+
+
 def loss_and_grads(net: DenseNet, X, Y, need_input=False, grads=None):
     """Mean head loss over the batch plus its exact gradients.
 
@@ -262,12 +271,10 @@ def loss_and_grads(net: DenseNet, X, Y, need_input=False, grads=None):
     None, head output).  The parameter grads are written into `grads`, for
     example `net.parameter_views` of a flat buffer, or into new arrays.
     """
-    pres, acts, out = net.forward(X)
-    loss = _mean(net.head_losses(pres[-1], out, Y))
-    deltas, g_in = _backward(net, pres, net.head_delta(out, Y) / X.shape[0], need_input)
     if grads is None:
         grads = net.parameter_views(np.empty(net.parameter_count()))
-    return loss, _parameter_grads(acts, deltas, grads), g_in, out
+    pres, out, grads, g_in = batch_grads(net, X, Y, grads, need_input)
+    return _mean(net.head_losses(pres[-1], out, Y)), grads, g_in, out
 
 
 def mean_loss(net: DenseNet, X, Y) -> float:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import miaudit as mi
+from miaudit import attack_models as am
 from miaudit.attack_models import (
     ATTACKER_MAGIC,
     ENSEMBLE_LAYER_DIMS,
@@ -502,9 +503,44 @@ def columns_with_constants(rng, n=48):
     return np.hstack(cols), y
 
 
+def spy_core_dims(monkeypatch):
+    """The layer sizes of every net `_fit_mlp` trains, recorded as it goes."""
+    seen = []
+
+    def spy(net, *args):
+        seen.append(list(net.layer_dims))
+        return _train_binary_net(net, *args)
+
+    monkeypatch.setattr(am, "_train_binary_net", spy)
+    return seen
+
+
+def fixed_init(monkeypatch, w0):
+    """Make every `BinaryNet.build` of [3, 3, 2, 1] start from first-layer
+    weights `w0`, constant later layers and zero biases."""
+    init = BinaryNet(
+        [3, 3, 2, 1],
+        [w0, np.full((3, 2), 0.5), np.full((2, 1), 0.5)],
+        [np.zeros(3), np.zeros(2), np.zeros(1)],
+    )
+
+    def build(cls, dims, seed):
+        assert list(dims) == init.layer_dims
+        return cls(dims, init.weights, init.biases)
+
+    monkeypatch.setattr(BinaryNet, "build", classmethod(build))
+
+
+# scaled rows (1, 1, 0), (0, 1, 1), (0, 0, 1), twice each: every column
+# spans [0, 1], so min-max scaling leaves them exact
+CORNER_ROWS = np.tile([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]], (2, 1))
+CORNER_LABELS = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0])
+
+
 class TestLiveColumnFit:
-    """Only the columns with a span on the training rows are trained; a
-    constant column's first-layer rows would get a zero gradient anyway."""
+    """Only the columns with a span on the training rows and the first-layer
+    units some training row can make active are trained; the parameters
+    left out would get zero gradients anyway."""
 
     HIDDEN = (16, 8)
 
@@ -548,6 +584,58 @@ class TestLiveColumnFit:
         assert attacker.history == history
         assert np.array_equal(attacker.net.weights[0], init.weights[0])
         assert history[-1] < history[0]
+
+
+    def test_dead_units_stay_at_init(self, rng, monkeypatch):
+        # two live columns in [0, 1]: a unit with negative weights on both
+        # is inactive on every row
+        X, y = separable_features(rng, n_per_side=20, dim=2, gap=0.7)
+        X = np.hstack([X, np.full((40, 1), 3.0)])
+        cores = spy_core_dims(monkeypatch)
+        attacker = mi.fit_mlp_attacker(X, y, seed=5, hidden=self.HIDDEN, epochs=60)
+        want, init, history = full_width_fit(X, y, 5, self.HIDDEN, 60)
+        z_max = (MinMaxScaler.fit(X).transform(X) @ init.weights[0]).max(axis=0)
+        assert np.all(np.abs(z_max) > 1e-9)  # no unit near the rounding bound
+        dead = z_max < 0.0
+        assert 0 < dead.sum() < self.HIDDEN[0]
+        assert cores == [[2, self.HIDDEN[0] - int(dead.sum()), *self.HIDDEN[1:], 1]]
+        for net in (attacker.net, want):
+            assert np.array_equal(net.weights[0][:, dead], init.weights[0][:, dead])
+            assert np.array_equal(net.biases[0][dead], init.biases[0][dead])
+            assert np.array_equal(net.weights[1][dead], init.weights[1][dead])
+        assert not np.array_equal(attacker.net.weights[0][:2, ~dead], init.weights[0][:2, ~dead])
+        for got, ref in zip(attacker.net.parameters(), want.parameters()):
+            assert np.max(np.abs(got - ref)) <= 1e-12
+        assert len(attacker.history) == len(history)
+        assert np.max(np.abs(np.subtract(attacker.history, history))) <= 1e-12
+
+    def test_unit_inside_the_rounding_bound_is_trained(self, monkeypatch):
+        # unit 0's largest pre-activation is 0.1 - nextafter(0.1, 1), about
+        # -1.4e-17, well inside the rounding bound; unit 1 is inactive on
+        # every row by far, and unit 2 active
+        w0 = np.array([[0.1, -0.5, 0.4], [-np.nextafter(0.1, 1.0), -0.25, 0.3], [-0.2, -0.5, 0.1]])
+        z_max = (CORNER_ROWS @ w0).max(axis=0)
+        assert -1e-16 < z_max[0] < 0.0 and z_max[1] < -0.1 and z_max[2] > 0.0
+        fixed_init(monkeypatch, w0)
+        cores = spy_core_dims(monkeypatch)
+        attacker = mi.fit_mlp_attacker(CORNER_ROWS, CORNER_LABELS, hidden=(3, 2), epochs=30)
+        want, init, history = full_width_fit(CORNER_ROWS, CORNER_LABELS, 0, (3, 2), 30)
+        assert cores == [[3, 2, 2, 1]]
+        assert np.array_equal(attacker.net.weights[0][:, 1], init.weights[0][:, 1])
+        for got, ref in zip(attacker.net.parameters(), want.parameters()):
+            assert np.max(np.abs(got - ref)) <= 1e-12
+        assert np.max(np.abs(np.subtract(attacker.history, history))) <= 1e-12
+
+    def test_every_unit_dead_trains_the_full_net(self, monkeypatch):
+        w0 = -np.array([[0.1, 0.5, 0.4], [0.2, 0.25, 0.3], [0.3, 0.5, 0.1]])
+        assert np.all(CORNER_ROWS @ w0 < 0.0)
+        fixed_init(monkeypatch, w0)
+        cores = spy_core_dims(monkeypatch)
+        attacker = mi.fit_mlp_attacker(CORNER_ROWS, CORNER_LABELS, hidden=(3, 2), epochs=30)
+        want, _, history = full_width_fit(CORNER_ROWS, CORNER_LABELS, 0, (3, 2), 30)
+        assert cores == [[3, 3, 2, 1]]
+        assert np.array_equal(attacker.net.flat, want.flat)
+        assert attacker.history == history
 
 
 class TestEnsembleAttacker:

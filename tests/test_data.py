@@ -1,5 +1,6 @@
 """Synthetic data generation and the CSV / binary dataset formats."""
 
+import dataclasses
 import struct
 from pathlib import Path
 
@@ -231,6 +232,25 @@ class TestDatasetDirectory:
             save_binary_file(held, tmp_path / "heldout.bin", n_classes=12)
         with pytest.raises(DataError, match="n_classes is 10, the files hold 12"):
             load_dataset(tmp_path, fmt=fmt)
+
+    @pytest.mark.parametrize("with_manifest", [True, False], ids=["manifest", "no_manifest"])
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    def test_class_count_beyond_the_rows(self, tmp_path, fmt, with_manifest):
+        # 6 + 6 rows; an edited CSV label or binary header, and a manifest
+        # that agrees with it
+        train, held, manifest = generate_synthetic_dataset(2, 3, 3, 1.0, seed=4)
+        k = 5_000_001 if fmt == "csv" else 4_000_000_000
+        train.y[0] = k - 1 if fmt == "csv" else 0
+        save_dataset(train, held, dataclasses.replace(manifest, n_classes=k), tmp_path, fmt=fmt)
+        if not with_manifest:
+            (tmp_path / "manifest.json").unlink()
+        with pytest.raises(DataError, match=f"{k} classes, more than the 12 rows of both splits"):
+            load_dataset(tmp_path, fmt=fmt)
+
+    def test_class_count_equal_to_the_rows_loads(self, tmp_path):
+        train, held, manifest = generate_synthetic_dataset(2, 3, 3, 1.0, seed=4)
+        save_dataset(train, held, dataclasses.replace(manifest, n_classes=12), tmp_path, fmt="binary")
+        assert load_dataset(tmp_path, fmt="binary")[2].n_classes == 12
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):

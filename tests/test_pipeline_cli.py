@@ -1,24 +1,28 @@
 """End-to-end pipeline runs, report artifacts, and the CLI surface."""
 
 import json
+import struct
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import miaudit as mi
+from miaudit import attack_models as am
 from miaudit.cli_runner import (
     ExperimentConfig,
     load_config,
+    pipeline,
     rerender_from_scores,
     run_pipeline,
 )
 from miaudit.cli_runner.cli import main
 from miaudit.cli_runner.data import _atomic_file_write
 from miaudit.cli_runner.pipeline import prepare_target, resolve_workers, score_samples
-from miaudit.errors import ConfigError
-from miaudit.scores import read_score_records, write_score_records
+from miaudit.errors import ConfigError, TrainingError
+from miaudit.scores import ALL_STRATEGIES, ATTACKER_STRATEGIES, read_score_records, write_score_records
 
 FAST_OVERRIDES = {
     "seed": "5",
@@ -278,6 +282,38 @@ class TestWorkers:
         assert "MIAUDIT_WORKERS" in capsys.readouterr().err
 
 
+class TestAttackerFits:
+    def test_pool_size_changes_no_output_file(self, tmp_path, monkeypatch, assert_same_tree):
+        config = fast_config(strategies=",".join(ALL_STRATEGIES))
+        for workers in (1, 2):
+            sized = []
+
+            def size(n_fits, workers=workers):
+                sized.append(n_fits)
+                return min(n_fits, workers)
+
+            monkeypatch.setattr(pipeline, "fit_workers", size)
+            run_pipeline(config, out_dir=tmp_path / str(workers))
+            assert sized == [len(ATTACKER_STRATEGIES)]
+        assert len(ALL_STRATEGIES) == 11
+        assert_same_tree(tmp_path / "1", tmp_path / "2")
+
+    def test_first_failing_attacker_in_strategy_order_raises(self, tmp_path, monkeypatch):
+        # attacker_wb, the wider matrix, is submitted first and fails first;
+        # attacker_int_outs (3 probabilities + 16 hidden units) comes first
+        # in the configured order
+        def failing(features, labels, seed):
+            if features.shape[1] == 19:
+                time.sleep(0.05)
+            raise TrainingError(f"no fit on {features.shape[1]} columns")
+
+        monkeypatch.setattr(am, "fit_mlp_attacker", failing)
+        monkeypatch.setattr(pipeline, "fit_workers", lambda n_fits: 2)
+        config = fast_config(strategies="loss,attacker_int_outs,attacker_wb")
+        with pytest.raises(TrainingError, match=r"^\[stage:attackers\] no fit on 19 columns$"):
+            run_pipeline(config, out_dir=tmp_path / "o")
+
+
 class TestScoreSamples:
     def test_ensemble_features_are_the_six_scores(self):
         config = fast_config(**{"strategies": "attacker_ensemble,attacker_grad_x"})
@@ -444,6 +480,28 @@ class TestCli:
         cfg2 = tmp_path / "run2.cfg"
         cfg2.write_text(cfg.read_text() + f"strategies = loss\ndataset.source = csv\ndataset.path = {ds}\n")
         assert main(["audit", "--config", str(cfg2), "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    def test_class_count_beyond_the_rows_exit_code(self, tmp_path, capsys, fmt):
+        cfg = self.write_cfg(tmp_path)
+        ds = tmp_path / "ds"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(ds), "--format", fmt]) == 0
+        (ds / "manifest.json").unlink()
+        if fmt == "csv":
+            # the last field of the first data row is its label
+            lines = (ds / "train.csv").read_text().splitlines(keepends=True)
+            lines[1] = lines[1].rsplit(",", 1)[0] + ",5000000\n"
+            (ds / "train.csv").write_text("".join(lines))
+        else:
+            # K is the third u32 after the magic, in both headers
+            for name in ("train.bin", "heldout.bin"):
+                blob = bytearray((ds / name).read_bytes())
+                blob[16:20] = struct.pack("<I", 4_000_000_000)
+                (ds / name).write_bytes(bytes(blob))
+        cfg2 = tmp_path / "run2.cfg"
+        cfg2.write_text(cfg.read_text() + f"strategies = loss\ndataset.source = {fmt}\ndataset.path = {ds}\n")
+        assert main(["audit", "--config", str(cfg2), "--out", str(tmp_path / "o")]) == 3
+        assert "more than the 36 rows of both splits" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tamper", ["cut_beside_report", "members_only", "nonmembers_only"])
     def test_report_on_cut_score_file_exit_code(self, tmp_path, capsys, tamper):
