@@ -442,7 +442,7 @@ def _fit_mlp(X_raw, labels, seed, hidden, epochs, learning_rate, batch_size) -> 
     y = _check_labels(labels, X_raw.shape[0])
     scaler = MinMaxScaler.fit(X_raw)
     net = BinaryNet.build([X_raw.shape[1], *hidden, 1], seed)
-    # the kept rows of each layer's weights, then the kept units of the next
+    # keep[i]: the units of layer i that are trained (layer 0: the input columns)
     keep = [np.ones(d, dtype=bool) for d in net.layer_dims]
     keep[0] = _all_if_none(scaler.live)
     X = scaler.transform(X_raw)[:, keep[0]]

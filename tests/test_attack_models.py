@@ -585,7 +585,6 @@ class TestLiveColumnFit:
         assert np.array_equal(attacker.net.weights[0], init.weights[0])
         assert history[-1] < history[0]
 
-
     def test_dead_units_stay_at_init(self, rng, monkeypatch):
         # two live columns in [0, 1]: a unit with negative weights on both
         # is inactive on every row

@@ -240,7 +240,8 @@ class TestDatasetDirectory:
         # that agrees with it
         train, held, manifest = generate_synthetic_dataset(2, 3, 3, 1.0, seed=4)
         k = 5_000_001 if fmt == "csv" else 4_000_000_000
-        train.y[0] = k - 1 if fmt == "csv" else 0
+        if fmt == "csv":
+            train.y[0] = k - 1
         save_dataset(train, held, dataclasses.replace(manifest, n_classes=k), tmp_path, fmt=fmt)
         if not with_manifest:
             (tmp_path / "manifest.json").unlink()
