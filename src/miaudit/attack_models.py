@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import math
 import struct
-from array import array
 from dataclasses import dataclass, field
 from typing import BinaryIO, Sequence
 
@@ -35,11 +34,7 @@ from .nn_core import (
     write_net_params,
     _read_exact,
 )
-from .scores import (
-    ENSEMBLE_FEATURE_ORDER,  # noqa: F401  re-exported: the ensemble attacker's input columns
-    csv_rows,
-    parse_member_flag,
-)
+from .scores import ENSEMBLE_FEATURE_ORDER  # noqa: F401  re-exported: the ensemble attacker's input columns
 
 GRAD_STAT_NAMES = ("l1_norm", "l2_norm", "max_value", "mean", "skewness", "kurtosis", "abs_min")
 
@@ -74,30 +69,40 @@ class GradStats:
         return np.array([getattr(self, name) for name in GRAD_STAT_NAMES])
 
 
+def gradient_statistic_rows(block) -> np.ndarray:
+    """`gradient_statistics` of each row of an (n, d) block, one (n, 7) row
+    of GRAD_STAT_NAMES per row, from row reductions along axis 1."""
+    G = np.ascontiguousarray(block, dtype=np.float64)
+    if G.shape[1] == 0:
+        raise ConfigError("gradient statistics need a non-empty vector")
+    mean = np.mean(G, axis=1)
+    centered = G - mean[:, None]
+    m2 = np.mean(centered**2, axis=1)
+    flat = m2 < _MOMENT_FLOOR
+    m2 = np.where(flat, 1.0, m2)
+    # the powers of m2 one Python float at a time: numpy's array power can
+    # round the last bit differently from the scalar one
+    m2_15 = np.array([m**1.5 for m in m2.tolist()])
+    m2_2 = np.array([m**2 for m in m2.tolist()])
+    return np.stack(
+        [
+            np.sum(np.abs(G), axis=1),
+            np.sqrt(np.sum(G * G, axis=1)),
+            np.max(G, axis=1),
+            mean,
+            np.where(flat, 0.0, np.mean(centered**3, axis=1) / m2_15),
+            np.where(flat, 0.0, np.mean(centered**4, axis=1) / m2_2 - 3.0),
+            np.min(np.abs(G), axis=1),
+        ],
+        axis=1,
+    )
+
+
 def gradient_statistics(grad) -> GradStats:
     """Population-moment summary; skew/kurtosis 0 for near-constant input,
     kurtosis is excess (normal -> 0)."""
     g = np.asarray(grad, dtype=np.float64).ravel()
-    if g.size == 0:
-        raise ConfigError("gradient statistics need a non-empty vector")
-    mean = float(np.mean(g))
-    centered = g - mean
-    m2 = float(np.mean(centered**2))
-    if m2 < _MOMENT_FLOOR:
-        skew = 0.0
-        kurt = 0.0
-    else:
-        skew = float(np.mean(centered**3)) / m2**1.5
-        kurt = float(np.mean(centered**4)) / m2**2 - 3.0
-    return GradStats(
-        l1_norm=float(np.sum(np.abs(g))),
-        l2_norm=float(np.sqrt(np.sum(g * g))),
-        max_value=float(np.max(g)),
-        mean=mean,
-        skewness=skew,
-        kurtosis=kurt,
-        abs_min=float(np.min(np.abs(g))),
-    )
+    return GradStats(*gradient_statistic_rows(g[None, :])[0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +149,7 @@ def extract_grad_w_stats(model: MLPClassifier, x, y) -> np.ndarray:
 def extract_grad_x_stats(model: MLPClassifier, x, y) -> np.ndarray:
     """Statistics of the input gradient."""
     *_, g_in = row_backward(model, x, y)
-    return one_or_block(x, np.array([gradient_statistics(g).as_array() for g in g_in]))
+    return one_or_block(x, gradient_statistic_rows(g_in))
 
 
 def extract_intermediate_outputs(model: MLPClassifier, x, y=None) -> np.ndarray:
@@ -580,26 +585,3 @@ def write_feature_dump(path, sample_ids, features, is_member) -> None:
         writer.writerow(["sample_id"] + [f"f{i}" for i in range(X.shape[1])] + ["is_member"])
         for sid, row, m in zip(ids, X, members):
             writer.writerow([sid] + [repr(float(v)) for v in row] + [int(m)])
-
-
-def read_feature_dump(path):
-    """Inverse of write_feature_dump: (ids, matrix, is_member) arrays."""
-    with open(path, "rb") as fh:
-        reader = csv_rows(fh.read(), path)
-        header = next(reader, None)
-        if not header or header[0] != "sample_id" or header[-1] != "is_member":
-            raise DataError(f"unexpected feature CSV header in {path}")
-        ids, rows, members = array("q"), [], []
-        width = len(header) - 2
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width + 2:
-                raise DataError(f"{path}: row {lineno} has {len(row)} fields")
-            try:
-                ids.append(int(row[0]))
-                rows.append([float(v) for v in row[1:-1]])
-            except (ValueError, OverflowError) as exc:
-                raise DataError(f"{path}: row {lineno}: {exc}") from exc
-            if not all(map(math.isfinite, rows[-1])):
-                raise DataError(f"{path}: row {lineno}: non-finite feature value")
-            members.append(parse_member_flag(row[-1], path, lineno))
-    return np.array(ids, dtype=np.int64), np.array(rows, dtype=np.float64), np.array(members, dtype=bool)

@@ -8,7 +8,7 @@ from .data import (
     load_dataset,
     save_dataset,
 )
-from .pipeline import export_report, rerender_from_scores, resolve_workers, run_pipeline
+from .pipeline import export_report, rerender_from_scores, run_pipeline
 
 __all__ = [
     "ALL_STRATEGIES",
@@ -21,7 +21,6 @@ __all__ = [
     "load_config",
     "load_dataset",
     "rerender_from_scores",
-    "resolve_workers",
     "run_pipeline",
     "save_dataset",
     "stage_seed",

@@ -177,6 +177,11 @@ class ExperimentConfig:
         bad = [s for s in self.ratio_strategies() if s not in ALL_STRATEGIES]
         if bad:
             raise ConfigError(f"unknown ratio strategies {bad}")
+        for key in ("strategies", "protocol.ratio_strategies"):
+            names = _split_list(v[key])
+            repeated = sorted({s for s in names if names.count(s) > 1})
+            if repeated:
+                raise ConfigError(f"{key} names {repeated} more than once")
         _parse_ratio(v["protocol.ratio"])
         for raw in _split_list(v["protocol.ratios"]):
             _parse_ratio(raw)

@@ -64,22 +64,6 @@ def _stage(name: str):
         raise type(exc)(f"[stage:{name}] {exc}") from exc
 
 
-def resolve_workers() -> int:
-    """The MIAUDIT_WORKERS count, 1 when unset.  The audit scores in one
-    process whatever it says; a value that is not a positive integer is
-    still a ConfigError."""
-    raw = os.environ.get("MIAUDIT_WORKERS", "").strip()
-    if not raw:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"MIAUDIT_WORKERS must be an integer, got {raw!r}") from exc
-    if workers < 1:
-        raise ConfigError("MIAUDIT_WORKERS must be >= 1")
-    return workers
-
-
 # ---------------------------------------------------------------------------
 # Pipeline
 # ---------------------------------------------------------------------------
@@ -244,7 +228,6 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
     """Full audit; returns (EvalReport, output_dir).  Writes report.json,
     per-strategy CSVs, and model/attacker checkpoints into out_dir."""
     out = Path(out_dir if out_dir is not None else config["output.dir"])
-    resolve_workers()  # validated only: scoring runs in this process
     strategies = config.strategies()
     attacker_names = [s for s in strategies if STRATEGIES[s].kind == "attacker"]
 

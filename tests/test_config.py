@@ -140,6 +140,13 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig({"strategies": "loss, telepathy"})
 
+    @pytest.mark.parametrize("key", ["strategies", "protocol.ratio_strategies"])
+    def test_repeated_strategy(self, key):
+        with pytest.raises(ConfigError, match=rf"{key} names \['loss'\] more than once"):
+            ExperimentConfig({key: "loss, adv_dist, loss"})
+        with pytest.raises(ConfigError, match=r"\['attacker_ensemble', 'loss'\]"):
+            ExperimentConfig({key: "loss,loss,attacker_ensemble,attacker_ensemble"})
+
     def test_attacker_strategies_accepted(self):
         cfg = ExperimentConfig({"strategies": ", ".join(ALL_STRATEGIES)})
         assert set(ATTACKER_STRATEGIES) <= set(cfg.strategies())

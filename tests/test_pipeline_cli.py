@@ -20,8 +20,8 @@ from miaudit.cli_runner import (
 )
 from miaudit.cli_runner.cli import main
 from miaudit.cli_runner.data import _atomic_file_write
-from miaudit.cli_runner.pipeline import prepare_target, resolve_workers, score_samples
-from miaudit.errors import ConfigError, TrainingError
+from miaudit.cli_runner.pipeline import prepare_target, score_samples
+from miaudit.errors import TrainingError
 from miaudit.scores import ALL_STRATEGIES, ATTACKER_STRATEGIES, read_score_records, write_score_records
 
 FAST_OVERRIDES = {
@@ -47,11 +47,6 @@ def fast_config(**extra):
     values = dict(FAST_OVERRIDES)
     values.update(extra)
     return ExperimentConfig(values)
-
-
-@pytest.fixture(autouse=True)
-def serial_workers(monkeypatch):
-    monkeypatch.delenv("MIAUDIT_WORKERS", raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -244,21 +239,7 @@ class TestAtomicWrite:
 
 
 class TestWorkers:
-    def test_default_serial(self):
-        assert resolve_workers() == 1
-
-    def test_env_parsed(self, monkeypatch):
-        monkeypatch.setenv("MIAUDIT_WORKERS", "3")
-        assert resolve_workers() == 3
-
-    def test_env_validated(self, monkeypatch):
-        monkeypatch.setenv("MIAUDIT_WORKERS", "zero")
-        with pytest.raises(ConfigError):
-            resolve_workers()
-        monkeypatch.setenv("MIAUDIT_WORKERS", "0")
-        with pytest.raises(ConfigError):
-            resolve_workers()
-
+    # MIAUDIT_WORKERS is read by no command: whatever it says, the outputs stay
     def test_setting_changes_no_output_file(self, tmp_path, monkeypatch, assert_same_tree):
         # an unset variable and MIAUDIT_WORKERS=2 give the same tree, traces/ included
         config = fast_config(
@@ -274,12 +255,23 @@ class TestWorkers:
         assert len(list((out_unset / "traces").glob("trace_*.csv"))) == 36
         assert_same_tree(out_unset, out_two)
 
-    def test_invalid_setting_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+    def test_invalid_setting_changes_nothing(self, tmp_path, monkeypatch, assert_same_tree):
+        # each run writes to the same paths, which the report echoes
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("".join(f"{k} = {v}\n" for k, v in FAST_OVERRIDES.items()))
-        monkeypatch.setenv("MIAUDIT_WORKERS", "zero")
-        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "MIAUDIT_WORKERS" in capsys.readouterr().err
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in FAST_OVERRIDES.items()) + "strategies = loss\n")
+        audit, report = tmp_path / "audit", tmp_path / "report"
+        for setting in (None, "zero"):
+            if setting is None:
+                monkeypatch.delenv("MIAUDIT_WORKERS", raising=False)
+            else:
+                monkeypatch.setenv("MIAUDIT_WORKERS", setting)
+            assert main(["audit", "--config", str(cfg), "--out", str(audit)]) == 0
+            args = ["report", "--config", str(cfg), "--scores-dir", str(audit), "--out", str(report)]
+            assert main(args) == 0
+            audit.rename(tmp_path / f"audit_{setting}")
+            report.rename(tmp_path / f"report_{setting}")
+        assert_same_tree(tmp_path / "audit_None", tmp_path / "audit_zero")
+        assert_same_tree(tmp_path / "report_None", tmp_path / "report_zero")
 
 
 class TestAttackerFits:
@@ -586,6 +578,15 @@ class TestCli:
         bad.write_text("mystery.key = 1\n")
         assert main(["audit", "--config", str(bad)]) == 2
         assert "mystery.key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line", ["strategies = loss,loss,attacker_ensemble,attacker_ensemble", "protocol.ratio_strategies = loss,loss"]
+    )
+    def test_repeated_strategy_exit_code(self, tmp_path, capsys, line):
+        cfg = self.write_cfg(tmp_path, f"{line}\n")
+        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "more than once" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_undecodable_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
