@@ -18,7 +18,7 @@ import numpy as np
 
 from .. import attack_models as am
 from ..adversarial import dump_trace_csv, first_run_traces
-from ..errors import AuditError, ConfigError, DataError
+from ..errors import AuditError, ConfigError, DataError, TrainingError
 from ..evaluation import (
     EvalReport,
     averaged_roc_on_grid,  # noqa: F401  bench/tracing.py patches pipeline.averaged_roc_on_grid by name
@@ -184,44 +184,99 @@ def score_samples(config: ExperimentConfig, model, X, Y, score_names, attacker_n
     return scores, features, traces
 
 
-def fit_workers(n_fits: int) -> int:
-    """Threads of the attacker fit pool: one per fit, at most one per core
-    this process may run on."""
+def _usable_cores() -> int:
+    """Cores this process may run on."""
     if hasattr(os, "sched_getaffinity"):
-        return min(n_fits, len(os.sched_getaffinity(0)))
-    return min(n_fits, os.cpu_count() or 1)
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _end_child(pid: int) -> str:
+    """Kill the fit process if it still runs, reap it, and say how it ended."""
+    import signal
+
+    try:
+        os.kill(pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return f"exit status {code}" if code >= 0 else f"signal {-code}"
 
 
 def fit_attackers(config: ExperimentConfig, features: dict, labels: np.ndarray) -> dict:
     """Fit every attacker on its training feature matrix (`features` maps
-    attacker -> matrix, in strategy order) and the shared 0/1 labels, side
-    by side in a thread pool; returns attacker -> TrainedAttacker in the
-    same order.
+    attacker -> matrix, in strategy order) and the shared 0/1 labels;
+    returns attacker -> TrainedAttacker in the same order.
 
+    The widest matrix, the longest fit, is fitted here while one forked
+    process fits the others in strategy order, up to its first failure,
+    and then pickles one (ok, attacker or exception) pair per fit into a
+    pipe.  The processes share no GIL.  With one fit, no
+    `os.fork` or one usable core, every fit runs here, one after another.
     A fit is a pure function of its features, labels and seed, so no byte
-    depends on the pool size.  The fits overlap where they run BLAS calls
-    and large ufunc passes, which release the GIL; their many small numpy
-    calls hold it.  The widest matrix, the longest fit, is submitted first.
-    Results are read in strategy order, so the first failing attacker in
-    that order raises.
+    depends on where it ran.  The first failing attacker in strategy order
+    raises; a fit process that ends without its results is a
+    TrainingError.  The fit process is reaped on every path.
     """
-    if not features:
-        return {}
+
+    def fit(name):
+        fitter = getattr(am, STRATEGIES[name].fitter)
+        return fitter(features[name], labels, stage_seed(config.seed, f"attacker:{name}"))
+
+    if len(features) < 2 or not hasattr(os, "fork") or _usable_cores() < 2:
+        return {name: fit(name) for name in features}
     # imported here, so that the CLI's start-up and an audit without
     # attackers do not load it
-    from concurrent.futures import ThreadPoolExecutor
+    import pickle
 
-    with ThreadPoolExecutor(fit_workers(len(features))) as pool:
-        futures = {
-            name: pool.submit(
-                getattr(am, STRATEGIES[name].fitter),
-                features[name],
-                labels,
-                stage_seed(config.seed, f"attacker:{name}"),
-            )
-            for name in sorted(features, key=lambda n: features[n].shape[1], reverse=True)
-        }
-        return {name: futures[name].result() for name in features}
+    widest = max(features, key=lambda n: features[n].shape[1])
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            outcomes = []
+            for name in features:
+                if name != widest:
+                    try:
+                        outcomes.append((True, fit(name)))
+                    except Exception as exc:
+                        outcomes.append((False, exc))
+                        break
+            # written after the last fit: a result larger than the pipe
+            # buffer blocks the writer until the parent's own fit is done
+            with os.fdopen(write_fd, "wb") as pipe:
+                for outcome in outcomes:
+                    pickle.dump(outcome, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    fitted, lost = {}, None
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            try:
+                own = (True, fit(widest))
+            except Exception as exc:
+                own = (False, exc)
+            for name in features:
+                if name == widest:
+                    ok, result = own
+                else:
+                    try:
+                        ok, result = pickle.load(pipe)
+                    except (EOFError, pickle.UnpicklingError):
+                        lost = name
+                        break
+                if not ok:
+                    raise result
+                fitted[name] = result
+    finally:
+        ended = _end_child(pid)
+    if lost is not None:
+        raise TrainingError(f"the attacker fit process ended ({ended}) without the fit of {lost}")
+    return fitted
 
 
 def run_pipeline(config: ExperimentConfig, out_dir=None):

@@ -132,6 +132,11 @@ class DenseNet:
         self.weights = views[0::2]
         self.biases = views[1::2]
 
+    def __reduce__(self):
+        """Pickle and copy through `__init__`, so the copy's parameters
+        view its own `flat` again."""
+        return type(self), (self.layer_dims, self.weights, self.biases)
+
     @classmethod
     def build(cls, layer_dims: Sequence[int], seed: int):
         """Seeded init: weights uniform in +/- 1/sqrt(fan_in), biases zero."""

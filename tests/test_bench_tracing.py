@@ -3,11 +3,14 @@
 `bench/tracing.py` wraps functions by their names as globals of
 `miaudit.cli_runner.pipeline`, `miaudit.scores`, `miaudit.adversarial` and
 `miaudit.attack_models`; a name that moves or goes away breaks the traced
-benchmark run.  These run one traced `report` re-render and one traced
-audit with every strategy on the benchmark's smoke-sized inputs.
+benchmark run.  These run one traced `report` re-render and two traced
+audits with every strategy on the benchmark's smoke-sized inputs, one with
+every attacker fitted in the traced process and one with a forked fit
+process.
 """
 
 import importlib
+import os
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -38,6 +41,8 @@ def test_traced_report_rerender_records_its_spans(tmp_path, monkeypatch):
 
 
 def test_traced_audit_records_its_spans(tmp_path, monkeypatch):
+    # on one usable core every attacker is fitted in the traced process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     wl, tracing, totals = traced_totals(tmp_path, monkeypatch, "attackers_full")
     # every threshold score but adv_dist is a cheap one
     assert totals["scores.cheap"]["calls"] == len(wl.THRESHOLD) - 1
@@ -47,4 +52,15 @@ def test_traced_audit_records_its_spans(tmp_path, monkeypatch):
         assert totals[f"attack_models.extract.{short}"]["calls"] == 1
     assert totals["nn_core.sample_evaluation"]["calls"] > 0
     assert totals["adversarial.project"]["calls"] > 0
+    assert (tmp_path / "out" / "report.json").is_file()
+
+
+def test_traced_forked_audit_records_the_fits_of_the_traced_process(tmp_path, monkeypatch):
+    # the tracer records spans of its own process only, so the fits of the
+    # forked process leave none
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    wl, _, totals = traced_totals(tmp_path, monkeypatch, "attackers_full")
+    fitted = [a for a in wl.ATTACKERS if f"attack_models.fit.{a}" in totals]
+    assert fitted == ["attacker_wb"]
+    assert totals["attack_models.fit.attacker_wb"]["calls"] == 1
     assert (tmp_path / "out" / "report.json").is_file()

@@ -1,6 +1,7 @@
 """Network core: forward math, exact gradients, training, checkpoints."""
 
 import math
+import pickle
 import struct
 
 import numpy as np
@@ -454,6 +455,19 @@ class TestFlatParameters:
         model.flat[:] = 7.0
         assert all(np.all(p == 7.0) for p in model.parameters())
         assert all(not np.any(a) for a in weights + biases)
+
+    @pytest.mark.parametrize("build", [lambda: mi.build_mlp([5, 7, 3], seed=4),
+                                       lambda: BinaryNet.build([5, 7, 1], seed=4)])
+    def test_pickled_net_views_its_own_flat_buffer(self, build):
+        net = build()
+        net.flat += np.linspace(0.5, 1.5, net.flat.size)  # no zero weight or bias
+        copy = pickle.loads(pickle.dumps(net))
+        assert type(copy) is type(net) and copy.layer_dims == net.layer_dims
+        assert copy.flat.tobytes() == net.flat.tobytes()
+        assert not np.shares_memory(copy.flat, net.flat)
+        copy.flat[:] = 0.0
+        assert all(not np.any(p) for p in copy.parameters())
+        assert all(np.all(p != 0.0) for p in net.parameters())
 
     def test_checkpoint_bytes_are_the_per_array_layout(self, tmp_path):
         rng = np.random.default_rng(3)

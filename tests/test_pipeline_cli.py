@@ -1,6 +1,7 @@
 """End-to-end pipeline runs, report artifacts, and the CLI surface."""
 
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -14,7 +15,6 @@ from miaudit import attack_models as am
 from miaudit.cli_runner import (
     ExperimentConfig,
     load_config,
-    pipeline,
     rerender_from_scores,
     run_pipeline,
 )
@@ -22,7 +22,7 @@ from miaudit.cli_runner.cli import main
 from miaudit.cli_runner.data import _atomic_file_write
 from miaudit.cli_runner.pipeline import prepare_target, score_samples
 from miaudit.errors import TrainingError
-from miaudit.scores import ALL_STRATEGIES, ATTACKER_STRATEGIES, read_score_records, write_score_records
+from miaudit.scores import ALL_STRATEGIES, read_score_records, write_score_records
 
 FAST_OVERRIDES = {
     "seed": "5",
@@ -274,36 +274,109 @@ class TestWorkers:
         assert_same_tree(tmp_path / "report_None", tmp_path / "report_zero")
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture()
+def usable_cores(monkeypatch):
+    """Sets the cores `fit_attackers` sees, and counts its forks."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        return forks
+
+    return use
+
+
 class TestAttackerFits:
-    def test_pool_size_changes_no_output_file(self, tmp_path, monkeypatch, assert_same_tree):
+    def test_in_process_and_forked_fits_write_the_same_tree(self, tmp_path, usable_cores, assert_same_tree):
         config = fast_config(strategies=",".join(ALL_STRATEGIES))
-        for workers in (1, 2):
-            sized = []
-
-            def size(n_fits, workers=workers):
-                sized.append(n_fits)
-                return min(n_fits, workers)
-
-            monkeypatch.setattr(pipeline, "fit_workers", size)
-            run_pipeline(config, out_dir=tmp_path / str(workers))
-            assert sized == [len(ATTACKER_STRATEGIES)]
+        for cores, n_forks in ((1, 0), (2, 1)):
+            forks = usable_cores(cores)
+            forks.clear()
+            run_pipeline(config, out_dir=tmp_path / str(cores))
+            assert len(forks) == n_forks
+            assert_no_child_left()
         assert len(ALL_STRATEGIES) == 11
         assert_same_tree(tmp_path / "1", tmp_path / "2")
 
-    def test_first_failing_attacker_in_strategy_order_raises(self, tmp_path, monkeypatch):
-        # attacker_wb, the wider matrix, is submitted first and fails first;
-        # attacker_int_outs (3 probabilities + 16 hidden units) comes first
-        # in the configured order
-        def failing(features, labels, seed):
-            if features.shape[1] == 19:
-                time.sleep(0.05)
-            raise TrainingError(f"no fit on {features.shape[1]} columns")
-
-        monkeypatch.setattr(am, "fit_mlp_attacker", failing)
-        monkeypatch.setattr(pipeline, "fit_workers", lambda n_fits: 2)
+    def test_first_failing_attacker_in_strategy_order_raises(self, tmp_path, monkeypatch, usable_cores):
+        # attacker_wb (74 columns), the widest matrix, is fitted in this
+        # process and attacker_int_outs (3 probabilities + 16 hidden units),
+        # first in the configured order, in the forked one; each failing
+        # set of widths, child, parent and both, is given with the width
+        # whose error is raised
+        fit = am.fit_mlp_attacker
+        parent = os.getpid()
         config = fast_config(strategies="loss,attacker_int_outs,attacker_wb")
-        with pytest.raises(TrainingError, match=r"^\[stage:attackers\] no fit on 19 columns$"):
-            run_pipeline(config, out_dir=tmp_path / "o")
+        forks = usable_cores(2)
+        for failing, raised in (({19}, 19), ({74}, 74), ({19, 74}, 19)):
+
+            def fit_or_fail(features, labels, seed, failing=failing):
+                width = features.shape[1]
+                assert (width == 19) == (os.getpid() != parent)
+                if width in failing:
+                    raise TrainingError(f"no fit on {width} columns")
+                return fit(features, labels, seed)
+
+            monkeypatch.setattr(am, "fit_mlp_attacker", fit_or_fail)
+            forks.clear()
+            with pytest.raises(TrainingError, match=rf"^\[stage:attackers\] no fit on {raised} columns$"):
+                run_pipeline(config, out_dir=tmp_path / "o")
+            assert len(forks) == 1
+            assert_no_child_left()
+
+    def test_fit_process_that_dies_is_a_typed_error(self, tmp_path, monkeypatch, usable_cores, capsys):
+        parent = os.getpid()
+
+        def dying(features, labels, seed):
+            assert os.getpid() != parent
+            os._exit(3)
+
+        monkeypatch.setattr(am, "fit_logistic_attacker", dying)
+        usable_cores(2)
+        cfg = tmp_path / "run.cfg"
+        settings = dict(FAST_OVERRIDES, strategies="loss,attacker_grad_x,attacker_wb")
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err == (
+            "error: [stage:attackers] the attacker fit process ended (exit status 3) "
+            "without the fit of attacker_grad_x\n"
+        )
+        assert_no_child_left()
+
+    def test_failing_fit_here_stops_the_fit_process(self, tmp_path, monkeypatch, usable_cores):
+        # attacker_wb, first in strategy order, fails here while the forked
+        # process is blocked writing a result far beyond a pipe buffer, or
+        # still fits for a minute
+        parent = os.getpid()
+        config = fast_config(strategies="loss,attacker_wb,attacker_int_outs")
+        forks = usable_cores(2)
+        for child_fit in (lambda: np.zeros(1 << 20), lambda: time.sleep(60)):
+
+            def fit(features, labels, seed, child_fit=child_fit):
+                if os.getpid() == parent:
+                    raise TrainingError("no fit here")
+                return child_fit()
+
+            monkeypatch.setattr(am, "fit_mlp_attacker", fit)
+            forks.clear()
+            start = time.monotonic()
+            with pytest.raises(TrainingError, match=r"^\[stage:attackers\] no fit here$"):
+                run_pipeline(config, out_dir=tmp_path / "o")
+            assert time.monotonic() - start < 30
+            assert len(forks) == 1
+            assert_no_child_left()
 
 
 class TestScoreSamples:
