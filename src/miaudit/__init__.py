@@ -15,10 +15,8 @@ from .adversarial import (
     project_lp_box,
 )
 from .attack_models import (
-    GradStats,
     MinMaxScaler,
     TrainedAttacker,
-    attacker_score,
     build_and_train_ensemble,
     extract_grad_w_stats,
     extract_grad_x_stats,

@@ -1,7 +1,7 @@
 """Trained membership attackers.
 
-Feature extractors turn a block of samples into one fixed-length row per
-sample, and one sample into one vector; attackers are binary nets
+Feature extractors turn a block of samples (n, d) with n labels into one
+fixed-length row per sample; attackers are binary nets
 (logistic = no hidden layer, combiner = two ReLU layers, ensemble = the
 fixed [6, 40, 40, 20, 10, 1] stack) trained on min-max scaled features
 with member = 1, nonmember = 0.
@@ -22,11 +22,11 @@ from .nn_core import (
     AdamState,
     DenseNet,
     MLPClassifier,
+    _check_rows,
     batch_grads,
     cross_entropy_loss,
     loss_and_grads,
     mean_loss,
-    one_or_block,
     read_net_params,
     row_backward,
     row_gradient_factors,
@@ -53,26 +53,14 @@ _ARMIJO = 1e-4  # sufficient-decrease fraction of the Newton line search
 _MAX_HALVINGS = 40
 
 
-@dataclass(frozen=True)
-class GradStats:
-    """Seven summary statistics of one gradient vector."""
-
-    l1_norm: float
-    l2_norm: float
-    max_value: float
-    mean: float
-    skewness: float
-    kurtosis: float
-    abs_min: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in GRAD_STAT_NAMES])
-
-
-def gradient_statistic_rows(block) -> np.ndarray:
-    """`gradient_statistics` of each row of an (n, d) block, one (n, 7) row
-    of GRAD_STAT_NAMES per row, from row reductions along axis 1."""
-    G = np.ascontiguousarray(block, dtype=np.float64)
+def gradient_statistics(G) -> np.ndarray:
+    """Population-moment summary of each row of a block (n, d) of gradient
+    vectors, one (n, 7) row in GRAD_STAT_NAMES order from row reductions
+    along axis 1; skew/kurtosis 0 for a near-constant row, kurtosis is
+    excess (normal -> 0)."""
+    G = np.ascontiguousarray(G, dtype=np.float64)
+    if G.ndim != 2:
+        raise ShapeError(f"gradient statistics take an (n, d) block, got shape {G.shape}")
     if G.shape[1] == 0:
         raise ConfigError("gradient statistics need a non-empty vector")
     mean = np.mean(G, axis=1)
@@ -98,24 +86,17 @@ def gradient_statistic_rows(block) -> np.ndarray:
     )
 
 
-def gradient_statistics(grad) -> GradStats:
-    """Population-moment summary; skew/kurtosis 0 for near-constant input,
-    kurtosis is excess (normal -> 0)."""
-    g = np.asarray(grad, dtype=np.float64).ravel()
-    return GradStats(*gradient_statistic_rows(g[None, :])[0].tolist())
-
-
 # ---------------------------------------------------------------------------
 # Feature extractors
 # ---------------------------------------------------------------------------
 
 
-def extract_grad_w_stats(model: MLPClassifier, x, y) -> np.ndarray:
+def extract_grad_w_stats(model: MLPClassifier, X, Y) -> np.ndarray:
     """`gradient_statistics` of the full parameter gradient, one row per
     sample, from the per-layer factor sums of `row_gradient_factors`: the
     power sums give the raw moments, and the central ones follow from the
     binomial expansion around the mean.  No row's gradient is formed."""
-    _, acts, _, deltas, _ = row_backward(model, x, y)
+    _, acts, _, deltas, _ = row_backward(model, X, Y)
     factors = row_gradient_factors(acts, deltas)
     n = model.parameter_count()
     # the sum of g**p over the whole gradient, for p = 1..4
@@ -143,38 +124,38 @@ def extract_grad_w_stats(model: MLPClassifier, x, y) -> np.ndarray:
         np.where(flat, 0.0, m4 / m2**2 - 3.0),
         np.min(smallest, axis=0),
     ]
-    return one_or_block(x, np.stack(stats, axis=1))
+    return np.stack(stats, axis=1)
 
 
-def extract_grad_x_stats(model: MLPClassifier, x, y) -> np.ndarray:
+def extract_grad_x_stats(model: MLPClassifier, X, Y) -> np.ndarray:
     """Statistics of the input gradient."""
-    *_, g_in = row_backward(model, x, y)
-    return one_or_block(x, gradient_statistic_rows(g_in))
+    *_, g_in = row_backward(model, X, Y)
+    return gradient_statistics(g_in)
 
 
-def extract_intermediate_outputs(model: MLPClassifier, x, y=None) -> np.ndarray:
-    """Softmax probabilities plus the penultimate activation; the label is
-    not used."""
+def extract_intermediate_outputs(model: MLPClassifier, X, Y=None) -> np.ndarray:
+    """Softmax probabilities plus the penultimate activation; the labels
+    are not used."""
     if model.n_layers < 2:
         raise ConfigError("intermediate outputs need at least one hidden layer")
-    _, acts, probs = model.forward(np.atleast_2d(np.asarray(x, dtype=np.float64)), row_product)
-    return one_or_block(x, np.concatenate([probs, acts[-1]], axis=1))
+    _, acts, probs = model.forward(_check_rows(model, X), row_product)
+    return np.concatenate([probs, acts[-1]], axis=1)
 
 
-def extract_wb_features(model: MLPClassifier, x, y) -> np.ndarray:
+def extract_wb_features(model: MLPClassifier, X, Y) -> np.ndarray:
     """White-box concat: last-layer parameter gradient, loss, intermediate
     outputs, one-hot label."""
     if model.n_layers < 2:
         raise ConfigError("white-box features need at least one hidden layer")
-    _, acts, probs, deltas, _ = row_backward(model, x, y)
-    Y = np.array(y, dtype=np.int64, ndmin=1)
+    _, acts, probs, deltas, _ = row_backward(model, X, Y)
+    Y = np.asarray(Y, dtype=np.int64)
     # a batched gemm per row, not an outer product, which gives -0.0 where
     # the gemm gives +0.0; the last delta, probs minus the one-hot label,
     # holds no -0.0, so it is its own bias gradient
     g_w = acts[-1][:, :, None] @ deltas[-1][:, None, :]
     loss = cross_entropy_loss(probs, Y)[:, None]
     features = [g_w.reshape(len(Y), -1), deltas[-1], loss, probs, acts[-1], np.eye(model.n_classes)[Y]]
-    return one_or_block(x, np.concatenate(features, axis=1))
+    return np.concatenate(features, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +191,10 @@ class MinMaxScaler:
         return self.maxs > self.mins
 
     def transform(self, X) -> np.ndarray:
-        arr = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if arr.shape[1] != self.mins.shape[0]:
+        arr = np.asarray(X, dtype=np.float64)
+        if arr.ndim != 2 or arr.shape[1] != self.mins.shape[0]:
             raise ShapeError(
-                f"scaler expects {self.mins.shape[0]} columns, got {arr.shape[1]}"
+                f"scaler expects an (n, {self.mins.shape[0]}) block, got shape {arr.shape}"
             )
         live = self.live
         with np.errstate(over="ignore"):
@@ -257,9 +238,11 @@ class BinaryNet(DenseNet):
         return (probs - y)[:, None]
 
     def scores(self, X) -> np.ndarray:
-        arr = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if arr.shape[1] != self.layer_dims[0]:
-            raise ShapeError("input width does not match binary net")
+        arr = np.asarray(X, dtype=np.float64)
+        if arr.ndim != 2 or arr.shape[1] != self.layer_dims[0]:
+            raise ShapeError(
+                f"binary net takes an (n, {self.layer_dims[0]}) block, got shape {arr.shape}"
+            )
         return self.forward(arr)[2]
 
 
@@ -512,13 +495,8 @@ def build_and_train_ensemble(
     return _fit_mlp(X_raw, labels, seed, hidden, epochs, learning_rate, batch_size)
 
 
-def attacker_score(attacker: TrainedAttacker, feature_vector) -> float:
-    """Membership probability in [0, 1] for one feature vector."""
-    return float(attacker_scores(attacker, np.asarray(feature_vector, dtype=np.float64)[None, :])[0])
-
-
 def attacker_scores(attacker: TrainedAttacker, features) -> np.ndarray:
-    """Batch version of attacker_score."""
+    """Membership probability in [0, 1] of each row of a feature block."""
     X = _feature_matrix(features)
     if X.shape[1] != attacker.feature_length:
         raise ShapeError(

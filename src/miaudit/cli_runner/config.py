@@ -139,7 +139,7 @@ class ExperimentConfig:
                 merged[key] = default
             else:
                 try:
-                    merged[key] = parser(raw) if isinstance(raw, str) else raw
+                    merged[key] = parser(str(raw))
                 except ConfigError:
                     raise
                 except (TypeError, ValueError) as exc:
@@ -159,8 +159,8 @@ class ExperimentConfig:
         for key in ("dataset.n_per_class", "dataset.classes", "dataset.dim", "dataset.heldout_per_class"):
             if v[key] < 1:
                 raise ConfigError(f"{key} must be >= 1")
-        if v["dataset.separation"] < 0:
-            raise ConfigError("dataset.separation must be >= 0")
+        if not (math.isfinite(v["dataset.separation"]) and v["dataset.separation"] >= 0):
+            raise ConfigError("dataset.separation must be finite and >= 0")
         hidden = self.hidden_dims()
         if any(h < 1 for h in hidden):
             raise ConfigError("target.hidden_dims entries must be >= 1")
@@ -170,6 +170,11 @@ class ExperimentConfig:
         for key in ("attacker.train_fraction", "protocol.holdout_fraction"):
             if not 0.0 < v[key] < 1.0:
                 raise ConfigError(f"{key} must lie strictly between 0 and 1")
+        for key in ("protocol.repeats", "protocol.ratio_repeats"):
+            if v[key] < 1:
+                raise ConfigError(f"{key} must be >= 1")
+        if v["protocol.member_subset_size"] < 0:
+            raise ConfigError("protocol.member_subset_size must be >= 0")
         if v["protocol.fpr_grid_points"] < 2:
             raise ConfigError("protocol.fpr_grid_points must be >= 2")
         if v["histogram.bins"] < 1:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import math
 import os
 import secrets
 import struct
@@ -88,8 +89,8 @@ def generate_synthetic_dataset(
     """
     if n_per_class < 1 or n_classes < 1 or dim < 1:
         raise ConfigError("dataset sizes must be >= 1")
-    if class_separation < 0:
-        raise ConfigError("class_separation must be >= 0")
+    if not (math.isfinite(class_separation) and class_separation >= 0):
+        raise ConfigError("class_separation must be finite and >= 0")
     n_held = n_per_class if heldout_per_class is None else heldout_per_class
     if n_held < 1:
         raise ConfigError("heldout_per_class must be >= 1")

@@ -65,28 +65,19 @@ def softmax(logits) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy_loss(probs, label):
-    """-log p[label] with the probability clamped below by PROB_FLOOR: a
-    float for one probability vector (c,) and label, one loss per row for a
-    block (n, c) and n labels.  Each log is `math.log` of one value; numpy's
-    vectorised log differs from it in the last bit for some inputs."""
+def cross_entropy_loss(probs, labels) -> np.ndarray:
+    """-log p[label] of each row of a probability block (n, c) with n
+    labels, the probability clamped below by PROB_FLOOR.  Each log is
+    `math.log` of one value; numpy's vectorised log differs from it in the
+    last bit for some inputs."""
     p = np.asarray(probs, dtype=np.float64)
-    rows = np.atleast_2d(p)
-    labels = np.array(label, dtype=np.int64, ndmin=1)
-    if p.ndim not in (1, 2) or labels.shape != rows.shape[:1]:
+    labels = np.asarray(labels, dtype=np.int64)
+    if p.ndim != 2 or labels.shape != p.shape[:1]:
         raise ShapeError(f"cross_entropy_loss got probs {p.shape} and labels {labels.shape}")
-    if np.any((labels < 0) | (labels >= rows.shape[1])):
-        raise IndexError(f"label out of range for {rows.shape[1]} classes")
-    picked = np.clip(rows[np.arange(len(labels)), labels], PROB_FLOOR, 1.0)
-    return one_or_block(p, np.array([-math.log(v) for v in picked.tolist()]))
-
-
-def one_or_block(x, block):
-    """`block`, one result per row of `x`, as a call on `x` returns it: when
-    `x` is one input (d,), its row 0, as a float where that row is a scalar."""
-    if np.ndim(x) != 1:
-        return block
-    return float(block[0]) if block.ndim == 1 else block[0]
+    if np.any((labels < 0) | (labels >= p.shape[1])):
+        raise IndexError(f"label out of range for {p.shape[1]} classes")
+    picked = np.clip(p[np.arange(len(labels)), labels], PROB_FLOOR, 1.0)
+    return np.array([-math.log(v) for v in picked.tolist()])
 
 
 def _check_layer_dims(layer_dims) -> list[int]:
@@ -288,44 +279,42 @@ def mean_loss(net: DenseNet, X, Y) -> float:
     return _mean(net.head_losses(pres[-1], out, Y))
 
 
-def _check_rows(model: MLPClassifier, x) -> np.ndarray:
-    """One input (d,) or a block of inputs (n, d) as an (n, d) float array."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim not in (1, 2) or arr.shape[-1] != model.input_dim:
-        raise ShapeError(
-            f"input shape {arr.shape} does not match model input_dim {model.input_dim}"
-        )
+def _check_rows(model: MLPClassifier, X) -> np.ndarray:
+    """A block of inputs (n, d) as a float array."""
+    arr = np.asarray(X, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != model.input_dim:
+        raise ShapeError(f"input shape {arr.shape} is not an (n, {model.input_dim}) block")
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("model input must be finite")
-    return arr.reshape(-1, model.input_dim)
+    return arr
 
 
-def _check_labels(model: MLPClassifier, y, n: int) -> np.ndarray:
-    """One label or one per row, as an (n,) integer array."""
-    labels = np.array(y, dtype=np.int64, ndmin=1)
+def _check_labels(model: MLPClassifier, Y, n: int) -> np.ndarray:
+    """One label per row, as an (n,) integer array."""
+    labels = np.asarray(Y, dtype=np.int64)
     if labels.shape != (n,):
-        raise ShapeError(f"{labels.shape[0]} labels for {n} inputs")
+        raise ShapeError(f"labels of shape {labels.shape} for {n} inputs")
     bad = labels[(labels < 0) | (labels >= model.n_classes)]
     if bad.size:
         raise IndexError(f"label {bad[0]} out of range for {model.n_classes} classes")
     return labels
 
 
-def forward_predict(model: MLPClassifier, x) -> np.ndarray:
-    """Class-probability vector of one input (d,), or one per row of a
-    block (n, d); each sums to 1 and is bitwise what the row alone gives."""
-    _, _, probs = model.forward(_check_rows(model, x), row_product)
-    return one_or_block(x, probs)
+def forward_predict(model: MLPClassifier, X) -> np.ndarray:
+    """Class-probability vector of each row of a block (n, d); each sums to
+    1 and is bitwise what the row alone gives."""
+    _, _, probs = model.forward(_check_rows(model, X), row_product)
+    return probs
 
 
-def row_backward(model: MLPClassifier, x, y):
+def row_backward(model: MLPClassifier, X, Y):
     """One forward and backward pass of the true-label cross entropy over a
-    block (n, d) and n labels, or one input and label, each row bitwise what
-    the row alone gives: block arrays (pre-activations, activations, probs,
-    deltas, input grads).  deltas[i] is each row's gradient w.r.t. layer
-    i's pre-activation; see `row_gradient_factors`."""
-    X = _check_rows(model, x)
-    Y = _check_labels(model, y, X.shape[0])
+    block (n, d) and n labels, each row bitwise what the row alone gives:
+    block arrays (pre-activations, activations, probs, deltas, input
+    grads).  deltas[i] is each row's gradient w.r.t. layer i's
+    pre-activation; see `row_gradient_factors`."""
+    X = _check_rows(model, X)
+    Y = _check_labels(model, Y, X.shape[0])
     pres, acts, probs = model.forward(X, row_product)
     deltas, g_in = _backward(model, pres, model.head_delta(probs, Y), True, row_product)
     return pres, acts, probs, deltas, g_in
@@ -374,14 +363,13 @@ def row_gradient_factors(acts, deltas) -> list:
     return [(_factor_sums(a), _factor_sums(d)) for a, d in zip(acts, deltas)]
 
 
-def sample_evaluation(model: MLPClassifier, x, y):
-    """(loss, probs, input gradient) of the true-label cross entropy for one
-    input and label; the attack hot path.  Given a block (n, d) and n
-    labels it returns the (n,) losses, (n, c) probs and (n, d) input
-    gradients, each row bitwise what the row alone gives."""
-    pres, _, probs, _, g_in = row_backward(model, x, y)
-    losses = model.head_losses(pres[-1], probs, _check_labels(model, y, probs.shape[0]))
-    return one_or_block(x, losses), one_or_block(x, probs), one_or_block(x, g_in)
+def sample_evaluation(model: MLPClassifier, X, Y):
+    """The (n,) true-label cross entropies, (n, c) probs and (n, d) input
+    gradients of a block (n, d) and n labels, each row bitwise what the row
+    alone gives; the attack hot path."""
+    pres, _, probs, _, g_in = row_backward(model, X, Y)
+    losses = model.head_losses(pres[-1], probs, np.asarray(Y, dtype=np.int64))
+    return losses, probs, g_in
 
 
 def backward_gradients(model: MLPClassifier, x, y):
@@ -390,7 +378,7 @@ def backward_gradients(model: MLPClassifier, x, y):
     arrays.  The one-row call of `row_backward`."""
     if np.ndim(x) != 1:
         raise ShapeError("backward_gradients takes one input vector")
-    _, acts, _, deltas, g_in = row_backward(model, x, y)
+    _, acts, _, deltas, g_in = row_backward(model, np.asarray(x)[None, :], [y])
     # the batch gradient of the row alone: layer i's weight gradient is the
     # gemm a_i.T @ delta_i (an outer product by multiplication gives -0.0
     # where the gemm gives +0.0)

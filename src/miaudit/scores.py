@@ -2,8 +2,8 @@
 values point toward "member".  The decision rule is phi >= tau.
 
 Every score takes a block of samples (n, d) with n labels and returns one
-value per row, each bitwise what the row alone gives; one input (d,) and
-its label give that row's float.
+value per row, each bitwise what the row alone gives; one sample is the
+one-row block `X[i:i+1]` with labels `Y[i:i+1]`.
 """
 
 from __future__ import annotations
@@ -30,19 +30,18 @@ from .nn_core import (
     _check_labels,
     cross_entropy_loss,
     forward_predict,
-    one_or_block,
     row_backward,
     row_gradient_factors,
     sample_evaluation,
 )
 
 
-def softmax_response(model: MLPClassifier, x, y=None):
-    """Largest output probability; the label is not used."""
-    return one_or_block(x, np.max(forward_predict(model, np.atleast_2d(x)), axis=1))
+def softmax_response(model: MLPClassifier, X, Y=None):
+    """Largest output probability; the labels are not used."""
+    return np.max(forward_predict(model, X), axis=1)
 
 
-def modified_entropy(model: MLPClassifier, x, y):
+def modified_entropy(model: MLPClassifier, X, Y):
     """Label-aware entropy variant; small for confident correct predictions.
 
     Probabilities are clamped to [PROB_FLOOR, 1 - PROB_FLOOR] inside the
@@ -50,52 +49,52 @@ def modified_entropy(model: MLPClassifier, x, y):
     The sum runs over the c - 1 other classes only: a zero term in the true
     class's place would move some sums by one ulp.
     """
-    probs = forward_predict(model, np.atleast_2d(x))
+    probs = forward_predict(model, X)
     n, c = probs.shape
-    Y = _check_labels(model, y, n)
+    Y = _check_labels(model, Y, n)
     log_p = np.log(np.clip(probs, PROB_FLOOR, 1.0 - PROB_FLOOR))
     log_1mp = np.log(np.clip(1.0 - probs, PROB_FLOOR, 1.0 - PROB_FLOOR))
     rows = np.arange(n)
     others = np.arange(c)[None, :] != Y[:, None]
     rest = np.sum((probs[others] * log_1mp[others]).reshape(n, c - 1), axis=1)
-    return one_or_block(x, -(1.0 - probs[rows, Y]) * log_p[rows, Y] - rest)
+    return -(1.0 - probs[rows, Y]) * log_p[rows, Y] - rest
 
 
-def mentr_score(model: MLPClassifier, x, y):
+def mentr_score(model: MLPClassifier, X, Y):
     """Negated modified entropy (members score high)."""
-    return one_or_block(x, -modified_entropy(model, np.atleast_2d(x), y))
+    return -modified_entropy(model, X, Y)
 
 
-def loss_score(model: MLPClassifier, x, y):
+def loss_score(model: MLPClassifier, X, Y):
     """Negated true-label cross entropy."""
-    return one_or_block(x, -cross_entropy_loss(forward_predict(model, np.atleast_2d(x)), y))
+    return -cross_entropy_loss(forward_predict(model, X), Y)
 
 
-def grad_w_norm_score(model: MLPClassifier, x, y):
+def grad_w_norm_score(model: MLPClassifier, X, Y):
     """Negated SQUARED l2 norm of the full parameter gradient, summed over
     the layers as `(sum a**2 + 1) * sum delta**2` (`row_gradient_factors`)."""
-    _, acts, _, deltas, _ = row_backward(model, x, y)
-    squares = sum((a.powers[1] + 1.0) * d.powers[1] for a, d in row_gradient_factors(acts, deltas))
-    return one_or_block(x, -squares)
+    _, acts, _, deltas, _ = row_backward(model, X, Y)
+    return -sum((a.powers[1] + 1.0) * d.powers[1] for a, d in row_gradient_factors(acts, deltas))
 
 
-def grad_x_norm_score(model: MLPClassifier, x, y):
+def grad_x_norm_score(model: MLPClassifier, X, Y):
     """Negated l2 norm (not squared) of the input gradient."""
-    _, _, g = sample_evaluation(model, np.atleast_2d(x), y)
-    return one_or_block(x, -np.sqrt(np.sum(g * g, axis=1)))
+    _, _, g = sample_evaluation(model, X, Y)
+    return -np.sqrt(np.sum(g * g, axis=1))
 
 
-def adv_dist_score(model: MLPClassifier, x, y, attack: AttackConfig, seeds=None):
+def adv_dist_score(model: MLPClassifier, X, Y, attack: AttackConfig, seeds=None):
     """Adversarial distance: lp norm of the minimal misclassifying
-    perturbation, epsilon when the attack fails, 0 when x already misses.
+    perturbation, epsilon when the attack fails, 0 when the row already
+    misses.
 
     All rows search in lock step; row i draws its restarts from seeds[i],
     or from `attack.seed` when no seeds are given.
     """
-    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    X = np.asarray(X, dtype=np.float64)
     seeds = [attack.seed] * len(X) if seeds is None else seeds
-    outcomes = find_adversarial_rows(model, X, np.array(y, dtype=np.int64, ndmin=1), attack, seeds)
-    return one_or_block(x, np.array([o.distance for o in outcomes]))
+    outcomes = find_adversarial_rows(model, X, Y, attack, seeds)
+    return np.array([o.distance for o in outcomes])
 
 
 def membership_decision(score: float, tau: float) -> bool:
@@ -182,16 +181,16 @@ ATTACKER_STRATEGIES = tuple(n for n, s in STRATEGIES.items() if s.kind == "attac
 ENSEMBLE_FEATURE_ORDER = THRESHOLD_STRATEGIES
 
 
-def compute_score(model: MLPClassifier, x, y, strategy: str, attack: AttackConfig = None):
-    """Score a block of samples (n, d) with labels (n,), or one sample, with
-    one threshold strategy; every row of the search draws from `attack.seed`."""
+def compute_score(model: MLPClassifier, X, Y, strategy: str, attack: AttackConfig = None):
+    """Score a block of samples (n, d) with labels (n,) with one threshold
+    strategy; every row of the search draws from `attack.seed`."""
     entry = STRATEGIES.get(strategy)
     if entry is None or entry.score is None:
         raise DataError(f"unknown strategy {strategy!r}")
     if entry.needs_attack and attack is None:
         raise DataError(f"{strategy} strategy needs an AttackConfig")
     extra = (attack,) if entry.needs_attack else ()
-    return entry.score(model, x, y, *extra)
+    return entry.score(model, X, Y, *extra)
 
 
 SCORE_HEADER = ["sample_id", "strategy", "score", "is_member"]
@@ -271,7 +270,10 @@ def _parse_plain_score_csv(data: bytes, strategy: str):
     loadtxt cuts to fit, never reads as a match.
     """
     text = data.replace(b"\r\n", b"\n") if b"\r" in data else data
-    if not text.startswith(_HEADER_LINE) or text.translate(None, _PLAIN_BYTES):
+    # a last row without its newline would offset, in the row count below,
+    # a blank line that loadtxt skips
+    plain = text.startswith(_HEADER_LINE) and text.endswith(b"\n")
+    if not plain or text.translate(None, _PLAIN_BYTES):
         return None
     ends = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord("\n"))
     if np.diff(ends, append=len(text)).max() > csv.field_size_limit() + 1:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import miaudit as mi
-from miaudit.attack_models import ENSEMBLE_FEATURE_ORDER, attacker_scores
+from miaudit.attack_models import ENSEMBLE_FEATURE_ORDER, GRAD_STAT_NAMES, attacker_scores
 from miaudit.cli_runner import ExperimentConfig, run_pipeline
 from miaudit.nn_core import sample_evaluation
 
@@ -48,7 +48,7 @@ def test_criterion_1_gradients_match_finite_differences():
         param_grads, g_in = mi.backward_gradients(model, x, y)
 
         def loss_at_x(xv):
-            return mi.cross_entropy_loss(mi.forward_predict(model, xv), y)
+            return mi.cross_entropy_loss(mi.forward_predict(model, xv[None, :]), [y])[0]
 
         for tensors, grads in (
             (model.weights, param_grads[0::2]),
@@ -209,7 +209,7 @@ def test_criterion_3_projections_and_search_feasibility():
         assert 0.0 <= out.distance <= eps + 1e-9
         if out.success:
             if out.distance > 0.0:
-                assert int(np.argmax(mi.forward_predict(model, adv))) != y
+                assert int(np.argmax(mi.forward_predict(model, adv[None, :])[0])) != y
                 assert abs(mi.lp_norm(out.v, p) - out.distance) <= 1e-9
         else:
             assert out.distance == eps
@@ -237,7 +237,7 @@ def test_criterion_4_linear_margin_soundness():
         d = int(rng.integers(2, 7))
         model = mi.build_mlp([d, 2], seed=int(rng.integers(100_000)))
         x = rng.uniform(0, 1, d)
-        y = int(np.argmax(mi.forward_predict(model, x)))
+        y = int(np.argmax(mi.forward_predict(model, x[None, :])[0]))
         W = model.weights[0]
         b = model.biases[0]
         w = W[:, 1] - W[:, 0]
@@ -374,7 +374,8 @@ def test_criterion_8_formula_oracles():
         model = models[trial % len(models)]
         x = rng.uniform(0, 1, model.input_dim)
         y = int(rng.integers(model.n_classes))
-        loss, probs, g_in = sample_evaluation(model, x, y)
+        X, Y = x[None, :], [y]
+        (loss,), (probs,), (g_in,) = sample_evaluation(model, X, Y)
         param_grads, _ = mi.backward_gradients(model, x, y)
 
         # modified entropy, term by term in pure python
@@ -382,18 +383,18 @@ def test_criterion_8_formula_oracles():
         for i, p_i in enumerate(probs):
             if i != y:
                 want_mentr -= p_i * math.log(clamp(1.0 - p_i))
-        got = mi.mentr_score(model, x, y)
+        (got,) = mi.mentr_score(model, X, Y)
         worst = max(worst, abs(got + want_mentr))
         assert abs(got + want_mentr) <= 1e-9
 
         # loss score
         want_loss = -math.log(min(max(probs[y], delta), 1.0))
-        got = mi.loss_score(model, x, y)
+        (got,) = mi.loss_score(model, X, Y)
         worst = max(worst, abs(got + want_loss))
         assert abs(got + want_loss) <= 1e-9
 
         # softmax response
-        got = mi.softmax_response(model, x)
+        (got,) = mi.softmax_response(model, X)
         worst = max(worst, abs(got - max(float(v) for v in probs)))
         assert abs(got - max(float(v) for v in probs)) <= 1e-9
 
@@ -402,7 +403,7 @@ def test_criterion_8_formula_oracles():
         for g in param_grads[0::2] + param_grads[1::2]:
             for v in g.ravel():
                 total += float(v) * float(v)
-        got = mi.grad_w_norm_score(model, x, y)
+        (got,) = mi.grad_w_norm_score(model, X, Y)
         worst = max(worst, abs(got + total))
         assert abs(got + total) <= 1e-9
 
@@ -410,7 +411,7 @@ def test_criterion_8_formula_oracles():
         acc = 0.0
         for v in g_in:
             acc += float(v) * float(v)
-        got = mi.grad_x_norm_score(model, x, y)
+        (got,) = mi.grad_x_norm_score(model, X, Y)
         worst = max(worst, abs(got + math.sqrt(acc)))
         assert abs(got + math.sqrt(acc)) <= 1e-9
 
@@ -425,15 +426,15 @@ def test_criterion_8_formula_oracles():
         else:
             skew = (sum((v - mean) ** 3 for v in vals) / n) / m2**1.5
             kurt = (sum((v - mean) ** 4 for v in vals) / n) / m2**2 - 3.0
-        stats = mi.gradient_statistics(flat_grad)
+        stats = dict(zip(GRAD_STAT_NAMES, mi.gradient_statistics(flat_grad[None, :])[0]))
         for got_v, want_v in (
-            (stats.l1_norm, sum(abs(v) for v in vals)),
-            (stats.l2_norm, math.sqrt(sum(v * v for v in vals))),
-            (stats.max_value, max(vals)),
-            (stats.mean, mean),
-            (stats.skewness, skew),
-            (stats.kurtosis, kurt),
-            (stats.abs_min, min(abs(v) for v in vals)),
+            (stats["l1_norm"], sum(abs(v) for v in vals)),
+            (stats["l2_norm"], math.sqrt(sum(v * v for v in vals))),
+            (stats["max_value"], max(vals)),
+            (stats["mean"], mean),
+            (stats["skewness"], skew),
+            (stats["kurtosis"], kurt),
+            (stats["abs_min"], min(abs(v) for v in vals)),
         ):
             worst = max(worst, abs(got_v - want_v))
             assert abs(got_v - want_v) <= 1e-9

@@ -19,8 +19,9 @@ from miaudit.adversarial import (
     first_run_traces,
     project_l1_ball,
 )
-from miaudit.errors import ConfigError, InvalidInputError
-from miaudit.nn_core import PROB_FLOOR, loss_and_grads, row_backward
+from miaudit.attack_models import BinaryNet, attacker_scores
+from miaudit.errors import ConfigError, InvalidInputError, ShapeError
+from miaudit.nn_core import PROB_FLOOR, loss_and_grads, row_backward, sample_evaluation
 
 INF = math.inf
 
@@ -232,7 +233,7 @@ class TestApgd:
 class TestFindAdversarial:
     def test_misclassified_input_returns_zero(self, tiny_model, rng):
         x = rng.uniform(0, 1, 4)
-        probs = mi.forward_predict(tiny_model, x)
+        (probs,) = mi.forward_predict(tiny_model, x[None, :])
         wrong = int(np.argmin(probs))
         out = mi.find_adversarial(tiny_model, x, wrong, mi.AttackConfig(n_iter=5))
         assert out.success
@@ -258,20 +259,20 @@ class TestFindAdversarial:
         hits = 0
         for _ in range(20):
             x = rng.uniform(0, 1, 3)
-            y = int(np.argmax(mi.forward_predict(model, x)))
+            y = int(np.argmax(mi.forward_predict(model, x[None, :])[0]))
             cfg = mi.AttackConfig(p=2, epsilon=1.2, n_iter=30, seed=3)
             out = mi.find_adversarial(model, x, y, cfg)
             if out.success:
                 hits += 1
                 adv = x + out.v
-                assert int(np.argmax(mi.forward_predict(model, adv))) != y
+                assert int(np.argmax(mi.forward_predict(model, adv[None, :])[0])) != y
                 assert feasible(adv, x, 2, 1.2)
                 assert abs(mi.lp_norm(out.v, 2) - out.distance) < 1e-9
         assert hits > 0
 
     def test_restarts_add_iterations(self, tiny_model, rng):
         x = rng.uniform(0.2, 0.8, 4)
-        y = int(np.argmax(mi.forward_predict(tiny_model, x)))
+        y = int(np.argmax(mi.forward_predict(tiny_model, x[None, :])[0]))
         one = mi.find_adversarial(tiny_model, x, y, mi.AttackConfig(n_iter=8, n_restarts=1))
         three = mi.find_adversarial(tiny_model, x, y, mi.AttackConfig(n_iter=8, n_restarts=3))
         assert one.iterations_used == 8
@@ -370,7 +371,7 @@ def _reference_ascent(model, x, y, cfg, start=None):
 def _reference_search(model, x, y, cfg):
     """One-sample search as a plain loop over restarts and iterates."""
     probs0 = model.forward(x[None, :])[2][0]
-    loss0 = mi.cross_entropy_loss(probs0, y)
+    (loss0,) = mi.cross_entropy_loss(probs0[None, :], [y])
     if int(np.argmax(probs0)) != y:
         return mi.AdversarialOutcome(np.zeros_like(x), 0.0, True, 0, loss0)
     rng = np.random.default_rng(cfg.seed)
@@ -467,7 +468,7 @@ def _reference_row(model, x, y):
     _, grads, g_in, probs = loss_and_grads(model, x[None, :], np.array([y]), need_input=True)
     _, acts, _ = model.forward(x[None, :])
     p = probs[0]
-    loss = mi.cross_entropy_loss(p, y)
+    (loss,) = mi.cross_entropy_loss(probs, [y])
     log_p = np.log(np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR))
     log_1mp = np.log(np.clip(1.0 - p, PROB_FLOOR, 1.0 - PROB_FLOOR))
     mentr = -(1.0 - p[y]) * log_p[y]
@@ -484,8 +485,8 @@ def _reference_row(model, x, y):
         "loss": -loss,
         "grad_w_norm": -total,
         "grad_x_norm": -float(np.sqrt(np.sum(g_in[0] * g_in[0]))),
-        mi.extract_grad_w_stats: mi.gradient_statistics(flat).as_array(),
-        mi.extract_grad_x_stats: mi.gradient_statistics(g_in[0]).as_array(),
+        mi.extract_grad_w_stats: mi.gradient_statistics(flat[None, :])[0],
+        mi.extract_grad_x_stats: mi.gradient_statistics(g_in)[0],
         mi.extract_intermediate_outputs: np.concatenate([p, acts[-1][0]]),
         mi.extract_wb_features: wb,
     }
@@ -506,8 +507,8 @@ BLOCK_CALLS = (
 
 class TestBlockScores:
     """Every threshold score and feature extractor takes a block and gives
-    each row bitwise what its one-row call gives, whatever its block mates;
-    a one-row call gives a float or a 1-D vector."""
+    each row bitwise what its one-row block gives, whatever its block
+    mates."""
 
     @pytest.fixture(scope="class", params=[[24, 128, 128, 10], [6, 16, 3], [4, 8, 3], [3, 5, 5, 2]])
     def block(self, request):
@@ -533,12 +534,9 @@ class TestBlockScores:
         model, X, Y = block
         got = self.call(fn, model, X, Y)
         assert got.shape[0] == len(X)
-        ones = [self.call(fn, model, X[i], int(Y[i])) for i in range(len(X))]
+        ones = [self.call(fn, model, X[i : i + 1], Y[i : i + 1]) for i in range(len(X))]
         for i, one in enumerate(ones):
-            if got.ndim == 1:
-                assert type(one) is float
-            else:
-                assert isinstance(one, np.ndarray) and one.shape == got.shape[1:]
+            assert one.shape == (1, *got.shape[1:])
             assert _bits(one) == _bits(got[i])
             want = _reference_row(model, X[i], int(Y[i])).get(fn)
             if fn in FACTORISED_CALLS:
@@ -554,3 +552,71 @@ class TestBlockScores:
         model, X, Y = block
         _, _, _, deltas, _ = row_backward(model, X, Y)
         assert any(np.any(np.signbit(d) & (d == 0.0)) for d in deltas)
+
+
+def _labels_for(X):
+    """One label per row; one label for a 1-D X, as the one-row form took."""
+    return np.zeros(len(np.atleast_2d(X)), dtype=np.int64)
+
+
+def _block_only_calls():
+    """Every block-only function as (call on a block X, the width X must
+    have, or None where any width is valid)."""
+    model = mi.build_mlp([4, 8, 3], seed=0)
+    attack = mi.AttackConfig(epsilon=0.2, n_iter=6, seed=3)
+
+    def on_model(fn):
+        return lambda X: fn(model, X, _labels_for(X)), 4
+
+    features = np.random.default_rng(0).uniform(0, 1, (10, 4))
+    labels = np.arange(10) % 2
+    return {
+        "forward_predict": on_model(lambda m, X, Y: mi.forward_predict(m, X)),
+        "row_backward": on_model(lambda m, X, Y: row_backward(m, X, Y)[2]),
+        "sample_evaluation": on_model(lambda m, X, Y: sample_evaluation(m, X, Y)[0]),
+        "modified_entropy": on_model(mi.modified_entropy),
+        "softmax_response": on_model(mi.softmax_response),
+        "mentr_score": on_model(mi.mentr_score),
+        "loss_score": on_model(mi.loss_score),
+        "grad_w_norm_score": on_model(mi.grad_w_norm_score),
+        "grad_x_norm_score": on_model(mi.grad_x_norm_score),
+        "adv_dist_score": on_model(lambda m, X, Y: mi.adv_dist_score(m, X, Y, attack)),
+        "compute_score": on_model(lambda m, X, Y: mi.compute_score(m, X, Y, "loss")),
+        "extract_grad_w_stats": on_model(mi.extract_grad_w_stats),
+        "extract_grad_x_stats": on_model(mi.extract_grad_x_stats),
+        "extract_intermediate_outputs": on_model(mi.extract_intermediate_outputs),
+        "extract_wb_features": on_model(mi.extract_wb_features),
+        "cross_entropy_loss": (lambda P: mi.cross_entropy_loss(P, _labels_for(P)), None),
+        "gradient_statistics": (mi.gradient_statistics, None),
+        "MinMaxScaler.transform": (mi.MinMaxScaler.fit(features).transform, 4),
+        "BinaryNet.scores": (BinaryNet.build([4, 3, 1], seed=0).scores, 4),
+        "attacker_scores": (
+            lambda X: attacker_scores(mi.fit_logistic_attacker(features, labels, max_steps=2), X),
+            4,
+        ),
+    }
+
+
+BLOCK_ONLY = _block_only_calls()
+
+
+class TestMalformedBlocks:
+    """A block-only function takes (n, d) blocks: a 1-D input or a block of
+    the wrong width is a ShapeError (an AuditError), never numpy's own."""
+
+    @pytest.mark.parametrize("name", BLOCK_ONLY)
+    def test_one_row_block_is_accepted(self, name):
+        fn, width = BLOCK_ONLY[name]
+        assert len(fn(np.full((1, width or 3), 0.5))) == 1
+
+    @pytest.mark.parametrize("name", BLOCK_ONLY)
+    def test_1d_input_rejected(self, name):
+        fn, width = BLOCK_ONLY[name]
+        with pytest.raises(ShapeError):
+            fn(np.full(width or 3, 0.5))
+
+    @pytest.mark.parametrize("name", [n for n, (_, width) in BLOCK_ONLY.items() if width])
+    def test_wrong_width_rejected(self, name):
+        fn, width = BLOCK_ONLY[name]
+        with pytest.raises(ShapeError):
+            fn(np.full((2, width + 2), 0.5))

@@ -61,40 +61,39 @@ def separable_features(rng, n_per_side=60, dim=4, gap=3.0):
     return X, y
 
 
+def stats_of(v):
+    """`gradient_statistics` of one vector, by GRAD_STAT_NAMES name."""
+    return dict(zip(GRAD_STAT_NAMES, mi.gradient_statistics(np.asarray(v)[None, :])[0]))
+
+
 class TestGradientStatistics:
     def test_frozen_example(self):
-        s = mi.gradient_statistics(np.array([1.0, -2.0, 3.0]))
-        assert s.l1_norm == 6.0
-        assert abs(s.l2_norm - math.sqrt(14)) < 1e-12
-        assert s.max_value == 3.0
-        assert abs(s.mean - 2.0 / 3.0) < 1e-12
+        s = stats_of(np.array([1.0, -2.0, 3.0]))
+        assert s["l1_norm"] == 6.0
+        assert abs(s["l2_norm"] - math.sqrt(14)) < 1e-12
+        assert s["max_value"] == 3.0
+        assert abs(s["mean"] - 2.0 / 3.0) < 1e-12
         # centered values are (1/3, -8/3, 7/3): m2 = 114/27, m3 = -168/81
-        assert abs(s.skewness - (-168.0 / 81.0) / (114.0 / 27.0) ** 1.5) < 1e-12
-        assert abs(s.kurtosis + 1.5) < 1e-12
-        assert s.abs_min == 1.0
+        assert abs(s["skewness"] - (-168.0 / 81.0) / (114.0 / 27.0) ** 1.5) < 1e-12
+        assert abs(s["kurtosis"] + 1.5) < 1e-12
+        assert s["abs_min"] == 1.0
 
     def test_constant_vector_zero_moments(self):
-        s = mi.gradient_statistics(np.full(5, 0.3))
-        assert s.skewness == 0.0 and s.kurtosis == 0.0
-        assert s.mean == pytest.approx(0.3)
+        s = stats_of(np.full(5, 0.3))
+        assert s["skewness"] == 0.0 and s["kurtosis"] == 0.0
+        assert s["mean"] == pytest.approx(0.3)
 
     def test_matches_python_oracle(self, rng):
         for _ in range(25):
             v = rng.normal(0, 2, int(rng.integers(2, 40)))
             want = python_stats(list(v))
-            got = mi.gradient_statistics(v)
+            got = stats_of(v)
             for name in GRAD_STAT_NAMES:
-                assert abs(getattr(got, name) - want[name]) < 1e-9, name
-
-    def test_accepts_matrix_by_flattening(self, rng):
-        m = rng.normal(0, 1, (3, 4))
-        a = mi.gradient_statistics(m)
-        b = mi.gradient_statistics(m.ravel())
-        assert a == b
+                assert abs(got[name] - want[name]) < 1e-9, name
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
-            mi.gradient_statistics(np.array([]))
+            mi.gradient_statistics(np.empty((1, 0)))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -103,16 +102,16 @@ class TestGradientStatistics:
     )
     def test_positive_scaling_behaviour(self, vals, scale):
         v = np.array(vals)
-        base = mi.gradient_statistics(v)
-        scaled = mi.gradient_statistics(v * scale)
-        assert scaled.l1_norm == pytest.approx(base.l1_norm * scale, rel=1e-9, abs=1e-12)
-        assert scaled.l2_norm == pytest.approx(base.l2_norm * scale, rel=1e-9, abs=1e-12)
-        assert scaled.mean == pytest.approx(base.mean * scale, rel=1e-9, abs=1e-12)
+        base = stats_of(v)
+        scaled = stats_of(v * scale)
+        assert scaled["l1_norm"] == pytest.approx(base["l1_norm"] * scale, rel=1e-9, abs=1e-12)
+        assert scaled["l2_norm"] == pytest.approx(base["l2_norm"] * scale, rel=1e-9, abs=1e-12)
+        assert scaled["mean"] == pytest.approx(base["mean"] * scale, rel=1e-9, abs=1e-12)
         # shape moments ignore positive rescaling (unless the floor kicks in)
         centered = v - v.mean()
         if np.mean(centered**2) * min(1.0, scale**2) > 1e-20:
-            assert scaled.skewness == pytest.approx(base.skewness, rel=1e-6, abs=1e-9)
-            assert scaled.kurtosis == pytest.approx(base.kurtosis, rel=1e-6, abs=1e-9)
+            assert scaled["skewness"] == pytest.approx(base["skewness"], rel=1e-6, abs=1e-9)
+            assert scaled["kurtosis"] == pytest.approx(base["kurtosis"], rel=1e-6, abs=1e-9)
 
     def test_stat_name_order(self):
         assert GRAD_STAT_NAMES == (
@@ -124,20 +123,18 @@ class TestGradientStatistics:
             "kurtosis",
             "abs_min",
         )
-        s = mi.gradient_statistics(np.array([1.0, 2.0]))
-        assert np.array_equal(
-            s.as_array(), np.array([getattr(s, n) for n in GRAD_STAT_NAMES])
-        )
+        s = mi.gradient_statistics(np.array([[1.0, 2.0]]))
+        assert s.tolist() == [[python_stats([1.0, 2.0])[n] for n in GRAD_STAT_NAMES]]
 
 
 class TestExtractors:
     def test_grad_w_stats_composition(self, tiny_model, rng):
         x = rng.uniform(0, 1, 4)
-        fv = mi.extract_grad_w_stats(tiny_model, x, 1)
+        fv = mi.extract_grad_w_stats(tiny_model, x[None, :], [1])
         grads, _ = mi.backward_gradients(tiny_model, x, 1)
-        want = mi.gradient_statistics(np.concatenate([g.ravel() for g in grads])).as_array()
+        want = mi.gradient_statistics(np.concatenate([g.ravel() for g in grads])[None, :])
         assert np.max(np.abs(fv - want)) <= 1e-9  # factorised per layer; criterion 8's gap
-        assert fv.shape == (7,)
+        assert fv.shape == (1, 7)
 
     def test_grad_x_stats_composition(self, tiny_model, rng):
         # the block's row reductions give each row's one-row statistics bitwise
@@ -147,35 +144,35 @@ class TestExtractors:
         assert block.shape == (40, 7)
         for x, label, row in zip(X, y, block):
             _, g_in = mi.backward_gradients(tiny_model, x, label)
-            want = mi.gradient_statistics(g_in).as_array()
+            (want,) = mi.gradient_statistics(g_in[None, :])
             assert np.array_equal(row, want)
-            assert np.array_equal(mi.extract_grad_x_stats(tiny_model, x, label), want)
+            assert np.array_equal(mi.extract_grad_x_stats(tiny_model, x[None, :], [label])[0], want)
 
     def test_intermediate_outputs_layout(self, tiny_model, rng):
-        x = rng.uniform(0, 1, 4)
-        fv = mi.extract_intermediate_outputs(tiny_model, x)
-        assert fv.shape == (3 + 8,)
-        assert np.allclose(fv[:3], forward_predict(tiny_model, x), atol=1e-14)
+        X = rng.uniform(0, 1, (1, 4))
+        fv = mi.extract_intermediate_outputs(tiny_model, X)
+        assert fv.shape == (1, 3 + 8)
+        assert np.allclose(fv[0, :3], forward_predict(tiny_model, X)[0], atol=1e-14)
 
     def test_intermediate_outputs_needs_hidden_layer(self):
         linear = mi.build_mlp([4, 3], seed=0)
         with pytest.raises(ConfigError):
-            mi.extract_intermediate_outputs(linear, np.full(4, 0.5))
+            mi.extract_intermediate_outputs(linear, np.full((1, 4), 0.5))
 
     def test_wb_feature_layout(self, tiny_model, rng):
         x = rng.uniform(0, 1, 4)
         y = 1
-        fv = mi.extract_wb_features(tiny_model, x, y)
+        (fv,) = mi.extract_wb_features(tiny_model, x[None, :], [y])
         grads, _ = mi.backward_gradients(tiny_model, x, y)
         gw = grads[-2].ravel()
         gb = grads[-1].ravel()
-        probs = forward_predict(tiny_model, x)
+        probs = forward_predict(tiny_model, x[None, :])
         n_w, n_b, k = gw.size, gb.size, 3
         assert fv.shape == (n_w + n_b + 1 + k + 8 + k,)
         assert np.array_equal(fv[:n_w], gw)
         assert np.array_equal(fv[n_w : n_w + n_b], gb)
-        assert fv[n_w + n_b] == pytest.approx(cross_entropy_loss(probs, y), abs=1e-12)
-        assert np.allclose(fv[n_w + n_b + 1 : n_w + n_b + 1 + k], probs, atol=1e-14)
+        assert fv[n_w + n_b] == pytest.approx(cross_entropy_loss(probs, [y])[0], abs=1e-12)
+        assert np.allclose(fv[n_w + n_b + 1 : n_w + n_b + 1 + k], probs[0], atol=1e-14)
         onehot = fv[-k:]
         assert list(onehot) == [0.0, 1.0, 0.0]
 
@@ -671,18 +668,11 @@ class TestEnsembleAttacker:
 
 
 class TestAttackerScoring:
-    def test_single_matches_batch(self, rng):
-        X, y = separable_features(rng, n_per_side=15)
-        attacker = mi.fit_logistic_attacker(X, y)
-        batch = attacker_scores(attacker, X[:5])
-        singles = [mi.attacker_score(attacker, X[i]) for i in range(5)]
-        assert np.allclose(batch, singles, atol=1e-15)
-
     def test_wrong_length_rejected(self, rng):
         X, y = separable_features(rng, n_per_side=15)
         attacker = mi.fit_logistic_attacker(X, y)
         with pytest.raises(ShapeError):
-            mi.attacker_score(attacker, np.zeros(9))
+            attacker_scores(attacker, np.zeros((1, 9)))
 
     def test_label_validation(self, rng):
         X = rng.uniform(0, 1, (10, 3))

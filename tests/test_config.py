@@ -122,6 +122,15 @@ class TestOverridesAndParsing:
         with pytest.raises(ConfigError):
             ExperimentConfig({"debug.dump_traces": "maybe"})
 
+    def test_typed_values_go_through_their_parser(self):
+        with pytest.raises(ConfigError, match="seed"):
+            ExperimentConfig({"seed": 3.7})
+        for raw in (1, "1", True):
+            cfg = ExperimentConfig({"debug.dump_traces": raw})
+            assert cfg["debug.dump_traces"] is True
+            assert cfg.echo()["debug.dump_traces"] == "true"
+        assert ExperimentConfig({"seed": 3}).echo()["seed"] == "3"
+
     def test_bad_int(self):
         with pytest.raises(ConfigError):
             ExperimentConfig({"dataset.dim": "sixteen"})
@@ -174,6 +183,19 @@ class TestValidation:
             ExperimentConfig({"protocol.fpr_grid_points": "1"})
         with pytest.raises(ConfigError):
             ExperimentConfig({"histogram.bins": "0"})
+
+    @pytest.mark.parametrize(
+        "key, bad",
+        [("protocol.repeats", "0"), ("protocol.ratio_repeats", "0"), ("protocol.member_subset_size", "-5")],
+    )
+    def test_protocol_counts_checked_up_front(self, key, bad):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig({key: bad})
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_separation_must_be_finite(self, bad):
+        with pytest.raises(ConfigError, match="dataset.separation"):
+            ExperimentConfig({"dataset.separation": bad})
 
     def test_attack_validation_surfaces_early(self):
         with pytest.raises(ConfigError):

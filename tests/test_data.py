@@ -73,6 +73,9 @@ class TestSyntheticGeneration:
             generate_synthetic_dataset(0, 3, 4, 1.0, seed=0)
         with pytest.raises(ConfigError):
             generate_synthetic_dataset(5, 3, 4, -0.5, seed=0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                generate_synthetic_dataset(5, 3, 4, bad, seed=0)
         with pytest.raises(ConfigError):
             generate_synthetic_dataset(5, 3, 4, 1.0, seed=0, heldout_per_class=0)
 

@@ -95,19 +95,19 @@ class TestSoftmax:
 
 class TestCrossEntropy:
     def test_frozen_example(self):
-        probs = np.array([0.7, 0.2, 0.1])
-        assert abs(mi.cross_entropy_loss(probs, 0) - 0.35667494393873245) < 1e-12
+        probs = np.array([[0.7, 0.2, 0.1]])
+        assert abs(mi.cross_entropy_loss(probs, [0])[0] - 0.35667494393873245) < 1e-12
 
     def test_clamps_zero_probability(self):
-        loss = mi.cross_entropy_loss(np.array([0.0, 1.0]), 0)
+        (loss,) = mi.cross_entropy_loss(np.array([[0.0, 1.0]]), [0])
         assert math.isfinite(loss)
         assert abs(loss - (-math.log(1e-12))) < 1e-9
 
     def test_label_out_of_range(self):
         with pytest.raises(IndexError):
-            mi.cross_entropy_loss(np.array([0.5, 0.5]), 2)
+            mi.cross_entropy_loss(np.array([[0.5, 0.5]]), [2])
         with pytest.raises(IndexError):
-            mi.cross_entropy_loss(np.array([0.5, 0.5]), -1)
+            mi.cross_entropy_loss(np.array([[0.5, 0.5]]), [-1])
 
 
 class TestNonFiniteParameters:
@@ -179,7 +179,7 @@ class TestBuildMlp:
 class TestForward:
     def test_predict_is_distribution(self, tiny_model, rng):
         for _ in range(20):
-            p = mi.forward_predict(tiny_model, rng.uniform(0, 1, 4))
+            (p,) = mi.forward_predict(tiny_model, rng.uniform(0, 1, (1, 4)))
             assert abs(p.sum() - 1.0) < 1e-12
             assert np.all(p >= 0)
 
@@ -187,13 +187,13 @@ class TestForward:
         X = rng.uniform(0, 1, (8, 4))
         batch = mi.forward_predict(tiny_model, X)
         for i in range(8):
-            assert np.allclose(batch[i], mi.forward_predict(tiny_model, X[i]), atol=1e-14)
+            assert np.allclose(batch[i], mi.forward_predict(tiny_model, X[i : i + 1])[0], atol=1e-14)
 
     def test_input_validation(self, tiny_model):
         with pytest.raises(ShapeError):
-            mi.forward_predict(tiny_model, np.zeros(5))
+            mi.forward_predict(tiny_model, np.zeros((1, 5)))
         with pytest.raises(InvalidInputError):
-            mi.forward_predict(tiny_model, np.array([0.1, np.nan, 0.2, 0.3]))
+            mi.forward_predict(tiny_model, np.array([[0.1, np.nan, 0.2, 0.3]]))
 
 
 class TestRowIndependence:
@@ -238,7 +238,7 @@ class TestGradients:
                     def loss_fn(vals, tensor=tensor):
                         saved = tensor.copy()
                         tensor[...] = vals
-                        out = mi.cross_entropy_loss(mi.forward_predict(model, x), y)
+                        out = mi.cross_entropy_loss(mi.forward_predict(model, x[None, :]), [y])[0]
                         tensor[...] = saved
                         return out
 
@@ -251,16 +251,17 @@ class TestGradients:
         _, g_in = mi.backward_gradients(tiny_model, x, y)
 
         def loss_fn(xv):
-            return mi.cross_entropy_loss(mi.forward_predict(tiny_model, xv), y)
+            return mi.cross_entropy_loss(mi.forward_predict(tiny_model, xv[None, :]), [y])[0]
 
         fd = finite_difference_grad(loss_fn, x.copy())
         assert rel_err(g_in, fd) < 1e-4
 
     def test_sample_evaluation_consistent(self, tiny_model, rng):
         x = rng.uniform(0, 1, 4)
-        loss, probs, g_in = sample_evaluation(tiny_model, x, 2)
-        assert abs(loss - mi.cross_entropy_loss(mi.forward_predict(tiny_model, x), 2)) < 1e-12
-        assert np.allclose(probs, mi.forward_predict(tiny_model, x), atol=1e-14)
+        (loss,), (probs,), (g_in,) = sample_evaluation(tiny_model, x[None, :], [2])
+        probs_alone = mi.forward_predict(tiny_model, x[None, :])
+        assert abs(loss - mi.cross_entropy_loss(probs_alone, [2])[0]) < 1e-12
+        assert np.allclose(probs, probs_alone[0], atol=1e-14)
         _, g_backward = mi.backward_gradients(tiny_model, x, 2)
         assert np.allclose(g_in, g_backward, atol=1e-14)
 
@@ -358,7 +359,10 @@ class TestEmpiricalRisk:
         X = rng.uniform(0, 1, (9, 4))
         y = rng.integers(0, 3, 9)
         manual = np.mean(
-            [mi.cross_entropy_loss(mi.forward_predict(tiny_model, X[i]), int(y[i])) for i in range(9)]
+            [
+                mi.cross_entropy_loss(mi.forward_predict(tiny_model, X[i : i + 1]), y[i : i + 1])[0]
+                for i in range(9)
+            ]
         )
         assert abs(mi.empirical_risk(tiny_model, X, y) - manual) < 1e-12
 
@@ -512,8 +516,8 @@ class TestCheckpoint:
         assert loaded.layer_dims == model.layer_dims
         for a, b in zip(model.parameters(), loaded.parameters()):
             assert np.array_equal(a, b)
-        x = rng.uniform(0, 1, 6)
-        assert np.array_equal(mi.forward_predict(model, x), mi.forward_predict(loaded, x))
+        X = rng.uniform(0, 1, (1, 6))
+        assert np.array_equal(mi.forward_predict(model, X), mi.forward_predict(loaded, X))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"

@@ -393,7 +393,7 @@ class TestScoreSamples:
         assert names == ("softmax", "mentr", "loss", "grad_w_norm", "grad_x_norm", "adv_dist")
         assert np.array_equal(features["attacker_ensemble"], np.stack([scores[n] for n in names], axis=1))
         assert features["attacker_grad_x"].shape == (len(X), 7)
-        assert np.array_equal(features["attacker_grad_x"][3], mi.extract_grad_x_stats(model, X[3], int(Y[3])))
+        assert np.array_equal(features["attacker_grad_x"][3], mi.extract_grad_x_stats(model, X[3:4], Y[3:4])[0])
 
 
 class TestDebugDumps:
@@ -659,6 +659,16 @@ class TestCli:
         cfg = self.write_cfg(tmp_path, f"{line}\n")
         assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "more than once" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_separation_exit_code(self, tmp_path, capsys, bad):
+        cfg = tmp_path / "run.cfg"
+        lines = [f"{k} = {v}" for k, v in FAST_OVERRIDES.items() if k != "dataset.separation"]
+        cfg.write_text("\n".join([*lines, "strategies = loss", f"dataset.separation = {bad}"]) + "\n")
+        capsys.readouterr()
+        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "dataset.separation" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_undecodable_config_exit_code(self, tmp_path, capsys):

@@ -37,48 +37,48 @@ def fixed_prob_model(probs):
     )
 
 
-X0 = np.array([0.3])
+X0 = np.array([[0.3]])
 
 
 class TestModifiedEntropy:
     def test_frozen_example(self):
         model = fixed_prob_model([0.7, 0.2, 0.1])
-        got = mi.modified_entropy(model, X0, 0)
+        (got,) = mi.modified_entropy(model, X0, [0])
         want = 0.3 * -math.log(0.7) + 0.2 * -math.log(0.8) + 0.1 * -math.log(0.9)
         assert abs(got - want) < 1e-12
-        assert abs(mi.mentr_score(model, X0, 0) + 0.16217) < 1e-4
+        assert abs(mi.mentr_score(model, X0, [0])[0] + 0.16217) < 1e-4
 
     def test_confident_correct_is_zero(self):
         model = fixed_prob_model([1.0, 0.0])
-        assert mi.forward_predict(model, X0)[0] == 1.0
-        assert mi.modified_entropy(model, X0, 0) == 0.0
+        assert mi.forward_predict(model, X0)[0, 0] == 1.0
+        assert mi.modified_entropy(model, X0, [0])[0] == 0.0
 
     def test_confident_wrong_is_large(self):
         model = fixed_prob_model([1.0, 0.0])
-        assert mi.mentr_score(model, X0, 1) <= -25.0
+        assert mi.mentr_score(model, X0, [1])[0] <= -25.0
 
     def test_nonnegative(self, tiny_model, rng):
         for _ in range(30):
-            x = rng.uniform(0, 1, 4)
-            assert mi.modified_entropy(model=tiny_model, x=x, y=int(rng.integers(3))) >= 0.0
+            X = rng.uniform(0, 1, (1, 4))
+            assert mi.modified_entropy(model=tiny_model, X=X, Y=[int(rng.integers(3))])[0] >= 0.0
 
 
 class TestSimpleScores:
     def test_softmax_response_range(self, tiny_model, rng):
         for _ in range(20):
-            s = mi.softmax_response(tiny_model, rng.uniform(0, 1, 4))
+            (s,) = mi.softmax_response(tiny_model, rng.uniform(0, 1, (1, 4)))
             assert 1.0 / 3 - 1e-12 <= s <= 1.0
 
     def test_softmax_response_is_max_prob(self, tiny_model, rng):
-        x = rng.uniform(0, 1, 4)
-        assert mi.softmax_response(tiny_model, x) == float(
-            np.max(mi.forward_predict(tiny_model, x))
+        X = rng.uniform(0, 1, (1, 4))
+        assert mi.softmax_response(tiny_model, X)[0] == float(
+            np.max(mi.forward_predict(tiny_model, X))
         )
 
     def test_loss_score_is_negated_loss(self, tiny_model, rng):
-        x = rng.uniform(0, 1, 4)
-        loss = mi.cross_entropy_loss(mi.forward_predict(tiny_model, x), 1)
-        assert mi.loss_score(tiny_model, x, 1) == -loss
+        X = rng.uniform(0, 1, (1, 4))
+        (loss,) = mi.cross_entropy_loss(mi.forward_predict(tiny_model, X), [1])
+        assert mi.loss_score(tiny_model, X, [1])[0] == -loss
 
     def test_grad_w_score_is_negated_squared_norm(self, tiny_model, rng):
         x = rng.uniform(0, 1, 4)
@@ -86,25 +86,25 @@ class TestSimpleScores:
         total = 0.0
         for g in grads:
             total += float(np.sum(np.square(g)))
-        assert abs(mi.grad_w_norm_score(tiny_model, x, 2) + total) < 1e-12
+        assert abs(mi.grad_w_norm_score(tiny_model, x[None, :], [2])[0] + total) < 1e-12
 
     def test_grad_x_score_is_negated_l2_not_squared(self, tiny_model, rng):
         x = rng.uniform(0, 1, 4)
         _, g_in = mi.backward_gradients(tiny_model, x, 0)
         norm = float(np.sqrt(np.sum(np.square(g_in))))
-        assert abs(mi.grad_x_norm_score(tiny_model, x, 0) + norm) < 1e-12
+        assert abs(mi.grad_x_norm_score(tiny_model, x[None, :], [0])[0] + norm) < 1e-12
 
     def test_adv_dist_score_in_budget(self, tiny_model, rng):
         cfg = mi.AttackConfig(p=math.inf, epsilon=0.5, n_iter=10, seed=0)
         for _ in range(10):
-            s = mi.adv_dist_score(tiny_model, rng.uniform(0, 1, 4), int(rng.integers(3)), cfg)
+            (s,) = mi.adv_dist_score(tiny_model, rng.uniform(0, 1, (1, 4)), [int(rng.integers(3))], cfg)
             assert 0.0 <= s <= 0.5
 
     def test_adv_dist_matches_search(self, tiny_model, rng):
         x = rng.uniform(0, 1, 4)
         cfg = mi.AttackConfig(p=2, epsilon=0.8, n_iter=12, seed=4)
         out = mi.find_adversarial(tiny_model, x, 1, cfg)
-        assert mi.adv_dist_score(tiny_model, x, 1, cfg) == out.distance
+        assert mi.adv_dist_score(tiny_model, x[None, :], [1], cfg)[0] == out.distance
 
 
 class TestDecision:
@@ -116,19 +116,19 @@ class TestDecision:
 
 class TestDispatch:
     def test_all_strategies_covered(self, tiny_model, rng):
-        x = rng.uniform(0, 1, 4)
+        X = rng.uniform(0, 1, (1, 4))
         cfg = mi.AttackConfig(n_iter=5)
         for name in mi.THRESHOLD_STRATEGIES:
-            val = mi.compute_score(tiny_model, x, 1, name, cfg)
+            (val,) = mi.compute_score(tiny_model, X, [1], name, cfg)
             assert math.isfinite(val)
 
     def test_adv_dist_needs_config(self, tiny_model):
         with pytest.raises(DataError):
-            mi.compute_score(tiny_model, np.full(4, 0.5), 0, "adv_dist")
+            mi.compute_score(tiny_model, np.full((1, 4), 0.5), [0], "adv_dist")
 
     def test_unknown_strategy(self, tiny_model):
         with pytest.raises(DataError):
-            mi.compute_score(tiny_model, np.full(4, 0.5), 0, "nope")
+            mi.compute_score(tiny_model, np.full((1, 4), 0.5), [0], "nope")
 
     def test_strategy_tuple_frozen(self):
         assert mi.THRESHOLD_STRATEGIES == (
@@ -162,9 +162,13 @@ class TestOrientation:
             cfg = mi.AttackConfig(p=math.inf, epsilon=1.0, n_iter=15, seed=seed)
             for name in mi.THRESHOLD_STRATEGIES:
                 mem, non = pooled[name]
-                mem.extend(mi.compute_score(model, X[i], int(y[i]), name, cfg) for i in range(len(y)))
+                mem.extend(
+                    mi.compute_score(model, X[i : i + 1], y[i : i + 1], name, cfg)[0]
+                    for i in range(len(y))
+                )
                 non.extend(
-                    mi.compute_score(model, Xh[i], int(yh[i]), name, cfg) for i in range(len(yh))
+                    mi.compute_score(model, Xh[i : i + 1], yh[i : i + 1], name, cfg)[0]
+                    for i in range(len(yh))
                 )
         for name, (mem, non) in pooled.items():
             assert np.mean(mem) > np.mean(non), name
@@ -423,6 +427,7 @@ class TestScoreReaderParity:
             pytest.param("0,loss,1.0,1\r\n1,loss,2.0,0\n", id="mixed_line_ends"),
             pytest.param("", id="header_only"),
             pytest.param("0,loss,1.0,1\n1,loss,2.0,0", id="no_final_newline"),
+            pytest.param("0,loss,1.0,1\n\n1,loss,2.0,0", id="blank_line_and_no_final_newline"),
             pytest.param("0,loss,1.0,1\n1,loss,2.0,0\r\n", id="crlf_at_the_end_only"),
             pytest.param(f"0,loss,0.{'0' * 140_000}1,1\n", id="finite_score_over_field_limit"),
             pytest.param(f"0,loss,1.0,1\n1,loss,{'0' * 131_068}1.5,1\n", id="line_at_field_limit"),
