@@ -14,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, ShapeError
-from .nn_core import MLPClassifier, cross_entropy_loss, forward_predict, sample_evaluation
+from .nn_core import (
+    MLPClassifier,
+    _class_labels,
+    cross_entropy_loss,
+    forward_predict,
+    sample_evaluation,
+)
 
 SUPPORTED_NORMS = (1.0, 2.0, math.inf)
 
@@ -243,26 +249,26 @@ def _random_starts(rngs: list, X: np.ndarray, config: AttackConfig) -> np.ndarra
     return project_lp_box(Z, X, config.p, config.epsilon)
 
 
-def find_adversarial_rows(model: MLPClassifier, X, Y, config: AttackConfig, seeds) -> list:
+def find_adversarial_rows(model: MLPClassifier, X, Y, config: AttackConfig, seeds=None) -> list:
     """`find_adversarial` for every row of a block (n, d) with labels (n,);
     returns one AdversarialOutcome per row.
 
     All rows search in lock step.  Row i draws its random restarts from
-    `default_rng(seeds[i])` and its outcome is bitwise the one it gets
-    alone, whatever its block mates (`config.seed` is not used).  Each
-    row's closest misclassified iterate is kept as the search runs; no
-    iterate is stored.
+    `default_rng(seeds[i])`, or from `default_rng(config.seed)` when no
+    seeds are given, and its outcome is bitwise the one it gets alone,
+    whatever its block mates.  Each row's closest misclassified iterate is
+    kept as the search runs; no iterate is stored.
     """
     X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.int64)
-    if X.ndim != 2 or Y.shape != (len(X),) or len(seeds) != len(X):
+    Y = _class_labels(Y, model.n_classes)
+    if X.ndim != 2 or Y.shape != (len(X),) or (seeds is not None and len(seeds) != len(X)):
         raise ShapeError("find_adversarial_rows needs (n, d) inputs, n labels and n seeds")
     n = len(X)
+    seeds = [config.seed] * n if seeds is None else seeds
     probs0 = forward_predict(model, X)
     loss0 = cross_entropy_loss(probs0, Y)
     searched = np.argmax(probs0, axis=1) == Y  # the others are already misclassified
 
-    rngs = [np.random.default_rng(seed) for seed in seeds]
     best_loss, best_loss_point = loss0.copy(), X.copy()
     best_dist, best_point = np.full(n, math.inf), X.copy()
     rows = np.flatnonzero(searched)
@@ -279,7 +285,9 @@ def find_adversarial_rows(model: MLPClassifier, X, Y, config: AttackConfig, seed
     for run in range(config.n_restarts):
         if not rows.size:  # every row starts out misclassified
             break
-        start = None if run == 0 else _random_starts([rngs[i] for i in rows], Xr, config)
+        if run == 1:  # the first run starts at the inputs and draws nothing
+            rngs = [np.random.default_rng(seeds[i]) for i in rows]
+        start = None if run == 0 else _random_starts(rngs, Xr, config)
         run_x, run_loss = _ascend(model, Xr, Yr, config, start, screen)
         better = run_loss > best_loss[rows]
         best_loss[rows[better]] = run_loss[better]
@@ -308,7 +316,7 @@ def first_run_traces(model: MLPClassifier, X, Y, config: AttackConfig) -> list:
     included.  Rows run in lock step, each bitwise as it would alone."""
     X = np.asarray(X, dtype=np.float64)
     recorded = []
-    _ascend(model, X, np.asarray(Y, dtype=np.int64), config, None,
+    _ascend(model, X, _class_labels(Y, model.n_classes), config, None,
             lambda *visited: recorded.append(visited))
     return _row_traces(X, config, recorded)
 
@@ -324,7 +332,7 @@ def find_adversarial(model: MLPClassifier, x, y: int, config: AttackConfig) -> A
     `config.seed`.
     """
     x = np.asarray(x, dtype=np.float64)
-    (outcome,) = find_adversarial_rows(model, x[None, :], [y], config, [config.seed])
+    (outcome,) = find_adversarial_rows(model, x[None, :], [y], config)
     return outcome
 
 

@@ -71,11 +71,10 @@ def cross_entropy_loss(probs, labels) -> np.ndarray:
     `math.log` of one value; numpy's vectorised log differs from it in the
     last bit for some inputs."""
     p = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if p.ndim != 2 or labels.shape != p.shape[:1]:
         raise ShapeError(f"cross_entropy_loss got probs {p.shape} and labels {labels.shape}")
-    if np.any((labels < 0) | (labels >= p.shape[1])):
-        raise IndexError(f"label out of range for {p.shape[1]} classes")
+    labels = _class_labels(labels, p.shape[1])
     picked = np.clip(p[np.arange(len(labels)), labels], PROB_FLOOR, 1.0)
     return np.array([-math.log(v) for v in picked.tolist()])
 
@@ -289,15 +288,32 @@ def _check_rows(model: MLPClassifier, X) -> np.ndarray:
     return arr
 
 
+def _class_labels(Y, n_classes: int) -> np.ndarray:
+    """Labels as an int64 array of the same shape.  A label that is not an
+    integer in [0, n_classes) is an InvalidInputError; an integral float
+    such as 1.0 is its integer, never a truncated fraction."""
+    labels = np.asarray(Y)
+    if labels.dtype.kind not in "biu":
+        try:
+            values = labels.astype(np.float64)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"labels must be integers: {exc}") from exc
+        fractional = values[values != np.trunc(values)]  # nan included
+        if fractional.size:
+            raise InvalidInputError(f"label {fractional[0]} is not an integer")
+        labels = values
+    bad = labels[(labels < 0) | (labels >= n_classes)]
+    if bad.size:
+        raise InvalidInputError(f"label {bad[0]} out of range for {n_classes} classes")
+    return labels.astype(np.int64, copy=False)
+
+
 def _check_labels(model: MLPClassifier, Y, n: int) -> np.ndarray:
     """One label per row, as an (n,) integer array."""
-    labels = np.asarray(Y, dtype=np.int64)
+    labels = np.asarray(Y)
     if labels.shape != (n,):
         raise ShapeError(f"labels of shape {labels.shape} for {n} inputs")
-    bad = labels[(labels < 0) | (labels >= model.n_classes)]
-    if bad.size:
-        raise IndexError(f"label {bad[0]} out of range for {model.n_classes} classes")
-    return labels
+    return _class_labels(labels, model.n_classes)
 
 
 def forward_predict(model: MLPClassifier, X) -> np.ndarray:
@@ -388,7 +404,7 @@ def backward_gradients(model: MLPClassifier, x, y):
 
 def _dataset_arrays(model: MLPClassifier, X, Y) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.int64)
+    Y = np.asarray(Y)
     if X.ndim != 2 or Y.shape != X.shape[:1]:
         raise ShapeError(f"dataset needs (n, d) features and (n,) labels, got {X.shape}, {Y.shape}")
     if X.shape[0] == 0:
@@ -397,9 +413,7 @@ def _dataset_arrays(model: MLPClassifier, X, Y) -> tuple[np.ndarray, np.ndarray]
         raise ShapeError(
             f"sample dim {X.shape[1]} does not match model input_dim {model.input_dim}"
         )
-    if Y.min() < 0 or Y.max() >= model.n_classes:
-        raise IndexError("sample label out of range for model classes")
-    return X, Y
+    return X, _class_labels(Y, model.n_classes)
 
 
 class AdamState:

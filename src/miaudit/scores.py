@@ -91,8 +91,6 @@ def adv_dist_score(model: MLPClassifier, X, Y, attack: AttackConfig, seeds=None)
     All rows search in lock step; row i draws its restarts from seeds[i],
     or from `attack.seed` when no seeds are given.
     """
-    X = np.asarray(X, dtype=np.float64)
-    seeds = [attack.seed] * len(X) if seeds is None else seeds
     outcomes = find_adversarial_rows(model, X, Y, attack, seeds)
     return np.array([o.distance for o in outcomes])
 
@@ -285,8 +283,11 @@ def _parse_plain_score_csv(data: bytes, strategy: str):
         with warnings.catch_warnings():
             # numpy 1.24-1.26 read "1.0" into an int column with only a DeprecationWarning
             warnings.simplefilter("error")
+            # loadtxt reads the checked bytes themselves: a decoded str in an
+            # io.StringIO would hold several more copies of the file at once
             table = np.loadtxt(
-                io.StringIO(text.decode("ascii")),
+                io.BytesIO(text),
+                encoding="ascii",
                 dtype=dtype,
                 delimiter=",",
                 comments=None,

@@ -612,8 +612,9 @@ class TestMalformedBlocks:
     @pytest.mark.parametrize("name", BLOCK_ONLY)
     def test_1d_input_rejected(self, name):
         fn, width = BLOCK_ONLY[name]
-        with pytest.raises(ShapeError):
-            fn(np.full(width or 3, 0.5))
+        for bad in (np.full(width or 3, 0.5), np.float64(0.5)):  # and a 0-d input
+            with pytest.raises(ShapeError):
+                fn(bad)
 
     @pytest.mark.parametrize("name", [n for n, (_, width) in BLOCK_ONLY.items() if width])
     def test_wrong_width_rejected(self, name):

@@ -104,10 +104,59 @@ class TestCrossEntropy:
         assert abs(loss - (-math.log(1e-12))) < 1e-9
 
     def test_label_out_of_range(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(InvalidInputError):
             mi.cross_entropy_loss(np.array([[0.5, 0.5]]), [2])
-        with pytest.raises(IndexError):
+        with pytest.raises(InvalidInputError):
             mi.cross_entropy_loss(np.array([[0.5, 0.5]]), [-1])
+
+
+class TestLabels:
+    """Labels are integers in [0, n_classes): a fractional label is an
+    InvalidInputError, never truncated to its integer part; integral
+    floats are their integers."""
+
+    FRACTIONAL = [[0.0, 1.7], [0.5, 1.0], [0.0, np.nan]]
+
+    @pytest.fixture
+    def block(self):
+        return mi.build_mlp([4, 8, 3], seed=0), np.full((2, 4), 0.5)
+
+    @pytest.mark.parametrize("labels", FRACTIONAL)
+    def test_fractional_label_rejected_by_scores(self, block, labels):
+        model, X = block
+        with pytest.raises(InvalidInputError, match="not an integer"):
+            mi.loss_score(model, X, labels)
+        with pytest.raises(InvalidInputError, match="not an integer"):
+            mi.adv_dist_score(model, X, labels, mi.AttackConfig(n_iter=2))
+
+    @pytest.mark.parametrize("labels", FRACTIONAL)
+    def test_fractional_label_rejected_by_cross_entropy(self, labels):
+        with pytest.raises(InvalidInputError, match="not an integer"):
+            mi.cross_entropy_loss(np.full((2, 3), 1 / 3), labels)
+
+    @pytest.mark.parametrize("labels", FRACTIONAL)
+    def test_fractional_label_rejected_by_train(self, block, labels):
+        model, X = block
+        with pytest.raises(InvalidInputError, match="not an integer"):
+            mi.train(model, X, labels, mi.TrainConfig(1, 2, 0.01))
+
+    def test_integral_floats_are_their_integers(self, block):
+        model, X = block
+        assert mi.loss_score(model, X, [0.0, 1.0]).tobytes() == mi.loss_score(model, X, [0, 1]).tobytes()
+        probs = np.array([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])
+        assert mi.cross_entropy_loss(probs, [2.0, 1.0]).tolist() == mi.cross_entropy_loss(probs, [2, 1]).tolist()
+
+    @pytest.mark.parametrize("labels", [[0, 3], [-1, 0], [0.0, 3.0], [0, np.inf]])
+    def test_out_of_range_is_an_audit_error(self, block, labels):
+        model, X = block
+        for call in (
+            lambda: mi.loss_score(model, X, labels),
+            lambda: mi.mentr_score(model, X, labels),
+            lambda: mi.train(model, X, labels, mi.TrainConfig(1, 2, 0.01)),
+            lambda: mi.empirical_risk(model, X, labels),
+        ):
+            with pytest.raises(InvalidInputError, match="out of range for 3 classes"):
+                call()
 
 
 class TestNonFiniteParameters:

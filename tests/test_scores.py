@@ -4,6 +4,7 @@ import csv
 import gc
 import math
 import re
+import tracemalloc
 import warnings
 from array import array
 from pathlib import Path
@@ -509,3 +510,43 @@ def assert_reads_like_reference(path, strategy="loss"):
         TestScoreReaderParity.assert_same_error(path, strategy)
     else:
         TestScoreReaderParity.assert_same_arrays(path, strategy)
+
+
+class TestOnePassReader:
+    """Files `write_score_records` writes, at the pool size of a paper-scale
+    report, are parsed by the one-pass reader within a bounded peak memory."""
+
+    N_ROWS = 20_000
+
+    @pytest.fixture
+    def written(self, tmp_path):
+        rng = np.random.default_rng(20)
+        n = self.N_ROWS
+        path = tmp_path / "scores.csv"
+        write_score_records(path, "loss", np.arange(n), -rng.exponential(1.0, n), np.arange(n) < n // 2)
+        return path
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    def test_written_files_take_the_one_pass_path(self, written, newline):
+        # the parser turns any numpy warning into None, a silent fall back to
+        # the row reader: a written file must come back as arrays
+        written.write_bytes(written.read_bytes().replace(b"\r\n", b"\n").replace(b"\n", newline))
+        columns = _parse_plain_score_csv(written.read_bytes(), "loss")
+        assert columns is not None
+        for got, want in zip(columns, row_by_row_score_reader(written, "loss")):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert len(columns[0]) == self.N_ROWS
+
+    def test_peak_memory_is_bounded(self, written):
+        size = written.stat().st_size
+        read_score_records(written, "loss")  # first-call caches stay out of the trace
+        tracemalloc.start()
+        try:
+            read_score_records(written, "loss")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the bytes, their LF copy, the parsed table and the three columns
+        # come to about 4x the file; a decoded str copy of the file takes it
+        # to about 7.7x
+        assert peak < 6 * size, f"peak {peak} B is {peak / size:.1f}x the {size} B file"
