@@ -190,7 +190,10 @@ class MinMaxScaler:
         `transform` maps every other column to 0 on every row."""
         return self.maxs > self.mins
 
-    def transform(self, X) -> np.ndarray:
+    def transform(self, X, out=None) -> np.ndarray:
+        """The scaled block, written into `out` (a float (n, d) array, which
+        may be X itself) when given, else into a new array; every step but
+        the first works in place."""
         arr = np.asarray(X, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != self.mins.shape[0]:
             raise ShapeError(
@@ -200,9 +203,11 @@ class MinMaxScaler:
         with np.errstate(over="ignore"):
             h = np.where(np.isinf(self.maxs - self.mins), 0.5, 1.0)
         lo, hi = self.mins * h, self.maxs * h
-        out = (arr * h - lo) / np.where(live, hi - lo, 1.0)
-        out = np.where(live, out, 0.0)
-        return np.clip(out, 0.0, 1.0)
+        out = np.multiply(arr, h, out=out)
+        out -= lo
+        out /= np.where(live, hi - lo, 1.0)
+        np.copyto(out, 0.0, where=~live)
+        return np.clip(out, 0.0, 1.0, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +287,10 @@ def _check_labels(labels, n: int) -> np.ndarray:
     y = np.asarray(labels, dtype=np.float64).ravel()
     if y.shape[0] != n:
         raise ShapeError("label count does not match feature count")
-    if not set(np.unique(y)) <= {0.0, 1.0}:
+    members = y == 1.0
+    if not np.all(members | (y == 0.0)):
         raise TrainingError("attacker labels must be 0/1")
-    if len(np.unique(y)) < 2:
+    if members.all() or not members.any():
         raise TrainingError("attacker training needs both classes")
     return y
 
@@ -367,13 +373,10 @@ def _train_binary_net(
     best = math.inf
     best_epoch = 0
     for epoch in range(epochs):
-        # one gather per epoch; each batch is a slice of it, with the same
-        # rows in the same order as gathering the batch alone
         order = rng.permutation(n)
-        X_epoch, y_epoch = X[order], y[order]
         for start in range(0, n, batch_size):
-            stop = start + batch_size
-            batch_grads(net, X_epoch[start:stop], y_epoch[start:stop], grads)
+            batch = order[start:start + batch_size]
+            batch_grads(net, X[batch], y[batch], grads)
             adam.step(net.flat, grad, learning_rate)
         loss = mean_loss(net, X, y)
         if not math.isfinite(loss):
@@ -393,8 +396,9 @@ def _all_if_none(mask: np.ndarray) -> np.ndarray:
 
 
 def _live_units(X: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Mask of the ReLU units of the layer `X @ w + b` that some row of X
-    may make active, under any summation order.
+    """Mask of the ReLU units of the layer `X @ w + b` that some row of X,
+    a block of scaled features in [0, 1], may make active, under any
+    summation order.
 
     The computed pre-activation z and the one any minibatch gemm computes
     both lie within `gamma * (|X| @ |w| + |b|)` of the exact one, with
@@ -408,7 +412,9 @@ def _live_units(X: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     k = X.shape[1] + 2
     u = np.finfo(np.float64).eps / 2
     gamma = k * u / (1.0 - k * u)
-    bound = np.abs(X) @ np.abs(w) + np.abs(b)
+    # X >= 0, so |X| is X but for the signs of zeros, which move no sum's
+    # value and so no test below
+    bound = X @ np.abs(w) + np.abs(b)
     return np.any(X @ w + b + 2.0 * gamma * bound > 0.0, axis=0)
 
 
@@ -433,7 +439,10 @@ def _fit_mlp(X_raw, labels, seed, hidden, epochs, learning_rate, batch_size) -> 
     # keep[i]: the units of layer i that are trained (layer 0: the input columns)
     keep = [np.ones(d, dtype=bool) for d in net.layer_dims]
     keep[0] = _all_if_none(scaler.live)
-    X = scaler.transform(X_raw)[:, keep[0]]
+    # each column scales on its own, so only the trained ones are scaled,
+    # in place in their copy
+    X = X_raw[:, keep[0]]
+    MinMaxScaler(scaler.mins[keep[0]], scaler.maxs[keep[0]]).transform(X, out=X)
     if net.n_layers > 1:
         keep[1] = _all_if_none(_live_units(X, net.weights[0][keep[0]], net.biases[0]))
     blocks = [np.ix_(rows, cols) for rows, cols in zip(keep, keep[1:])]
@@ -495,14 +504,31 @@ def build_and_train_ensemble(
     return _fit_mlp(X_raw, labels, seed, hidden, epochs, learning_rate, batch_size)
 
 
-def attacker_scores(attacker: TrainedAttacker, features) -> np.ndarray:
-    """Membership probability in [0, 1] of each row of a feature block."""
-    X = _feature_matrix(features)
-    if X.shape[1] != attacker.feature_length:
-        raise ShapeError(
-            f"attacker expects {attacker.feature_length} features, got {X.shape[1]}"
-        )
-    return attacker.net.scores(attacker.scaler.transform(X))
+def attacker_scores(attacker: TrainedAttacker, features, n_rows: int = None) -> np.ndarray:
+    """Membership probability in [0, 1] of each row of a feature block.
+
+    With `n_rows`, `features` is an iterable of row blocks that hold
+    n_rows rows between them, in order: each is checked and scaled into
+    one (n_rows, d) buffer as it comes, so no two raw blocks are held at
+    once.  The net scores all rows in one pass either way, because a row of
+    a flat matmul can round differently in a block of another height.
+    """
+    scaled, start = None, 0
+    for block in [features] if n_rows is None else features:
+        X = _feature_matrix(block)
+        if X.shape[1] != attacker.feature_length:
+            raise ShapeError(
+                f"attacker expects {attacker.feature_length} features, got {X.shape[1]}"
+            )
+        if scaled is None:
+            scaled = np.empty((len(X) if n_rows is None else n_rows, X.shape[1]))
+        if start + len(X) > len(scaled):
+            raise ShapeError(f"feature blocks hold more than {len(scaled)} rows")
+        attacker.scaler.transform(X, out=scaled[start:start + len(X)])
+        start += len(X)
+    if scaled is None or start < len(scaled):
+        raise ShapeError(f"feature blocks hold {start} rows, not {n_rows}")
+    return attacker.net.scores(scaled)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Stages: data -> target -> scores -> attackers -> analyses -> export.  Every
 stage derives its seed from the master seed by name, per-sample attack seeds
-hash in the sample id, and the scoring stage scores all samples in one
-in-process pass, so reports are byte-identical across runs.  Stage failures
-re-raise with a [stage:...] tag.
+hash in the sample id, and the scoring stage scores all samples in row
+chunks whose rows do not depend on each other, so reports are
+byte-identical across runs.  Stage failures re-raise with a [stage:...]
+tag.
 """
 
 from __future__ import annotations
@@ -151,37 +152,77 @@ def _holdout_shortfall(n_members: int, n_nonmembers: int, fraction: float):
     )
 
 
-def score_samples(config: ExperimentConfig, model, X, Y, score_names, attacker_names):
+# Rows per call of every score and feature extractor.  Each row's result is
+# bitwise what the row alone gives, so the size moves no output byte; it
+# bounds what one call holds, and 128-row blocks kept the search fastest
+# (ROADMAP item 16).
+CHUNK_ROWS = 128
+
+
+def _chunks(n: int):
+    """Slices that cover rows 0..n-1 in CHUNK_ROWS steps."""
+    return (slice(start, min(start + CHUNK_ROWS, n)) for start in range(0, n, CHUNK_ROWS))
+
+
+def score_samples(config: ExperimentConfig, model, X, Y, score_names):
     """Score every sample (row of X, label in Y, sample id = row index).
 
-    Returns (scores, features, traces): threshold strategy -> score array,
-    attacker -> feature matrix with one row per sample, and the adversarial
-    search's debug trace of every row (empty unless `debug.dump_traces` and
-    a score needs the search).  Every score and extractor takes all rows in
-    one call.  The search is seeded per row by its sample id, so its
-    results do not depend on the other rows.  The traces replay the
-    search's first run, the one started at each input, for every row.
+    Returns (scores, traces): threshold strategy -> score array, and the
+    adversarial search's debug trace of every row (empty unless
+    `debug.dump_traces` and a score needs the search).  Every score runs on
+    CHUNK_ROWS rows at a time.  The search is seeded per row by its sample
+    id, so its results do not depend on the other rows.  The traces replay
+    the search's first run, the one started at each input, for every row.
     """
     scores, traces = {}, []
     for name in score_names:
         entry = STRATEGIES[name]
-        if entry.needs_attack:
-            base = stage_seed(config.seed, "attack")
-            seeds = [stage_seed(base, f"sample:{sid}") for sid in range(len(X))]
-            attack = config.attack_config()
-            scores[name] = entry.score(model, X, Y, attack, seeds)
+        scores[name] = out = np.empty(len(X))
+        if not entry.needs_attack:
+            for rows in _chunks(len(X)):
+                out[rows] = compute_score(model, X[rows], Y[rows], name)
+            continue
+        base = stage_seed(config.seed, "attack")
+        attack = config.attack_config()
+        for rows in _chunks(len(X)):
+            seeds = [stage_seed(base, f"sample:{sid}") for sid in range(rows.start, rows.stop)]
+            out[rows] = entry.score(model, X[rows], Y[rows], attack, seeds)
             if config["debug.dump_traces"]:
-                traces = first_run_traces(model, X, Y, attack)
-        else:
-            scores[name] = compute_score(model, X, Y, name)
-    features = {}
-    for name in attacker_names:
-        extractor = STRATEGIES[name].extractor
+                traces += first_run_traces(model, X[rows], Y[rows], attack)
+    return scores, traces
+
+
+def feature_chunks(model, X, Y, scores: dict, name: str, ids: np.ndarray):
+    """One attacker's feature rows of the samples `ids` (row indices of X
+    and Y, and of every array in `scores`), CHUNK_ROWS rows at a time: its
+    extractor's output, or the six threshold scores for the ensemble."""
+    extractor = STRATEGIES[name].extractor
+    for part in _chunks(len(ids)):
+        rows = ids[part]
         if extractor:
-            features[name] = getattr(am, extractor)(model, X, Y)
+            yield getattr(am, extractor)(model, X[rows], Y[rows])
         else:
-            features[name] = np.column_stack([scores[s] for s in ENSEMBLE_FEATURE_ORDER])
-    return scores, features, traces
+            yield np.column_stack([scores[s][rows] for s in ENSEMBLE_FEATURE_ORDER])
+
+
+def _stacked(chunks, n_rows: int) -> np.ndarray:
+    """The row blocks of `chunks`, n_rows rows between them, as one block."""
+    out, start = None, 0
+    for block in chunks:
+        if out is None:
+            out = np.empty((n_rows, block.shape[1]))
+        out[start:start + len(block)] = block
+        start += len(block)
+    return out
+
+
+def _kept(chunks, out: np.ndarray):
+    """The row blocks of `chunks`, each also copied into the next rows of `out`."""
+    start = 0
+    for block in chunks:
+        out[start:start + len(block)] = block
+        start += len(block)
+        yield block
 
 
 def _usable_cores() -> int:
@@ -307,23 +348,32 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
     # feature vector per attacker
     needed_scores = list(dict.fromkeys(n for s in strategies for n in STRATEGIES[s].needed_scores))
 
+    # pools ordered by ascending sample id; all strategies share them
+    train_ids, eval_ids = np.flatnonzero(train_mask), np.flatnonzero(eval_mask)
     with _stage("scores"):
         X = np.concatenate([train_ds.X, heldout_ds.X])
         Y = np.concatenate([train_ds.y, heldout_ds.y])
-        scores, features, traces = score_samples(config, model, X, Y, needed_scores, attacker_names)
+        scores, traces = score_samples(config, model, X, Y, needed_scores)
+        # only the attacker-training rows' features are held whole
+        train_features = {
+            name: _stacked(feature_chunks(model, X, Y, scores, name, train_ids), len(train_ids))
+            for name in attacker_names
+        }
 
     with _stage("attackers"):
         eval_scores = {name: scores[name][eval_mask] for name in strategies if name in scores}
-        attackers = fit_attackers(
-            config,
-            {name: features[name][train_mask] for name in attacker_names},
-            is_member[train_mask].astype(np.float64),
-        )
+        attackers = fit_attackers(config, train_features, is_member[train_mask].astype(np.float64))
+        del train_features
+        # the evaluation rows' features come one chunk at a time, and are
+        # kept only for the debug dump
+        dumps = {}
         for name, attacker in attackers.items():
-            eval_scores[name] = am.attacker_scores(attacker, features[name][eval_mask])
+            chunks = feature_chunks(model, X, Y, scores, name, eval_ids)
+            if config["debug.dump_features"] and STRATEGIES[name].features:
+                dumps[name] = np.empty((len(eval_ids), attacker.feature_length))
+                chunks = _kept(chunks, dumps[name])
+            eval_scores[name] = am.attacker_scores(attacker, chunks, len(eval_ids))
 
-    # pools ordered by ascending sample id; all strategies share them
-    eval_ids = np.flatnonzero(eval_mask)
     member_pool = {name: eval_scores[name][eval_member] for name in strategies}
     nonmember_pool = {name: eval_scores[name][~eval_member] for name in strategies}
 
@@ -346,15 +396,11 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
         _atomic_file_write(out / "target.ckpt", lambda p: save_checkpoint(model, p))
         for name, attacker in attackers.items():
             _atomic_file_write(out / f"{name}.ckpt", lambda p, a=attacker: am.save_attacker(a, p))
-        if config["debug.dump_features"]:
-            for name in attacker_names:
-                if STRATEGIES[name].features:
-                    _atomic_file_write(
-                        out / f"features_{STRATEGIES[name].features}.csv",
-                        lambda p, rows=features[name][eval_mask]: am.write_feature_dump(
-                            p, eval_ids, rows, eval_member
-                        ),
-                    )
+        for name, rows in dumps.items():
+            _atomic_file_write(
+                out / f"features_{STRATEGIES[name].features}.csv",
+                lambda p, rows=rows: am.write_feature_dump(p, eval_ids, rows, eval_member),
+            )
         if traces:
             (out / "traces").mkdir(parents=True, exist_ok=True)
         for sid, trace in enumerate(traces):

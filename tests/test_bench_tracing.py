@@ -10,8 +10,11 @@ process.
 """
 
 import importlib
+import math
 import os
 from pathlib import Path
+
+from miaudit.cli_runner.pipeline import CHUNK_ROWS
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -40,16 +43,27 @@ def test_traced_report_rerender_records_its_spans(tmp_path, monkeypatch):
     assert (tmp_path / "out" / "report.json").is_file()
 
 
+def chunk_calls(n_rows):
+    return math.ceil(n_rows / CHUNK_ROWS)
+
+
 def test_traced_audit_records_its_spans(tmp_path, monkeypatch):
     # on one usable core every attacker is fitted in the traced process
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     wl, tracing, totals = traced_totals(tmp_path, monkeypatch, "attackers_full")
-    # every threshold score but adv_dist is a cheap one
-    assert totals["scores.cheap"]["calls"] == len(wl.THRESHOLD) - 1
+    splits = wl.expected_splits(wl.WORKLOADS["attackers_full"], wl.SMOKE)
+    n_train = splits["attacker_train_members"] + splits["attacker_train_nonmembers"]
+    n_eval = splits["eval_members"] + splits["eval_nonmembers"]
+    # every threshold score but adv_dist is a cheap one, called once per row
+    # chunk of all samples; each extractor runs on the chunks of the
+    # attacker-training rows, then on those of the evaluation rows
+    assert (n_train, n_eval) == (36, 54)
+    assert totals["scores.cheap"]["calls"] == (len(wl.THRESHOLD) - 1) * chunk_calls(n_train + n_eval)
     for attacker in wl.ATTACKERS:
         assert totals[f"attack_models.fit.{attacker}"]["calls"] == 1
+    assert totals["attack_models.score"]["calls"] == len(wl.ATTACKERS)
     for short in tracing.EXTRACTORS.values():
-        assert totals[f"attack_models.extract.{short}"]["calls"] == 1
+        assert totals[f"attack_models.extract.{short}"]["calls"] == chunk_calls(n_train) + chunk_calls(n_eval)
     assert totals["nn_core.sample_evaluation"]["calls"] > 0
     assert totals["adversarial.project"]["calls"] > 0
     assert (tmp_path / "out" / "report.json").is_file()

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from miaudit.cli_runner import (
 )
 from miaudit.cli_runner.cli import main
 from miaudit.cli_runner.data import _atomic_file_write
-from miaudit.cli_runner.pipeline import prepare_target, score_samples
+from miaudit.cli_runner import pipeline
+from miaudit.cli_runner.pipeline import feature_chunks, prepare_target, score_samples
 from miaudit.errors import TrainingError
 from miaudit.scores import ALL_STRATEGIES, read_score_records, write_score_records
 
@@ -380,20 +382,106 @@ class TestAttackerFits:
 
 
 class TestScoreSamples:
-    def test_ensemble_features_are_the_six_scores(self):
+    def test_ensemble_features_are_the_six_scores(self, monkeypatch):
         config = fast_config(**{"strategies": "attacker_ensemble,attacker_grad_x"})
         train_ds, heldout_ds, _, model, _ = prepare_target(config)
         X = np.concatenate([train_ds.X, heldout_ds.X])
         Y = np.concatenate([train_ds.y, heldout_ds.y])
         names = mi.THRESHOLD_STRATEGIES
-        scores, features, traces = score_samples(
-            config, model, X, Y, names, ["attacker_ensemble", "attacker_grad_x"]
-        )
+        scores, traces = score_samples(config, model, X, Y, names)
         assert traces == []
         assert names == ("softmax", "mentr", "loss", "grad_w_norm", "grad_x_norm", "adv_dist")
-        assert np.array_equal(features["attacker_ensemble"], np.stack([scores[n] for n in names], axis=1))
-        assert features["attacker_grad_x"].shape == (len(X), 7)
-        assert np.array_equal(features["attacker_grad_x"][3], mi.extract_grad_x_stats(model, X[3:4], Y[3:4])[0])
+        # 36 samples in chunks of 16, 16 and 4 rows
+        monkeypatch.setattr(pipeline, "CHUNK_ROWS", 16)
+        ids = np.arange(len(X))
+
+        def features(name):
+            chunks = list(feature_chunks(model, X, Y, scores, name, ids))
+            assert [len(c) for c in chunks] == [16, 16, 4]
+            return np.concatenate(chunks)
+
+        assert np.array_equal(features("attacker_ensemble"), np.stack([scores[n] for n in names], axis=1))
+        grad_x = features("attacker_grad_x")
+        assert grad_x.shape == (len(X), 7)
+        assert np.array_equal(grad_x[3], mi.extract_grad_x_stats(model, X[3:4], Y[3:4])[0])
+
+
+class TestRowChunks:
+    @pytest.mark.parametrize("norm", ["inf", "2"])
+    def test_chunk_size_moves_no_byte(self, tmp_path, monkeypatch, norm, assert_same_tree):
+        # the fast config scores 36 samples: one row at a time, in chunks of
+        # 7 with a last one of 1, and all in one chunk
+        config = fast_config(
+            **{
+                "strategies": ",".join(ALL_STRATEGIES),
+                "attack.p": norm,
+                "debug.dump_traces": "true",
+                "debug.dump_features": "true",
+            }
+        )
+        for rows in (1, 7, 1000):
+            monkeypatch.setattr(pipeline, "CHUNK_ROWS", rows)
+            run_pipeline(config, out_dir=tmp_path / str(rows))
+        whole = tmp_path / "1000"
+        assert len(list((whole / "traces").glob("trace_*.csv"))) == 36
+        assert len(list(whole.glob("features_*.csv"))) == 4
+        for rows in (1, 7):
+            assert_same_tree(tmp_path / str(rows), whole)
+
+    def test_audit_holds_less_than_the_white_box_block_of_all_samples(self, tmp_path, usable_cores):
+        # 3,200 samples with 1,137 white-box columns each (a 64x16 gradient,
+        # 16 deltas, the loss, 16 probabilities, 64 hidden units and a
+        # 16-wide one-hot label): 29.1 MB over the whole pool.  The audit
+        # holds the 35 % training rows' features and their scaled live
+        # columns while it fits, then the other rows' scaled features; every
+        # fit runs in this process, where tracemalloc sees it
+        usable_cores(1)
+        config = fast_config(
+            **{
+                "dataset.classes": "16",
+                "dataset.n_per_class": "100",
+                "dataset.heldout_per_class": "100",
+                "target.hidden_dims": "64",
+                "target.epochs": "3",
+                "target.batch_size": "32",
+                "attacker.train_fraction": "0.35",
+                "strategies": "attacker_wb",
+            }
+        )
+        block_bytes = 3200 * 1137 * 8
+        tracemalloc.start()
+        try:
+            run_pipeline(config, out_dir=tmp_path / "o")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert am.load_attacker(tmp_path / "o" / "attacker_wb.ckpt").feature_length == 1137
+        assert peak < block_bytes
+
+
+def test_audit_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma on its first call, about 1 MB and 13-38 ms
+    # in each process that fits an attacker; every fit runs in the child
+    cfg = tmp_path / "run.cfg"
+    settings = dict(FAST_OVERRIDES, strategies=",".join(ALL_STRATEGIES))
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+    script = (
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0}\n"
+        "from miaudit.cli_runner.cli import main\n"
+        f"assert main(['audit', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert len(list((tmp_path / "o").glob("attacker_*.ckpt"))) == 5
 
 
 class TestDebugDumps:
