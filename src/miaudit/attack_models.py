@@ -578,14 +578,14 @@ def load_attacker(path) -> TrainedAttacker:
 
 
 def write_feature_dump(path, sample_ids, features, is_member) -> None:
-    """CSV dump: sample_id, one column per feature, is_member."""
+    """CSV dump: sample_id, one column per feature, is_member; LF line ends."""
     X = _feature_matrix(features)
     ids = list(sample_ids)
     members = list(is_member)
     if len(ids) != X.shape[0] or len(members) != X.shape[0]:
         raise ShapeError("feature dump inputs must have matching lengths")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["sample_id"] + [f"f{i}" for i in range(X.shape[1])] + ["is_member"])
         for sid, row, m in zip(ids, X, members):
             writer.writerow([sid] + [repr(float(v)) for v in row] + [int(m)])

@@ -198,9 +198,10 @@ _PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
 
 
 def write_score_records(path, strategy: str, sample_ids, scores, is_member) -> None:
-    """CSV dump, one row per sample of one strategy; floats as shortest repr."""
+    """CSV dump, one row per sample of one strategy; floats as shortest repr,
+    LF line ends."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SCORE_HEADER)
         rows = zip(np.asarray(sample_ids).tolist(), np.asarray(scores).tolist(), is_member)
         for sid, score, member in rows:

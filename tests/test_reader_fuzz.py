@@ -56,11 +56,11 @@ def test_binary_dataset(tmp_path, split):
     fuzz_file(tmp_path / f"{split}.bin", lambda: load_dataset(tmp_path, "binary"))
 
 
-@pytest.mark.parametrize("newline", [b"\r\n", b"\n"], ids=["as_written", "lf"])
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["as_written", "crlf"])
 def test_score_csv(tmp_path, newline):
     path = tmp_path / "scores_loss.csv"
     write_score_records(path, "loss", [0, 1, 22], [-0.125, 3e-07, 12.5], [True, False, True])
-    blob = path.read_bytes().replace(b"\r\n", newline)
+    blob = path.read_bytes().replace(b"\n", newline)
     cases = [blob[:cut] for cut in range(len(blob))] + [blob + bytes([b]) for b in b'\x00\r\n 0,#"x\xff\x80']
     for case in cases:
         path.write_bytes(case)

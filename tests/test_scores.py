@@ -546,7 +546,7 @@ class TestOnePassReader:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the bytes, their LF copy, the parsed table and the three columns
-        # come to about 4x the file; a decoded str copy of the file takes it
-        # to about 7.7x
+        # the bytes, the parsed table and the three columns come to about
+        # 3.1x the file written with LF (4x with CRLF, which the parser
+        # copies to LF); a decoded str copy of the file takes it to about 7.7x
         assert peak < 6 * size, f"peak {peak} B is {peak / size:.1f}x the {size} B file"
