@@ -216,15 +216,6 @@ def _stacked(chunks, n_rows: int) -> np.ndarray:
     return out
 
 
-def _kept(chunks, out: np.ndarray):
-    """The row blocks of `chunks`, each also copied into the next rows of `out`."""
-    start = 0
-    for block in chunks:
-        out[start:start + len(block)] = block
-        start += len(block)
-        yield block
-
-
 def _usable_cores() -> int:
     """Cores this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -370,8 +361,8 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
         for name, attacker in attackers.items():
             chunks = feature_chunks(model, X, Y, scores, name, eval_ids)
             if config["debug.dump_features"] and STRATEGIES[name].features:
-                dumps[name] = np.empty((len(eval_ids), attacker.feature_length))
-                chunks = _kept(chunks, dumps[name])
+                dumps[name] = _stacked(chunks, len(eval_ids))
+                chunks = [dumps[name]]
             eval_scores[name] = am.attacker_scores(attacker, chunks, len(eval_ids))
 
     member_pool = {name: eval_scores[name][eval_member] for name in strategies}
