@@ -282,6 +282,17 @@ class TestMinMaxScaler:
         with pytest.raises(ShapeError):
             scaler.transform(np.zeros((2, 4)))
 
+    def test_out_buffer_gets_the_bytes_of_a_new_array(self, rng):
+        # a constant column, a span that overflows and rows out of the fit range
+        X = np.column_stack([rng.normal(0, 3, 12), np.full(12, 2.0), np.r_[-1e308, 1e308, rng.normal(0, 1, 10)]])
+        scaler = MinMaxScaler.fit(X[:8])
+        want = scaler.transform(X)
+        buf = np.full_like(X, np.nan)
+        assert scaler.transform(X, out=buf) is buf
+        own = X.copy()
+        scaler.transform(own, out=own)
+        assert buf.tobytes() == want.tobytes() == own.tobytes()
+
     def test_live_marks_the_columns_with_a_span(self):
         X = np.array([[2.0, 1.0, 0.0, 5e-324], [2.0, 3.0, 0.0, 0.0]])
         assert MinMaxScaler.fit(X).live.tolist() == [False, True, False, True]
@@ -674,10 +685,20 @@ class TestAttackerScoring:
         with pytest.raises(ShapeError):
             attacker_scores(attacker, np.zeros((1, 9)))
 
+    def test_row_chunks_score_like_one_block(self, rng):
+        X, y = separable_features(rng, n_per_side=15)
+        attacker = mi.fit_mlp_attacker(X, y, epochs=3)
+        chunks = [X[i:i + 7] for i in range(0, len(X), 7)]
+        assert attacker_scores(attacker, chunks, len(X)).tobytes() == attacker_scores(attacker, X).tobytes()
+        for n_rows in (len(X) - 1, len(X) + 1):
+            with pytest.raises(ShapeError, match="rows"):
+                attacker_scores(attacker, chunks, n_rows)
+
     def test_label_validation(self, rng):
         X = rng.uniform(0, 1, (10, 3))
-        with pytest.raises(TrainingError):
-            mi.fit_logistic_attacker(X, np.full(10, 1.0))
+        for labels in (np.full(10, 1.0), np.zeros(10), np.r_[np.ones(5), np.full(5, np.nan)]):
+            with pytest.raises(TrainingError):
+                mi.fit_logistic_attacker(X, labels)
         with pytest.raises(TrainingError):
             mi.fit_logistic_attacker(X, np.r_[np.ones(5), np.full(5, 2.0)])
         with pytest.raises(ShapeError):
