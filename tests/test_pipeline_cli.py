@@ -461,7 +461,8 @@ class TestRowChunks:
 
 def test_audit_leaves_numpy_ma_unimported(tmp_path):
     # np.unique imports numpy.ma on its first call, about 1 MB and 13-38 ms
-    # in each process that fits an attacker; every fit runs in the child
+    # in each process that fits an attacker; with one usable core every fit
+    # runs in the subprocess that reports its modules
     cfg = tmp_path / "run.cfg"
     settings = dict(FAST_OVERRIDES, strategies=",".join(ALL_STRATEGIES))
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
