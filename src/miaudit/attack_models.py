@@ -271,9 +271,14 @@ class TrainedAttacker:
         return self.net.layer_dims[0]
 
 
-def _feature_matrix(features) -> np.ndarray:
+def _feature_matrix(features, copy: bool = False) -> np.ndarray:
+    """The checked (n, d) float block of `features`: with `copy` a new
+    row-major array, else `features` itself when it is a float array."""
     try:
-        arr = np.asarray(features, dtype=np.float64)
+        if copy:
+            arr = np.array(features, dtype=np.float64, order="C")
+        else:
+            arr = np.asarray(features, dtype=np.float64)
     except ValueError as exc:
         raise ShapeError(f"feature vectors must share one length: {exc}") from exc
     if arr.ndim != 2 or arr.shape[0] == 0:
@@ -295,7 +300,9 @@ def _check_labels(labels, n: int) -> np.ndarray:
     return y
 
 
-def fit_logistic_attacker(features, labels, seed: int = 0, max_steps: int = 50):
+def fit_logistic_attacker(
+    features, labels, seed: int = 0, max_steps: int = 50, *, overwrite_features: bool = False
+):
     """Logistic regression fitted exactly, by damped Newton.
 
     Minimises the mean BCE plus a fixed weight ridge of 1e-3,
@@ -303,12 +310,13 @@ def fit_logistic_attacker(features, labels, seed: int = 0, max_steps: int = 50):
     init.  Each iteration solves the (d + 1)-square Newton system and halves
     the step until the penalised objective decreases enough (Armijo); the
     fit stops after the full step whose predicted decrease is below 1e-12
-    relative, or after `max_steps` iterations.
+    relative, or after `max_steps` iterations.  With `overwrite_features`,
+    a float array `features` is scaled in place.
     """
     X_raw = _feature_matrix(features)
     y = _check_labels(labels, X_raw.shape[0])
     scaler = MinMaxScaler.fit(X_raw)
-    X = scaler.transform(X_raw)
+    X = scaler.transform(X_raw, out=X_raw if overwrite_features else None)
     n, d = X.shape
     net = BinaryNet([d, 1], [np.zeros((d, 1))], [np.zeros(1)])
     w, b = net.parameters()
@@ -418,9 +426,31 @@ def _live_units(X: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.any(X @ w + b + 2.0 * gamma * bound > 0.0, axis=0)
 
 
+# rows per chunk that `_live_columns` copies out of a block and back
+_COMPACT_ROWS = 64
+
+
+def _live_columns(X: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The columns `keep` of the row-major block X, as a row-major block
+    written over the front of X's memory, chunk by chunk: a chunk's kept
+    columns land on rows already read, so X is read before it is
+    overwritten and no full-size copy is made."""
+    if keep.all():
+        return X
+    n, k = X.shape[0], int(keep.sum())
+    out = X.reshape(-1)[: n * k].reshape(n, k)
+    for start in range(0, n, _COMPACT_ROWS):
+        rows = slice(start, start + _COMPACT_ROWS)
+        out[rows] = np.compress(keep, X[rows], axis=1)
+    return out
+
+
 def _fit_mlp(X_raw, labels, seed, hidden, epochs, learning_rate, batch_size) -> TrainedAttacker:
     """Scale the features, then train a ReLU net with the given hidden
-    widths under a sigmoid output.
+    widths under a sigmoid output.  X_raw, a checked float block, is
+    overwritten: the net trains on its live columns, compacted to a
+    row-major block in its memory (contiguous rows make each minibatch
+    gather one copy per row) and scaled there.
 
     Two kinds of parameter provably never move, so they are not trained.
     A column constant on the training rows scales to 0 on every row, so its
@@ -439,9 +469,8 @@ def _fit_mlp(X_raw, labels, seed, hidden, epochs, learning_rate, batch_size) -> 
     # keep[i]: the units of layer i that are trained (layer 0: the input columns)
     keep = [np.ones(d, dtype=bool) for d in net.layer_dims]
     keep[0] = _all_if_none(scaler.live)
-    # each column scales on its own, so only the trained ones are scaled,
-    # in place in their copy
-    X = X_raw[:, keep[0]]
+    # each column scales on its own, so only the trained ones are scaled
+    X = _live_columns(np.ascontiguousarray(X_raw), keep[0])
     MinMaxScaler(scaler.mins[keep[0]], scaler.maxs[keep[0]]).transform(X, out=X)
     if net.n_layers > 1:
         keep[1] = _all_if_none(_live_units(X, net.weights[0][keep[0]], net.biases[0]))
@@ -467,13 +496,18 @@ def fit_mlp_attacker(
     epochs: int = 300,
     learning_rate: float = 1e-3,
     batch_size: int = 32,
+    *,
+    overwrite_features: bool = False,
 ) -> TrainedAttacker:
     """Two-hidden-layer combiner for wide feature vectors.  The first-layer
     weights of a column constant on the training rows, and the incoming
     weights, bias and outgoing weights of a first-layer unit that no
     training row can make active at init, stay at their init and are not
-    trained (see `_fit_mlp`)."""
-    return _fit_mlp(_feature_matrix(features), labels, seed, hidden, epochs, learning_rate, batch_size)
+    trained (see `_fit_mlp`).  The fit works on a copy of `features`, or,
+    with `overwrite_features`, in the memory of a float array `features`,
+    whose values it then destroys."""
+    X = _feature_matrix(features, copy=not overwrite_features)
+    return _fit_mlp(X, labels, seed, hidden, epochs, learning_rate, batch_size)
 
 
 def build_and_train_ensemble(
@@ -483,6 +517,8 @@ def build_and_train_ensemble(
     epochs: int = 300,
     learning_rate: float = 1e-3,
     batch_size: int = 32,
+    *,
+    overwrite_features: bool = False,
 ) -> TrainedAttacker:
     """Ensemble attacker over the six per-strategy scores.
 
@@ -491,9 +527,10 @@ def build_and_train_ensemble(
     by 1e-6 for 20 consecutive epochs.  The first-layer weights of a
     score column constant on the training rows, and the parameters of a
     first-layer unit that no training row can make active at init, stay at
-    their init and are not trained (see `_fit_mlp`).
+    their init and are not trained (see `_fit_mlp`).  `overwrite_features`
+    as for `fit_mlp_attacker`.
     """
-    X_raw = _feature_matrix(features)
+    X_raw = _feature_matrix(features, copy=not overwrite_features)
     if X_raw.shape[1] != ENSEMBLE_LAYER_DIMS[0]:
         raise ShapeError(
             f"ensemble expects {ENSEMBLE_LAYER_DIMS[0]} features, got {X_raw.shape[1]}"

@@ -97,16 +97,18 @@ def generate_synthetic_dataset(
     rng = np.random.default_rng(seed)
     means = rng.normal(size=(n_classes, dim)) * class_separation
     per_class = n_per_class + n_held
-    feats, labels = [], []
+    # one block filled class by class, then mapped in place: the only
+    # full-size arrays are this block and the two splits taken from it
+    X = np.empty((n_classes * per_class, dim))
     for cls in range(n_classes):
-        feats.append(means[cls] + rng.normal(size=(per_class, dim)))
-        labels.append(np.full(per_class, cls, dtype=np.int64))
-    X = np.vstack(feats)
-    y = np.concatenate(labels)
+        rows = X[cls * per_class:(cls + 1) * per_class]
+        np.add(means[cls], rng.normal(size=(per_class, dim)), out=rows)
+    y = np.repeat(np.arange(n_classes, dtype=np.int64), per_class)
     lo = X.min(axis=0)
     hi = X.max(axis=0)
     span = np.where(hi > lo, hi - lo, 1.0)
-    X = (X - lo) / span
+    X -= lo
+    X /= span
     train_rows, held_rows = [], []
     for cls in range(n_classes):
         base = cls * per_class

@@ -239,7 +239,8 @@ def _end_child(pid: int) -> str:
 def fit_attackers(config: ExperimentConfig, features: dict, labels: np.ndarray) -> dict:
     """Fit every attacker on its training feature matrix (`features` maps
     attacker -> matrix, in strategy order) and the shared 0/1 labels;
-    returns attacker -> TrainedAttacker in the same order.
+    returns attacker -> TrainedAttacker in the same order.  Each fit works
+    in the memory of its matrix and leaves it overwritten.
 
     The widest matrix, the longest fit, is fitted here while one forked
     process fits the others in strategy order, up to its first failure,
@@ -254,7 +255,8 @@ def fit_attackers(config: ExperimentConfig, features: dict, labels: np.ndarray) 
 
     def fit(name):
         fitter = getattr(am, STRATEGIES[name].fitter)
-        return fitter(features[name], labels, stage_seed(config.seed, f"attacker:{name}"))
+        seed = stage_seed(config.seed, f"attacker:{name}")
+        return fitter(features[name], labels, seed, overwrite_features=True)
 
     if len(features) < 2 or not hasattr(os, "fork") or _usable_cores() < 2:
         return {name: fit(name) for name in features}

@@ -427,19 +427,19 @@ class AdamState:
     def __init__(self, size: int):
         self.m = np.zeros(size)
         self.v = np.zeros(size)
-        self._scratch = (np.empty(size), np.empty(size))
+        self._scratch = np.empty(size)
         self.t = 0
 
     def step(self, params: np.ndarray, grads: np.ndarray, lr: float) -> None:
         """Moment updates, then
         `params -= lr * (m / c1) / (sqrt(v / c2) + EPSILON)`, each operation
-        in this order and grouping."""
+        in this order and grouping.  `grads` is overwritten: once the moments
+        hold it, it serves as the second temporary."""
         self.t += 1
         b1, b2 = self.BETA1, self.BETA2
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
-        m, v = self.m, self.v
-        s, u = self._scratch
+        m, v, s = self.m, self.v, self._scratch
         m *= b1
         m += np.multiply(1.0 - b1, grads, out=s)
         v *= b2
@@ -448,7 +448,7 @@ class AdamState:
         np.divide(v, c2, out=s)
         np.sqrt(s, out=s)
         s += self.EPSILON
-        np.divide(m, c1, out=u)
+        u = np.divide(m, c1, out=grads)
         np.multiply(lr, u, out=u)
         params -= np.divide(u, s, out=u)
 

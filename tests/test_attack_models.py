@@ -19,6 +19,7 @@ from miaudit.attack_models import (
     LOGISTIC_RIDGE,
     BinaryNet,
     MinMaxScaler,
+    _live_columns,
     _sigmoid,
     _train_binary_net,
     attacker_scores,
@@ -648,6 +649,81 @@ class TestLiveColumnFit:
         assert cores == [[3, 3, 2, 1]]
         assert np.array_equal(attacker.net.flat, want.flat)
         assert attacker.history == history
+
+
+def layout_fits(rng):
+    """(fitter, features, labels) of both MLP attackers, on blocks with
+    constant columns, so that the live columns are compacted."""
+    X, y = columns_with_constants(rng)
+    E = np.hstack([rng.uniform(0, 1, (40, 4)), np.full((40, 2), 0.5)])
+    return [
+        (lambda X, y, **kw: mi.fit_mlp_attacker(X, y, seed=5, hidden=(16, 8), epochs=20, **kw), X, y),
+        (lambda X, y, **kw: mi.build_and_train_ensemble(X, y, seed=3, epochs=20, **kw),
+         E, (E[:, 0] > 0.5).astype(float)),
+    ]
+
+
+def spy_blocks(monkeypatch):
+    """Every feature block `_fit_mlp` trains on, recorded as it goes."""
+    seen = []
+
+    def spy(net, X, *args):
+        seen.append(X)
+        return _train_binary_net(net, X, *args)
+
+    monkeypatch.setattr(am, "_train_binary_net", spy)
+    return seen
+
+
+class TestRowMajorFit:
+    """Every MLP attacker trains on its live columns as one row-major block,
+    in a copy of the caller's features or, with `overwrite_features`, in
+    their own memory."""
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    def test_live_columns_are_the_column_selection(self, rng, n):
+        for keep in ([1, 0, 1, 1, 0, 0, 1], [0, 0, 0, 0, 0, 0, 1], [1, 1, 1, 0, 1, 1, 1], [1] * 7):
+            keep = np.array(keep, dtype=bool)
+            X = rng.normal(size=(n, 7))
+            want = X[:, keep].copy()
+            got = _live_columns(X, keep)
+            assert got.flags.c_contiguous and np.shares_memory(got, X)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_every_layout_fits_the_same_net(self, rng, overwrite):
+        for fit, X, y in layout_fits(rng):
+            want = fit(X.copy(), y)
+            wider = np.repeat(X, 2, axis=1)
+            for block in (np.ascontiguousarray(X), np.asfortranarray(X), wider[:, ::2]):
+                got = fit(block, y, overwrite_features=overwrite)
+                assert got.net.flat.tobytes() == want.net.flat.tobytes()
+                assert got.history == want.history
+
+    def test_trains_on_contiguous_rows(self, rng, monkeypatch):
+        seen = spy_blocks(monkeypatch)
+        for fit, X, y in layout_fits(rng):
+            for block in (X, np.asfortranarray(X)):
+                fit(block, y)
+                live = int((np.ptp(X, axis=0) > 0).sum())
+                assert seen[-1].shape == (len(X), live)
+                assert seen[-1].strides[1] == seen[-1].itemsize
+                assert seen[-1].flags.c_contiguous
+
+    def test_overwrite_trains_in_the_callers_memory(self, rng, monkeypatch):
+        seen = spy_blocks(monkeypatch)
+        for fit, X, y in layout_fits(rng):
+            fit(X, y)
+            assert not np.shares_memory(seen[-1], X)
+            fit(X, y, overwrite_features=True)
+            assert np.shares_memory(seen[-1], X)
+
+    def test_callers_array_is_left_unchanged(self, rng):
+        for fit, X, y in layout_fits(rng):
+            for block in (X, np.asfortranarray(X)):
+                before = block.tobytes()
+                fit(block, y)
+                assert block.tobytes() == before
 
 
 class TestEnsembleAttacker:

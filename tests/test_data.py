@@ -2,6 +2,7 @@
 
 import dataclasses
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,36 @@ class TestSyntheticGeneration:
         assert manifest.feature_dim == 6 and manifest.n_classes == 4
         assert manifest.train_size == 40 and manifest.heldout_size == 40
         assert manifest.normalized
+
+    def test_matches_the_stacked_reference(self):
+        # per-class blocks stacked at the end, the map applied out of place
+        train, held, _ = generate_synthetic_dataset(7, 5, 4, 0.8, seed=9, heldout_per_class=3)
+        rng = np.random.default_rng(9)
+        means = rng.normal(size=(5, 4)) * 0.8
+        X = np.vstack([means[c] + rng.normal(size=(10, 4)) for c in range(5)])
+        y = np.concatenate([np.full(10, c, dtype=np.int64) for c in range(5)])
+        lo, hi = X.min(axis=0), X.max(axis=0)
+        X = (X - lo) / np.where(hi > lo, hi - lo, 1.0)
+        rows = np.arange(50).reshape(5, 10)
+        train_idx = rows[:, :7].ravel()[rng.permutation(35)]
+        held_idx = rows[:, 7:].ravel()[rng.permutation(15)]
+        for part, idx in ((train, train_idx), (held, held_idx)):
+            assert part.X.tobytes() == X[idx].tobytes()
+            assert part.y.tobytes() == y[idx].tobytes()
+
+    def test_peak_memory_stays_near_the_returned_arrays(self):
+        # the block the splits are taken from, the splits, and one class's
+        # draws; stacking a list of blocks and mapping out of place held
+        # about four times the result
+        generate_synthetic_dataset(2, 2, 2, 1.0, seed=0)  # lazy numpy imports
+        tracemalloc.start()
+        try:
+            train, held, _ = generate_synthetic_dataset(100, 10, 50, 1.0, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for a in (train.X, train.y, held.X, held.y))
+        assert peak < 2.5 * returned
 
     def test_heldout_size_override(self):
         train, held, _ = generate_synthetic_dataset(8, 3, 4, 1.0, seed=1, heldout_per_class=5)

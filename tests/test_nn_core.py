@@ -24,6 +24,7 @@ from miaudit.errors import ConfigError, DataError, InvalidInputError, ShapeError
 from miaudit.nn_core import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
+    AdamState,
     _backward,
     classification_accuracy,
     loss_and_grads,
@@ -483,6 +484,34 @@ class TestFlatTraining:
         reference = BinaryNet.build(dims, seed=7)
         assert reference_train(reference, X, y, 8, 100, 32, 1e-3) == 200
         assert parameter_bytes(net) == parameter_bytes(reference)
+
+
+def reference_adam_step(params, grads, m, v, t, lr):
+    """One Adam step with a fresh array for every operation, in the order
+    and grouping `AdamState.step` documents: (params, m, v)."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    c1 = 1.0 - b1**t
+    c2 = 1.0 - b2**t
+    m = m * b1 + (1.0 - b1) * grads
+    v = v * b2 + (1.0 - b2) * (grads * grads)
+    return params - lr * (m / c1) / (np.sqrt(v / c2) + eps), m, v
+
+
+class TestAdamStep:
+    @pytest.mark.parametrize("size", [1, 7, 70_000])
+    def test_matches_fresh_temporaries_bitwise(self, size):
+        rng = np.random.default_rng(size)
+        params = rng.normal(size=size)
+        want, m, v = params.copy(), np.zeros(size), np.zeros(size)
+        adam = AdamState(size)
+        for t in range(1, 31):
+            # gradients of every scale, exact zeros among them
+            grads = rng.normal(size=size) * 10.0 ** rng.integers(-8, 3, size)
+            grads[rng.random(size) < 0.1] = 0.0
+            want, m, v = reference_adam_step(want, grads, m, v, t, 3e-3)
+            adam.step(params, grads.copy(), 3e-3)
+            assert params.tobytes() == want.tobytes()
+            assert adam.m.tobytes() == m.tobytes() and adam.v.tobytes() == v.tobytes()
 
 
 class TestFlatParameters:

@@ -324,12 +324,12 @@ class TestAttackerFits:
         forks = usable_cores(2)
         for failing, raised in (({19}, 19), ({74}, 74), ({19, 74}, 19)):
 
-            def fit_or_fail(features, labels, seed, failing=failing):
+            def fit_or_fail(features, labels, seed, failing=failing, **kwargs):
                 width = features.shape[1]
                 assert (width == 19) == (os.getpid() != parent)
                 if width in failing:
                     raise TrainingError(f"no fit on {width} columns")
-                return fit(features, labels, seed)
+                return fit(features, labels, seed, **kwargs)
 
             monkeypatch.setattr(am, "fit_mlp_attacker", fit_or_fail)
             forks.clear()
@@ -341,7 +341,7 @@ class TestAttackerFits:
     def test_fit_process_that_dies_is_a_typed_error(self, tmp_path, monkeypatch, usable_cores, capsys):
         parent = os.getpid()
 
-        def dying(features, labels, seed):
+        def dying(features, labels, seed, **kwargs):
             assert os.getpid() != parent
             os._exit(3)
 
@@ -366,7 +366,7 @@ class TestAttackerFits:
         forks = usable_cores(2)
         for child_fit in (lambda: np.zeros(1 << 20), lambda: time.sleep(60)):
 
-            def fit(features, labels, seed, child_fit=child_fit):
+            def fit(features, labels, seed, child_fit=child_fit, **kwargs):
                 if os.getpid() == parent:
                     raise TrainingError("no fit here")
                 return child_fit()
@@ -432,9 +432,10 @@ class TestRowChunks:
         # 3,200 samples with 1,137 white-box columns each (a 64x16 gradient,
         # 16 deltas, the loss, 16 probabilities, 64 hidden units and a
         # 16-wide one-hot label): 29.1 MB over the whole pool.  The audit
-        # holds the 35 % training rows' features and their scaled live
-        # columns while it fits, then the other rows' scaled features; every
-        # fit runs in this process, where tracemalloc sees it
+        # holds the 35 % training rows' features while it fits, and the fit
+        # scales their live columns in that same memory; then it holds the
+        # other rows' scaled features, which set the peak; every fit runs in
+        # this process, where tracemalloc sees it
         usable_cores(1)
         config = fast_config(
             **{
