@@ -7,12 +7,13 @@ and the [0, 1] feature box.  Supports p in {1, 2, inf}.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_csv
 from .errors import ConfigError, InvalidInputError, ShapeError
 from .nn_core import (
     MLPClassifier,
@@ -338,11 +339,5 @@ def find_adversarial(model: MLPClassifier, x, y: int, config: AttackConfig) -> A
 
 def dump_trace_csv(trace: ApgdTrace, path) -> None:
     """Debug dump: one row per iterate with loss, distance, predicted class."""
-    dists = trace.distances()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "loss", "distance", "predicted_class"])
-        for i in range(len(trace.losses)):
-            writer.writerow(
-                [i, repr(float(trace.losses[i])), repr(float(dists[i])), int(trace.predictions[i])]
-            )
+    rows = zip(itertools.count(), trace.losses, trace.distances(), trace.predictions)
+    write_csv(path, ["iteration", "loss", "distance", "predicted_class"], rows)

@@ -9,14 +9,14 @@ with member = 1, nonmember = 0.
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import BinaryIO, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .artifacts import write_csv
 from .errors import ConfigError, DataError, InvalidInputError, ShapeError, TrainingError
 from .nn_core import (
     AdamState,
@@ -282,7 +282,7 @@ def _feature_matrix(features, copy: bool = False) -> np.ndarray:
     except ValueError as exc:
         raise ShapeError(f"feature vectors must share one length: {exc}") from exc
     if arr.ndim != 2 or arr.shape[0] == 0:
-        raise ShapeError("attacker training needs a non-empty feature matrix")
+        raise ShapeError(f"features must be a non-empty (n, d) block, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("attacker features must be finite")
     return arr
@@ -615,14 +615,11 @@ def load_attacker(path) -> TrainedAttacker:
 
 
 def write_feature_dump(path, sample_ids, features, is_member) -> None:
-    """CSV dump: sample_id, one column per feature, is_member; LF line ends."""
+    """CSV dump: sample_id, one column per feature, is_member."""
     X = _feature_matrix(features)
     ids = list(sample_ids)
     members = list(is_member)
     if len(ids) != X.shape[0] or len(members) != X.shape[0]:
         raise ShapeError("feature dump inputs must have matching lengths")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_id"] + [f"f{i}" for i in range(X.shape[1])] + ["is_member"])
-        for sid, row, m in zip(ids, X, members):
-            writer.writerow([sid] + [repr(float(v)) for v in row] + [int(m)])
+    header = ["sample_id"] + [f"f{i}" for i in range(X.shape[1])] + ["is_member"]
+    write_csv(path, header, ([sid, *row.tolist(), m] for sid, row, m in zip(ids, X, members)))

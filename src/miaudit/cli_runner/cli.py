@@ -7,14 +7,14 @@ Subcommands: gen-data, train-target, audit, report.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
+from ..artifacts import _atomic_file_write, write_json
 from ..errors import AuditError, ConfigError, DataError
 from ..nn_core import save_checkpoint
 from .config import load_config
-from .data import _atomic_file_write, _atomic_write_text, read_json_object, save_dataset
+from .data import read_json_object, save_dataset
 from .pipeline import (
     prepare_target,
     rerender_from_scores,
@@ -54,9 +54,7 @@ def _cmd_train_target(args: argparse.Namespace) -> int:
     _, _, _, model, summary = prepare_target(config)
     out.mkdir(parents=True, exist_ok=True)
     _atomic_file_write(out / "target.ckpt", lambda p: save_checkpoint(model, p))
-    _atomic_write_text(
-        out / "target_summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
+    write_json(out / "target_summary.json", summary)
     print(
         f"target trained: train acc {summary['train_accuracy']:.4f}, "
         f"heldout acc {summary['heldout_accuracy']:.4f}, checkpoint at {out / 'target.ckpt'}"

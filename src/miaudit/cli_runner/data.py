@@ -7,12 +7,9 @@ little-endian float32 features row-major and int32 labels.
 
 from __future__ import annotations
 
-import csv
-import functools
 import json
 import math
 import os
-import secrets
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..artifacts import _atomic_file_write, write_csv, write_json
 from ..errors import ConfigError, DataError
 from ..scores import csv_rows
 
@@ -138,12 +136,8 @@ def generate_synthetic_dataset(
 
 
 def save_csv_file(dataset: Dataset, path) -> None:
-    d = dataset.X.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(d)] + ["label"])
-        for row, label in zip(dataset.X, dataset.y):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+    header = [f"f{i}" for i in range(dataset.X.shape[1])] + ["label"]
+    write_csv(path, header, ([*row.tolist(), label] for row, label in zip(dataset.X, dataset.y)))
 
 
 def read_csv_file(path):
@@ -223,25 +217,8 @@ def read_binary_file(path):
 
 
 # ---------------------------------------------------------------------------
-# Atomic writes and directory-level load/save
+# Directory-level load/save
 # ---------------------------------------------------------------------------
-
-
-def _atomic_file_write(path: Path, writer) -> None:
-    """Have `writer(tmp)` fill a temp file with a unique name beside `path`,
-    then rename it over `path`; on failure the temp file is removed, so two
-    runs into one directory never share a temp file."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}-{secrets.token_hex(4)}.tmp")
-    try:
-        writer(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    _atomic_file_write(path, lambda p: p.write_text(text, encoding="utf-8", newline=""))
 
 
 def save_dataset(train: Dataset, heldout: Dataset, manifest: DatasetManifest, out_dir, fmt: str = "csv") -> None:
@@ -250,15 +227,13 @@ def save_dataset(train: Dataset, heldout: Dataset, manifest: DatasetManifest, ou
         raise ConfigError(f"dataset format must be csv or binary, got {fmt!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
-        write = save_csv_file
-    else:
-        write = functools.partial(save_binary_file, n_classes=manifest.n_classes)
     for name, split in (("train", train), ("heldout", heldout)):
-        _atomic_file_write(out / f"{name}.{_EXT[fmt]}", lambda p, split=split: write(split, p))
-    _atomic_write_text(
-        out / "manifest.json", json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
+        path = out / f"{name}.{_EXT[fmt]}"
+        if fmt == "csv":
+            save_csv_file(split, path)
+        else:
+            _atomic_file_write(path, lambda p: save_binary_file(split, p, manifest.n_classes))
+    write_json(out / "manifest.json", manifest.to_dict())
 
 
 def read_json_object(path: Path) -> dict:
@@ -317,9 +292,8 @@ def load_dataset(path, fmt: str = "csv"):
     # rows cannot all appear in the data, so the count is not trusted
     if k > len(Xt) + len(Xh):
         raise DataError(f"{base}: {k} classes, more than the {len(Xt) + len(Xh)} rows of both splits")
-    both = np.vstack([Xt, Xh])
-    lo = both.min(axis=0)
-    hi = both.max(axis=0)
+    lo = np.minimum(Xt.min(axis=0), Xh.min(axis=0))
+    hi = np.maximum(Xt.max(axis=0), Xh.max(axis=0))
     needs = (lo < 0.0) | (hi > 1.0)
     normalized = bool(needs.any())
     if normalized:

@@ -10,7 +10,6 @@ tag.
 
 from __future__ import annotations
 
-import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -19,6 +18,7 @@ import numpy as np
 
 from .. import attack_models as am
 from ..adversarial import dump_trace_csv, first_run_traces
+from ..artifacts import _atomic_file_write, write_csv, write_json
 from ..errors import AuditError, ConfigError, DataError, TrainingError
 from ..evaluation import (
     EvalReport,
@@ -46,13 +46,7 @@ from ..scores import (
     write_score_records,
 )
 from .config import ExperimentConfig, stage_seed
-from .data import (
-    _atomic_file_write,
-    _atomic_write_text,
-    generate_synthetic_dataset,
-    load_dataset,
-    read_json_object,
-)
+from .data import generate_synthetic_dataset, load_dataset, read_json_object
 
 SCHEMA_VERSION = 1
 
@@ -347,6 +341,8 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
     with _stage("scores"):
         X = np.concatenate([train_ds.X, heldout_ds.X])
         Y = np.concatenate([train_ds.y, heldout_ds.y])
+        # the splits are copied into X and Y: dropping them halves what scoring holds
+        del train_ds, heldout_ds
         scores, traces = score_samples(config, model, X, Y, needed_scores)
         # only the attacker-training rows' features are held whole
         train_features = {
@@ -389,18 +385,14 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
         export_report(report, out)
         _atomic_file_write(out / "target.ckpt", lambda p: save_checkpoint(model, p))
         for name, attacker in attackers.items():
-            _atomic_file_write(out / f"{name}.ckpt", lambda p, a=attacker: am.save_attacker(a, p))
+            _atomic_file_write(out / f"{name}.ckpt", lambda p: am.save_attacker(attacker, p))
         for name, rows in dumps.items():
-            _atomic_file_write(
-                out / f"features_{STRATEGIES[name].features}.csv",
-                lambda p, rows=rows: am.write_feature_dump(p, eval_ids, rows, eval_member),
-            )
+            path = out / f"features_{STRATEGIES[name].features}.csv"
+            am.write_feature_dump(path, eval_ids, rows, eval_member)
         if traces:
             (out / "traces").mkdir(parents=True, exist_ok=True)
         for sid, trace in enumerate(traces):
-            _atomic_file_write(
-                out / "traces" / f"trace_{sid}.csv", lambda p, t=trace: dump_trace_csv(t, p)
-            )
+            dump_trace_csv(trace, out / "traces" / f"trace_{sid}.csv")
     return report, out
 
 
@@ -513,26 +505,14 @@ def export_report(report: EvalReport, out_dir) -> Path:
     """Write report.json plus per-strategy CSV side files, atomically."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-    _atomic_write_text(out / "report.json", payload)
+    write_json(out / "report.json", report.to_dict())
     for name, (grid, mean_tpr, std_tpr) in report.roc_grids.items():
-        lines = ["fpr,tpr_mean,tpr_std"]
-        for f, mu, sd in zip(grid, mean_tpr, std_tpr):
-            lines.append(f"{float(f)!r},{float(mu)!r},{float(sd)!r}")
-        _atomic_write_text(out / f"roc_{name}.csv", "\n".join(lines) + "\n")
+        write_csv(out / f"roc_{name}.csv", ["fpr", "tpr_mean", "tpr_std"], zip(grid, mean_tpr, std_tpr))
     for name, hist in report.histograms.items():
-        lines = ["bin_lo,bin_hi,member_count,nonmember_count"]
-        for i in range(hist.member_counts.shape[0]):
-            lines.append(
-                f"{float(hist.edges[i])!r},{float(hist.edges[i + 1])!r},"
-                f"{int(hist.member_counts[i])},{int(hist.nonmember_counts[i])}"
-            )
-        _atomic_write_text(out / f"hist_{name}.csv", "\n".join(lines) + "\n")
+        rows = zip(hist.edges[:-1], hist.edges[1:], hist.member_counts, hist.nonmember_counts)
+        write_csv(out / f"hist_{name}.csv", ["bin_lo", "bin_hi", "member_count", "nonmember_count"], rows)
     for name, scores in report.scores.items():
-        _atomic_file_write(
-            out / f"scores_{name}.csv",
-            lambda p, n=name, s=scores: write_score_records(p, n, report.sample_ids, s, report.is_member),
-        )
+        write_score_records(out / f"scores_{name}.csv", name, report.sample_ids, scores, report.is_member)
     return out / "report.json"
 
 

@@ -23,6 +23,7 @@ from .adversarial import (
     find_adversarial,  # noqa: F401  bench/tracing.py patches scores.find_adversarial by name
     find_adversarial_rows,
 )
+from .artifacts import write_csv
 from .errors import DataError
 from .nn_core import (
     PROB_FLOOR,
@@ -198,14 +199,10 @@ _PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
 
 
 def write_score_records(path, strategy: str, sample_ids, scores, is_member) -> None:
-    """CSV dump, one row per sample of one strategy; floats as shortest repr,
-    LF line ends."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SCORE_HEADER)
-        rows = zip(np.asarray(sample_ids).tolist(), np.asarray(scores).tolist(), is_member)
-        for sid, score, member in rows:
-            writer.writerow([sid, strategy, repr(float(score)), int(member)])
+    """CSV dump, one row per sample of one strategy."""
+    ids = np.asarray(sample_ids).tolist()
+    values = np.asarray(scores, dtype=np.float64).tolist()
+    write_csv(path, SCORE_HEADER, ((sid, strategy, v, m) for sid, v, m in zip(ids, values, is_member)))
 
 
 def csv_rows(data: bytes, path):

@@ -796,10 +796,23 @@ class TestAttackerScoring:
                 call()
         assert not (tmp_path / "f.csv").exists()
 
-    def test_inconsistent_feature_lengths(self):
+    def test_inconsistent_feature_lengths(self, tmp_path, rng):
         feats = [np.zeros(3), np.zeros(4)]
         with pytest.raises(ShapeError):
             mi.fit_logistic_attacker(feats, np.array([0.0, 1.0]))
+        # a 1-D or empty block is named by its shape, whichever call rejects it
+        X, y = separable_features(rng, n_per_side=10)
+        attacker = mi.fit_logistic_attacker(X, y)
+        for block in (X[0], X[:0]):
+            for call in (
+                lambda: mi.fit_logistic_attacker(block, y[:1]),
+                lambda: attacker_scores(attacker, block),
+                lambda: write_feature_dump(tmp_path / "f.csv", [0], block, [True]),
+            ):
+                with pytest.raises(ShapeError) as info:
+                    call()
+                assert str(info.value) == f"features must be a non-empty (n, d) block, got shape {block.shape}"
+        assert not (tmp_path / "f.csv").exists()
 
 
 class TestAttackerPersistence:

@@ -1,6 +1,7 @@
 """Synthetic data generation and the CSV / binary dataset formats."""
 
 import dataclasses
+import itertools
 import struct
 import tracemalloc
 from pathlib import Path
@@ -299,15 +300,19 @@ class TestDatasetDirectory:
         update = generate_synthetic_dataset(5, 2, 3, 1.0, seed=2)
         save_dataset(*update, tmp_path / "ref")
         new = {p.name: p.read_bytes() for p in (tmp_path / "ref").iterdir()}
-        write = data.save_csv_file
+        write = data.write_csv
 
-        def fail_one(dataset, path):
+        def disk_full():
+            raise OSError("disk full")
+            yield
+
+        def fail_one(path, header, rows):
+            # the real writer fails after two rows of the failing file
             if failing in Path(path).name:
-                Path(path).write_text("partial")
-                raise OSError("disk full")
-            write(dataset, path)
+                rows = itertools.chain(itertools.islice(rows, 2), disk_full())
+            write(path, header, rows)
 
-        monkeypatch.setattr(data, "save_csv_file", fail_one)
+        monkeypatch.setattr(data, "write_csv", fail_one)
         with pytest.raises(OSError):
             save_dataset(*update, out)
         assert sorted(p.name for p in out.iterdir()) == sorted(old)

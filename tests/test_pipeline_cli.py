@@ -1,5 +1,6 @@
 """End-to-end pipeline runs, report artifacts, and the CLI surface."""
 
+import csv
 import json
 import os
 import struct
@@ -20,7 +21,7 @@ from miaudit.cli_runner import (
     run_pipeline,
 )
 from miaudit.cli_runner.cli import main
-from miaudit.cli_runner.data import _atomic_file_write
+from miaudit.artifacts import _atomic_file_write
 from miaudit.cli_runner import pipeline
 from miaudit.cli_runner.pipeline import feature_chunks, prepare_target, score_samples
 from miaudit.errors import TrainingError
@@ -459,6 +460,36 @@ class TestRowChunks:
         assert am.load_attacker(tmp_path / "o" / "attacker_wb.ckpt").feature_length == 1137
         assert peak < block_bytes
 
+    def test_scoring_holds_the_samples_once(self, tmp_path, monkeypatch):
+        # 2,000 samples of dim 200: the scoring stage's X is 3.2 MB, and
+        # the two dataset splits it was concatenated from are gone by then
+        config = fast_config(
+            **{
+                "dataset.classes": "10",
+                "dataset.n_per_class": "100",
+                "dataset.heldout_per_class": "100",
+                "dataset.dim": "200",
+                "target.epochs": "1",
+                "target.batch_size": "64",
+                "strategies": "loss",
+            }
+        )
+        seen = []
+
+        def traced_entry(config, model, X, Y, names):
+            seen.append((tracemalloc.get_traced_memory()[0], X.nbytes))
+            return score_samples(config, model, X, Y, names)
+
+        monkeypatch.setattr(pipeline, "score_samples", traced_entry)
+        tracemalloc.start()
+        try:
+            run_pipeline(config, out_dir=tmp_path / "o")
+        finally:
+            tracemalloc.stop()
+        ((traced, x_bytes),) = seen
+        assert x_bytes == 2000 * 200 * 8
+        assert traced < 1.5 * x_bytes
+
 
 def test_audit_leaves_numpy_ma_unimported(tmp_path):
     # np.unique imports numpy.ma on its first call, about 1 MB and 13-38 ms
@@ -484,6 +515,41 @@ def test_audit_leaves_numpy_ma_unimported(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
     assert len(list((tmp_path / "o").glob("attacker_*.ckpt"))) == 5
+
+
+def test_every_text_artifact_has_one_format(tmp_path):
+    # LF line ends, no CR, shortest-repr floats and no temp file left, in
+    # every CSV and JSON file of the four commands that write them
+    cfg = tmp_path / "run.cfg"
+    settings = dict(FAST_OVERRIDES, strategies=",".join(ALL_STRATEGIES))
+    settings.update({"debug.dump_traces": "true", "debug.dump_features": "true"})
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+    out = tmp_path / "out"
+    common = ["--config", str(cfg), "--out"]
+    assert main(["audit", *common, str(out / "audit")]) == 0
+    assert main(["report", *common, str(out / "report"), "--scores-dir", str(out / "audit")]) == 0
+    assert main(["train-target", *common, str(out / "target")]) == 0
+    assert main(["gen-data", *common, str(out / "data"), "--format", "csv"]) == 0
+    files = [p for p in out.rglob("*") if p.is_file()]
+    assert not [p for p in files if p.name.startswith(".") and p.name.endswith(".tmp")]
+    text = [p for p in files if p.suffix in (".csv", ".json")]
+    assert {p.parent.name for p in text} == {"audit", "traces", "report", "target", "data"}
+    floats = 0
+    for path in text:
+        data = path.read_bytes()
+        assert data.endswith(b"\n") and b"\r" not in data, path
+        if path.suffix != ".csv":
+            continue
+        for row in csv.reader(data.decode("utf-8").splitlines()):
+            for field in row:
+                try:
+                    value = float(field)
+                except ValueError:
+                    continue
+                if not field.lstrip("-").isdigit():
+                    assert repr(value) == field, (path, field)
+                    floats += 1
+    assert floats > 0
 
 
 class TestDebugDumps:
