@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .artifacts import write_csv
-from .errors import ConfigError, DataError, InvalidInputError, ShapeError, TrainingError
+from .artifacts import BinaryReader, write_bytes, write_csv
+from .errors import ConfigError, InvalidInputError, ShapeError, TrainingError
 from .nn_core import (
     AdamState,
     DenseNet,
@@ -27,12 +27,13 @@ from .nn_core import (
     cross_entropy_loss,
     loss_and_grads,
     mean_loss,
-    read_net_params,
+    net_chunks,
+    net_from_block,
+    parameter_views,
+    read_net_header,
     row_backward,
     row_gradient_factors,
     row_product,
-    write_net_params,
-    _read_exact,
 )
 from .scores import ENSEMBLE_FEATURE_ORDER  # noqa: F401  re-exported: the ensemble attacker's input columns
 
@@ -374,7 +375,7 @@ def _train_binary_net(
 ) -> list[float]:
     rng = np.random.default_rng(seed)
     grad = np.empty_like(net.flat)
-    grads = net.parameter_views(grad)
+    grads = parameter_views(net.layer_dims, grad)
     adam = AdamState(grad.size)
     n = X.shape[0]
     history = []
@@ -577,40 +578,30 @@ _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
 
 def save_attacker(attacker: TrainedAttacker, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(ATTACKER_MAGIC)
-        fh.write(struct.pack("<I", ATTACKER_VERSION))
-        fh.write(struct.pack("<B", _KIND_CODES[attacker.kind]))
-        write_net_params(fh, attacker.net.layer_dims, attacker.net.weights, attacker.net.biases)
-        fh.write(struct.pack("<I", attacker.scaler.mins.shape[0]))
-        fh.write(np.ascontiguousarray(attacker.scaler.mins, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(attacker.scaler.maxs, dtype="<f8").tobytes())
+    """The checkpoint header with the kind byte after the version, the net's
+    `flat` block, then the scaler: its width u32, mins f64 and maxs f64."""
+    header = ATTACKER_MAGIC + struct.pack("<IB", ATTACKER_VERSION, _KIND_CODES[attacker.kind])
+    bounds = np.asarray([attacker.scaler.mins, attacker.scaler.maxs], dtype="<f8")
+    scaler = struct.pack("<I", bounds.shape[1]) + bounds.tobytes()
+    write_bytes(path, [header, *net_chunks(attacker.net), scaler])
 
 
 def load_attacker(path) -> TrainedAttacker:
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, len(ATTACKER_MAGIC))
-        if magic != ATTACKER_MAGIC:
-            raise DataError("not an attacker checkpoint (bad magic)")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
-        if version != ATTACKER_VERSION:
-            raise DataError(f"unsupported attacker checkpoint version {version}")
-        (kind_code,) = struct.unpack("<B", _read_exact(fh, 1))
-        if kind_code not in _KIND_NAMES:
-            raise DataError(f"unknown attacker kind code {kind_code}")
-        dims, weights, biases = read_net_params(fh)
-        (n_feat,) = struct.unpack("<I", _read_exact(fh, 4))
-        if n_feat != dims[0]:
-            raise DataError(f"attacker scaler width {n_feat} != net input width {dims[0]}")
-        mins = np.frombuffer(_read_exact(fh, 8 * n_feat), dtype="<f8")
-        maxs = np.frombuffer(_read_exact(fh, 8 * n_feat), dtype="<f8")
-        if fh.read(1):
-            raise DataError("trailing bytes after attacker checkpoint payload")
+    reader = BinaryReader(path, ATTACKER_MAGIC, ATTACKER_VERSION, "an attacker checkpoint")
+    (kind_code,) = reader.unpack("<B")
+    if kind_code not in _KIND_NAMES:
+        raise reader.error(f"unknown attacker kind code {kind_code}")
+    dims, size = read_net_header(reader)
+    rest = reader.rest(size + 4 + 16 * dims[0])
+    net = net_from_block(BinaryNet, dims, rest[:size], reader)
+    (n_feat,) = struct.unpack_from("<I", rest, size)
+    if n_feat != dims[0]:
+        raise reader.error(f"attacker scaler width {n_feat} != net input width {dims[0]}")
+    mins, maxs = np.frombuffer(rest, dtype="<f8", offset=size + 4).reshape(2, n_feat)
     if not (np.all(np.isfinite(mins)) and np.all(np.isfinite(maxs))):
-        raise DataError("attacker checkpoint holds non-finite scaler bounds")
+        raise reader.error("attacker checkpoint holds non-finite scaler bounds")
     if np.any(maxs < mins):
-        raise DataError("attacker checkpoint holds a scaler bound with max < min")
-    net = BinaryNet(dims, weights, biases)
+        raise reader.error("attacker checkpoint holds a scaler bound with max < min")
     return TrainedAttacker(_KIND_NAMES[kind_code], net, MinMaxScaler(mins.copy(), maxs.copy()))
 
 

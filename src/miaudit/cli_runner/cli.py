@@ -10,11 +10,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from ..artifacts import _atomic_file_write, write_json
+from ..artifacts import read_json_object, write_json
 from ..errors import AuditError, ConfigError, DataError
 from ..nn_core import save_checkpoint
 from .config import load_config
-from .data import read_json_object, save_dataset
+from .data import save_dataset
 from .pipeline import (
     prepare_target,
     rerender_from_scores,
@@ -53,7 +53,7 @@ def _cmd_train_target(args: argparse.Namespace) -> int:
     out = Path(args.out or config["output.dir"])
     _, _, _, model, summary = prepare_target(config)
     out.mkdir(parents=True, exist_ok=True)
-    _atomic_file_write(out / "target.ckpt", lambda p: save_checkpoint(model, p))
+    save_checkpoint(model, out / "target.ckpt")
     write_json(out / "target_summary.json", summary)
     print(
         f"target trained: train acc {summary['train_accuracy']:.4f}, "

@@ -156,6 +156,8 @@ class ExperimentConfig:
             raise ConfigError("dataset.source must be synthetic, csv, or binary")
         if v["dataset.source"] != "synthetic" and not v["dataset.path"]:
             raise ConfigError("dataset.path is required for file-backed datasets")
+        if v["dataset.format"] not in ("csv", "binary"):
+            raise ConfigError("dataset.format must be csv or binary")
         for key in ("dataset.n_per_class", "dataset.classes", "dataset.dim", "dataset.heldout_per_class"):
             if v[key] < 1:
                 raise ConfigError(f"{key} must be >= 1")

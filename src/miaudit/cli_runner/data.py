@@ -7,9 +7,7 @@ little-endian float32 features row-major and int32 labels.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,9 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..artifacts import _atomic_file_write, write_csv, write_json
+from ..artifacts import BinaryReader, csv_rows, read_json_object, write_bytes, write_csv, write_json
 from ..errors import ConfigError, DataError
-from ..scores import csv_rows
 
 DATA_MAGIC = b"MIADATA\x00"
 DATA_VERSION = 1
@@ -142,25 +139,24 @@ def save_csv_file(dataset: Dataset, path) -> None:
 
 def read_csv_file(path):
     """(features, labels) from one CSV file; errors carry the line number."""
-    with open(path, "rb") as fh:
-        reader = csv_rows(fh.read(), path)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        d = len(header) - 1
-        if d < 1 or header != [f"f{i}" for i in range(d)] + ["label"]:
-            raise DataError(f"{path}: line 1: expected header f0..f{{d-1}},label")
-        feats, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != d + 1:
-                raise DataError(f"{path}: line {lineno}: {len(row)} fields, want {d + 1}")
-            try:
-                feats.append([float(v) for v in row[:-1]])
-                labels.append(int(row[-1]))
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from exc
-            if not 0 <= labels[-1] <= _LABEL_MAX:
-                raise DataError(f"{path}: line {lineno}: label {labels[-1]} outside [0, {_LABEL_MAX}]")
+    reader = csv_rows(Path(path).read_bytes(), path)
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    d = len(header) - 1
+    if d < 1 or header != [f"f{i}" for i in range(d)] + ["label"]:
+        raise DataError(f"{path}: line 1: expected header f0..f{{d-1}},label")
+    feats, labels = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != d + 1:
+            raise DataError(f"{path}: line {lineno}: {len(row)} fields, want {d + 1}")
+        try:
+            feats.append([float(v) for v in row[:-1]])
+            labels.append(int(row[-1]))
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from exc
+        if not 0 <= labels[-1] <= _LABEL_MAX:
+            raise DataError(f"{path}: line {lineno}: label {labels[-1]} outside [0, {_LABEL_MAX}]")
     if not feats:
         raise DataError(f"{path}: no data rows")
     X = np.array(feats, dtype=np.float64)
@@ -177,42 +173,24 @@ def read_csv_file(path):
 def save_binary_file(dataset: Dataset, path, n_classes: Optional[int] = None) -> None:
     n, d = dataset.X.shape
     k = int(dataset.y.max()) + 1 if n_classes is None else int(n_classes)
-    with open(path, "wb") as fh:
-        fh.write(DATA_MAGIC)
-        fh.write(struct.pack("<IIII", DATA_VERSION, d, k, n))
-        fh.write(np.ascontiguousarray(dataset.X, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(dataset.y, dtype="<i4").tobytes())
+    header = DATA_MAGIC + struct.pack("<IIII", DATA_VERSION, d, k, n)
+    X = np.ascontiguousarray(dataset.X, dtype="<f4")
+    write_bytes(path, [header, X, np.ascontiguousarray(dataset.y, dtype="<i4")])
 
 
 def read_binary_file(path):
     """(features, labels, n_classes) from one binary file."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(DATA_MAGIC))
-        if magic != DATA_MAGIC:
-            raise DataError(f"{path}: not a dataset file (bad magic)")
-        head = fh.read(16)
-        if len(head) != 16:
-            raise DataError(f"{path}: truncated header")
-        version, d, k, n = struct.unpack("<IIII", head)
-        if version != DATA_VERSION:
-            raise DataError(f"{path}: unsupported version {version}")
-        if d < 1 or k < 1 or n < 1:
-            raise DataError(f"{path}: implausible header (d={d}, K={k}, n={n})")
-        # a corrupt header must not size a read: compare it with the file first
-        need = 4 * n * d + 4 * n
-        pos = fh.tell()
-        left = fh.seek(0, os.SEEK_END) - pos
-        if need != left:
-            raise DataError(f"{path}: header (d={d}, n={n}) needs {need} more bytes, file has {left}")
-        fh.seek(pos)
-        feat_bytes = fh.read(4 * n * d)
-        label_bytes = fh.read(4 * n)
-    X = np.frombuffer(feat_bytes, dtype="<f4").reshape(n, d).astype(np.float64)
-    y = np.frombuffer(label_bytes, dtype="<i4").astype(np.int64)
+    reader = BinaryReader(path, DATA_MAGIC, DATA_VERSION, "a dataset file")
+    d, k, n = reader.unpack("<III")
+    if d < 1 or k < 1 or n < 1:
+        raise reader.error(f"implausible header (d={d}, K={k}, n={n})")
+    data = reader.rest(4 * n * d + 4 * n)
+    X = np.frombuffer(data, dtype="<f4", count=n * d).reshape(n, d).astype(np.float64)
+    y = np.frombuffer(data, dtype="<i4", offset=4 * n * d).astype(np.int64)
     if not np.all(np.isfinite(X)):
-        raise DataError(f"{path}: non-finite feature values")
+        raise reader.error("non-finite feature values")
     if y.min() < 0 or y.max() >= k:
-        raise DataError(f"{path}: label outside [0, {k})")
+        raise reader.error(f"label outside [0, {k})")
     return X, y, k
 
 
@@ -232,19 +210,8 @@ def save_dataset(train: Dataset, heldout: Dataset, manifest: DatasetManifest, ou
         if fmt == "csv":
             save_csv_file(split, path)
         else:
-            _atomic_file_write(path, lambda p: save_binary_file(split, p, manifest.n_classes))
+            save_binary_file(split, path, manifest.n_classes)
     write_json(out / "manifest.json", manifest.to_dict())
-
-
-def read_json_object(path: Path) -> dict:
-    """A JSON file whose top level is an object; anything else is a DataError."""
-    try:
-        value = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise DataError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(value, dict):
-        raise DataError(f"{path}: top level is not a JSON object")
-    return value
 
 
 def load_dataset(path, fmt: str = "csv"):

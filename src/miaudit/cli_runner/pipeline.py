@@ -18,7 +18,7 @@ import numpy as np
 
 from .. import attack_models as am
 from ..adversarial import dump_trace_csv, first_run_traces
-from ..artifacts import _atomic_file_write, write_csv, write_json
+from ..artifacts import read_json_object, write_csv, write_json
 from ..errors import AuditError, ConfigError, DataError, TrainingError
 from ..evaluation import (
     EvalReport,
@@ -46,7 +46,7 @@ from ..scores import (
     write_score_records,
 )
 from .config import ExperimentConfig, stage_seed
-from .data import generate_synthetic_dataset, load_dataset, read_json_object
+from .data import generate_synthetic_dataset, load_dataset
 
 SCHEMA_VERSION = 1
 
@@ -383,9 +383,9 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
 
     with _stage("export"):
         export_report(report, out)
-        _atomic_file_write(out / "target.ckpt", lambda p: save_checkpoint(model, p))
+        save_checkpoint(model, out / "target.ckpt")
         for name, attacker in attackers.items():
-            _atomic_file_write(out / f"{name}.ckpt", lambda p: am.save_attacker(attacker, p))
+            am.save_attacker(attacker, out / f"{name}.ckpt")
         for name, rows in dumps.items():
             path = out / f"features_{STRATEGIES[name].features}.csv"
             am.write_feature_dump(path, eval_ids, rows, eval_member)

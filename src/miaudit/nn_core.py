@@ -10,20 +10,14 @@ is seeded so repeated runs are bitwise identical.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DataError,
-    InvalidInputError,
-    ShapeError,
-    TrainingError,
-)
+from .artifacts import BinaryReader, write_bytes
+from .errors import ConfigError, InvalidInputError, ShapeError, TrainingError
 
 # Lower clamp for probabilities inside log(); keeps every reported loss finite.
 PROB_FLOOR = 1e-12
@@ -79,6 +73,24 @@ def cross_entropy_loss(probs, labels) -> np.ndarray:
     return np.array([-math.log(v) for v in picked.tolist()])
 
 
+def flat_size(layer_dims) -> int:
+    """The number of parameters of a net with these layer sizes."""
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(layer_dims, layer_dims[1:]))
+
+
+def parameter_views(layer_dims, flat: np.ndarray) -> list:
+    """C-contiguous views of a flat buffer of a net with these layer sizes,
+    in `parameters()` order: each layer's weight (fan_in, fan_out) and then
+    its bias (fan_out,)."""
+    views, start = [], 0
+    for fan_in, fan_out in zip(layer_dims, layer_dims[1:]):
+        for shape in ((fan_in, fan_out), (fan_out,)):
+            size = math.prod(shape)
+            views.append(flat[start : start + size].reshape(shape))
+            start += size
+    return views
+
+
 def _check_layer_dims(layer_dims) -> list[int]:
     dims = [int(d) for d in layer_dims]
     if len(dims) < 2:
@@ -115,8 +127,8 @@ class DenseNet:
             if b.shape != (dims[i + 1],):
                 raise ShapeError(f"layer {i} bias shape {b.shape} != ({dims[i + 1]},)")
         self.layer_dims = dims
-        self.flat = np.empty(sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:])))
-        views = self.parameter_views(self.flat)
+        self.flat = np.empty(flat_size(dims))
+        views = parameter_views(dims, self.flat)
         for view, p in zip(views, [p for pair in zip(weights, biases) for p in pair]):
             view[...] = p
         self.weights = views[0::2]
@@ -156,17 +168,6 @@ class DenseNet:
 
     def parameter_count(self) -> int:
         return self.flat.size
-
-    def parameter_views(self, flat: np.ndarray) -> list:
-        """C-contiguous views of a flat buffer shaped like `parameters()`:
-        each layer's weight (fan_in, fan_out) and then its bias (fan_out,)."""
-        views, start = [], 0
-        for fan_in, fan_out in zip(self.layer_dims, self.layer_dims[1:]):
-            for shape in ((fan_in, fan_out), (fan_out,)):
-                size = math.prod(shape)
-                views.append(flat[start : start + size].reshape(shape))
-                start += size
-        return views
 
     def forward(self, X: np.ndarray, product=np.matmul):
         """Batch forward pass: (pre-activations, activations starting with
@@ -264,10 +265,10 @@ def loss_and_grads(net: DenseNet, X, Y, need_input=False, grads=None):
 
     Returns (loss, parameter grads in `parameters()` order, input grad or
     None, head output).  The parameter grads are written into `grads`, for
-    example `net.parameter_views` of a flat buffer, or into new arrays.
+    example `parameter_views` of a flat buffer, or into new arrays.
     """
     if grads is None:
-        grads = net.parameter_views(np.empty(net.parameter_count()))
+        grads = parameter_views(net.layer_dims, np.empty(net.parameter_count()))
     pres, out, grads, g_in = batch_grads(net, X, Y, grads, need_input)
     return _mean(net.head_losses(pres[-1], out, Y)), grads, g_in, out
 
@@ -398,7 +399,7 @@ def backward_gradients(model: MLPClassifier, x, y):
     # the batch gradient of the row alone: layer i's weight gradient is the
     # gemm a_i.T @ delta_i (an outer product by multiplication gives -0.0
     # where the gemm gives +0.0)
-    grads = model.parameter_views(np.empty(model.parameter_count()))
+    grads = parameter_views(model.layer_dims, np.empty(model.parameter_count()))
     return _parameter_grads(acts, deltas, grads), g_in[0]
 
 
@@ -463,7 +464,7 @@ def train(model: MLPClassifier, X, Y, config: TrainConfig):
     n = X.shape[0]
     rng = np.random.default_rng(config.seed)
     grad = np.empty_like(model.flat)
-    grads = model.parameter_views(grad)
+    grads = parameter_views(model.layer_dims, grad)
     adam = AdamState(grad.size) if config.optimizer == "adam" else None
     history = []
     for _ in range(config.epochs):
@@ -502,69 +503,42 @@ def classification_accuracy(model: MLPClassifier, X, Y) -> float:
 
 # ---------------------------------------------------------------------------
 # Checkpoint format: magic(8) | version u32 | n_dims u32 | dims u32[n] |
-# per layer: weight f64 row-major, then bias f64.  Little endian throughout;
-# raw float64 bytes make reloads bitwise exact.
+# the net's `flat` buffer as f64, in `parameters()` order.  Little endian
+# throughout; raw float64 bytes make reloads bitwise exact.
 # ---------------------------------------------------------------------------
 
 
-def _read_exact(fh: BinaryIO, n: int) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise DataError("checkpoint truncated")
-    return buf
+def net_chunks(net: DenseNet) -> list:
+    """A net's n_dims and dims, then its `flat` block, as a checkpoint holds them."""
+    dims = net.layer_dims
+    return [struct.pack(f"<{len(dims) + 1}I", len(dims), *dims), net.flat.astype("<f8", copy=False)]
 
 
-def write_net_params(fh: BinaryIO, layer_dims, weights: Iterable, biases: Iterable):
-    dims = [int(d) for d in layer_dims]
-    fh.write(struct.pack("<I", len(dims)))
-    fh.write(struct.pack(f"<{len(dims)}I", *dims))
-    for w, b in zip(weights, biases):
-        fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
-
-
-def read_net_params(fh: BinaryIO):
-    """Layer sizes and parameters; the sizes are checked against the bytes
-    left in the file before any parameter is read, and every parameter must
-    be finite."""
-    (n_dims,) = struct.unpack("<I", _read_exact(fh, 4))
+def read_net_header(reader: BinaryReader) -> tuple[list, int]:
+    """A net's dims, read from a checkpoint, and the byte size of its block."""
+    (n_dims,) = reader.unpack("<I")
     if n_dims < 2 or n_dims > 1024:
-        raise DataError(f"checkpoint has implausible layer count {n_dims}")
-    dims = list(struct.unpack(f"<{n_dims}I", _read_exact(fh, 4 * n_dims)))
+        raise reader.error(f"implausible layer count {n_dims}")
+    dims = list(reader.unpack(f"<{n_dims}I"))
     if 0 in dims:
-        raise DataError(f"checkpoint declares a zero layer width in {dims}")
-    need = sum(8 * (fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
-    pos = fh.tell()
-    if need > fh.seek(0, os.SEEK_END) - pos:
-        raise DataError(f"checkpoint truncated: layers {dims} need {need} bytes")
-    fh.seek(pos)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims, dims[1:]):
-        w = np.frombuffer(_read_exact(fh, 8 * fan_in * fan_out), dtype="<f8")
-        b = np.frombuffer(_read_exact(fh, 8 * fan_out), dtype="<f8")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise DataError("checkpoint holds non-finite parameters")
-        weights.append(w.reshape(fan_in, fan_out))
-        biases.append(b)
-    return dims, weights, biases
+        raise reader.error(f"zero layer width in {dims}")
+    return dims, 8 * flat_size(dims)
+
+
+def net_from_block(cls, layer_dims, block, reader: BinaryReader):
+    """A `cls` net whose `flat` buffer is the f64 bytes of `block`."""
+    flat = np.frombuffer(block, dtype="<f8")
+    if not np.all(np.isfinite(flat)):
+        raise reader.error("non-finite parameters")
+    views = parameter_views(layer_dims, flat)
+    return cls(layer_dims, views[0::2], views[1::2])
 
 
 def save_checkpoint(model: MLPClassifier, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        write_net_params(fh, model.layer_dims, model.weights, model.biases)
+    write_bytes(path, [CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION), *net_chunks(model)])
 
 
 def load_checkpoint(path) -> MLPClassifier:
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise DataError("not a model checkpoint (bad magic)")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
-        if version != CHECKPOINT_VERSION:
-            raise DataError(f"unsupported checkpoint version {version}")
-        dims, weights, biases = read_net_params(fh)
-        if fh.read(1):
-            raise DataError("trailing bytes after checkpoint payload")
-    return MLPClassifier(dims, weights, biases)
+    reader = BinaryReader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "a model checkpoint")
+    dims, size = read_net_header(reader)
+    return net_from_block(MLPClassifier, dims, reader.rest(size), reader)

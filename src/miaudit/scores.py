@@ -23,7 +23,7 @@ from .adversarial import (
     find_adversarial,  # noqa: F401  bench/tracing.py patches scores.find_adversarial by name
     find_adversarial_rows,
 )
-from .artifacts import write_csv
+from .artifacts import csv_rows, write_csv
 from .errors import DataError
 from .nn_core import (
     PROB_FLOOR,
@@ -203,24 +203,6 @@ def write_score_records(path, strategy: str, sample_ids, scores, is_member) -> N
     ids = np.asarray(sample_ids).tolist()
     values = np.asarray(scores, dtype=np.float64).tolist()
     write_csv(path, SCORE_HEADER, ((sid, strategy, v, m) for sid, v, m in zip(ids, values, is_member)))
-
-
-def csv_rows(data: bytes, path):
-    """The rows of a CSV file's bytes, decoded as UTF-8.  Bytes that are not
-    UTF-8, or a `csv.Error` such as a field over `csv.field_size_limit()`,
-    raise DataError naming the file and line.  The whole file is decoded
-    before the first row is returned, so the line of a bad byte is exact."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[: exc.start]
-        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-        raise DataError(f"{path}: line {line}: {exc}") from exc
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
 
 
 def parse_member_flag(field: str, path, lineno: int) -> bool:

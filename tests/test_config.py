@@ -186,7 +186,12 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "key, bad",
-        [("protocol.repeats", "0"), ("protocol.ratio_repeats", "0"), ("protocol.member_subset_size", "-5")],
+        [
+            ("protocol.repeats", "0"),
+            ("protocol.ratio_repeats", "0"),
+            ("protocol.member_subset_size", "-5"),
+            ("dataset.format", "parquet"),
+        ],
     )
     def test_protocol_counts_checked_up_front(self, key, bad):
         with pytest.raises(ConfigError, match=key):
