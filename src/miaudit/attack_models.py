@@ -244,12 +244,13 @@ class BinaryNet(DenseNet):
         return (probs - y)[:, None]
 
     def scores(self, X) -> np.ndarray:
+        """The sigmoid output of each row, bitwise what the row alone gets."""
         arr = np.asarray(X, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != self.layer_dims[0]:
             raise ShapeError(
                 f"binary net takes an (n, {self.layer_dims[0]}) block, got shape {arr.shape}"
             )
-        return self.forward(arr)[2]
+        return self.forward(arr, row_product)[2]
 
 
 @dataclass
@@ -542,31 +543,13 @@ def build_and_train_ensemble(
     return _fit_mlp(X_raw, labels, seed, hidden, epochs, learning_rate, batch_size)
 
 
-def attacker_scores(attacker: TrainedAttacker, features, n_rows: int = None) -> np.ndarray:
-    """Membership probability in [0, 1] of each row of a feature block.
-
-    With `n_rows`, `features` is an iterable of row blocks that hold
-    n_rows rows between them, in order: each is checked and scaled into
-    one (n_rows, d) buffer as it comes, so no two raw blocks are held at
-    once.  The net scores all rows in one pass either way, because a row of
-    a flat matmul can round differently in a block of another height.
-    """
-    scaled, start = None, 0
-    for block in [features] if n_rows is None else features:
-        X = _feature_matrix(block)
-        if X.shape[1] != attacker.feature_length:
-            raise ShapeError(
-                f"attacker expects {attacker.feature_length} features, got {X.shape[1]}"
-            )
-        if scaled is None:
-            scaled = np.empty((len(X) if n_rows is None else n_rows, X.shape[1]))
-        if start + len(X) > len(scaled):
-            raise ShapeError(f"feature blocks hold more than {len(scaled)} rows")
-        attacker.scaler.transform(X, out=scaled[start:start + len(X)])
-        start += len(X)
-    if scaled is None or start < len(scaled):
-        raise ShapeError(f"feature blocks hold {start} rows, not {n_rows}")
-    return attacker.net.scores(scaled)
+def attacker_scores(attacker: TrainedAttacker, features) -> np.ndarray:
+    """Membership probability in [0, 1] of each row of a feature block,
+    bitwise what the row alone gets."""
+    X = _feature_matrix(features)
+    if X.shape[1] != attacker.feature_length:
+        raise ShapeError(f"attacker expects {attacker.feature_length} features, got {X.shape[1]}")
+    return attacker.net.scores(attacker.scaler.transform(X))
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +575,8 @@ def load_attacker(path) -> TrainedAttacker:
     if kind_code not in _KIND_NAMES:
         raise reader.error(f"unknown attacker kind code {kind_code}")
     dims, size = read_net_header(reader)
+    if dims[-1] != 1:
+        raise reader.error(f"attacker net has output width {dims[-1]}, not 1")
     rest = reader.rest(size + 4 + 16 * dims[0])
     net = net_from_block(BinaryNet, dims, rest[:size], reader)
     (n_feat,) = struct.unpack_from("<I", rest, size)

@@ -354,15 +354,15 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
         eval_scores = {name: scores[name][eval_mask] for name in strategies if name in scores}
         attackers = fit_attackers(config, train_features, is_member[train_mask].astype(np.float64))
         del train_features
-        # the evaluation rows' features come one chunk at a time, and are
-        # kept only for the debug dump
+        # the evaluation rows' features are extracted and scored one chunk
+        # at a time, and kept whole only for the debug dump
         dumps = {}
         for name, attacker in attackers.items():
             chunks = feature_chunks(model, X, Y, scores, name, eval_ids)
             if config["debug.dump_features"] and STRATEGIES[name].features:
                 dumps[name] = _stacked(chunks, len(eval_ids))
-                chunks = [dumps[name]]
-            eval_scores[name] = am.attacker_scores(attacker, chunks, len(eval_ids))
+                chunks = (dumps[name][rows] for rows in _chunks(len(eval_ids)))
+            eval_scores[name] = np.concatenate([am.attacker_scores(attacker, block) for block in chunks])
 
     member_pool = {name: eval_scores[name][eval_member] for name in strategies}
     nonmember_pool = {name: eval_scores[name][~eval_member] for name in strategies}

@@ -3,6 +3,7 @@
 import csv
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -496,19 +497,52 @@ def _reference_row(model, x, y):
 # flat gradient: they match the one-sample reference within criterion 8's gap.
 FACTORISED_CALLS = ("grad_w_norm", mi.extract_grad_w_stats)
 
+
+class _OnWhiteBoxFeatures:
+    """A scorer of the white-box features of a block.  `make` builds it
+    once per model, from the features of the first block it sees: in
+    `TestBlockScores`, the fixture's whole block."""
+
+    def __init__(self, name, make):
+        self.__name__ = name
+        self.make = make
+        self.scorers = {}
+
+    def __call__(self, model, X, Y):
+        features = mi.extract_wb_features(model, X, Y)
+        if model not in self.scorers:
+            self.scorers[model] = self.make(features)
+        return self.scorers[model](features)
+
+
+def _fitted_scores(fit):
+    """`attacker_scores` of the attacker that `fit` trains on a block of
+    features labelled 0, 1, 0, 1, ..."""
+    return lambda F: partial(attacker_scores, fit(F, np.arange(len(F)) % 2))
+
+
 BLOCK_CALLS = (
     *mi.THRESHOLD_STRATEGIES,
     mi.extract_grad_w_stats,
     mi.extract_grad_x_stats,
     mi.extract_intermediate_outputs,
     mi.extract_wb_features,
+    _OnWhiteBoxFeatures(
+        "BinaryNet.scores", lambda F: BinaryNet.build([F.shape[1], 64, 32, 1], seed=2).scores
+    ),
+    _OnWhiteBoxFeatures(
+        "logistic_attacker_scores", _fitted_scores(lambda F, y: mi.fit_logistic_attacker(F, y, max_steps=3))
+    ),
+    _OnWhiteBoxFeatures(
+        "mlp_attacker_scores", _fitted_scores(lambda F, y: mi.fit_mlp_attacker(F, y, seed=1, epochs=5))
+    ),
 )
 
 
 class TestBlockScores:
-    """Every threshold score and feature extractor takes a block and gives
-    each row bitwise what its one-row block gives, whatever its block
-    mates."""
+    """Every threshold score, feature extractor and attacker score takes a
+    block and gives each row bitwise what its one-row block gives, whatever
+    its block mates."""
 
     @pytest.fixture(scope="class", params=[[24, 128, 128, 10], [6, 16, 3], [4, 8, 3], [3, 5, 5, 2]])
     def block(self, request):

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 import struct
 import warnings
 
@@ -761,15 +762,6 @@ class TestAttackerScoring:
         with pytest.raises(ShapeError):
             attacker_scores(attacker, np.zeros((1, 9)))
 
-    def test_row_chunks_score_like_one_block(self, rng):
-        X, y = separable_features(rng, n_per_side=15)
-        attacker = mi.fit_mlp_attacker(X, y, epochs=3)
-        chunks = [X[i:i + 7] for i in range(0, len(X), 7)]
-        assert attacker_scores(attacker, chunks, len(X)).tobytes() == attacker_scores(attacker, X).tobytes()
-        for n_rows in (len(X) - 1, len(X) + 1):
-            with pytest.raises(ShapeError, match="rows"):
-                attacker_scores(attacker, chunks, n_rows)
-
     def test_label_validation(self, rng):
         X = rng.uniform(0, 1, (10, 3))
         for labels in (np.full(10, 1.0), np.zeros(10), np.r_[np.ones(5), np.full(5, np.nan)]):
@@ -864,9 +856,12 @@ class TestAttackerPersistence:
         path.write_bytes(blob + b"\x00")
         with pytest.raises(DataError):
             load_attacker(path)
-        for params in corrupt_net_params:
+        # and a [3, 2] net, whose sizes and scaler fit but whose output is
+        # two wide, not one
+        two_wide = struct.pack("<3I", 2, 3, 2) + bytes(64) + struct.pack("<I", 3) + bytes(48)
+        for params in [*corrupt_net_params, two_wide]:
             path.write_bytes(ATTACKER_MAGIC + struct.pack("<IB", 1, 0) + params)
-            with pytest.raises(DataError):
+            with pytest.raises(DataError, match=re.escape(str(path))):
                 load_attacker(path)
 
 

@@ -14,7 +14,7 @@ import math
 import os
 from pathlib import Path
 
-from miaudit.cli_runner.pipeline import CHUNK_ROWS
+from miaudit.cli_runner import pipeline
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -44,24 +44,27 @@ def test_traced_report_rerender_records_its_spans(tmp_path, monkeypatch):
 
 
 def chunk_calls(n_rows):
-    return math.ceil(n_rows / CHUNK_ROWS)
+    return math.ceil(n_rows / pipeline.CHUNK_ROWS)
 
 
 def test_traced_audit_records_its_spans(tmp_path, monkeypatch):
-    # on one usable core every attacker is fitted in the traced process
+    # on one usable core every attacker is fitted in the traced process; at
+    # 16 rows a chunk, every stage's rows span several chunks
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(pipeline, "CHUNK_ROWS", 16)
     wl, tracing, totals = traced_totals(tmp_path, monkeypatch, "attackers_full")
     splits = wl.expected_splits(wl.WORKLOADS["attackers_full"], wl.SMOKE)
     n_train = splits["attacker_train_members"] + splits["attacker_train_nonmembers"]
     n_eval = splits["eval_members"] + splits["eval_nonmembers"]
     # every threshold score but adv_dist is a cheap one, called once per row
     # chunk of all samples; each extractor runs on the chunks of the
-    # attacker-training rows, then on those of the evaluation rows
+    # attacker-training rows, then on those of the evaluation rows, and
+    # each attacker scores the evaluation rows' chunks
     assert (n_train, n_eval) == (36, 54)
     assert totals["scores.cheap"]["calls"] == (len(wl.THRESHOLD) - 1) * chunk_calls(n_train + n_eval)
     for attacker in wl.ATTACKERS:
         assert totals[f"attack_models.fit.{attacker}"]["calls"] == 1
-    assert totals["attack_models.score"]["calls"] == len(wl.ATTACKERS)
+    assert totals["attack_models.score"]["calls"] == len(wl.ATTACKERS) * chunk_calls(n_eval)
     for short in tracing.EXTRACTORS.values():
         assert totals[f"attack_models.extract.{short}"]["calls"] == chunk_calls(n_train) + chunk_calls(n_eval)
     assert totals["nn_core.sample_evaluation"]["calls"] > 0

@@ -434,9 +434,9 @@ class TestRowChunks:
         # 16 deltas, the loss, 16 probabilities, 64 hidden units and a
         # 16-wide one-hot label): 29.1 MB over the whole pool.  The audit
         # holds the 35 % training rows' features while it fits, and the fit
-        # scales their live columns in that same memory; then it holds the
-        # other rows' scaled features, which set the peak; every fit runs in
-        # this process, where tracemalloc sees it
+        # scales their live columns in that same memory, which sets the
+        # peak; the other rows are extracted, scaled and scored one chunk at
+        # a time.  Every fit runs in this process, where tracemalloc sees it
         usable_cores(1)
         config = fast_config(
             **{
@@ -458,7 +458,7 @@ class TestRowChunks:
         finally:
             tracemalloc.stop()
         assert am.load_attacker(tmp_path / "o" / "attacker_wb.ckpt").feature_length == 1137
-        assert peak < block_bytes
+        assert peak < 0.65 * block_bytes
 
     def test_scoring_holds_the_samples_once(self, tmp_path, monkeypatch):
         # 2,000 samples of dim 200: the scoring stage's X is 3.2 MB, and
