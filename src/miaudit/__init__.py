@@ -73,6 +73,6 @@ from .scores import (
     modified_entropy,
     softmax_response,
 )
-from .cli_runner.data import Dataset, generate_synthetic_dataset, load_dataset, save_dataset
+from .cli_runner.data import generate_synthetic_dataset, load_dataset, save_dataset
 
 __version__ = "0.1.0"

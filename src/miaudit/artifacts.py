@@ -120,14 +120,15 @@ def csv_rows(data: bytes, path):
     """The rows of a CSV file's bytes, decoded as UTF-8.  Bytes that are not
     UTF-8, or a `csv.Error` such as a field over `csv.field_size_limit()`,
     raise DataError naming the file and line.  The whole file is decoded
-    before the first row is returned, so the line of a bad byte is exact."""
+    before the first row is returned, so the line of a bad byte is exact,
+    and again as the rows stream, so the text is not kept while they parse."""
     try:
-        text = data.decode("utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
         head = data[: exc.start]
         line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
         raise DataError(f"{path}: line {line}: {exc}") from exc
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
     try:
         yield from reader
     except csv.Error as exc:

@@ -2,7 +2,6 @@
 
 from .config import ALL_STRATEGIES, ATTACKER_STRATEGIES, ExperimentConfig, load_config, stage_seed
 from .data import (
-    Dataset,
     DatasetManifest,
     generate_synthetic_dataset,
     load_dataset,
@@ -13,7 +12,6 @@ from .pipeline import export_report, rerender_from_scores, run_pipeline
 __all__ = [
     "ALL_STRATEGIES",
     "ATTACKER_STRATEGIES",
-    "Dataset",
     "DatasetManifest",
     "ExperimentConfig",
     "export_report",

@@ -41,10 +41,11 @@ def _load(args: argparse.Namespace):
 def _cmd_gen_data(args: argparse.Namespace) -> int:
     config = _load(args)
     out = Path(args.out or config["dataset.path"] or "dataset_out")
-    train, heldout, manifest = synthetic_dataset(config)
-    fmt = args.format or config["dataset.format"]
-    save_dataset(train, heldout, manifest, out, fmt)
-    print(f"wrote {len(train)} train / {len(heldout)} heldout samples to {out}")
+    X, y, manifest = synthetic_dataset(config)
+    # the format an audit of this config reads
+    fmt = args.format or ("binary" if config["dataset.source"] == "binary" else "csv")
+    save_dataset(X, y, manifest, out, fmt)
+    print(f"wrote {manifest.train_size} train / {manifest.heldout_size} heldout samples to {out}")
     return 0
 
 

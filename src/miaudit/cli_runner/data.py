@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import struct
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -49,23 +50,6 @@ class DatasetManifest:
         return out
 
 
-@dataclass
-class Dataset:
-    """Feature matrix in [0, 1]^d with integer labels."""
-
-    X: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.int64)
-        if self.X.ndim != 2 or self.y.ndim != 1 or self.X.shape[0] != self.y.shape[0]:
-            raise DataError("dataset arrays must be (n, d) features and (n,) labels")
-
-    def __len__(self) -> int:
-        return self.X.shape[0]
-
-
 def generate_synthetic_dataset(
     n_per_class: int,
     n_classes: int,
@@ -80,7 +64,8 @@ def generate_synthetic_dataset(
     isotropic unit variance.  One global per-feature affine map (fitted on
     train + heldout jointly) brings everything into the box, so the two
     splits are identically distributed and disjoint by construction.
-    Returns (train, heldout, manifest).
+    Returns (X, y, manifest): the first manifest.train_size rows are the
+    training split (members), the rest the heldout split.
     """
     if n_per_class < 1 or n_classes < 1 or dim < 1:
         raise ConfigError("dataset sizes must be >= 1")
@@ -92,39 +77,51 @@ def generate_synthetic_dataset(
     rng = np.random.default_rng(seed)
     means = rng.normal(size=(n_classes, dim)) * class_separation
     per_class = n_per_class + n_held
-    # one block filled class by class, then mapped in place: the only
-    # full-size arrays are this block and the two splits taken from it
+    # one block filled class by class, mapped in place, then put in split
+    # order in place: the only full-size array is this block
     X = np.empty((n_classes * per_class, dim))
     for cls in range(n_classes):
         rows = X[cls * per_class:(cls + 1) * per_class]
         np.add(means[cls], rng.normal(size=(per_class, dim)), out=rows)
-    y = np.repeat(np.arange(n_classes, dtype=np.int64), per_class)
     lo = X.min(axis=0)
     hi = X.max(axis=0)
     span = np.where(hi > lo, hi - lo, 1.0)
     X -= lo
     X /= span
-    train_rows, held_rows = [], []
-    for cls in range(n_classes):
-        base = cls * per_class
-        train_rows.append(np.arange(base, base + n_per_class))
-        held_rows.append(np.arange(base + n_per_class, base + per_class))
-    train_idx = np.concatenate(train_rows)
-    held_idx = np.concatenate(held_rows)
-    train_idx = train_idx[rng.permutation(train_idx.shape[0])]
-    held_idx = held_idx[rng.permutation(held_idx.shape[0])]
-    train = Dataset(X[train_idx], y[train_idx])
-    heldout = Dataset(X[held_idx], y[held_idx])
+    ids = np.arange(X.shape[0], dtype=np.int64).reshape(n_classes, per_class)
+    splits = ids[:, :n_per_class].ravel(), ids[:, n_per_class:].ravel()
+    order = np.concatenate([idx[rng.permutation(idx.shape[0])] for idx in splits])
+    _gather_rows(X, order)
     manifest = DatasetManifest(
         feature_dim=dim,
         n_classes=n_classes,
-        train_size=len(train),
-        heldout_size=len(heldout),
+        train_size=n_classes * n_per_class,
+        heldout_size=n_classes * n_held,
         normalized=True,
         feature_mins=lo,
         feature_maxs=hi,
     )
-    return train, heldout, manifest
+    # row r of the class-major block is of class r // per_class
+    return X, order // per_class, manifest
+
+
+def _gather_rows(X: np.ndarray, order: np.ndarray) -> None:
+    """X[:] = X[order] for a permutation `order`, in place: each cycle of
+    the permutation is followed with one row of scratch."""
+    order = order.tolist()
+    done = bytearray(len(order))
+    scratch = np.empty(X.shape[1])
+    for start in range(len(order)):
+        if done[start]:
+            continue
+        scratch[:] = X[start]
+        i = start
+        while order[i] != start:
+            X[i] = X[order[i]]
+            done[i] = 1
+            i = order[i]
+        X[i] = scratch
+        done[i] = 1
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +129,15 @@ def generate_synthetic_dataset(
 # ---------------------------------------------------------------------------
 
 
-def save_csv_file(dataset: Dataset, path) -> None:
-    header = [f"f{i}" for i in range(dataset.X.shape[1])] + ["label"]
-    write_csv(path, header, ([*row.tolist(), label] for row, label in zip(dataset.X, dataset.y)))
+def _check_rows(X: np.ndarray, y: np.ndarray) -> None:
+    if X.ndim != 2 or y.shape != X.shape[:1]:
+        raise DataError(f"dataset arrays must be (n, d) features and (n,) labels, got {X.shape} and {y.shape}")
+
+
+def save_csv_file(X: np.ndarray, y: np.ndarray, path) -> None:
+    _check_rows(X, y)
+    header = [f"f{i}" for i in range(X.shape[1])] + ["label"]
+    write_csv(path, header, ([*row.tolist(), label] for row, label in zip(X, y)))
 
 
 def read_csv_file(path):
@@ -146,23 +149,24 @@ def read_csv_file(path):
     d = len(header) - 1
     if d < 1 or header != [f"f{i}" for i in range(d)] + ["label"]:
         raise DataError(f"{path}: line 1: expected header f0..f{{d-1}},label")
-    feats, labels = [], []
+    feats, labels = array("d"), array("q")
     for lineno, row in enumerate(reader, start=2):
         if len(row) != d + 1:
             raise DataError(f"{path}: line {lineno}: {len(row)} fields, want {d + 1}")
         try:
-            feats.append([float(v) for v in row[:-1]])
-            labels.append(int(row[-1]))
+            values = [float(v) for v in row[:-1]]
+            label = int(row[-1])
         except ValueError as exc:
             raise DataError(f"{path}: line {lineno}: {exc}") from exc
-        if not 0 <= labels[-1] <= _LABEL_MAX:
-            raise DataError(f"{path}: line {lineno}: label {labels[-1]} outside [0, {_LABEL_MAX}]")
-    if not feats:
+        if not all(map(math.isfinite, values)):
+            raise DataError(f"{path}: line {lineno}: non-finite feature values")
+        if not 0 <= label <= _LABEL_MAX:
+            raise DataError(f"{path}: line {lineno}: label {label} outside [0, {_LABEL_MAX}]")
+        feats.extend(values)
+        labels.append(label)
+    if not labels:
         raise DataError(f"{path}: no data rows")
-    X = np.array(feats, dtype=np.float64)
-    if not np.all(np.isfinite(X)):
-        raise DataError(f"{path}: non-finite feature values")
-    return X, np.array(labels, dtype=np.int64)
+    return np.frombuffer(feats).reshape(-1, d), np.frombuffer(labels, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +174,12 @@ def read_csv_file(path):
 # ---------------------------------------------------------------------------
 
 
-def save_binary_file(dataset: Dataset, path, n_classes: Optional[int] = None) -> None:
-    n, d = dataset.X.shape
-    k = int(dataset.y.max()) + 1 if n_classes is None else int(n_classes)
+def save_binary_file(X: np.ndarray, y: np.ndarray, path, n_classes: Optional[int] = None) -> None:
+    _check_rows(X, y)
+    n, d = X.shape
+    k = int(y.max()) + 1 if n_classes is None else int(n_classes)
     header = DATA_MAGIC + struct.pack("<IIII", DATA_VERSION, d, k, n)
-    X = np.ascontiguousarray(dataset.X, dtype="<f4")
-    write_bytes(path, [header, X, np.ascontiguousarray(dataset.y, dtype="<i4")])
+    write_bytes(path, [header, np.ascontiguousarray(X, dtype="<f4"), np.ascontiguousarray(y, dtype="<i4")])
 
 
 def read_binary_file(path):
@@ -199,30 +203,34 @@ def read_binary_file(path):
 # ---------------------------------------------------------------------------
 
 
-def save_dataset(train: Dataset, heldout: Dataset, manifest: DatasetManifest, out_dir, fmt: str = "csv") -> None:
-    """Write both splits and manifest.json, each file atomically."""
+def save_dataset(X: np.ndarray, y: np.ndarray, manifest: DatasetManifest, out_dir, fmt: str = "csv") -> None:
+    """Write the first manifest.train_size rows as the train split, the rest
+    as the heldout split, and manifest.json, each file atomically."""
     if fmt not in _EXT:
         raise ConfigError(f"dataset format must be csv or binary, got {fmt!r}")
+    _check_rows(X, y)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, split in (("train", train), ("heldout", heldout)):
+    n = manifest.train_size
+    for name, rows in (("train", slice(None, n)), ("heldout", slice(n, None))):
         path = out / f"{name}.{_EXT[fmt]}"
         if fmt == "csv":
-            save_csv_file(split, path)
+            save_csv_file(X[rows], y[rows], path)
         else:
-            save_binary_file(split, path, manifest.n_classes)
+            save_binary_file(X[rows], y[rows], path, manifest.n_classes)
     write_json(out / "manifest.json", manifest.to_dict())
 
 
 def load_dataset(path, fmt: str = "csv"):
-    """Load train + heldout splits from a dataset directory.
+    """Load a dataset directory as one block: train rows, then heldout rows.
 
     Features outside [0, 1] are min-max normalized per feature, with the map
     fitted jointly over both splits and recorded in the manifest.  When the
     directory holds a manifest.json (`gen-data` writes one), its train_size,
     heldout_size, feature_dim and n_classes must match the files.  With or
     without one, the class count may not exceed the rows of both splits.
-    Returns (train, heldout, manifest).
+    Returns (X, y, manifest), the first manifest.train_size rows the
+    training split.
     """
     if fmt not in _EXT:
         raise ConfigError(f"dataset format must be csv or binary, got {fmt!r}")
@@ -243,44 +251,38 @@ def load_dataset(path, fmt: str = "csv"):
         if k1 != k2:
             raise DataError("train and heldout disagree on the class count")
         k = k1
-    if Xt.shape[1] != Xh.shape[1]:
+    n_train, n_held, d = len(Xt), len(Xh), Xt.shape[1]
+    if Xh.shape[1] != d:
         raise DataError("train and heldout disagree on the feature dimension")
     manifest_path = base / "manifest.json"
     # a CSV cut at a row boundary still parses, and an edited CSV label sizes
     # the target's output layer; the manifest catches both
     if manifest_path.is_file():
         recorded = read_json_object(manifest_path)
-        for key, n in (
-            ("train_size", len(Xt)), ("heldout_size", len(Xh)), ("feature_dim", Xt.shape[1]), ("n_classes", k)
-        ):
+        for key, n in (("train_size", n_train), ("heldout_size", n_held), ("feature_dim", d), ("n_classes", k)):
             if recorded.get(key) != n:
                 raise DataError(f"{manifest_path}: {key} is {recorded.get(key)!r}, the files hold {n}")
     # the class count sizes the target's output layer; more classes than
     # rows cannot all appear in the data, so the count is not trusted
-    if k > len(Xt) + len(Xh):
-        raise DataError(f"{base}: {k} classes, more than the {len(Xt) + len(Xh)} rows of both splits")
+    if k > n_train + n_held:
+        raise DataError(f"{base}: {k} classes, more than the {n_train + n_held} rows of both splits")
     lo = np.minimum(Xt.min(axis=0), Xh.min(axis=0))
     hi = np.maximum(Xt.max(axis=0), Xh.max(axis=0))
+    X = np.concatenate([Xt, Xh])
+    y = np.concatenate([yt, yh])
     needs = (lo < 0.0) | (hi > 1.0)
-    normalized = bool(needs.any())
-    if normalized:
-        span = np.where(hi > lo, hi - lo, 1.0)
-        f_lo = np.where(needs, lo, 0.0)
-        f_span = np.where(needs, span, 1.0)
-        Xt = (Xt - f_lo) / f_span
-        Xh = (Xh - f_lo) / f_span
-        mins = f_lo
-        maxs = np.where(needs, hi, 1.0)
-    else:
-        mins = np.zeros(Xt.shape[1])
-        maxs = np.ones(Xt.shape[1])
+    mins = np.where(needs, lo, 0.0)
+    maxs = np.where(needs, hi, 1.0)
+    if needs.any():
+        X -= mins
+        X /= np.where(needs & (hi > lo), hi - lo, 1.0)
     manifest = DatasetManifest(
-        feature_dim=int(Xt.shape[1]),
+        feature_dim=d,
         n_classes=k,
-        train_size=int(Xt.shape[0]),
-        heldout_size=int(Xh.shape[0]),
-        normalized=normalized,
+        train_size=n_train,
+        heldout_size=n_held,
+        normalized=bool(needs.any()),
         feature_mins=mins,
         feature_maxs=maxs,
     )
-    return Dataset(Xt, yt), Dataset(Xh, yh), manifest
+    return X, y, manifest

@@ -65,7 +65,7 @@ def _stage(name: str):
 
 
 def synthetic_dataset(config: ExperimentConfig):
-    """(train, heldout, manifest) of the configured synthetic dataset."""
+    """(X, y, manifest) of the configured synthetic dataset."""
     return generate_synthetic_dataset(
         config["dataset.n_per_class"],
         config["dataset.classes"],
@@ -79,15 +79,16 @@ def synthetic_dataset(config: ExperimentConfig):
 def prepare_target(config: ExperimentConfig):
     """Data and target stages, shared by `audit` and `train-target`.
 
-    Returns (train set, heldout set, manifest, model, target summary); the
-    summary is the report's `target` section.
+    Returns (X, y, manifest, model, target summary): the samples, the first
+    manifest.train_size rows the members the target trains on, and the
+    report's `target` section.
     """
     with _stage("data"):
         if config["dataset.source"] == "synthetic":
-            train_ds, heldout_ds, manifest = synthetic_dataset(config)
+            X, y, manifest = synthetic_dataset(config)
         else:
-            fmt = "csv" if config["dataset.source"] == "csv" else "binary"
-            train_ds, heldout_ds, manifest = load_dataset(config["dataset.path"], fmt)
+            X, y, manifest = load_dataset(config["dataset.path"], config["dataset.source"])
+    members, nonmembers = slice(None, manifest.train_size), slice(manifest.train_size, None)
 
     with _stage("target"):
         ckpt = config["target.load_checkpoint"]
@@ -103,19 +104,19 @@ def prepare_target(config: ExperimentConfig):
             dims = [manifest.feature_dim, *config.hidden_dims(), manifest.n_classes]
             model = build_mlp(dims, stage_seed(config.seed, "target_init"))
             _, history = train(
-                model, train_ds.X, train_ds.y, config.train_config(stage_seed(config.seed, "target_train"))
+                model, X[members], y[members], config.train_config(stage_seed(config.seed, "target_train"))
             )
         summary = {
             "layer_dims": list(model.layer_dims),
             "parameter_count": model.parameter_count(),
             "epochs_run": len(history),
             "final_train_loss": float(history[-1]) if history else None,
-            "train_accuracy": classification_accuracy(model, train_ds.X, train_ds.y),
-            "heldout_accuracy": classification_accuracy(model, heldout_ds.X, heldout_ds.y),
-            "train_risk": empirical_risk(model, train_ds.X, train_ds.y),
-            "heldout_risk": empirical_risk(model, heldout_ds.X, heldout_ds.y),
+            "train_accuracy": classification_accuracy(model, X[members], y[members]),
+            "heldout_accuracy": classification_accuracy(model, X[nonmembers], y[nonmembers]),
+            "train_risk": empirical_risk(model, X[members], y[members]),
+            "heldout_risk": empirical_risk(model, X[nonmembers], y[nonmembers]),
         }
-    return train_ds, heldout_ds, manifest, model, summary
+    return X, y, manifest, model, summary
 
 
 def _attacker_split(config: ExperimentConfig, n_members: int, n_nonmembers: int, any_attackers: bool):
@@ -315,11 +316,11 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
     strategies = config.strategies()
     attacker_names = [s for s in strategies if STRATEGIES[s].kind == "attacker"]
 
-    train_ds, heldout_ds, manifest, model, target_summary = prepare_target(config)
+    X, Y, manifest, model, target_summary = prepare_target(config)
 
     # samples are indexed by position: members, then nonmembers
-    n_members = len(train_ds)
-    n_nonmembers = len(heldout_ds)
+    n_members = manifest.train_size
+    n_nonmembers = manifest.heldout_size
     is_member = np.arange(n_members + n_nonmembers) < n_members
     with _stage("attackers"):
         train_mask = _attacker_split(config, n_members, n_nonmembers, bool(attacker_names))
@@ -339,10 +340,6 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
     # pools ordered by ascending sample id; all strategies share them
     train_ids, eval_ids = np.flatnonzero(train_mask), np.flatnonzero(eval_mask)
     with _stage("scores"):
-        X = np.concatenate([train_ds.X, heldout_ds.X])
-        Y = np.concatenate([train_ds.y, heldout_ds.y])
-        # the splits are copied into X and Y: dropping them halves what scoring holds
-        del train_ds, heldout_ds
         scores, traces = score_samples(config, model, X, Y, needed_scores)
         # only the attacker-training rows' features are held whole
         train_features = {

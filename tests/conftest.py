@@ -26,7 +26,8 @@ DESK_ATTACK = dict(p=math.inf, epsilon=1.0, n_iter=30, n_restarts=1)
 
 
 def train_desk_target(seed: int):
-    train, held, _ = generate_synthetic_dataset(
+    """(model, (X, y) of the members, (X, y) of the nonmembers)."""
+    X, y, manifest = generate_synthetic_dataset(
         DESK_N_PER_CLASS,
         DESK_CLASSES,
         DESK_DIM,
@@ -34,14 +35,15 @@ def train_desk_target(seed: int):
         seed=seed,
         heldout_per_class=DESK_N_PER_CLASS,
     )
+    n = manifest.train_size
     model = mi.build_mlp(list(DESK_LAYERS), seed=seed + 100)
     mi.train(
         model,
-        train.X,
-        train.y,
+        X[:n],
+        y[:n],
         mi.TrainConfig(epochs=DESK_EPOCHS, batch_size=32, learning_rate=DESK_LR, seed=seed + 200),
     )
-    return model, train, held
+    return model, (X[:n], y[:n]), (X[n:], y[n:])
 
 
 @pytest.fixture(scope="session")
@@ -58,13 +60,13 @@ def desk_audit():
         attack = mi.AttackConfig(seed=seed, **DESK_ATTACK)
         member, nonmember = {}, {}
         for name in mi.THRESHOLD_STRATEGIES:  # one block call per pool
-            member[name] = mi.compute_score(model, train.X, train.y, name, attack)
-            nonmember[name] = mi.compute_score(model, held.X, held.y, name, attack)
+            member[name] = mi.compute_score(model, *train, name, attack)
+            nonmember[name] = mi.compute_score(model, *held, name, attack)
         runs.append(
             {
                 "seed": seed,
-                "train_accuracy": classification_accuracy(model, train.X, train.y),
-                "heldout_accuracy": classification_accuracy(model, held.X, held.y),
+                "train_accuracy": classification_accuracy(model, *train),
+                "heldout_accuracy": classification_accuracy(model, *held),
                 "member": member,
                 "nonmember": nonmember,
             }

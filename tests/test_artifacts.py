@@ -12,7 +12,7 @@ import pytest
 
 import miaudit as mi
 from miaudit import attack_models as am
-from miaudit.cli_runner.data import Dataset, read_binary_file, save_binary_file
+from miaudit.cli_runner.data import read_binary_file, save_binary_file
 from miaudit.errors import DataError
 
 
@@ -24,13 +24,13 @@ def _attacker(seed):
 
 def _dataset(seed):
     rng = np.random.default_rng(seed)
-    return Dataset(rng.uniform(0, 1, (5, 3)), np.array([0, 1, 2, 0, 1]))
+    return rng.uniform(0, 1, (5, 3)), np.array([0, 1, 2, 0, 1])
 
 
 SAVERS = {
     "checkpoint": lambda seed, path: mi.save_checkpoint(mi.build_mlp([3, 4, 2], seed=seed), path),
     "attacker": lambda seed, path: am.save_attacker(_attacker(seed), path),
-    "binary_dataset": lambda seed, path: save_binary_file(_dataset(seed), path, 3),
+    "binary_dataset": lambda seed, path: save_binary_file(*_dataset(seed), path, 3),
 }
 
 LOADERS = {

@@ -190,7 +190,6 @@ class TestValidation:
             ("protocol.repeats", "0"),
             ("protocol.ratio_repeats", "0"),
             ("protocol.member_subset_size", "-5"),
-            ("dataset.format", "parquet"),
         ],
     )
     def test_protocol_counts_checked_up_front(self, key, bad):

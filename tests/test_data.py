@@ -12,7 +12,6 @@ import pytest
 from miaudit.cli_runner import data
 from miaudit.cli_runner.data import (
     DATA_MAGIC,
-    Dataset,
     generate_synthetic_dataset,
     load_dataset,
     read_binary_file,
@@ -26,18 +25,19 @@ from miaudit.errors import ConfigError, DataError
 
 class TestSyntheticGeneration:
     def test_shapes_and_box(self):
-        train, held, manifest = generate_synthetic_dataset(10, 4, 6, 1.0, seed=0)
-        assert train.X.shape == (40, 6) and held.X.shape == (40, 6)
-        for part in (train, held):
-            assert part.X.min() >= 0.0 and part.X.max() <= 1.0
-            assert np.bincount(part.y, minlength=4).tolist() == [10, 10, 10, 10]
+        X, y, manifest = generate_synthetic_dataset(10, 4, 6, 1.0, seed=0)
+        assert X.shape == (80, 6) and X.dtype == np.float64
+        assert y.shape == (80,) and y.dtype == np.int64
+        assert X.min() >= 0.0 and X.max() <= 1.0
+        for part in (y[:40], y[40:]):
+            assert np.bincount(part, minlength=4).tolist() == [10, 10, 10, 10]
         assert manifest.feature_dim == 6 and manifest.n_classes == 4
         assert manifest.train_size == 40 and manifest.heldout_size == 40
         assert manifest.normalized
 
     def test_matches_the_stacked_reference(self):
         # per-class blocks stacked at the end, the map applied out of place
-        train, held, _ = generate_synthetic_dataset(7, 5, 4, 0.8, seed=9, heldout_per_class=3)
+        X_out, y_out, _ = generate_synthetic_dataset(7, 5, 4, 0.8, seed=9, heldout_per_class=3)
         rng = np.random.default_rng(9)
         means = rng.normal(size=(5, 4)) * 0.8
         X = np.vstack([means[c] + rng.normal(size=(10, 4)) for c in range(5)])
@@ -47,49 +47,48 @@ class TestSyntheticGeneration:
         rows = np.arange(50).reshape(5, 10)
         train_idx = rows[:, :7].ravel()[rng.permutation(35)]
         held_idx = rows[:, 7:].ravel()[rng.permutation(15)]
-        for part, idx in ((train, train_idx), (held, held_idx)):
-            assert part.X.tobytes() == X[idx].tobytes()
-            assert part.y.tobytes() == y[idx].tobytes()
+        idx = np.concatenate([train_idx, held_idx])  # members first
+        assert X_out.tobytes() == X[idx].tobytes()
+        assert y_out.tobytes() == y[idx].tobytes()
 
     def test_peak_memory_stays_near_the_returned_arrays(self):
-        # the block the splits are taken from, the splits, and one class's
-        # draws; stacking a list of blocks and mapping out of place held
-        # about four times the result
+        # the block that is returned, one class's draws and the row order;
+        # split copies of the block would hold about twice the result
         generate_synthetic_dataset(2, 2, 2, 1.0, seed=0)  # lazy numpy imports
         tracemalloc.start()
         try:
-            train, held, _ = generate_synthetic_dataset(100, 10, 50, 1.0, seed=0)
+            X, y, _ = generate_synthetic_dataset(100, 10, 50, 1.0, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        returned = sum(a.nbytes for a in (train.X, train.y, held.X, held.y))
-        assert peak < 2.5 * returned
+        assert peak < 1.5 * (X.nbytes + y.nbytes)
 
     def test_heldout_size_override(self):
-        train, held, _ = generate_synthetic_dataset(8, 3, 4, 1.0, seed=1, heldout_per_class=5)
-        assert len(train) == 24 and len(held) == 15
+        X, y, manifest = generate_synthetic_dataset(8, 3, 4, 1.0, seed=1, heldout_per_class=5)
+        assert (manifest.train_size, manifest.heldout_size) == (24, 15)
+        assert len(X) == len(y) == 39
 
     def test_seeded_reproducibility(self):
-        a_train, a_held, _ = generate_synthetic_dataset(6, 3, 5, 0.8, seed=42)
-        b_train, b_held, _ = generate_synthetic_dataset(6, 3, 5, 0.8, seed=42)
-        assert np.array_equal(a_train.X, b_train.X)
-        assert np.array_equal(a_train.y, b_train.y)
-        assert np.array_equal(a_held.X, b_held.X)
-        c_train, _, _ = generate_synthetic_dataset(6, 3, 5, 0.8, seed=43)
-        assert not np.array_equal(a_train.X, c_train.X)
+        a_X, a_y, _ = generate_synthetic_dataset(6, 3, 5, 0.8, seed=42)
+        b_X, b_y, _ = generate_synthetic_dataset(6, 3, 5, 0.8, seed=42)
+        assert np.array_equal(a_X, b_X)
+        assert np.array_equal(a_y, b_y)
+        c_X, _, _ = generate_synthetic_dataset(6, 3, 5, 0.8, seed=43)
+        assert not np.array_equal(a_X, c_X)
 
     def test_splits_disjoint(self):
-        train, held, _ = generate_synthetic_dataset(12, 2, 3, 0.5, seed=7)
-        train_rows = {tuple(row) for row in train.X}
-        held_rows = {tuple(row) for row in held.X}
+        X, _, manifest = generate_synthetic_dataset(12, 2, 3, 0.5, seed=7)
+        train_rows = {tuple(row) for row in X[: manifest.train_size]}
+        held_rows = {tuple(row) for row in X[manifest.train_size :]}
         assert not train_rows & held_rows
 
     def test_separation_matters(self):
         # larger separation spreads class means further apart after the
         # shared normalization; measure mean pairwise mean-distance
         def spread(sep):
-            train, _, _ = generate_synthetic_dataset(30, 4, 8, sep, seed=3)
-            means = np.array([train.X[train.y == c].mean(axis=0) for c in range(4)])
+            X, y, manifest = generate_synthetic_dataset(30, 4, 8, sep, seed=3)
+            X, y = X[: manifest.train_size], y[: manifest.train_size]
+            means = np.array([X[y == c].mean(axis=0) for c in range(4)])
             d = 0.0
             pairs = 0
             for i in range(4):
@@ -117,10 +116,26 @@ class TestCsvFormat:
         X = rng.uniform(0, 1, (7, 3))
         y = rng.integers(0, 4, 7)
         path = tmp_path / "part.csv"
-        save_csv_file(Dataset(X, y), path)
+        save_csv_file(X, y, path)
         RX, ry = read_csv_file(path)
         assert np.allclose(RX, X, atol=1e-7)  # float32 storage precision
         assert np.array_equal(ry, y)
+
+    def test_read_peak_memory_stays_near_the_file(self, tmp_path):
+        # the file's bytes, its text while it is checked as UTF-8, and the
+        # returned arrays; Python floats, or the text held while the rows
+        # are parsed, would each take more than the file again
+        X, y, _ = generate_synthetic_dataset(10, 20, 200, 1.0, seed=0)
+        path = tmp_path / "part.csv"
+        save_csv_file(X, y, path)
+        read_csv_file(path)  # lazy imports
+        tracemalloc.start()
+        try:
+            read_csv_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * path.stat().st_size
 
     def test_header_mismatch(self, tmp_path):
         path = tmp_path / "part.csv"
@@ -161,9 +176,16 @@ class TestCsvFormat:
 
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "part.csv"
-        path.write_text("f0,label\ninf,0\n")
-        with pytest.raises(DataError):
-            read_csv_file(path)
+        cases = [
+            ("f0,label\ninf,0\n", 2),
+            ("f0,f1,label\n0.1,0.2,0\n0.3,nan,1\n", 3),
+            # the first bad row wins, whatever is wrong with a later one
+            ("f0,f1,label\n0.1,inf,0\n0.3,oops,1\n", 2),
+        ]
+        for body, line in cases:
+            path.write_text(body)
+            with pytest.raises(DataError, match=f"part.csv: line {line}: non-finite feature values"):
+                read_csv_file(path)
 
     def test_empty_body_rejected(self, tmp_path):
         path = tmp_path / "part.csv"
@@ -177,7 +199,7 @@ class TestBinaryFormat:
         X = rng.uniform(0, 1, (9, 4)).astype(np.float32).astype(np.float64)
         y = rng.integers(0, 3, 9)
         path = tmp_path / "part.bin"
-        save_binary_file(Dataset(X, y), path, n_classes=3)
+        save_binary_file(X, y, path, n_classes=3)
         RX, ry, k = read_binary_file(path)
         assert np.array_equal(RX, X)
         assert np.array_equal(ry, y)
@@ -185,7 +207,7 @@ class TestBinaryFormat:
 
     def test_magic_written(self, tmp_path, rng):
         path = tmp_path / "part.bin"
-        save_binary_file(Dataset(rng.uniform(0, 1, (2, 2)), np.array([0, 1])), path, 2)
+        save_binary_file(rng.uniform(0, 1, (2, 2)), np.array([0, 1]), path, 2)
         assert path.read_bytes()[: len(DATA_MAGIC)] == DATA_MAGIC
 
     def test_bad_magic(self, tmp_path):
@@ -196,7 +218,7 @@ class TestBinaryFormat:
 
     def test_truncated(self, tmp_path, rng):
         path = tmp_path / "part.bin"
-        save_binary_file(Dataset(rng.uniform(0, 1, (5, 3)), np.zeros(5, dtype=np.int64)), path, 1)
+        save_binary_file(rng.uniform(0, 1, (5, 3)), np.zeros(5, dtype=np.int64), path, 1)
         blob = path.read_bytes()
         for cut in range(len(blob)):
             path.write_bytes(blob[:cut])
@@ -216,7 +238,7 @@ class TestBinaryFormat:
 
     def test_label_outside_class_count(self, tmp_path, rng):
         path = tmp_path / "part.bin"
-        save_binary_file(Dataset(rng.uniform(0, 1, (3, 2)), np.array([0, 1, 2])), path, 3)
+        save_binary_file(rng.uniform(0, 1, (3, 2)), np.array([0, 1, 2]), path, 3)
         blob = bytearray(path.read_bytes())
         blob[-4:] = (9).to_bytes(4, "little")  # last int32 label
         path.write_bytes(bytes(blob))
@@ -227,13 +249,12 @@ class TestBinaryFormat:
 class TestDatasetDirectory:
     @pytest.mark.parametrize("fmt", ["csv", "binary"])
     def test_save_load_roundtrip(self, tmp_path, fmt):
-        train, held, manifest = generate_synthetic_dataset(6, 3, 4, 1.0, seed=5)
-        save_dataset(train, held, manifest, tmp_path / "ds", fmt=fmt)
+        X, y, manifest = generate_synthetic_dataset(6, 3, 4, 1.0, seed=5)
+        save_dataset(X, y, manifest, tmp_path / "ds", fmt=fmt)
         assert (tmp_path / "ds" / "manifest.json").is_file()
-        ltrain, lheld, lmanifest = load_dataset(tmp_path / "ds", fmt=fmt)
-        assert np.allclose(ltrain.X, train.X, atol=1e-7)
-        assert np.array_equal(ltrain.y, train.y)
-        assert np.allclose(lheld.X, held.X, atol=1e-7)
+        lX, ly, lmanifest = load_dataset(tmp_path / "ds", fmt=fmt)
+        assert np.allclose(lX, X, atol=1e-7)
+        assert np.array_equal(ly, y)
         assert lmanifest.n_classes == 3
         assert lmanifest.train_size == 18 and lmanifest.heldout_size == 18
 
@@ -242,29 +263,33 @@ class TestDatasetDirectory:
         # rescaled with the same map, leaving in-range features untouched
         Xt = np.array([[0.0, 0.2], [4.0, 0.8]])
         Xh = np.array([[8.0, 0.5]])
-        save_csv_file(Dataset(Xt, np.array([0, 1])), tmp_path / "train.csv")
-        save_csv_file(Dataset(Xh, np.array([0])), tmp_path / "heldout.csv")
-        train, held, manifest = load_dataset(tmp_path, fmt="csv")
-        assert manifest.normalized
-        assert np.allclose(train.X[:, 0], [0.0, 0.5])
-        assert np.allclose(held.X[:, 0], [1.0])
-        assert np.allclose(train.X[:, 1], [0.2, 0.8], atol=1e-7)
+        save_csv_file(Xt, np.array([0, 1]), tmp_path / "train.csv")
+        save_csv_file(Xh, np.array([0]), tmp_path / "heldout.csv")
+        X, y, manifest = load_dataset(tmp_path, fmt="csv")
+        assert manifest.normalized and manifest.train_size == 2
+        assert y.tolist() == [0, 1, 0]
+        # the out-of-place map of the rows as read, bitwise
+        raw = np.vstack([read_csv_file(tmp_path / "train.csv")[0], read_csv_file(tmp_path / "heldout.csv")[0]])
+        assert X.tobytes() == ((raw - manifest.feature_mins) / [8.0, 1.0]).tobytes()
+        assert X[:, 0].tolist() == [0.0, 0.5, 1.0]
+        assert np.allclose(X[:, 1], [0.2, 0.8, 0.5], atol=1e-7)
 
     def test_in_range_data_left_alone(self, tmp_path):
-        train, held, manifest = generate_synthetic_dataset(5, 2, 3, 1.0, seed=9)
-        save_dataset(train, held, manifest, tmp_path, fmt="csv")
-        ltrain, _, lmanifest = load_dataset(tmp_path, fmt="csv")
+        X, y, manifest = generate_synthetic_dataset(5, 2, 3, 1.0, seed=9)
+        save_dataset(X, y, manifest, tmp_path, fmt="csv")
+        lX, _, lmanifest = load_dataset(tmp_path, fmt="csv")
         assert not lmanifest.normalized
-        assert np.allclose(ltrain.X, train.X, atol=1e-7)
+        assert np.allclose(lX, X, atol=1e-7)
 
     @pytest.mark.parametrize("fmt", ["csv", "binary"])
     def test_class_count_disagreeing_with_manifest(self, tmp_path, fmt):
-        train, held, manifest = generate_synthetic_dataset(2, 10, 3, 1.0, seed=4)
-        train.y[0] = 11
-        save_dataset(train, held, manifest, tmp_path, fmt=fmt)
+        X, y, manifest = generate_synthetic_dataset(2, 10, 3, 1.0, seed=4)
+        y[0] = 11
+        save_dataset(X, y, manifest, tmp_path, fmt=fmt)
         if fmt == "binary":  # a header that agrees with the edited label
-            save_binary_file(train, tmp_path / "train.bin", n_classes=12)
-            save_binary_file(held, tmp_path / "heldout.bin", n_classes=12)
+            n = manifest.train_size
+            save_binary_file(X[:n], y[:n], tmp_path / "train.bin", n_classes=12)
+            save_binary_file(X[n:], y[n:], tmp_path / "heldout.bin", n_classes=12)
         with pytest.raises(DataError, match="n_classes is 10, the files hold 12"):
             load_dataset(tmp_path, fmt=fmt)
 
@@ -273,19 +298,19 @@ class TestDatasetDirectory:
     def test_class_count_beyond_the_rows(self, tmp_path, fmt, with_manifest):
         # 6 + 6 rows; an edited CSV label or binary header, and a manifest
         # that agrees with it
-        train, held, manifest = generate_synthetic_dataset(2, 3, 3, 1.0, seed=4)
+        X, y, manifest = generate_synthetic_dataset(2, 3, 3, 1.0, seed=4)
         k = 5_000_001 if fmt == "csv" else 4_000_000_000
         if fmt == "csv":
-            train.y[0] = k - 1
-        save_dataset(train, held, dataclasses.replace(manifest, n_classes=k), tmp_path, fmt=fmt)
+            y[0] = k - 1
+        save_dataset(X, y, dataclasses.replace(manifest, n_classes=k), tmp_path, fmt=fmt)
         if not with_manifest:
             (tmp_path / "manifest.json").unlink()
         with pytest.raises(DataError, match=f"{k} classes, more than the 12 rows of both splits"):
             load_dataset(tmp_path, fmt=fmt)
 
     def test_class_count_equal_to_the_rows_loads(self, tmp_path):
-        train, held, manifest = generate_synthetic_dataset(2, 3, 3, 1.0, seed=4)
-        save_dataset(train, held, dataclasses.replace(manifest, n_classes=12), tmp_path, fmt="binary")
+        X, y, manifest = generate_synthetic_dataset(2, 3, 3, 1.0, seed=4)
+        save_dataset(X, y, dataclasses.replace(manifest, n_classes=12), tmp_path, fmt="binary")
         assert load_dataset(tmp_path, fmt="binary")[2].n_classes == 12
 
     def test_missing_file(self, tmp_path):
@@ -320,8 +345,8 @@ class TestDatasetDirectory:
             assert (out / name).read_bytes() in (blob, new[name]), name
 
     def test_dimension_mismatch(self, tmp_path, rng):
-        save_csv_file(Dataset(rng.uniform(0, 1, (3, 2)), np.array([0, 1, 0])), tmp_path / "train.csv")
-        save_csv_file(Dataset(rng.uniform(0, 1, (2, 3)), np.array([0, 1])), tmp_path / "heldout.csv")
+        save_csv_file(rng.uniform(0, 1, (3, 2)), np.array([0, 1, 0]), tmp_path / "train.csv")
+        save_csv_file(rng.uniform(0, 1, (2, 3)), np.array([0, 1]), tmp_path / "heldout.csv")
         with pytest.raises(DataError):
             load_dataset(tmp_path, fmt="csv")
 
@@ -331,6 +356,17 @@ class TestDatasetDirectory:
 
 
 class TestDatasetContainer:
-    def test_shape_validation(self, rng):
-        with pytest.raises(DataError):
-            Dataset(rng.uniform(0, 1, (3, 2)), np.array([0, 1]))
+    # the (X, y) pair every saver takes: (n, d) features and (n,) labels
+    def test_shape_validation(self, tmp_path, rng):
+        X = rng.uniform(0, 1, (3, 2))
+        savers = {
+            "part.csv": save_csv_file,
+            "part.bin": lambda X, y, path: save_binary_file(X, y, path, 2),
+        }
+        for bad_X, bad_y in ((X, np.array([0, 1])), (X, np.array([0, 1, 0, 1])), (X[0], np.array([0]))):
+            for name, save in savers.items():
+                with pytest.raises(DataError, match="dataset arrays must be"):
+                    save(bad_X, bad_y, tmp_path / name)
+        with pytest.raises(DataError, match="dataset arrays must be"):
+            save_dataset(X, np.array([0, 1]), generate_synthetic_dataset(1, 2, 2, 1.0, seed=0)[2], tmp_path)
+        assert list(tmp_path.iterdir()) == []

@@ -385,9 +385,7 @@ class TestAttackerFits:
 class TestScoreSamples:
     def test_ensemble_features_are_the_six_scores(self, monkeypatch):
         config = fast_config(**{"strategies": "attacker_ensemble,attacker_grad_x"})
-        train_ds, heldout_ds, _, model, _ = prepare_target(config)
-        X = np.concatenate([train_ds.X, heldout_ds.X])
-        Y = np.concatenate([train_ds.y, heldout_ds.y])
+        X, Y, _, model, _ = prepare_target(config)
         names = mi.THRESHOLD_STRATEGIES
         scores, traces = score_samples(config, model, X, Y, names)
         assert traces == []
@@ -461,8 +459,8 @@ class TestRowChunks:
         assert peak < 0.65 * block_bytes
 
     def test_scoring_holds_the_samples_once(self, tmp_path, monkeypatch):
-        # 2,000 samples of dim 200: the scoring stage's X is 3.2 MB, and
-        # the two dataset splits it was concatenated from are gone by then
+        # 2,000 samples of dim 200: the scoring stage's X is 3.2 MB, the
+        # data stage's own block, with no split copies beside it
         config = fast_config(
             **{
                 "dataset.classes": "10",
@@ -618,6 +616,14 @@ class TestCli:
         cfg2 = cfg2.rename(tmp_path / "run2.cfg")
         rc = main(["audit", "--config", str(cfg2), "--out", str(tmp_path / "out2")])
         assert rc == 0
+
+    @pytest.mark.parametrize("source, ext", [("csv", "csv"), ("binary", "bin")])
+    def test_gen_data_writes_the_format_its_audit_reads(self, tmp_path, capsys, source, ext):
+        ds = tmp_path / "ds"
+        cfg = self.write_cfg(tmp_path, f"strategies = loss\ndataset.source = {source}\ndataset.path = {ds}\n")
+        assert main(["gen-data", "--config", str(cfg)]) == 0
+        assert sorted(p.name for p in ds.iterdir()) == sorted([f"heldout.{ext}", "manifest.json", f"train.{ext}"])
+        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
     def test_train_target_writes_checkpoint(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, "strategies = loss\n")

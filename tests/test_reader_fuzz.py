@@ -51,8 +51,7 @@ def test_attacker(tmp_path):
 
 @pytest.mark.parametrize("split", ["train", "heldout"])
 def test_binary_dataset(tmp_path, split):
-    train, heldout, manifest = generate_synthetic_dataset(2, 2, 3, 1.0, 0, 2)
-    save_dataset(train, heldout, manifest, tmp_path, "binary")
+    save_dataset(*generate_synthetic_dataset(2, 2, 3, 1.0, 0, 2), tmp_path, "binary")
     fuzz_file(tmp_path / f"{split}.bin", lambda: load_dataset(tmp_path, "binary"))
 
 
