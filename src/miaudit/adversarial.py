@@ -133,7 +133,8 @@ class AttackConfig:
 
 @dataclass(frozen=True)
 class AdversarialOutcome:
-    """Result of the minimum-distance search for one sample."""
+    """Result of the minimum-distance search: plain values for one sample,
+    or one entry per row for a block (v is then (n, d))."""
 
     v: np.ndarray
     distance: float
@@ -144,7 +145,9 @@ class AdversarialOutcome:
 
 @dataclass
 class ApgdTrace:
-    """Full iterate trace of one projected-ascent run; row 0 is the start."""
+    """Full iterate trace of one projected-ascent run of a block of n rows:
+    points (iterates, n, d), losses and predictions (iterates, n), and the
+    inputs as center (n, d).  Iterate 0 is the start."""
 
     points: np.ndarray
     losses: np.ndarray
@@ -152,9 +155,6 @@ class ApgdTrace:
     center: np.ndarray
     p: float
     epsilon: float
-
-    def distances(self) -> np.ndarray:
-        return lp_norm(self.points - self.center, self.p)
 
 
 def _checkpoint_iterations(n_iter: int) -> list[int]:
@@ -224,22 +224,6 @@ def _ascend(model: MLPClassifier, X: np.ndarray, Y: np.ndarray, config: AttackCo
     return best_x, best_loss
 
 
-def _row_traces(X: np.ndarray, config: AttackConfig, recorded: list) -> list:
-    """One ApgdTrace per row of X from the (points, losses, predictions)
-    blocks that `_ascend` visited."""
-    return [
-        ApgdTrace(
-            points=np.array([pts[i] for pts, _, _ in recorded]),
-            losses=np.array([losses[i] for _, losses, _ in recorded]),
-            predictions=np.array([preds[i] for _, _, preds in recorded], dtype=np.int64),
-            center=X[i].copy(),
-            p=config.p,
-            epsilon=config.epsilon,
-        )
-        for i in range(len(X))
-    ]
-
-
 def _random_starts(rngs: list, X: np.ndarray, config: AttackConfig) -> np.ndarray:
     """One random feasible start per row of X, drawn from that row's generator."""
     lo = np.maximum(0.0, X - config.epsilon)
@@ -250,9 +234,9 @@ def _random_starts(rngs: list, X: np.ndarray, config: AttackConfig) -> np.ndarra
     return project_lp_box(Z, X, config.p, config.epsilon)
 
 
-def find_adversarial_rows(model: MLPClassifier, X, Y, config: AttackConfig, seeds=None) -> list:
+def find_adversarial_rows(model: MLPClassifier, X, Y, config: AttackConfig, seeds=None) -> AdversarialOutcome:
     """`find_adversarial` for every row of a block (n, d) with labels (n,);
-    returns one AdversarialOutcome per row.
+    returns one AdversarialOutcome whose fields hold one entry per row.
 
     All rows search in lock step.  Row i draws its random restarts from
     `default_rng(seeds[i])`, or from `default_rng(config.seed)` when no
@@ -294,32 +278,26 @@ def find_adversarial_rows(model: MLPClassifier, X, Y, config: AttackConfig, seed
         best_loss[rows[better]] = run_loss[better]
         best_loss_point[rows[better]] = run_x[better]
 
-    iterations = config.n_iter * config.n_restarts
-    outcomes = []
-    for i in range(n):
-        if not searched[i]:
-            outcomes.append(AdversarialOutcome(np.zeros_like(X[i]), 0.0, True, 0, float(loss0[i])))
-        elif best_dist[i] < math.inf:
-            outcomes.append(AdversarialOutcome(
-                best_point[i] - X[i], float(best_dist[i]), True, iterations, float(best_loss[i])
-            ))
-        else:
-            outcomes.append(AdversarialOutcome(
-                best_loss_point[i] - X[i], float(config.epsilon), False, iterations,
-                float(best_loss[i]),
-            ))
-    return outcomes
+    found = best_dist < math.inf
+    return AdversarialOutcome(
+        v=np.where(found[:, None], best_point, best_loss_point) - X,
+        distance=np.where(found, best_dist, np.where(searched, config.epsilon, 0.0)),
+        success=found | ~searched,
+        iterations_used=np.where(searched, config.n_iter * config.n_restarts, 0),
+        best_loss=best_loss,
+    )
 
 
-def first_run_traces(model: MLPClassifier, X, Y, config: AttackConfig) -> list:
-    """One ApgdTrace per row of a block (n, d) with labels (n,): the run of
+def first_run_traces(model: MLPClassifier, X, Y, config: AttackConfig) -> ApgdTrace:
+    """The ApgdTrace of a block (n, d) with labels (n,): the run of
     `find_adversarial_rows` that starts at the input, misclassified rows
     included.  Rows run in lock step, each bitwise as it would alone."""
     X = np.asarray(X, dtype=np.float64)
     recorded = []
     _ascend(model, X, _class_labels(Y, model.n_classes), config, None,
             lambda *visited: recorded.append(visited))
-    return _row_traces(X, config, recorded)
+    points, losses, predictions = (np.stack(blocks) for blocks in zip(*recorded))
+    return ApgdTrace(points, losses, predictions.astype(np.int64), X.copy(), config.p, config.epsilon)
 
 
 def find_adversarial(model: MLPClassifier, x, y: int, config: AttackConfig) -> AdversarialOutcome:
@@ -333,11 +311,16 @@ def find_adversarial(model: MLPClassifier, x, y: int, config: AttackConfig) -> A
     `config.seed`.
     """
     x = np.asarray(x, dtype=np.float64)
-    (outcome,) = find_adversarial_rows(model, x[None, :], [y], config)
-    return outcome
+    out = find_adversarial_rows(model, x[None, :], [y], config)
+    return AdversarialOutcome(
+        out.v[0], out.distance.item(), out.success.item(), out.iterations_used.item(),
+        out.best_loss.item(),
+    )
 
 
-def dump_trace_csv(trace: ApgdTrace, path) -> None:
-    """Debug dump: one row per iterate with loss, distance, predicted class."""
-    rows = zip(itertools.count(), trace.losses, trace.distances(), trace.predictions)
+def dump_trace_csv(trace: ApgdTrace, row: int, path) -> None:
+    """Debug dump of one row of a trace: one line per iterate with loss,
+    distance, predicted class."""
+    distances = lp_norm(trace.points[:, row] - trace.center[row], trace.p)
+    rows = zip(itertools.count(), trace.losses[:, row], distances, trace.predictions[:, row])
     write_csv(path, ["iteration", "loss", "distance", "predicted_class"], rows)

@@ -139,8 +139,6 @@ class ExperimentConfig:
             else:
                 try:
                     merged[key] = parser(str(raw))
-                except ConfigError:
-                    raise
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
         unknown = set(self.values) - set(_SCHEMA)

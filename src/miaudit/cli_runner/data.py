@@ -205,10 +205,19 @@ def read_binary_file(path):
 
 def save_dataset(X: np.ndarray, y: np.ndarray, manifest: DatasetManifest, out_dir, fmt: str = "csv") -> None:
     """Write the first manifest.train_size rows as the train split, the rest
-    as the heldout split, and manifest.json, each file atomically."""
+    as the heldout split, and manifest.json, each file atomically.  A
+    manifest that does not describe the block, which `load_dataset` would
+    reject, is a DataError before any file is written."""
     if fmt not in _EXT:
         raise ConfigError(f"dataset format must be csv or binary, got {fmt!r}")
     _check_rows(X, y)
+    n_rows = manifest.train_size + manifest.heldout_size
+    if n_rows != len(X):
+        raise DataError(f"manifest train_size + heldout_size is {n_rows}, X has {len(X)} rows")
+    if manifest.feature_dim != X.shape[1]:
+        raise DataError(f"manifest feature_dim is {manifest.feature_dim}, X has {X.shape[1]} columns")
+    if np.any((y < 0) | (y >= manifest.n_classes)):
+        raise DataError(f"a label lies outside [0, {manifest.n_classes}), the manifest's classes")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n = manifest.train_size

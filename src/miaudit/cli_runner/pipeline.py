@@ -164,27 +164,24 @@ def score_samples(config: ExperimentConfig, model, X, Y, score_names):
     """Score every sample (row of X, label in Y, sample id = row index).
 
     Returns (scores, traces): threshold strategy -> score array, and the
-    adversarial search's debug trace of every row (empty unless
-    `debug.dump_traces` and a score needs the search).  Every score runs on
-    CHUNK_ROWS rows at a time.  The search is seeded per row by its sample
-    id, so its results do not depend on the other rows.  The traces replay
-    the search's first run, the one started at each input, for every row.
+    adversarial search's debug traces as (first sample id, ApgdTrace) per
+    chunk (empty unless `debug.dump_traces` and a score needs the search).
+    Every score runs on CHUNK_ROWS rows at a time.  The search is seeded per
+    row by its sample id, so its results do not depend on the other rows.
+    The traces replay the search's first run, the one started at each
+    input, for every row.
     """
-    scores, traces = {}, []
-    for name in score_names:
-        entry = STRATEGIES[name]
-        scores[name] = out = np.empty(len(X))
-        if not entry.needs_attack:
-            for rows in _chunks(len(X)):
-                out[rows] = compute_score(model, X[rows], Y[rows], name)
-            continue
-        base = stage_seed(config.seed, "attack")
-        attack = config.attack_config()
-        for rows in _chunks(len(X)):
-            seeds = [stage_seed(base, f"sample:{sid}") for sid in range(rows.start, rows.stop)]
-            out[rows] = entry.score(model, X[rows], Y[rows], attack, seeds)
-            if config["debug.dump_traces"]:
-                traces += first_run_traces(model, X[rows], Y[rows], attack)
+    scores = {name: np.empty(len(X)) for name in score_names}
+    traces = []
+    search = any(STRATEGIES[name].needs_attack for name in score_names)
+    attack, base = config.attack_config(), stage_seed(config.seed, "attack")
+    for rows in _chunks(len(X)):
+        ids = range(rows.start, rows.stop)
+        seeds = [stage_seed(base, f"sample:{sid}") for sid in ids] if search else None
+        for name, out in scores.items():
+            out[rows] = compute_score(model, X[rows], Y[rows], name, attack, seeds)
+        if search and config["debug.dump_traces"]:
+            traces.append((rows.start, first_run_traces(model, X[rows], Y[rows], attack)))
     return scores, traces
 
 
@@ -388,8 +385,9 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
             am.write_feature_dump(path, eval_ids, rows, eval_member)
         if traces:
             (out / "traces").mkdir(parents=True, exist_ok=True)
-        for sid, trace in enumerate(traces):
-            dump_trace_csv(trace, out / "traces" / f"trace_{sid}.csv")
+        for start, trace in traces:
+            for row in range(len(trace.center)):
+                dump_trace_csv(trace, row, out / "traces" / f"trace_{start + row}.csv")
     return report, out
 
 

@@ -92,8 +92,7 @@ def adv_dist_score(model: MLPClassifier, X, Y, attack: AttackConfig, seeds=None)
     All rows search in lock step; row i draws its restarts from seeds[i],
     or from `attack.seed` when no seeds are given.
     """
-    outcomes = find_adversarial_rows(model, X, Y, attack, seeds)
-    return np.array([o.distance for o in outcomes])
+    return find_adversarial_rows(model, X, Y, attack, seeds).distance
 
 
 def membership_decision(score: float, tau: float) -> bool:
@@ -120,7 +119,7 @@ class Strategy:
     """What one strategy is.
 
     A threshold strategy scores a block of samples with `score(model, X,
-    Y)`, or `score(model, X, Y, attack)` when `needs_attack` (see
+    Y)`, or `score(model, X, Y, attack, seeds)` when `needs_attack` (see
     `adv_dist_score`), one value per row.  An attacker trains the
     attack_models function named `fitter` on one feature row per sample:
     the output of the attack_models extractor named `extractor`, which
@@ -180,15 +179,17 @@ ATTACKER_STRATEGIES = tuple(n for n, s in STRATEGIES.items() if s.kind == "attac
 ENSEMBLE_FEATURE_ORDER = THRESHOLD_STRATEGIES
 
 
-def compute_score(model: MLPClassifier, X, Y, strategy: str, attack: AttackConfig = None):
+def compute_score(model: MLPClassifier, X, Y, strategy: str, attack: AttackConfig = None, seeds=None):
     """Score a block of samples (n, d) with labels (n,) with one threshold
-    strategy; every row of the search draws from `attack.seed`."""
+    strategy.  Only a score that `needs_attack` gets `attack` and `seeds`:
+    row i of the search draws from seeds[i], or from `attack.seed` when no
+    seeds are given."""
     entry = STRATEGIES.get(strategy)
     if entry is None or entry.score is None:
         raise DataError(f"unknown strategy {strategy!r}")
     if entry.needs_attack and attack is None:
         raise DataError(f"{strategy} strategy needs an AttackConfig")
-    extra = (attack,) if entry.needs_attack else ()
+    extra = (attack, seeds) if entry.needs_attack else ()
     return entry.score(model, X, Y, *extra)
 
 

@@ -37,9 +37,8 @@ def feasible(point, center, p, eps, lo=0.0, hi=1.0, tol=1e-9):
 
 
 def first_run_trace(model, x, y, cfg):
-    """The ApgdTrace of the search's first run, the one started at x."""
-    (trace,) = first_run_traces(model, x[None, :], [y], cfg)
-    return trace
+    """The one-row ApgdTrace of the search's first run, the one started at x."""
+    return first_run_traces(model, x[None, :], [y], cfg)
 
 
 class TestLpNorm:
@@ -178,11 +177,14 @@ class TestApgd:
         x = rng.uniform(0.2, 0.8, 4)
         cfg = mi.AttackConfig(p=INF, epsilon=0.3, n_iter=25, seed=1)
         trace = first_run_trace(tiny_model, x, 0, cfg)
-        assert len(trace.losses) == 26
-        assert np.allclose(trace.points[0], x)
-        for pt in trace.points:
+        assert trace.points.shape == (26, 1, 4)
+        assert trace.losses.shape == trace.predictions.shape == (26, 1)
+        assert trace.predictions.dtype == np.int64
+        assert trace.center.shape == (1, 4)
+        assert np.allclose(trace.points[0, 0], x)
+        for pt in trace.points[:, 0]:
             assert feasible(pt, x, INF, 0.3)
-        assert trace.losses.max() >= trace.losses[0]
+        assert trace.losses.max() >= trace.losses[0, 0]
 
     def test_seeded_start_reproducible(self, tiny_model, rng):
         x = rng.uniform(0.2, 0.8, 4)
@@ -228,7 +230,7 @@ class TestApgd:
             x = rng.uniform(0.1, 0.9, 4)
             cfg = mi.AttackConfig(p=1, epsilon=0.8, n_iter=40, seed=seed)
             trace = first_run_trace(tiny_model, x, int(rng.integers(3)), cfg)
-            assert trace.losses.max() >= trace.losses[0] - 1e-12
+            assert trace.losses.max() >= trace.losses[0, 0] - 1e-12
 
 
 class TestFindAdversarial:
@@ -285,7 +287,7 @@ class TestTraceDump:
         x = rng.uniform(0.2, 0.8, 4)
         trace = first_run_trace(tiny_model, x, 0, mi.AttackConfig(n_iter=12, epsilon=0.4))
         path = tmp_path / "trace.csv"
-        dump_trace_csv(trace, path)
+        dump_trace_csv(trace, 0, path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["iteration", "loss", "distance", "predicted_class"]
@@ -293,6 +295,17 @@ class TestTraceDump:
         assert float(rows[1][2]) == 0.0
         best = max(float(r[1]) for r in rows[1:])
         assert abs(best - trace.losses.max()) < 1e-15
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, INF])
+    def test_block_row_file_is_the_one_row_file(self, tmp_path, tiny_model, rng, p):
+        X = rng.uniform(0.2, 0.8, (5, 4))
+        Y = rng.integers(3, size=5)
+        cfg = mi.AttackConfig(p=p, n_iter=12, epsilon=0.4)
+        trace = first_run_traces(tiny_model, X, Y, cfg)
+        for i in range(len(X)):
+            dump_trace_csv(trace, i, tmp_path / "block.csv")
+            dump_trace_csv(first_run_trace(tiny_model, X[i], int(Y[i]), cfg), 0, tmp_path / "one.csv")
+            assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +414,13 @@ def _bits(value) -> bytes:
     return np.asarray(value, dtype=np.float64).tobytes()
 
 
+def row_outcome(block, i):
+    """Row i of a block AdversarialOutcome."""
+    return mi.AdversarialOutcome(
+        block.v[i], block.distance[i], block.success[i], block.iterations_used[i], block.best_loss[i]
+    )
+
+
 def assert_same_outcome(a, b):
     assert a.v.tobytes() == b.v.tobytes()
     assert _bits(a.distance) == _bits(b.distance)
@@ -428,38 +448,55 @@ class TestBlockSearch:
     def test_rows_match_one_row_calls(self, block, p, n_restarts):
         model, X, Y, seeds = block
         cfg = mi.AttackConfig(p=p, epsilon=0.1, n_iter=12, n_restarts=n_restarts)
-        outcomes = find_adversarial_rows(model, X, Y, cfg, seeds)
-        kinds = {
-            "misclassified" if o.iterations_used == 0 and o.success
-            else "found" if o.success else "failed"
-            for o in outcomes
-        }
-        assert kinds == {"misclassified", "found", "failed"}
-        for i, out in enumerate(outcomes):
+        outcome = find_adversarial_rows(model, X, Y, cfg, seeds)
+        n = len(X)
+        assert outcome.v.shape == X.shape
+        assert outcome.distance.shape == outcome.best_loss.shape == (n,)
+        assert outcome.success.dtype == bool and outcome.success.shape == (n,)
+        assert outcome.iterations_used.dtype.kind == "i" and outcome.iterations_used.shape == (n,)
+        misclassified = outcome.success & (outcome.iterations_used == 0)
+        found = outcome.success & (outcome.iterations_used > 0)
+        assert misclassified.any() and found.any() and not outcome.success.all()
+        assert np.all(outcome.v[misclassified] == 0.0) and not np.signbit(outcome.v[misclassified]).any()
+        for i in range(n):
+            out = row_outcome(outcome, i)
             row_cfg = replace(cfg, seed=seeds[i])
             assert_same_outcome(out, mi.find_adversarial(model, X[i], int(Y[i]), row_cfg))
             assert_same_outcome(out, _reference_search(model, X[i], int(Y[i]), row_cfg))
-        order = np.random.default_rng(5).permutation(len(X))
+        order = np.random.default_rng(5).permutation(n)
         for part in [order, *np.array_split(order, 2)]:
             got = find_adversarial_rows(model, X[part], Y[part], cfg, [seeds[i] for i in part])
-            for i, out in zip(part, got):
-                assert_same_outcome(out, outcomes[i])
+            for j, i in enumerate(part):
+                assert_same_outcome(row_outcome(got, j), row_outcome(outcome, i))
+
+    def test_one_row_call_returns_plain_values(self, block):
+        model, X, Y, _ = block
+        cfg = mi.AttackConfig(p=2.0, epsilon=0.1, n_iter=12, n_restarts=2)
+        for i in (0, 5):  # misclassified, searched
+            out = mi.find_adversarial(model, X[i], int(Y[i]), cfg)
+            assert out.v.shape == X[i].shape
+            assert (type(out.distance), type(out.success)) == (float, bool)
+            assert (type(out.iterations_used), type(out.best_loss)) == (int, float)
 
     @pytest.mark.parametrize("n_restarts", [1, 2])
     @pytest.mark.parametrize("p", [1.0, 2.0, INF])
     def test_first_run_traces_match_one_row_runs(self, block, p, n_restarts):
         model, X, Y, seeds = block
         cfg = mi.AttackConfig(p=p, epsilon=0.1, n_iter=12, n_restarts=n_restarts)
-        traces = first_run_traces(model, X, Y, cfg)
-        assert len(traces) == len(X)  # misclassified rows included
+        trace = first_run_traces(model, X, Y, cfg)
+        # misclassified rows included
+        assert trace.points.shape == (cfg.n_iter + 1, *X.shape)
+        assert trace.losses.shape == trace.predictions.shape == (cfg.n_iter + 1, len(X))
+        assert trace.predictions.dtype == np.int64
+        assert trace.center.tobytes() == X.tobytes()
         for i in range(len(X)):
             one = first_run_trace(model, X[i], int(Y[i]), cfg)
             points, losses, preds = _reference_ascent(model, X[i], int(Y[i]), cfg)
-            for trace in (traces[i], one):
-                assert trace.points.tobytes() == points.tobytes()
-                assert trace.losses.tobytes() == losses.tobytes()
-                assert trace.predictions.tobytes() == preds.astype(np.int64).tobytes()
-                assert trace.center.tobytes() == X[i].tobytes()
+            for got, row in ((trace, i), (one, 0)):
+                assert got.points[:, row].tobytes() == points.tobytes()
+                assert got.losses[:, row].tobytes() == losses.tobytes()
+                assert got.predictions[:, row].tobytes() == preds.astype(np.int64).tobytes()
+                assert got.center[row].tobytes() == X[i].tobytes()
 
 
 def _reference_row(model, x, y):

@@ -283,11 +283,14 @@ class TestDatasetDirectory:
 
     @pytest.mark.parametrize("fmt", ["csv", "binary"])
     def test_class_count_disagreeing_with_manifest(self, tmp_path, fmt):
+        # a saved directory whose train file then gets an edited label
         X, y, manifest = generate_synthetic_dataset(2, 10, 3, 1.0, seed=4)
-        y[0] = 11
         save_dataset(X, y, manifest, tmp_path, fmt=fmt)
-        if fmt == "binary":  # a header that agrees with the edited label
-            n = manifest.train_size
+        y[0] = 11
+        n = manifest.train_size
+        if fmt == "csv":
+            save_csv_file(X[:n], y[:n], tmp_path / "train.csv")
+        else:  # with headers that agree with the edited label
             save_binary_file(X[:n], y[:n], tmp_path / "train.bin", n_classes=12)
             save_binary_file(X[n:], y[n:], tmp_path / "heldout.bin", n_classes=12)
         with pytest.raises(DataError, match="n_classes is 10, the files hold 12"):
@@ -369,4 +372,18 @@ class TestDatasetContainer:
                     save(bad_X, bad_y, tmp_path / name)
         with pytest.raises(DataError, match="dataset arrays must be"):
             save_dataset(X, np.array([0, 1]), generate_synthetic_dataset(1, 2, 2, 1.0, seed=0)[2], tmp_path)
+        # a manifest that does not describe the block, which load_dataset
+        # would reject
+        X, y, manifest = generate_synthetic_dataset(2, 3, 4, 1.0, 0, 2)
+        negative = y.copy()
+        negative[0] = -1
+        for labels, changes, match in (
+            (y, {"train_size": 4}, "train_size \\+ heldout_size is 10, X has 12 rows"),
+            (y, {"feature_dim": 5}, "feature_dim is 5, X has 4 columns"),
+            (y, {"n_classes": 2}, "outside \\[0, 2\\)"),
+            (negative, {}, "outside \\[0, 3\\)"),
+        ):
+            for fmt in ("csv", "binary"):
+                with pytest.raises(DataError, match=match):
+                    save_dataset(X, labels, dataclasses.replace(manifest, **changes), tmp_path / "ds", fmt)
         assert list(tmp_path.iterdir()) == []

@@ -7,6 +7,7 @@ import re
 import tracemalloc
 import warnings
 from array import array
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import miaudit as mi
-from miaudit.errors import DataError
+from miaudit.errors import DataError, ShapeError
 from miaudit.nn_core import classification_accuracy
 from miaudit.scores import (
     SCORE_HEADER,
@@ -122,6 +123,19 @@ class TestDispatch:
         for name in mi.THRESHOLD_STRATEGIES:
             (val,) = mi.compute_score(tiny_model, X, [1], name, cfg)
             assert math.isfinite(val)
+
+    def test_adv_dist_takes_per_row_seeds(self, tiny_model, rng):
+        X = rng.uniform(0, 1, (6, 4))
+        Y = np.argmax(mi.forward_predict(tiny_model, X), axis=1)  # every row is searched
+        cfg = mi.AttackConfig(p=2, epsilon=0.8, n_iter=8, n_restarts=2)
+        seeds = [100 + i for i in range(len(X))]
+        got = mi.compute_score(tiny_model, X, Y, "adv_dist", cfg, seeds)
+        assert got.tobytes() == mi.adv_dist_score(tiny_model, X, Y, cfg, seeds).tobytes()
+        for i in range(len(X)):
+            (one,) = mi.adv_dist_score(tiny_model, X[i : i + 1], Y[i : i + 1], replace(cfg, seed=seeds[i]))
+            assert got[i : i + 1].tobytes() == np.float64(one).tobytes()
+        with pytest.raises(ShapeError):
+            mi.compute_score(tiny_model, X, Y, "adv_dist", cfg, seeds[:-1])
 
     def test_adv_dist_needs_config(self, tiny_model):
         with pytest.raises(DataError):
