@@ -73,11 +73,15 @@ def write_bytes(path, chunks) -> None:
 
 class BinaryReader:
     """A binary file read whole: `magic`, a little-endian u32 `version`, then
-    header fields taken in order.  Every DataError names the file."""
+    header fields taken in order.  Every DataError names the file.  With
+    `head`, only the first `head` bytes are read, enough for the header;
+    `rest` then checks the file's size and returns only what was read."""
 
-    def __init__(self, path, magic: bytes, version: int, what: str):
+    def __init__(self, path, magic: bytes, version: int, what: str, head: int = -1):
         self.path = path
-        self.data = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            self.data = fh.read(head)
+            self.size = len(self.data) if head < 0 else os.fstat(fh.fileno()).st_size
         self.pos = len(magic)
         if self.data[: self.pos] != magic:
             raise self.error(f"not {what} (bad magic)")
@@ -99,7 +103,7 @@ class BinaryReader:
 
     def rest(self, size: int) -> memoryview:
         """The bytes after the header, which must number exactly `size`."""
-        left = len(self.data) - self.pos
+        left = self.size - self.pos
         if left != size:
             raise self.error(f"header declares {size} bytes after it, the file holds {left}")
         return memoryview(self.data)[self.pos :]
@@ -119,15 +123,21 @@ def read_json_object(path: Path) -> dict:
 def csv_rows(data: bytes, path):
     """The rows of a CSV file's bytes, decoded as UTF-8.  Bytes that are not
     UTF-8, or a `csv.Error` such as a field over `csv.field_size_limit()`,
-    raise DataError naming the file and line.  The whole file is decoded
-    before the first row is returned, so the line of a bad byte is exact,
-    and again as the rows stream, so the text is not kept while they parse."""
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[: exc.start]
-        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-        raise DataError(f"{path}: line {line}: {exc}") from exc
+    raise DataError naming the file and line.  The whole file is checked
+    before the first row is returned, in pieces of about 1 MB that end
+    after a line end (no multi-byte UTF-8 sequence holds 0x0A), so neither
+    the check nor the rows, decoded as they stream, hold the file's text."""
+    start = 0
+    while start < len(data):
+        end = data.find(b"\n", start + (1 << 20)) + 1 or len(data)
+        try:
+            str(memoryview(data)[start:end], "utf-8")
+        except UnicodeDecodeError as exc:
+            pos = start + exc.start
+            line = 1 + data.count(b"\n", 0, pos) + data.count(b"\r", 0, pos) - data.count(b"\r\n", 0, pos)
+            whole = UnicodeDecodeError("utf-8", data, pos, start + exc.end, exc.reason)
+            raise DataError(f"{path}: line {line}: {whole}") from exc
+        start = end
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
     try:
         yield from reader

@@ -19,17 +19,16 @@ import numpy as np
 from .artifacts import BinaryReader, write_bytes, write_csv
 from .errors import ConfigError, InvalidInputError, ShapeError, TrainingError
 from .nn_core import (
-    AdamState,
     DenseNet,
     MLPClassifier,
+    TrainConfig,
     _check_rows,
-    batch_grads,
     cross_entropy_loss,
     loss_and_grads,
     mean_loss,
+    minibatch_epochs,
     net_chunks,
     net_from_block,
-    parameter_views,
     read_net_header,
     row_backward,
     row_gradient_factors,
@@ -69,18 +68,14 @@ def gradient_statistics(G) -> np.ndarray:
     m2 = np.mean(centered**2, axis=1)
     flat = m2 < _MOMENT_FLOOR
     m2 = np.where(flat, 1.0, m2)
-    # the powers of m2 one Python float at a time: numpy's array power can
-    # round the last bit differently from the scalar one
-    m2_15 = np.array([m**1.5 for m in m2.tolist()])
-    m2_2 = np.array([m**2 for m in m2.tolist()])
     return np.stack(
         [
             np.sum(np.abs(G), axis=1),
             np.sqrt(np.sum(G * G, axis=1)),
             np.max(G, axis=1),
             mean,
-            np.where(flat, 0.0, np.mean(centered**3, axis=1) / m2_15),
-            np.where(flat, 0.0, np.mean(centered**4, axis=1) / m2_2 - 3.0),
+            np.where(flat, 0.0, np.mean(centered**3, axis=1) / m2**1.5),
+            np.where(flat, 0.0, np.mean(centered**4, axis=1) / m2**2 - 3.0),
             np.min(np.abs(G), axis=1),
         ],
         axis=1,
@@ -245,12 +240,7 @@ class BinaryNet(DenseNet):
 
     def scores(self, X) -> np.ndarray:
         """The sigmoid output of each row, bitwise what the row alone gets."""
-        arr = np.asarray(X, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != self.layer_dims[0]:
-            raise ShapeError(
-                f"binary net takes an (n, {self.layer_dims[0]}) block, got shape {arr.shape}"
-            )
-        return self.forward(arr, row_product)[2]
+        return self.forward(_check_rows(self, X), row_product)[2]
 
 
 @dataclass
@@ -364,30 +354,15 @@ def fit_logistic_attacker(
 
 
 def _train_binary_net(
-    net: BinaryNet,
-    X: np.ndarray,
-    y: np.ndarray,
-    seed: int,
-    epochs: int,
-    learning_rate: float,
-    batch_size: int,
-    min_delta: float = 1e-6,
-    patience: int = 20,
+    net: BinaryNet, X: np.ndarray, y: np.ndarray, seed: int, epochs: int, learning_rate: float,
+    batch_size: int, min_delta: float = 1e-6, patience: int = 20,
 ) -> list[float]:
-    rng = np.random.default_rng(seed)
-    grad = np.empty_like(net.flat)
-    grads = parameter_views(net.layer_dims, grad)
-    adam = AdamState(grad.size)
-    n = X.shape[0]
-    history = []
-    best = math.inf
-    best_epoch = 0
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            batch = order[start:start + batch_size]
-            batch_grads(net, X[batch], y[batch], grads)
-            adam.step(net.flat, grad, learning_rate)
+    """Adam epochs of `minibatch_epochs` until the full-set mean loss has
+    not improved by `min_delta` for `patience` epochs; returns that loss
+    after each epoch."""
+    history, best, best_epoch = [], math.inf, 0
+    config = TrainConfig(epochs, batch_size, learning_rate, seed=seed)
+    for epoch, _ in enumerate(minibatch_epochs(net, X, y, config)):
         loss = mean_loss(net, X, y)
         if not math.isfinite(loss):
             raise TrainingError("attacker training diverged")

@@ -1,6 +1,7 @@
 """Experiment configuration, datasets, the audit pipeline, and the CLI."""
 
-from .config import ALL_STRATEGIES, ATTACKER_STRATEGIES, ExperimentConfig, load_config, stage_seed
+from ..scores import ALL_STRATEGIES, ATTACKER_STRATEGIES
+from .config import ExperimentConfig, load_config, stage_seed
 from .data import (
     DatasetManifest,
     generate_synthetic_dataset,

@@ -14,7 +14,7 @@ from ..adversarial import AttackConfig
 from ..errors import ConfigError
 from ..evaluation import ProtocolConfig
 from ..nn_core import TrainConfig
-from ..scores import ALL_STRATEGIES, ATTACKER_STRATEGIES, THRESHOLD_STRATEGIES
+from ..scores import ALL_STRATEGIES, THRESHOLD_STRATEGIES
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}

@@ -83,8 +83,7 @@ def generate_synthetic_dataset(
     for cls in range(n_classes):
         rows = X[cls * per_class:(cls + 1) * per_class]
         np.add(means[cls], rng.normal(size=(per_class, dim)), out=rows)
-    lo = X.min(axis=0)
-    hi = X.max(axis=0)
+    lo, hi = X.min(axis=0), X.max(axis=0)
     span = np.where(hi > lo, hi - lo, 1.0)
     X -= lo
     X /= span
@@ -140,8 +139,9 @@ def save_csv_file(X: np.ndarray, y: np.ndarray, path) -> None:
     write_csv(path, header, ([*row.tolist(), label] for row, label in zip(X, y)))
 
 
-def read_csv_file(path):
-    """(features, labels) from one CSV file; errors carry the line number."""
+def _read_csv_rows(path, feats: array, labels: array) -> int:
+    """Append one CSV file's features to `feats` and labels to `labels`;
+    returns its feature count.  Errors carry the line number."""
     reader = csv_rows(Path(path).read_bytes(), path)
     header = next(reader, None)
     if header is None:
@@ -149,7 +149,7 @@ def read_csv_file(path):
     d = len(header) - 1
     if d < 1 or header != [f"f{i}" for i in range(d)] + ["label"]:
         raise DataError(f"{path}: line 1: expected header f0..f{{d-1}},label")
-    feats, labels = array("d"), array("q")
+    n_before = len(labels)
     for lineno, row in enumerate(reader, start=2):
         if len(row) != d + 1:
             raise DataError(f"{path}: line {lineno}: {len(row)} fields, want {d + 1}")
@@ -164,8 +164,15 @@ def read_csv_file(path):
             raise DataError(f"{path}: line {lineno}: label {label} outside [0, {_LABEL_MAX}]")
         feats.extend(values)
         labels.append(label)
-    if not labels:
+    if len(labels) == n_before:
         raise DataError(f"{path}: no data rows")
+    return d
+
+
+def read_csv_file(path):
+    """(features, labels) from one CSV file; errors carry the line number."""
+    feats, labels = array("d"), array("q")
+    d = _read_csv_rows(path, feats, labels)
     return np.frombuffer(feats).reshape(-1, d), np.frombuffer(labels, dtype=np.int64)
 
 
@@ -182,20 +189,31 @@ def save_binary_file(X: np.ndarray, y: np.ndarray, path, n_classes: Optional[int
     write_bytes(path, [header, np.ascontiguousarray(X, dtype="<f4"), np.ascontiguousarray(y, dtype="<i4")])
 
 
-def read_binary_file(path):
-    """(features, labels, n_classes) from one binary file."""
-    reader = BinaryReader(path, DATA_MAGIC, DATA_VERSION, "a dataset file")
+def _read_binary(path, head_only: bool = False):
+    """A binary dataset file's header (d, K, n) and its checked rows: (n, d)
+    float32 features and (n,) int32 labels, views of the file's bytes.
+    With `head_only`, only the header is read, and the rows are None."""
+    head = len(DATA_MAGIC) + 16 if head_only else -1
+    reader = BinaryReader(path, DATA_MAGIC, DATA_VERSION, "a dataset file", head)
     d, k, n = reader.unpack("<III")
     if d < 1 or k < 1 or n < 1:
         raise reader.error(f"implausible header (d={d}, K={k}, n={n})")
     data = reader.rest(4 * n * d + 4 * n)
-    X = np.frombuffer(data, dtype="<f4", count=n * d).reshape(n, d).astype(np.float64)
-    y = np.frombuffer(data, dtype="<i4", offset=4 * n * d).astype(np.int64)
-    if not np.all(np.isfinite(X)):
+    if head_only:
+        return (d, k, n), None, None
+    feats = np.frombuffer(data, dtype="<f4", count=n * d).reshape(n, d)
+    if not np.all(np.isfinite(feats)):
         raise reader.error("non-finite feature values")
-    if y.min() < 0 or y.max() >= k:
+    labels = np.frombuffer(data, dtype="<i4", offset=4 * n * d)
+    if labels.min() < 0 or labels.max() >= k:
         raise reader.error(f"label outside [0, {k})")
-    return X, y, k
+    return (d, k, n), feats, labels
+
+
+def read_binary_file(path):
+    """(features, labels, n_classes) from one binary file."""
+    (_, k, _), feats, labels = _read_binary(path)
+    return feats.astype(np.float64), labels.astype(np.int64), k
 
 
 # ---------------------------------------------------------------------------
@@ -251,18 +269,31 @@ def load_dataset(path, fmt: str = "csv"):
         if not p.is_file():
             raise DataError(f"missing dataset file {p}")
     if fmt == "csv":
-        Xt, yt = read_csv_file(train_path)
-        Xh, yh = read_csv_file(held_path)
-        k = int(max(yt.max(), yh.max())) + 1
+        # both files' rows go into one buffer, which the block then views
+        feats, labels = array("d"), array("q")
+        d = _read_csv_rows(train_path, feats, labels)
+        n_train = len(labels)
+        if _read_csv_rows(held_path, feats, labels) != d:
+            raise DataError("train and heldout disagree on the feature dimension")
+        X, y = np.frombuffer(feats).reshape(-1, d), np.frombuffer(labels, dtype=np.int64)
+        k = int(y.max()) + 1
     else:
-        Xt, yt, k1 = read_binary_file(train_path)
-        Xh, yh, k2 = read_binary_file(held_path)
-        if k1 != k2:
+        # the block is allocated once both headers are read, and takes one
+        # file's rows at a time, so one file's bytes are held beside it
+        (d, k, n_train), feats, labels = _read_binary(train_path)
+        held, _, _ = _read_binary(held_path, head_only=True)
+        if held[1] != k:
             raise DataError("train and heldout disagree on the class count")
-        k = k1
-    n_train, n_held, d = len(Xt), len(Xh), Xt.shape[1]
-    if Xh.shape[1] != d:
-        raise DataError("train and heldout disagree on the feature dimension")
+        if held[0] != d:
+            raise DataError("train and heldout disagree on the feature dimension")
+        X, y = np.empty((n_train + held[2], d)), np.empty(n_train + held[2], dtype=np.int64)
+        X[:n_train], y[:n_train] = feats, labels
+        del feats, labels
+        header, feats, labels = _read_binary(held_path)
+        if header != held:
+            raise DataError(f"{held_path}: the header changed while the file was read")
+        X[n_train:], y[n_train:] = feats, labels
+    n_held, d = len(X) - n_train, X.shape[1]
     manifest_path = base / "manifest.json"
     # a CSV cut at a row boundary still parses, and an edited CSV label sizes
     # the target's output layer; the manifest catches both
@@ -275,10 +306,7 @@ def load_dataset(path, fmt: str = "csv"):
     # rows cannot all appear in the data, so the count is not trusted
     if k > n_train + n_held:
         raise DataError(f"{base}: {k} classes, more than the {n_train + n_held} rows of both splits")
-    lo = np.minimum(Xt.min(axis=0), Xh.min(axis=0))
-    hi = np.maximum(Xt.max(axis=0), Xh.max(axis=0))
-    X = np.concatenate([Xt, Xh])
-    y = np.concatenate([yt, yh])
+    lo, hi = X.min(axis=0), X.max(axis=0)
     needs = (lo < 0.0) | (hi > 1.0)
     mins = np.where(needs, lo, 0.0)
     maxs = np.where(needs, hi, 1.0)

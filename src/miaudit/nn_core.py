@@ -3,8 +3,9 @@
 Every network is one dense ReLU core (`DenseNet`) with one forward and
 one backward loop; the classifier adds a softmax cross-entropy head, the
 attackers a sigmoid BCE head.  Forward prediction and gradient evaluation
-on a frozen model are pure functions of (parameters, input), and training
-is seeded so repeated runs are bitwise identical.
+on a frozen model are pure functions of (parameters, input), and every
+net trains through one seeded epoch loop (`minibatch_epochs`), so repeated
+runs are bitwise identical.
 """
 
 from __future__ import annotations
@@ -61,16 +62,14 @@ def softmax(logits) -> np.ndarray:
 
 def cross_entropy_loss(probs, labels) -> np.ndarray:
     """-log p[label] of each row of a probability block (n, c) with n
-    labels, the probability clamped below by PROB_FLOOR.  Each log is
-    `math.log` of one value; numpy's vectorised log differs from it in the
-    last bit for some inputs."""
+    labels, the probability clamped below by PROB_FLOOR: the one
+    cross-entropy kernel, which every classifier loss in the package reads."""
     p = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
     if p.ndim != 2 or labels.shape != p.shape[:1]:
         raise ShapeError(f"cross_entropy_loss got probs {p.shape} and labels {labels.shape}")
     labels = _class_labels(labels, p.shape[1])
-    picked = np.clip(p[np.arange(len(labels)), labels], PROB_FLOOR, 1.0)
-    return np.array([-math.log(v) for v in picked.tolist()])
+    return -np.log(np.clip(p[np.arange(len(labels)), labels], PROB_FLOOR, 1.0))
 
 
 def flat_size(layer_dims) -> int:
@@ -160,11 +159,7 @@ class DenseNet:
         return len(self.layer_dims) - 1
 
     def parameters(self) -> list:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
 
     def parameter_count(self) -> int:
         return self.flat.size
@@ -198,8 +193,7 @@ class MLPClassifier(DenseNet):
         return softmax(logits)
 
     def head_losses(self, logits: np.ndarray, probs: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Cross entropy with the probability clamped below by PROB_FLOOR."""
-        return -np.log(np.clip(probs[np.arange(len(Y)), Y], PROB_FLOOR, 1.0))
+        return cross_entropy_loss(probs, Y)
 
     def head_delta(self, probs: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Gradient of the unclamped cross entropy; the clamp only bounds the
@@ -251,15 +245,6 @@ def _mean(losses: np.ndarray) -> float:
     return float(losses.sum() / losses.shape[0])
 
 
-def batch_grads(net: DenseNet, X, Y, grads: list, need_input=False):
-    """Forward and backward pass of the batch's mean head loss, without the
-    loss itself: (pre-activations, head output, parameter grads written into
-    `grads`, input grad or None)."""
-    pres, acts, out = net.forward(X)
-    deltas, g_in = _backward(net, pres, net.head_delta(out, Y) / X.shape[0], need_input)
-    return pres, out, _parameter_grads(acts, deltas, grads), g_in
-
-
 def loss_and_grads(net: DenseNet, X, Y, need_input=False, grads=None):
     """Mean head loss over the batch plus its exact gradients.
 
@@ -269,7 +254,9 @@ def loss_and_grads(net: DenseNet, X, Y, need_input=False, grads=None):
     """
     if grads is None:
         grads = parameter_views(net.layer_dims, np.empty(net.parameter_count()))
-    pres, out, grads, g_in = batch_grads(net, X, Y, grads, need_input)
+    pres, acts, out = net.forward(X)
+    deltas, g_in = _backward(net, pres, net.head_delta(out, Y) / X.shape[0], need_input)
+    _parameter_grads(acts, deltas, grads)
     return _mean(net.head_losses(pres[-1], out, Y)), grads, g_in, out
 
 
@@ -279,7 +266,7 @@ def mean_loss(net: DenseNet, X, Y) -> float:
     return _mean(net.head_losses(pres[-1], out, Y))
 
 
-def _check_rows(model: MLPClassifier, X) -> np.ndarray:
+def _check_rows(model: DenseNet, X) -> np.ndarray:
     """A block of inputs (n, d) as a float array."""
     arr = np.asarray(X, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != model.input_dim:
@@ -385,8 +372,7 @@ def sample_evaluation(model: MLPClassifier, X, Y):
     gradients of a block (n, d) and n labels, each row bitwise what the row
     alone gives; the attack hot path."""
     pres, _, probs, _, g_in = row_backward(model, X, Y)
-    losses = model.head_losses(pres[-1], probs, np.asarray(Y, dtype=np.int64))
-    return losses, probs, g_in
+    return model.head_losses(pres[-1], probs, Y), probs, g_in
 
 
 def backward_gradients(model: MLPClassifier, x, y):
@@ -404,17 +390,10 @@ def backward_gradients(model: MLPClassifier, x, y):
 
 
 def _dataset_arrays(model: MLPClassifier, X, Y) -> tuple[np.ndarray, np.ndarray]:
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y)
-    if X.ndim != 2 or Y.shape != X.shape[:1]:
-        raise ShapeError(f"dataset needs (n, d) features and (n,) labels, got {X.shape}, {Y.shape}")
+    X = _check_rows(model, X)
     if X.shape[0] == 0:
         raise ConfigError("dataset is empty")
-    if X.shape[1] != model.input_dim:
-        raise ShapeError(
-            f"sample dim {X.shape[1]} does not match model input_dim {model.input_dim}"
-        )
-    return X, _class_labels(Y, model.n_classes)
+    return X, _check_labels(model, Y, X.shape[0])
 
 
 class AdamState:
@@ -454,35 +433,41 @@ class AdamState:
         params -= np.divide(u, s, out=u)
 
 
-def train(model: MLPClassifier, X, Y, config: TrainConfig):
-    """Seeded minibatch training; returns (model, per-epoch mean loss history).
-
-    The model is updated in place.  Batches follow a fresh seeded permutation
-    each epoch; the final short batch is kept.
-    """
-    X, Y = _dataset_arrays(model, X, Y)
+def minibatch_epochs(net: DenseNet, X: np.ndarray, Y: np.ndarray, config: TrainConfig):
+    """The one epoch loop of every net: seeded minibatch training of `net`
+    in place, by Adam or SGD steps over its flat buffer.  Batches follow a
+    fresh seeded permutation each epoch, the final short batch kept.  After
+    each of `config.epochs` epochs, yields the batch-weighted mean of the
+    batch losses, each taken before its step."""
     n = X.shape[0]
     rng = np.random.default_rng(config.seed)
-    grad = np.empty_like(model.flat)
-    grads = parameter_views(model.layer_dims, grad)
+    grad = np.empty_like(net.flat)
+    grads = parameter_views(net.layer_dims, grad)
     adam = AdamState(grad.size) if config.optimizer == "adam" else None
-    history = []
     for _ in range(config.epochs):
         order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             try:
-                loss, _, _, _ = loss_and_grads(model, X[idx], Y[idx], grads=grads)
+                loss, _, _, _ = loss_and_grads(net, X[idx], Y[idx], grads=grads)
             except InvalidInputError as exc:
                 # overflowed parameters poison the forward pass
                 raise TrainingError(f"training diverged: {exc}") from exc
             if adam is not None:
-                adam.step(model.flat, grad, config.learning_rate)
+                adam.step(net.flat, grad, config.learning_rate)
             else:
-                model.flat -= config.learning_rate * grad
+                net.flat -= config.learning_rate * grad
             total += loss * len(idx)
-        epoch_loss = total / n
+        yield total / n
+
+
+def train(model: MLPClassifier, X, Y, config: TrainConfig):
+    """Seeded minibatch training (`minibatch_epochs`); returns (model,
+    per-epoch mean loss history).  The model is updated in place."""
+    X, Y = _dataset_arrays(model, X, Y)
+    history = []
+    for epoch_loss in minibatch_epochs(model, X, Y, config):
         if not math.isfinite(epoch_loss):
             raise TrainingError("training diverged to a non-finite loss")
         history.append(epoch_loss)
@@ -491,14 +476,12 @@ def train(model: MLPClassifier, X, Y, config: TrainConfig):
 
 def empirical_risk(model: MLPClassifier, X, Y) -> float:
     """Mean cross-entropy loss over the dataset."""
-    X, Y = _dataset_arrays(model, X, Y)
-    return mean_loss(model, X, Y)
+    return mean_loss(model, *_dataset_arrays(model, X, Y))
 
 
 def classification_accuracy(model: MLPClassifier, X, Y) -> float:
     X, Y = _dataset_arrays(model, X, Y)
-    _, _, probs = model.forward(X)
-    return float(np.mean(np.argmax(probs, axis=1) == Y))
+    return float(np.mean(np.argmax(model.forward(X)[2], axis=1) == Y))
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,17 @@ class TestGradientStatistics:
         s = mi.gradient_statistics(np.array([[1.0, 2.0]]))
         assert s.tolist() == [[python_stats([1.0, 2.0])[n] for n in GRAD_STAT_NAMES]]
 
+    def test_shape_moments_take_array_powers(self):
+        rng = np.random.default_rng(4)
+        G = rng.normal(size=(2000, 30)) * rng.uniform(0.1, 10.0, (2000, 1))
+        centered = G - np.mean(G, axis=1)[:, None]
+        m2 = np.mean(centered**2, axis=1)
+        # on this block a Python float's power rounds some rows differently
+        assert (m2**1.5).tolist() != [m**1.5 for m in m2.tolist()]
+        s = mi.gradient_statistics(G)
+        assert s[:, 4].tobytes() == (np.mean(centered**3, axis=1) / m2**1.5).tobytes()
+        assert s[:, 5].tobytes() == (np.mean(centered**4, axis=1) / m2**2 - 3.0).tobytes()
+
 
 class TestExtractors:
     def test_grad_w_stats_composition(self, tiny_model, rng):

@@ -7,13 +7,13 @@ import pytest
 
 from miaudit.cli_runner.config import (
     ALL_STRATEGIES,
-    ATTACKER_STRATEGIES,
     ExperimentConfig,
     load_config,
     parse_config_file,
     stage_seed,
 )
 from miaudit.errors import ConfigError
+from miaudit.scores import ATTACKER_STRATEGIES
 
 
 def write_config(tmp_path, text):

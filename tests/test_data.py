@@ -162,6 +162,20 @@ class TestCsvFormat:
         with pytest.raises(DataError, match="part.csv: line 3: 'utf-8' codec can't decode byte 0xff"):
             read_csv_file(path)
 
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xe2\x82", b"\xe2\x82\xac"[:2] + b"\r\n"])
+    def test_undecodable_bytes_past_the_first_megabyte(self, tmp_path, bad):
+        # the check decodes the file in pieces; the line and the message
+        # are those of a decode of the whole file
+        rows = b"".join(b"0.%06d,\xc3\xa9,1\r\n" % i if i % 3 else b"0.%06d,0.5,1\n" % i for i in range(120_000))
+        data = b"f0,f1,label\n" + rows + b"0.3," + bad + b"x,1\n"
+        path = tmp_path / "part.csv"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        with pytest.raises(DataError) as err:
+            read_csv_file(path)
+        assert str(err.value) == f"{path}: line 120002: {whole.value}"
+
     def test_negative_label_rejected(self, tmp_path):
         path = tmp_path / "part.csv"
         path.write_text("f0,label\n0.5,-1\n")
@@ -236,6 +250,17 @@ class TestBinaryFormat:
         with pytest.raises(DataError):
             read_binary_file(path)
 
+    def test_heldout_header_larger_than_file(self, tmp_path):
+        # the heldout header sizes the block only once the file's size
+        # agrees with it
+        X, y, manifest = generate_synthetic_dataset(2, 2, 3, 1.0, seed=0)
+        save_dataset(X, y, manifest, tmp_path, fmt="binary")
+        (tmp_path / "manifest.json").unlink()
+        path = tmp_path / "heldout.bin"
+        path.write_bytes(DATA_MAGIC + struct.pack("<IIII", 1, 3, 2, 2**32 - 1) + bytes(64))
+        with pytest.raises(DataError, match="heldout.bin: header declares"):
+            load_dataset(tmp_path, fmt="binary")
+
     def test_label_outside_class_count(self, tmp_path, rng):
         path = tmp_path / "part.bin"
         save_binary_file(rng.uniform(0, 1, (3, 2)), np.array([0, 1, 2]), path, 3)
@@ -247,6 +272,24 @@ class TestBinaryFormat:
 
 
 class TestDatasetDirectory:
+    @pytest.mark.parametrize("fmt, bound", [("binary", 1.5), ("csv", 2.3)])
+    def test_load_holds_one_block(self, tmp_path, fmt, bound):
+        # the returned block plus one file's bytes at a time; a split copy
+        # and its concatenation peak at 2x, a whole-file decode of a CSV at
+        # about 2.9x
+        X, y, manifest = generate_synthetic_dataset(10, 100, 600, 1.0, seed=0, heldout_per_class=10)
+        save_dataset(X, y, manifest, tmp_path / "ds", fmt=fmt)
+        del X, y
+        load_dataset(tmp_path / "ds", fmt=fmt)  # lazy imports
+        tracemalloc.start()
+        try:
+            X, y, _ = load_dataset(tmp_path / "ds", fmt=fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert X.shape == (2000, 600)
+        assert peak <= bound * (X.nbytes + y.nbytes)
+
     @pytest.mark.parametrize("fmt", ["csv", "binary"])
     def test_save_load_roundtrip(self, tmp_path, fmt):
         X, y, manifest = generate_synthetic_dataset(6, 3, 4, 1.0, seed=5)

@@ -28,8 +28,10 @@ from miaudit.nn_core import (
     _backward,
     classification_accuracy,
     loss_and_grads,
+    row_product,
     sample_evaluation,
 )
+from miaudit.scores import loss_score
 
 
 def finite_difference_grad(f, x, h=1e-6):
@@ -109,6 +111,21 @@ class TestCrossEntropy:
             mi.cross_entropy_loss(np.array([[0.5, 0.5]]), [2])
         with pytest.raises(InvalidInputError):
             mi.cross_entropy_loss(np.array([[0.5, 0.5]]), [-1])
+
+    def test_every_loss_is_the_one_kernel(self):
+        # a trained target puts many probabilities near 1, where a scalar
+        # log and numpy's vectorised one disagree in the last bit most often
+        rng = np.random.default_rng(12)
+        X = rng.uniform(0, 1, (3000, 10))
+        Y = rng.integers(0, 4, 3000)
+        model = mi.build_mlp([10, 32, 32, 4], seed=3)
+        mi.train(model, X[:200], Y[:200], mi.TrainConfig(epochs=30, batch_size=32, learning_rate=3e-3))
+        probs = mi.forward_predict(model, X)
+        pres, _, _ = model.forward(X, row_product)
+        want = mi.cross_entropy_loss(probs, Y).tobytes()
+        assert sample_evaluation(model, X, Y)[0].tobytes() == want
+        assert (-loss_score(model, X, Y)).tobytes() == want
+        assert model.head_losses(pres[-1], probs, Y).tobytes() == want
 
 
 class TestLabels:
@@ -643,3 +660,12 @@ class TestTrainingDivergence:
                 y,
                 mi.TrainConfig(epochs=3, batch_size=8, learning_rate=1e200, optimizer="sgd"),
             )
+
+    def test_non_finite_features_rejected_at_entry(self, rng):
+        X, y = make_blobs(rng, 4, 2, 3)
+        X[5, 1] = np.nan
+        model = mi.build_mlp([3, 6, 2], seed=0)
+        before = model.flat.copy()
+        with pytest.raises(InvalidInputError, match="model input must be finite"):
+            mi.train(model, X, y, mi.TrainConfig(epochs=3, batch_size=8, learning_rate=0.01))
+        assert model.flat.tobytes() == before.tobytes()
