@@ -37,7 +37,6 @@ from .errors import (
 )
 from .evaluation import (
     EvalReport,
-    ProtocolConfig,
     ROCCurve,
     auroc,
     averaged_roc_on_grid,

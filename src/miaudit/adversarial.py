@@ -145,16 +145,13 @@ class AdversarialOutcome:
 
 @dataclass
 class ApgdTrace:
-    """Full iterate trace of one projected-ascent run of a block of n rows:
-    points (iterates, n, d), losses and predictions (iterates, n), and the
-    inputs as center (n, d).  Iterate 0 is the start."""
+    """Iterate trace of one projected-ascent run of a block of n rows:
+    losses, distances from the inputs in the attack norm, and predictions,
+    each (iterates, n).  Iterate 0 is the start."""
 
-    points: np.ndarray
     losses: np.ndarray
+    distances: np.ndarray
     predictions: np.ndarray
-    center: np.ndarray
-    p: float
-    epsilon: float
 
 
 def _checkpoint_iterations(n_iter: int) -> list[int]:
@@ -294,10 +291,13 @@ def first_run_traces(model: MLPClassifier, X, Y, config: AttackConfig) -> ApgdTr
     included.  Rows run in lock step, each bitwise as it would alone."""
     X = np.asarray(X, dtype=np.float64)
     recorded = []
-    _ascend(model, X, _class_labels(Y, model.n_classes), config, None,
-            lambda *visited: recorded.append(visited))
-    points, losses, predictions = (np.stack(blocks) for blocks in zip(*recorded))
-    return ApgdTrace(points, losses, predictions.astype(np.int64), X.copy(), config.p, config.epsilon)
+
+    def record(points, losses, predictions):
+        recorded.append((losses, lp_norm(points - X, config.p), predictions))
+
+    _ascend(model, X, _class_labels(Y, model.n_classes), config, None, record)
+    losses, distances, predictions = (np.stack(blocks) for blocks in zip(*recorded))
+    return ApgdTrace(losses, distances, predictions.astype(np.int64))
 
 
 def find_adversarial(model: MLPClassifier, x, y: int, config: AttackConfig) -> AdversarialOutcome:
@@ -321,6 +321,5 @@ def find_adversarial(model: MLPClassifier, x, y: int, config: AttackConfig) -> A
 def dump_trace_csv(trace: ApgdTrace, row: int, path) -> None:
     """Debug dump of one row of a trace: one line per iterate with loss,
     distance, predicted class."""
-    distances = lp_norm(trace.points[:, row] - trace.center[row], trace.p)
-    rows = zip(itertools.count(), trace.losses[:, row], distances, trace.predictions[:, row])
+    rows = zip(itertools.count(), trace.losses[:, row], trace.distances[:, row], trace.predictions[:, row])
     write_csv(path, ["iteration", "loss", "distance", "predicted_class"], rows)

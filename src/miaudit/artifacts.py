@@ -120,26 +120,33 @@ def read_json_object(path: Path) -> dict:
     return value
 
 
-def csv_rows(data: bytes, path):
-    """The rows of a CSV file's bytes, decoded as UTF-8.  Bytes that are not
-    UTF-8, or a `csv.Error` such as a field over `csv.field_size_limit()`,
-    raise DataError naming the file and line.  The whole file is checked
-    before the first row is returned, in pieces of about 1 MB that end
-    after a line end (no multi-byte UTF-8 sequence holds 0x0A), so neither
-    the check nor the rows, decoded as they stream, hold the file's text."""
+def csv_rows(fh, path):
+    """The rows of a CSV file open in binary mode, decoded as UTF-8.  Bytes
+    that are not UTF-8, or a `csv.Error` such as a field over
+    `csv.field_size_limit()`, raise DataError naming the file and line.
+    The whole file is checked before the first row is returned, in pieces
+    of about 1 MB read from `fh` that end after a line end (no multi-byte
+    UTF-8 sequence holds 0x0A); the rows are then decoded as they stream
+    from the start of `fh`, so neither holds the file's bytes or text,
+    and `fh` is closed when they end.  Only bytes that are not UTF-8 make
+    it read the file whole, to name their line and position."""
     start = 0
-    while start < len(data):
-        end = data.find(b"\n", start + (1 << 20)) + 1 or len(data)
+    while piece := fh.read(1 << 20):
+        piece += fh.readline()
         try:
-            str(memoryview(data)[start:end], "utf-8")
+            str(piece, "utf-8")
         except UnicodeDecodeError as exc:
+            fh.seek(0)
+            data = fh.read()
             pos = start + exc.start
             line = 1 + data.count(b"\n", 0, pos) + data.count(b"\r", 0, pos) - data.count(b"\r\n", 0, pos)
             whole = UnicodeDecodeError("utf-8", data, pos, start + exc.end, exc.reason)
             raise DataError(f"{path}: line {line}: {whole}") from exc
-        start = end
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
+        start += len(piece)
+    fh.seek(0)
+    with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+        reader = csv.reader(text)
+        try:
+            yield from reader
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 from ..adversarial import AttackConfig
 from ..errors import ConfigError
-from ..evaluation import ProtocolConfig
 from ..nn_core import TrainConfig
 from ..scores import ALL_STRATEGIES, THRESHOLD_STRATEGIES
 
@@ -214,9 +213,6 @@ class ExperimentConfig:
     def ratios(self) -> list[tuple[int, int]]:
         return [_parse_ratio(r) for r in _split_list(self.values["protocol.ratios"])]
 
-    def analysis_ratio(self) -> tuple[int, int]:
-        return _parse_ratio(self.values["protocol.ratio"])
-
     def attack_config(self, seed: int = 0) -> AttackConfig:
         v = self.values
         return AttackConfig(
@@ -237,19 +233,17 @@ class ExperimentConfig:
             seed=seed,
         )
 
-    def protocol_config(self, member_pool: int, nonmember_pool: int, seed: int = 0) -> ProtocolConfig:
-        v = self.values
-        return ProtocolConfig(
-            member_pool_size=member_pool,
-            nonmember_pool_size=nonmember_pool,
-            member_subset_size=min(v["protocol.member_subset_size"], member_pool)
-            if v["protocol.member_subset_size"]
-            else 0,
-            repeats=v["protocol.repeats"],
-            ratio=self.analysis_ratio(),
-            seed=seed,
-            fpr_grid_points=v["protocol.fpr_grid_points"],
-        )
+    def member_subset_size(self, member_pool: int, nonmember_pool: int) -> int:
+        """Members per draw of analysis1: `protocol.member_subset_size`, or,
+        when it is 0, `protocol.ratio` times the nonmember pool; either way
+        at most the member pool."""
+        size = self.values["protocol.member_subset_size"]
+        if not size:
+            a, b = _parse_ratio(self.values["protocol.ratio"])
+            size = int(round(nonmember_pool * a / b))
+            if min(size, member_pool) < 1:
+                raise ConfigError("derived member subset is empty")
+        return min(size, member_pool)
 
     def echo(self) -> dict:
         """String form of every effective key, for the report."""

@@ -142,31 +142,32 @@ def save_csv_file(X: np.ndarray, y: np.ndarray, path) -> None:
 def _read_csv_rows(path, feats: array, labels: array) -> int:
     """Append one CSV file's features to `feats` and labels to `labels`;
     returns its feature count.  Errors carry the line number."""
-    reader = csv_rows(Path(path).read_bytes(), path)
-    header = next(reader, None)
-    if header is None:
-        raise DataError(f"{path}: empty file")
-    d = len(header) - 1
-    if d < 1 or header != [f"f{i}" for i in range(d)] + ["label"]:
-        raise DataError(f"{path}: line 1: expected header f0..f{{d-1}},label")
-    n_before = len(labels)
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != d + 1:
-            raise DataError(f"{path}: line {lineno}: {len(row)} fields, want {d + 1}")
-        try:
-            values = [float(v) for v in row[:-1]]
-            label = int(row[-1])
-        except ValueError as exc:
-            raise DataError(f"{path}: line {lineno}: {exc}") from exc
-        if not all(map(math.isfinite, values)):
-            raise DataError(f"{path}: line {lineno}: non-finite feature values")
-        if not 0 <= label <= _LABEL_MAX:
-            raise DataError(f"{path}: line {lineno}: label {label} outside [0, {_LABEL_MAX}]")
-        feats.extend(values)
-        labels.append(label)
-    if len(labels) == n_before:
-        raise DataError(f"{path}: no data rows")
-    return d
+    with open(path, "rb") as fh:
+        reader = csv_rows(fh, path)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        d = len(header) - 1
+        if d < 1 or header != [f"f{i}" for i in range(d)] + ["label"]:
+            raise DataError(f"{path}: line 1: expected header f0..f{{d-1}},label")
+        n_before = len(labels)
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != d + 1:
+                raise DataError(f"{path}: line {lineno}: {len(row)} fields, want {d + 1}")
+            try:
+                values = [float(v) for v in row[:-1]]
+                label = int(row[-1])
+            except ValueError as exc:
+                raise DataError(f"{path}: line {lineno}: {exc}") from exc
+            if not all(map(math.isfinite, values)):
+                raise DataError(f"{path}: line {lineno}: non-finite feature values")
+            if not 0 <= label <= _LABEL_MAX:
+                raise DataError(f"{path}: line {lineno}: label {label} outside [0, {_LABEL_MAX}]")
+            feats.extend(values)
+            labels.append(label)
+        if len(labels) == n_before:
+            raise DataError(f"{path}: no data rows")
+        return d
 
 
 def read_csv_file(path):

@@ -386,7 +386,7 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
         if traces:
             (out / "traces").mkdir(parents=True, exist_ok=True)
         for start, trace in traces:
-            for row in range(len(trace.center)):
+            for row in range(trace.losses.shape[1]):
                 dump_trace_csv(trace, row, out / "traces" / f"trace_{start + row}.csv")
     return report, out
 
@@ -415,20 +415,27 @@ def build_report(
         n_m = len(member_pool[strategies[0]])
         n_n = len(nonmember_pool[strategies[0]])
         with _stage("analysis1"):
-            protocol = config.protocol_config(n_m, n_n, stage_seed(config.seed, "analysis1"))
-            repeats = repeated_subset_experiment(member_pool, nonmember_pool, protocol)
-            for name, res in repeats.items():
+            size = config.member_subset_size(n_m, n_n)
+            repeats = config["protocol.repeats"]
+            results = repeated_subset_experiment(
+                member_pool, nonmember_pool, size, repeats, stage_seed(config.seed, "analysis1"),
+                config["protocol.fpr_grid_points"],
+            )
+            for name, (aurocs, accuracies, grid_rows) in results.items():
+                # a draw stands for repeats // draws repeats; the stats run
+                # over the distinct draws
+                copies = repeats // len(aurocs)
                 strategy_reports[name]["analysis1"] = {
-                    "repeats": protocol.repeats,
-                    "member_subset_size": protocol.resolved_subset_size(),
-                    "auroc_mean": res.auroc_mean,
-                    "auroc_std": res.auroc_std,
-                    "accuracy_mean": res.accuracy_mean,
-                    "accuracy_std": res.accuracy_std,
-                    "aurocs": [float(v) for v in res.aurocs],
-                    "accuracies": [float(v) for v in res.accuracies],
+                    "repeats": repeats,
+                    "member_subset_size": size,
+                    "auroc_mean": float(aurocs.mean()),
+                    "auroc_std": float(aurocs.std()),
+                    "accuracy_mean": float(accuracies.mean()),
+                    "accuracy_std": float(accuracies.std()),
+                    "aurocs": np.repeat(aurocs, copies).tolist(),
+                    "accuracies": np.repeat(accuracies, copies).tolist(),
                 }
-                roc_grids[name] = (grid, *res.tpr_stats)
+                roc_grids[name] = (grid, grid_rows.mean(axis=0), grid_rows.std(axis=0))
 
         with _stage("analysis2"):
             seed2 = stage_seed(config.seed, "analysis2")

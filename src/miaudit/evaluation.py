@@ -188,9 +188,9 @@ def _grid_row(curve: ROCCurve, grid) -> np.ndarray:
 def averaged_roc_on_grid(curves, fpr_grid) -> tuple[np.ndarray, np.ndarray]:
     """Mean and population std of TPR at fixed FPR grid points.
 
-    Each curve is reduced to its grid row as the repeated protocol reduces
-    each repeat's curve (`StrategyRepeats.grid_rows`), so the mean and std
-    of a protocol's curves are those of its grid rows.
+    Each curve is reduced to its grid row as `repeated_subset_experiment`
+    reduces each draw's curve, so the mean and std of a protocol's curves
+    are those of its grid rows.
     """
     grid = np.asarray(fpr_grid, dtype=np.float64)
     if grid.size == 0:
@@ -210,85 +210,6 @@ def default_fpr_grid(points: int = DEFAULT_FPR_GRID_POINTS) -> np.ndarray:
     return np.linspace(0.0, 1.0, points)
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
-    """Shape of the repeated balanced-subset protocol."""
-
-    member_pool_size: int
-    nonmember_pool_size: int
-    member_subset_size: int = 0  # 0 = derive from ratio
-    repeats: int = 20
-    ratio: tuple = (1, 1)  # member:nonmember target for derived subsets
-    seed: int = 0
-    fpr_grid_points: int = DEFAULT_FPR_GRID_POINTS  # of each repeat's grid row
-
-    def __post_init__(self):
-        if self.member_pool_size < 1 or self.nonmember_pool_size < 1:
-            raise ConfigError("protocol pools must be non-empty")
-        if self.repeats < 1:
-            raise ConfigError("protocol repeats must be >= 1")
-        if self.member_subset_size < 0:
-            raise ConfigError("member_subset_size must be >= 0")
-        if self.member_subset_size > self.member_pool_size:
-            raise ConfigError("member_subset_size exceeds the member pool")
-        a, b = self.ratio
-        if a < 1 or b < 1:
-            raise ConfigError("protocol ratio parts must be >= 1")
-
-    def resolved_subset_size(self) -> int:
-        if self.member_subset_size:
-            return self.member_subset_size
-        a, b = self.ratio
-        want = int(round(self.nonmember_pool_size * a / b))
-        size = min(self.member_pool_size, want)
-        if size < 1:
-            raise ConfigError("derived member subset is empty")
-        return size
-
-
-@dataclass
-class StrategyRepeats:
-    """Per-repeat metrics for one strategy under the balanced protocol.
-
-    Row r of `grid_rows` is repeat r's ROC curve reduced to its TPR at each
-    point of `default_fpr_grid(protocol.fpr_grid_points)`, as
-    `averaged_roc_on_grid` reduces a curve; the curves are not kept.  Each
-    distinct draw fills `copies` consecutive repeats.  Means and population
-    stds run over the distinct draws, so a draw that stands for every
-    repeat gives its own values and stds of exactly 0.
-    """
-
-    aurocs: np.ndarray
-    accuracies: np.ndarray
-    grid_rows: np.ndarray  # (repeats, grid points)
-    copies: int = 1
-
-    def _stats(self, values: np.ndarray) -> tuple:
-        draws = values[:: self.copies]
-        return draws.mean(axis=0), draws.std(axis=0)
-
-    @property
-    def auroc_mean(self) -> float:
-        return float(self._stats(self.aurocs)[0])
-
-    @property
-    def auroc_std(self) -> float:
-        return float(self._stats(self.aurocs)[1])
-
-    @property
-    def accuracy_mean(self) -> float:
-        return float(self._stats(self.accuracies)[0])
-
-    @property
-    def accuracy_std(self) -> float:
-        return float(self._stats(self.accuracies)[1])
-
-    @property
-    def tpr_stats(self) -> tuple:
-        """(mean, std) of the TPR at each grid point."""
-        return self._stats(self.grid_rows)
-
-
 def _member_draws(pool_size: int, size: int, repeats: int, seed: list) -> list:
     """Member indices of each repeat: `repeats` seeded draws of `size` of
     the pool without replacement, drawn from `[*seed, r]` for repeat r.
@@ -306,16 +227,25 @@ def _member_draws(pool_size: int, size: int, repeats: int, seed: list) -> list:
 def repeated_subset_experiment(
     member_scores: dict,
     nonmember_scores: dict,
-    protocol: ProtocolConfig,
+    subset_size: int,
+    repeats: int,
+    seed: int = 0,
+    fpr_grid_points: int = DEFAULT_FPR_GRID_POINTS,
 ) -> dict:
-    """Repeat: draw a member subset, evaluate every strategy on subset vs the
-    full nonmember pool.  The same subset indices serve all strategies within
-    a repeat; stds are population stds over repeats.  Each strategy's pools
-    are sorted once and every repeat sweeps that order filtered to its
-    subset.  When the subset is the whole member pool every repeat is the
-    same set, so it is swept once per strategy and that row fills every
-    repeat: the means are its values and the stds 0.
+    """Repeat: draw `subset_size` members, evaluate every strategy on that
+    subset vs the full nonmember pool.  The same subset indices serve all
+    strategies within a repeat.  Each strategy's pools are sorted once and
+    every draw sweeps that order filtered to its subset.
+
+    Returns strategy -> (aurocs, accuracies, grid_rows) over the distinct
+    draws: each draw's AUROC, best-threshold accuracy, and ROC curve reduced
+    to its TPR at each point of `default_fpr_grid(fpr_grid_points)`, as
+    `averaged_roc_on_grid` reduces a curve.  There are `repeats` draws, or
+    one when the subset is the whole member pool: every repeat is then the
+    same set, so it is swept once and stands for all of them.
     """
+    if repeats < 1:
+        raise ConfigError("protocol repeats must be >= 1")
     if set(member_scores) != set(nonmember_scores):
         raise ConfigError("member and nonmember score tables list different strategies")
     if not member_scores:
@@ -324,27 +254,21 @@ def repeated_subset_experiment(
     sizes_n = {len(np.ravel(v)) for v in nonmember_scores.values()}
     if len(sizes_m) != 1 or len(sizes_n) != 1:
         raise ConfigError("per-strategy score pools differ in length")
-    if sizes_m != {protocol.member_pool_size} or sizes_n != {protocol.nonmember_pool_size}:
-        raise ConfigError("score pools do not match the protocol pool sizes")
-    draws = _member_draws(
-        protocol.member_pool_size, protocol.resolved_subset_size(), protocol.repeats, [protocol.seed]
-    )
-    copies = protocol.repeats // len(draws)  # repeats each draw stands for
-    grid = default_fpr_grid(protocol.fpr_grid_points)
+    (pool_size,) = sizes_m
+    if not 1 <= subset_size <= pool_size:
+        raise ConfigError(f"member subset size {subset_size} outside [1, {pool_size}], the member pool")
+    draws = _member_draws(pool_size, subset_size, repeats, [seed])
+    grid = default_fpr_grid(fpr_grid_points)
     results = {}
     for name in member_scores:
         pools = _SortedPools(member_scores[name], nonmember_scores[name])
-        aurocs, accuracies, grid_rows = [], [], []
+        per_draw = []
         for idx in draws:
             sweep = pools.sweep(idx)
             curve = _curve(*sweep)
-            aurocs.append(_area(curve))
-            accuracies.append(_best_accuracy(*sweep)[1])
-            grid_rows.append(_grid_row(curve, grid))
-        results[name] = StrategyRepeats(
-            np.repeat(aurocs, copies), np.repeat(accuracies, copies), np.repeat(grid_rows, copies, axis=0),
-            copies,
-        )
+            per_draw.append((_area(curve), _best_accuracy(*sweep)[1], _grid_row(curve, grid)))
+        aurocs, accuracies, grid_rows = zip(*per_draw)
+        results[name] = np.array(aurocs), np.array(accuracies), np.vstack(grid_rows)
     return results
 
 

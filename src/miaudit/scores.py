@@ -302,7 +302,7 @@ def read_score_records(path, strategy: str):
     columns = _parse_plain_score_csv(data, strategy)
     if columns is not None:
         return columns
-    reader = csv_rows(data, path)
+    reader = csv_rows(io.BytesIO(data), path)
     if next(reader, None) != SCORE_HEADER:
         raise DataError(f"unexpected score CSV header in {path}")
     return _score_rows(reader, strategy, path)

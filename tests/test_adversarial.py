@@ -177,13 +177,16 @@ class TestApgd:
         x = rng.uniform(0.2, 0.8, 4)
         cfg = mi.AttackConfig(p=INF, epsilon=0.3, n_iter=25, seed=1)
         trace = first_run_trace(tiny_model, x, 0, cfg)
-        assert trace.points.shape == (26, 1, 4)
-        assert trace.losses.shape == trace.predictions.shape == (26, 1)
+        assert trace.losses.shape == trace.distances.shape == trace.predictions.shape == (26, 1)
         assert trace.predictions.dtype == np.int64
-        assert trace.center.shape == (1, 4)
-        assert np.allclose(trace.points[0, 0], x)
-        for pt in trace.points[:, 0]:
+        assert trace.distances[0, 0] == 0.0
+        assert np.all(trace.distances <= 0.3 + 1e-9)
+        # the iterates behind the distances, from the one-row reference run
+        points, _, _ = _reference_ascent(tiny_model, x, 0, cfg)
+        assert np.allclose(points[0], x)
+        for pt in points:
             assert feasible(pt, x, INF, 0.3)
+        assert trace.distances[:, 0].tobytes() == mi.lp_norm(points - x, INF).tobytes()
         assert trace.losses.max() >= trace.losses[0, 0]
 
     def test_seeded_start_reproducible(self, tiny_model, rng):
@@ -485,18 +488,19 @@ class TestBlockSearch:
         cfg = mi.AttackConfig(p=p, epsilon=0.1, n_iter=12, n_restarts=n_restarts)
         trace = first_run_traces(model, X, Y, cfg)
         # misclassified rows included
-        assert trace.points.shape == (cfg.n_iter + 1, *X.shape)
-        assert trace.losses.shape == trace.predictions.shape == (cfg.n_iter + 1, len(X))
+        shape = (cfg.n_iter + 1, len(X))
+        assert trace.losses.shape == trace.distances.shape == trace.predictions.shape == shape
         assert trace.predictions.dtype == np.int64
-        assert trace.center.tobytes() == X.tobytes()
         for i in range(len(X)):
             one = first_run_trace(model, X[i], int(Y[i]), cfg)
             points, losses, preds = _reference_ascent(model, X[i], int(Y[i]), cfg)
+            # each iterate's distance as the trace dump once took it, from
+            # the row's own (iterates, d) block of points
+            distances = mi.lp_norm(points - X[i], p)
             for got, row in ((trace, i), (one, 0)):
-                assert got.points[:, row].tobytes() == points.tobytes()
+                assert got.distances[:, row].tobytes() == distances.tobytes()
                 assert got.losses[:, row].tobytes() == losses.tobytes()
                 assert got.predictions[:, row].tobytes() == preds.astype(np.int64).tobytes()
-                assert got.center[row].tobytes() == X[i].tobytes()
 
 
 def _reference_row(model, x, y):

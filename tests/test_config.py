@@ -76,7 +76,7 @@ class TestDefaults:
             ("softmax", "mentr", "loss", "grad_w_norm", "grad_x_norm", "adv_dist")
         )
         assert cfg["protocol.repeats"] == 20
-        assert cfg.analysis_ratio() == (1, 1)
+        assert cfg["protocol.ratio"] == "1:1"
         assert cfg["output.dir"] == "audit_out"
 
     def test_attack_defaults(self):
@@ -212,11 +212,22 @@ class TestValidation:
         with pytest.raises(ConfigError, match="protocol.holdout_fraction"):
             ExperimentConfig({"protocol.holdout_fraction": bad})
 
-    def test_protocol_config_clamps_subset(self):
-        cfg = ExperimentConfig({"protocol.member_subset_size": "100"})
-        proto = cfg.protocol_config(member_pool=40, nonmember_pool=40, seed=1)
-        assert proto.member_subset_size == 40
-        assert proto.seed == 1
+    def test_member_subset_size_rule(self):
+        # (protocol.member_subset_size, protocol.ratio, member pool,
+        # nonmember pool, members per draw)
+        table = [
+            ("7", "1:1", 30, 10, 7),  # explicit
+            ("100", "1:1", 40, 40, 40),  # explicit, capped at the member pool
+            ("0", "1:1", 30, 10, 10),  # derived 1:1
+            ("0", "2:1", 30, 10, 20),  # derived 2:1
+            ("0", "2:1", 12, 10, 12),  # derived, capped at the member pool
+        ]
+        for subset, ratio, n_m, n_n, want in table:
+            cfg = ExperimentConfig({"protocol.member_subset_size": subset, "protocol.ratio": ratio})
+            assert cfg.member_subset_size(n_m, n_n) == want, (subset, ratio, n_m, n_n)
+        # derived empty: 1:5 of 2 nonmembers rounds to 0 members
+        with pytest.raises(ConfigError, match="derived member subset is empty"):
+            ExperimentConfig({"protocol.ratio": "1:5"}).member_subset_size(30, 2)
 
 
 class TestEcho:

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import miaudit as mi
+from miaudit.cli_runner.config import ExperimentConfig, stage_seed
+from miaudit.cli_runner.pipeline import build_report
 from miaudit.errors import ConfigError, EvaluationError
 from miaudit.evaluation import (
+    DEFAULT_FPR_GRID_POINTS,
     HistogramResult,
-    StrategyRepeats,
     _SortedPools,
     decision_rates,
     default_fpr_grid,
@@ -292,89 +294,109 @@ class TestAveragedRoc:
             default_fpr_grid(1)
 
 
-class TestProtocolConfig:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            mi.ProtocolConfig(0, 10)
-        with pytest.raises(ConfigError):
-            mi.ProtocolConfig(10, 10, repeats=0)
-        with pytest.raises(ConfigError):
-            mi.ProtocolConfig(10, 10, member_subset_size=11)
-        with pytest.raises(ConfigError):
-            mi.ProtocolConfig(10, 10, ratio=(0, 1))
+def subset_size(n_m, n_n, member_subset_size=0):
+    """Members per draw that the default config's rule gives these pools."""
+    cfg = ExperimentConfig({"protocol.member_subset_size": str(member_subset_size)})
+    return cfg.member_subset_size(n_m, n_n)
 
-    def test_resolved_subset_size(self):
-        assert mi.ProtocolConfig(30, 10).resolved_subset_size() == 10
-        assert mi.ProtocolConfig(30, 10, ratio=(2, 1)).resolved_subset_size() == 20
-        assert mi.ProtocolConfig(30, 10, member_subset_size=7).resolved_subset_size() == 7
-        # caps at the member pool when the ratio wants more
-        assert mi.ProtocolConfig(12, 10, ratio=(2, 1)).resolved_subset_size() == 12
+
+def analysis1_report(member, nonmember, subset, repeats):
+    """build_report's analysis1 section and ROC grid of each strategy, with
+    `subset` members per draw, and the experiment run that it reports."""
+    cfg = ExperimentConfig({
+        "strategies": ",".join(member),
+        "protocol.ratio_strategies": "",
+        "protocol.member_subset_size": str(subset),
+        "protocol.repeats": str(repeats),
+    })
+    report = build_report(cfg, member, nonmember, {}, {}, {})
+    out = mi.repeated_subset_experiment(member, nonmember, subset, repeats, stage_seed(cfg.seed, "analysis1"))
+    sections = {name: report.strategies[name]["analysis1"] for name in member}
+    return out, sections, report.roc_grids
 
 
 class TestRepeatedSubset:
     def _pools(self, rng, n_m=30, n_n=10):
-        member = {"a": rng.normal(1, 1, n_m), "b": rng.normal(2, 1, n_m)}
-        nonmember = {"a": rng.normal(0, 1, n_n), "b": rng.normal(0, 1, n_n)}
+        member = {"loss": rng.normal(1, 1, n_m), "softmax": rng.normal(2, 1, n_m)}
+        nonmember = {"loss": rng.normal(0, 1, n_n), "softmax": rng.normal(0, 1, n_n)}
         return member, nonmember
 
     def test_same_subsets_across_strategies(self, rng):
         member, nonmember = self._pools(rng)
-        member["b"] = member["a"].copy()
-        nonmember["b"] = nonmember["a"].copy()
-        proto = mi.ProtocolConfig(30, 10, repeats=6, seed=4)
-        out = mi.repeated_subset_experiment(member, nonmember, proto)
-        assert np.array_equal(out["a"].aurocs, out["b"].aurocs)
-        assert np.array_equal(out["a"].accuracies, out["b"].accuracies)
+        member["softmax"] = member["loss"].copy()
+        nonmember["softmax"] = nonmember["loss"].copy()
+        out = mi.repeated_subset_experiment(member, nonmember, 10, 6, seed=4)
+        for a, b in zip(out["loss"], out["softmax"]):
+            assert np.array_equal(a, b)
 
     def test_population_std_and_shapes(self, rng):
         member, nonmember = self._pools(rng)
-        proto = mi.ProtocolConfig(30, 10, repeats=5, seed=1)
-        out = mi.repeated_subset_experiment(member, nonmember, proto)
-        for rep in out.values():
-            assert rep.aurocs.shape == (5,)
-            assert rep.grid_rows.shape == (5, proto.fpr_grid_points)
-            assert abs(rep.auroc_std - float(np.std(rep.aurocs))) < 1e-15
-            assert abs(rep.auroc_mean - float(np.mean(rep.aurocs))) < 1e-15
+        out, sections, _ = analysis1_report(member, nonmember, 10, 5)
+        for name, (aurocs, accuracies, grid_rows) in out.items():
+            assert aurocs.shape == accuracies.shape == (5,)
+            assert grid_rows.shape == (5, DEFAULT_FPR_GRID_POINTS)
+            sec = sections[name]
+            assert (sec["repeats"], sec["member_subset_size"]) == (5, 10)
+            assert abs(sec["auroc_std"] - float(np.std(aurocs))) < 1e-15
+            assert abs(sec["auroc_mean"] - float(np.mean(aurocs))) < 1e-15
+            assert abs(sec["accuracy_std"] - float(np.std(accuracies))) < 1e-15
+            assert abs(sec["accuracy_mean"] - float(np.mean(accuracies))) < 1e-15
+            assert sec["aurocs"] == aurocs.tolist() and sec["accuracies"] == accuracies.tolist()
 
     def test_single_repeat_zero_std(self, rng):
         member, nonmember = self._pools(rng)
-        proto = mi.ProtocolConfig(30, 10, repeats=1, seed=0)
-        out = mi.repeated_subset_experiment(member, nonmember, proto)
-        assert out["a"].auroc_std == 0.0
+        out, sections, _ = analysis1_report(member, nonmember, 10, 1)
+        assert out["loss"][0].shape == (1,)
+        assert sections["loss"]["auroc_std"] == 0.0
+        assert sections["loss"]["accuracy_std"] == 0.0
 
     def test_deterministic(self, rng):
         member, nonmember = self._pools(rng)
-        proto = mi.ProtocolConfig(30, 10, repeats=4, seed=9)
-        a = mi.repeated_subset_experiment(member, nonmember, proto)
-        b = mi.repeated_subset_experiment(member, nonmember, proto)
-        assert np.array_equal(a["a"].aurocs, b["a"].aurocs)
+        a = mi.repeated_subset_experiment(member, nonmember, 10, 4, seed=9)
+        b = mi.repeated_subset_experiment(member, nonmember, 10, 4, seed=9)
+        for name in member:
+            for x, y in zip(a[name], b[name]):
+                assert x.tobytes() == y.tobytes()
 
     def test_strategy_key_mismatch(self, rng):
         member, nonmember = self._pools(rng)
-        del nonmember["b"]
-        with pytest.raises(ConfigError):
-            mi.repeated_subset_experiment(member, nonmember, mi.ProtocolConfig(30, 10))
+        del nonmember["softmax"]
+        with pytest.raises(ConfigError, match="different strategies"):
+            mi.repeated_subset_experiment(member, nonmember, 10, 20)
 
     def test_pool_size_mismatch(self, rng):
-        member, nonmember = self._pools(rng)
-        with pytest.raises(ConfigError):
-            mi.repeated_subset_experiment(member, nonmember, mi.ProtocolConfig(29, 10))
-
-    def test_empty_tables(self):
-        assert mi.repeated_subset_experiment({}, {}, mi.ProtocolConfig(5, 5)) == {}
+        for side in (0, 1):  # one pool length per side
+            pools = self._pools(rng)
+            pools[side]["softmax"] = pools[side]["softmax"][:-1]
+            with pytest.raises(ConfigError, match="differ in length"):
+                mi.repeated_subset_experiment(*pools, 9, 20)
 
     @pytest.mark.parametrize(
-        "proto, sweeps_per_strategy",
+        "subset, repeats, message",
+        [(0, 20, "subset size 0"), (31, 20, "subset size 31"), (10, 0, "repeats")],
+        ids=["subset_0", "subset_over_pool", "repeats_0"],
+    )
+    def test_argument_checks(self, rng, subset, repeats, message):
+        member, nonmember = self._pools(rng)
+        with pytest.raises(ConfigError, match=message):
+            mi.repeated_subset_experiment(member, nonmember, subset, repeats)
+
+    def test_empty_tables(self):
+        assert mi.repeated_subset_experiment({}, {}, 5, 20) == {}
+
+    @pytest.mark.parametrize(
+        "n_n, member_subset_size, sweeps_per_strategy",
         [
-            (mi.ProtocolConfig(30, 10, repeats=6), 6),  # derived: 10 of 30
-            (mi.ProtocolConfig(30, 10, member_subset_size=29, repeats=6), 6),
-            (mi.ProtocolConfig(30, 10, member_subset_size=30, repeats=6), 1),
-            (mi.ProtocolConfig(30, 40, repeats=6), 1),  # derived: the whole pool
+            (10, 0, 6),  # derived: 10 of 30
+            (10, 29, 6),
+            (10, 30, 1),
+            (40, 0, 1),  # derived: the whole pool
         ],
         ids=["derived_subset", "proper_subset", "whole_pool", "derived_whole_pool"],
     )
-    def test_whole_pool_is_swept_once(self, rng, monkeypatch, proto, sweeps_per_strategy):
-        member, nonmember = self._pools(rng, n_m=30, n_n=proto.nonmember_pool_size)
+    def test_whole_pool_is_swept_once(self, rng, monkeypatch, n_n, member_subset_size, sweeps_per_strategy):
+        member, nonmember = self._pools(rng, n_m=30, n_n=n_n)
+        size = subset_size(30, n_n, member_subset_size)
         calls = []
         sweep = _SortedPools.sweep
 
@@ -383,28 +405,29 @@ class TestRepeatedSubset:
             return sweep(pools, member_idx)
 
         monkeypatch.setattr(_SortedPools, "sweep", counted)
-        out = mi.repeated_subset_experiment(member, nonmember, proto)
+        mi.repeated_subset_experiment(member, nonmember, size, 6)
         assert len(calls) == sweeps_per_strategy * len(member)
-        for rep in out.values():
-            assert rep.aurocs.shape == rep.accuracies.shape == (proto.repeats,)
-            assert rep.grid_rows.shape == (proto.repeats, proto.fpr_grid_points)
+        monkeypatch.undo()
+        out, sections, grids = analysis1_report(member, nonmember, size, 6)
+        for name, (aurocs, accuracies, grid_rows) in out.items():
+            assert aurocs.shape == accuracies.shape == (sweeps_per_strategy,)
+            assert grid_rows.shape == (sweeps_per_strategy, DEFAULT_FPR_GRID_POINTS)
+            sec, (_, tpr_mean, tpr_std) = sections[name], grids[name]
+            # every repeat is listed, each draw once per repeat it stands for
+            assert sec["aurocs"] == np.repeat(aurocs, 6 // sweeps_per_strategy).tolist()
+            assert sec["accuracies"] == np.repeat(accuracies, 6 // sweeps_per_strategy).tolist()
             if sweeps_per_strategy == 1:
-                assert np.all(rep.aurocs == rep.aurocs[0])
-                assert np.all(rep.accuracies == rep.accuracies[0])
-                assert np.all(rep.grid_rows == rep.grid_rows[0])
-                assert (rep.auroc_mean, rep.auroc_std) == (rep.aurocs[0], 0.0)
-                assert (rep.accuracy_mean, rep.accuracy_std) == (rep.accuracies[0], 0.0)
-                tpr_mean, tpr_std = rep.tpr_stats
-                assert tpr_mean.tobytes() == rep.grid_rows[0].tobytes()
+                assert (sec["auroc_mean"], sec["auroc_std"]) == (aurocs[0], 0.0)
+                assert (sec["accuracy_mean"], sec["accuracy_std"]) == (accuracies[0], 0.0)
+                assert tpr_mean.tobytes() == grid_rows[0].tobytes()
                 assert not np.any(tpr_std)
             else:
-                assert rep.auroc_mean == float(np.mean(rep.aurocs))
-                assert rep.auroc_std == float(np.std(rep.aurocs))
-                assert rep.accuracy_mean == float(np.mean(rep.accuracies))
-                assert rep.accuracy_std == float(np.std(rep.accuracies))
-                tpr_mean, tpr_std = rep.tpr_stats
-                assert tpr_mean.tobytes() == rep.grid_rows.mean(axis=0).tobytes()
-                assert tpr_std.tobytes() == rep.grid_rows.std(axis=0).tobytes()
+                assert sec["auroc_mean"] == float(np.mean(aurocs))
+                assert sec["auroc_std"] == float(np.std(aurocs))
+                assert sec["accuracy_mean"] == float(np.mean(accuracies))
+                assert sec["accuracy_std"] == float(np.std(accuracies))
+                assert tpr_mean.tobytes() == grid_rows.mean(axis=0).tobytes()
+                assert tpr_std.tobytes() == grid_rows.std(axis=0).tobytes()
 
 
 class TestRatioRobustness:
@@ -480,24 +503,25 @@ class TestSortOnceOracle:
     )
     def test_repeats_match_a_fresh_sort_of_each_subset(self, rng, n_m, n_n, subset):
         member, nonmember = self._pools(rng, n_m, n_n)
-        proto = mi.ProtocolConfig(n_m, n_n, member_subset_size=subset, repeats=7, seed=3,
-                                  fpr_grid_points=33)
-        out = mi.repeated_subset_experiment(member, nonmember, proto)
+        size = subset_size(n_m, n_n, subset)
+        out = mi.repeated_subset_experiment(member, nonmember, size, 7, seed=3, fpr_grid_points=33)
         grid = default_fpr_grid(33)
-        size = proto.resolved_subset_size()
+        draws = 1 if size == n_m else 7  # the whole pool is one draw
         for name in member:
+            aurocs, accuracies, grid_rows = out[name]
+            assert aurocs.shape == (draws,)
             rows = []
-            for r in range(proto.repeats):
-                idx = np.random.default_rng([proto.seed, r]).choice(n_m, size=size, replace=False)
+            for r in range(draws):
+                idx = np.random.default_rng([3, r]).choice(n_m, size=size, replace=False)
                 pools = member[name][idx], nonmember[name]
                 curve = mi.roc_curve(*pools)
                 rows.append(unique_grid_row(curve, grid))
-                assert out[name].aurocs[r] == mi.auroc(*pools)
-                assert out[name].aurocs[r] == pytest.approx(
+                assert aurocs[r] == mi.auroc(*pools)
+                assert aurocs[r] == pytest.approx(
                     pair_count_auc(member[name][idx], nonmember[name]), abs=1e-12
                 )
-                assert out[name].accuracies[r] == mi.best_threshold_accuracy(*pools)[1]
-            assert out[name].grid_rows.tobytes() == np.vstack(rows).tobytes()
+                assert accuracies[r] == mi.best_threshold_accuracy(*pools)[1]
+            assert grid_rows.tobytes() == np.vstack(rows).tobytes()
 
     def test_ratio_draws_match_a_fresh_sort_of_each_draw(self, rng):
         member, nonmember = self._pools(rng)
@@ -560,12 +584,3 @@ class TestScoreHistogram:
             mi.score_histogram(*pools, 4, (1, 1))
         with pytest.raises(ConfigError):
             mi.score_histogram(*pools, 4, (0, math.inf))
-
-
-class TestStrategyRepeats:
-    def test_mean_std_fields(self):
-        rep = StrategyRepeats(np.array([0.5, 0.7]), np.array([0.6, 0.8]), [])
-        assert rep.auroc_mean == pytest.approx(0.6)
-        assert rep.auroc_std == pytest.approx(0.1)
-        assert rep.accuracy_mean == pytest.approx(0.7)
-        assert rep.accuracy_std == pytest.approx(0.1)

@@ -806,6 +806,13 @@ class TestCli:
         assert "protocol.holdout_fraction" in err
         assert not (tmp_path / "out" / "report.json").exists()
 
+    def test_derived_member_subset_empty_exit_code(self, tmp_path, capsys):
+        # 1:50 of 18 nonmembers rounds to 0 members per analysis1 draw
+        cfg = self.write_cfg(tmp_path, "strategies = loss\nprotocol.ratio = 1:50\n")
+        capsys.readouterr()
+        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "[stage:analysis1] derived member subset is empty" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "absent.cfg"
         assert main(["audit", "--config", str(missing)]) == 2
