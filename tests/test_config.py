@@ -212,6 +212,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="protocol.holdout_fraction"):
             ExperimentConfig({"protocol.holdout_fraction": bad})
 
+    def test_protocol_config_clamps_subset(self):
+        # an explicit protocol.member_subset_size is capped at the member pool
+        cfg = ExperimentConfig({"protocol.member_subset_size": "100"})
+        assert cfg.member_subset_size(member_pool=40, nonmember_pool=40) == 40
+        assert cfg.member_subset_size(member_pool=100, nonmember_pool=40) == 100
+
     def test_member_subset_size_rule(self):
         # (protocol.member_subset_size, protocol.ratio, member pool,
         # nonmember pool, members per draw)

@@ -315,6 +315,24 @@ def analysis1_report(member, nonmember, subset, repeats):
     return out, sections, report.roc_grids
 
 
+class TestProtocolConfig:
+    """The `protocol` section's rule for the members per draw of analysis1."""
+
+    def test_resolved_subset_size(self):
+        def resolved(n_m, n_n, ratio="1:1", member_subset_size=0):
+            cfg = ExperimentConfig({
+                "protocol.ratio": ratio,
+                "protocol.member_subset_size": str(member_subset_size),
+            })
+            return cfg.member_subset_size(n_m, n_n)
+
+        assert resolved(30, 10) == 10
+        assert resolved(30, 10, ratio="2:1") == 20
+        assert resolved(30, 10, member_subset_size=7) == 7
+        # caps at the member pool when the ratio wants more
+        assert resolved(12, 10, ratio="2:1") == 12
+
+
 class TestRepeatedSubset:
     def _pools(self, rng, n_m=30, n_n=10):
         member = {"loss": rng.normal(1, 1, n_m), "softmax": rng.normal(2, 1, n_m)}
@@ -584,3 +602,25 @@ class TestScoreHistogram:
             mi.score_histogram(*pools, 4, (1, 1))
         with pytest.raises(ConfigError):
             mi.score_histogram(*pools, 4, (0, math.inf))
+
+
+class TestStrategyRepeats:
+    """The per-strategy statistics that the report takes over the draws."""
+
+    def test_mean_std_fields(self, rng, monkeypatch):
+        import miaudit.cli_runner.pipeline as pipeline
+
+        def two_draws(member, nonmember, *args):
+            grid_rows = np.zeros((2, DEFAULT_FPR_GRID_POINTS))
+            return {name: (np.array([0.5, 0.7]), np.array([0.6, 0.8]), grid_rows) for name in member}
+
+        monkeypatch.setattr(pipeline, "repeated_subset_experiment", two_draws)
+        member, nonmember = {"loss": rng.normal(1, 1, 30)}, {"loss": rng.normal(0, 1, 10)}
+        cfg = ExperimentConfig({
+            "strategies": "loss", "protocol.ratio_strategies": "", "protocol.repeats": "2",
+        })
+        sec = build_report(cfg, member, nonmember, {}, {}, {}).strategies["loss"]["analysis1"]
+        assert sec["auroc_mean"] == pytest.approx(0.6)
+        assert sec["auroc_std"] == pytest.approx(0.1)
+        assert sec["accuracy_mean"] == pytest.approx(0.7)
+        assert sec["accuracy_std"] == pytest.approx(0.1)
