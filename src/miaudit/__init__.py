@@ -1,8 +1,11 @@
 """miaudit: membership-inference privacy audits for small classifiers.
 
 Train a target MLP, mount threshold and trained membership attacks
-(including a minimum-distance adversarial-perturbation attack), and
-evaluate them under reproducible protocols.
+(among them the adversarial distance: that of the closest misclassified
+iterate of a loss-maximising APGD run, epsilon when none is found and 0
+when the row is already misclassified, an upper bound on the distance to
+the nearest adversarial example), and evaluate them under reproducible
+protocols.
 """
 
 from .adversarial import (

@@ -133,8 +133,11 @@ class AttackConfig:
 
 @dataclass(frozen=True)
 class AdversarialOutcome:
-    """Result of the minimum-distance search: plain values for one sample,
-    or one entry per row for a block (v is then (n, d))."""
+    """Result of the adversarial search: plain values for one sample, or
+    one entry per row for a block (v is then (n, d)).  `distance` is that
+    of the closest misclassified iterate of a loss-maximising APGD run
+    (epsilon when none is found, 0 for a row already misclassified), an
+    upper bound on the distance to the nearest adversarial example."""
 
     v: np.ndarray
     distance: float
@@ -301,7 +304,8 @@ def first_run_traces(model: MLPClassifier, X, Y, config: AttackConfig) -> ApgdTr
 
 
 def find_adversarial(model: MLPClassifier, x, y: int, config: AttackConfig) -> AdversarialOutcome:
-    """Minimum-norm misclassifying perturbation within the epsilon budget.
+    """The closest misclassified iterate of a loss-maximising APGD run, an
+    upper bound on the distance to the nearest adversarial example.
 
     Already-misclassified inputs return v = 0 immediately.  Otherwise every
     iterate of every run is screened and the feasible misclassified point

@@ -184,8 +184,9 @@ class ExperimentConfig:
             if repeated:
                 raise ConfigError(f"{key} names {repeated} more than once")
         _parse_ratio(v["protocol.ratio"])
-        for raw in _split_list(v["protocol.ratios"]):
-            _parse_ratio(raw)
+        # ratios() parses every entry, so it runs first, sweep or not
+        if not self.ratios() and self.ratio_strategies():
+            raise ConfigError("protocol.ratios lists no ratio for the protocol.ratio_strategies sweep")
         # exercise the sub-config validators early
         self.attack_config()
         self.train_config()

@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from ..artifacts import BinaryReader, csv_rows, read_json_object, write_bytes, write_csv, write_json
+from ..attack_models import MinMaxScaler
 from ..errors import ConfigError, DataError
 
 DATA_MAGIC = b"MIADATA\x00"
@@ -33,21 +34,19 @@ class DatasetManifest:
     train_size: int
     heldout_size: int
     normalized: bool
-    feature_mins: Optional[np.ndarray] = None
-    feature_maxs: Optional[np.ndarray] = None
+    feature_mins: np.ndarray
+    feature_maxs: np.ndarray
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "feature_dim": self.feature_dim,
             "n_classes": self.n_classes,
             "train_size": self.train_size,
             "heldout_size": self.heldout_size,
             "normalized": self.normalized,
+            "feature_mins": [float(v) for v in self.feature_mins],
+            "feature_maxs": [float(v) for v in self.feature_maxs],
         }
-        if self.feature_mins is not None:
-            out["feature_mins"] = [float(v) for v in self.feature_mins]
-            out["feature_maxs"] = [float(v) for v in self.feature_maxs]
-        return out
 
 
 def generate_synthetic_dataset(
@@ -61,9 +60,9 @@ def generate_synthetic_dataset(
     """Gaussian class blobs mapped into [0, 1]^d.
 
     Blob means are standard normal draws scaled by class_separation; noise is
-    isotropic unit variance.  One global per-feature affine map (fitted on
-    train + heldout jointly) brings everything into the box, so the two
-    splits are identically distributed and disjoint by construction.
+    isotropic unit variance.  One `MinMaxScaler` (fitted on train + heldout
+    jointly) brings everything into the box, in place, so the two splits
+    are identically distributed and disjoint by construction.
     Returns (X, y, manifest): the first manifest.train_size rows are the
     training split (members), the rest the heldout split.
     """
@@ -83,22 +82,15 @@ def generate_synthetic_dataset(
     for cls in range(n_classes):
         rows = X[cls * per_class:(cls + 1) * per_class]
         np.add(means[cls], rng.normal(size=(per_class, dim)), out=rows)
-    lo, hi = X.min(axis=0), X.max(axis=0)
-    span = np.where(hi > lo, hi - lo, 1.0)
-    X -= lo
-    X /= span
+    scaler = MinMaxScaler.fit(X)
+    scaler.transform(X, out=X)
     ids = np.arange(X.shape[0], dtype=np.int64).reshape(n_classes, per_class)
     splits = ids[:, :n_per_class].ravel(), ids[:, n_per_class:].ravel()
     order = np.concatenate([idx[rng.permutation(idx.shape[0])] for idx in splits])
     _gather_rows(X, order)
     manifest = DatasetManifest(
-        feature_dim=dim,
-        n_classes=n_classes,
-        train_size=n_classes * n_per_class,
-        heldout_size=n_classes * n_held,
-        normalized=True,
-        feature_mins=lo,
-        feature_maxs=hi,
+        feature_dim=dim, n_classes=n_classes, train_size=n_classes * n_per_class,
+        heldout_size=n_classes * n_held, normalized=True, feature_mins=scaler.mins, feature_maxs=scaler.maxs,
     )
     # row r of the class-major block is of class r // per_class
     return X, order // per_class, manifest
@@ -182,11 +174,10 @@ def read_csv_file(path):
 # ---------------------------------------------------------------------------
 
 
-def save_binary_file(X: np.ndarray, y: np.ndarray, path, n_classes: Optional[int] = None) -> None:
+def save_binary_file(X: np.ndarray, y: np.ndarray, path, n_classes: int) -> None:
     _check_rows(X, y)
     n, d = X.shape
-    k = int(y.max()) + 1 if n_classes is None else int(n_classes)
-    header = DATA_MAGIC + struct.pack("<IIII", DATA_VERSION, d, k, n)
+    header = DATA_MAGIC + struct.pack("<IIII", DATA_VERSION, d, n_classes, n)
     write_bytes(path, [header, np.ascontiguousarray(X, dtype="<f4"), np.ascontiguousarray(y, dtype="<i4")])
 
 
@@ -252,11 +243,12 @@ def save_dataset(X: np.ndarray, y: np.ndarray, manifest: DatasetManifest, out_di
 def load_dataset(path, fmt: str = "csv"):
     """Load a dataset directory as one block: train rows, then heldout rows.
 
-    Features outside [0, 1] are min-max normalized per feature, with the map
-    fitted jointly over both splits and recorded in the manifest.  When the
-    directory holds a manifest.json (`gen-data` writes one), its train_size,
-    heldout_size, feature_dim and n_classes must match the files.  With or
-    without one, the class count may not exceed the rows of both splits.
+    Features outside [0, 1] go through a `MinMaxScaler` on their range over
+    both splits, the others through the identity bounds (0, 1); the bounds
+    are recorded in the manifest.  When the directory holds a manifest.json
+    (`gen-data` writes one), its train_size, heldout_size, feature_dim and
+    n_classes must match the files.  With or without one, the class count
+    may not exceed the rows of both splits.
     Returns (X, y, manifest), the first manifest.train_size rows the
     training split.
     """
@@ -309,18 +301,11 @@ def load_dataset(path, fmt: str = "csv"):
         raise DataError(f"{base}: {k} classes, more than the {n_train + n_held} rows of both splits")
     lo, hi = X.min(axis=0), X.max(axis=0)
     needs = (lo < 0.0) | (hi > 1.0)
-    mins = np.where(needs, lo, 0.0)
-    maxs = np.where(needs, hi, 1.0)
+    scaler = MinMaxScaler(np.where(needs, lo, 0.0), np.where(needs, hi, 1.0))
     if needs.any():
-        X -= mins
-        X /= np.where(needs & (hi > lo), hi - lo, 1.0)
+        scaler.transform(X, out=X)
     manifest = DatasetManifest(
-        feature_dim=d,
-        n_classes=k,
-        train_size=n_train,
-        heldout_size=n_held,
-        normalized=bool(needs.any()),
-        feature_mins=mins,
-        feature_maxs=maxs,
+        feature_dim=d, n_classes=k, train_size=n_train, heldout_size=n_held,
+        normalized=bool(needs.any()), feature_mins=scaler.mins, feature_maxs=scaler.maxs,
     )
     return X, y, manifest

@@ -85,9 +85,10 @@ def grad_x_norm_score(model: MLPClassifier, X, Y):
 
 
 def adv_dist_score(model: MLPClassifier, X, Y, attack: AttackConfig, seeds=None):
-    """Adversarial distance: lp norm of the minimal misclassifying
-    perturbation, epsilon when the attack fails, 0 when the row already
-    misses.
+    """Adversarial distance: lp distance of the closest misclassified
+    iterate of a loss-maximising APGD run, epsilon when none is found, 0
+    when the row is already misclassified; an upper bound on the distance
+    to the nearest adversarial example.
 
     All rows search in lock step; row i draws its restarts from seeds[i],
     or from `attack.seed` when no seeds are given.

@@ -145,6 +145,17 @@ class TestOverridesAndParsing:
 
 
 class TestValidation:
+    def test_empty_ratios_need_an_empty_sweep(self):
+        for ratios in ("", " , "):
+            with pytest.raises(ConfigError, match="protocol.ratios lists no ratio"):
+                ExperimentConfig({"protocol.ratios": ratios})
+        # no sweep, so no ratios needed
+        cfg = ExperimentConfig({"protocol.ratios": "", "protocol.ratio_strategies": ""})
+        assert cfg.ratios() == [] and cfg.ratio_strategies() == []
+        # a bad ratio is still caught with the sweep off
+        with pytest.raises(ConfigError, match="ratio must look like"):
+            ExperimentConfig({"protocol.ratios": "5-1", "protocol.ratio_strategies": ""})
+
     def test_unknown_strategy(self):
         with pytest.raises(ConfigError):
             ExperimentConfig({"strategies": "loss, telepathy"})

@@ -4,12 +4,15 @@ import dataclasses
 import itertools
 import struct
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from miaudit.attack_models import MinMaxScaler
 from miaudit.cli_runner import data
+from miaudit.cli_runner.cli import main
 from miaudit.cli_runner.data import (
     DATA_MAGIC,
     generate_synthetic_dataset,
@@ -323,6 +326,50 @@ class TestDatasetDirectory:
         lX, _, lmanifest = load_dataset(tmp_path, fmt="csv")
         assert not lmanifest.normalized
         assert np.allclose(lX, X, atol=1e-7)
+        # CSV fields round-trip exactly, and the rows are not mapped at all
+        assert lX.tobytes() == X.tobytes()
+        assert lmanifest.feature_mins.tolist() == [0.0] * 3 and lmanifest.feature_maxs.tolist() == [1.0] * 3
+
+    def test_span_beyond_float64_loads_finite(self, tmp_path):
+        # hi - lo overflows to inf in column 0; the scaler halves both
+        # bounds first, so the map stays finite and warns of nothing
+        save_csv_file(np.array([[-1e308, 0.2], [1e308, 0.8]]), np.array([0, 1]), tmp_path / "train.csv")
+        save_csv_file(np.array([[0.0, 0.5], [0.0, 0.4]]), np.array([0, 1]), tmp_path / "heldout.csv")
+        raw = np.vstack([read_csv_file(tmp_path / "train.csv")[0], read_csv_file(tmp_path / "heldout.csv")[0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            X, _, manifest = load_dataset(tmp_path, fmt="csv")
+        assert np.all(np.isfinite(X)) and X.min() >= 0.0 and X.max() <= 1.0
+        assert X[:, 0].tolist() == [0.0, 1.0, 0.5, 0.5]
+        assert manifest.normalized
+        assert manifest.feature_mins.tolist() == [-1e308, 0.0] and manifest.feature_maxs.tolist() == [1e308, 1.0]
+        expected = MinMaxScaler(np.array([-1e308, 0.0]), np.array([1e308, 1.0])).transform(raw)
+        assert X.tobytes() == expected.tobytes()
+
+    def test_audit_of_a_span_beyond_float64(self, tmp_path, capsys):
+        X, y, manifest = generate_synthetic_dataset(6, 3, 6, 1.0, seed=5)
+        X[0, 0], X[1, 0] = -1e308, 1e308
+        n = manifest.train_size
+        (tmp_path / "ds").mkdir()
+        save_csv_file(X[:n], y[:n], tmp_path / "ds" / "train.csv")
+        save_csv_file(X[n:], y[n:], tmp_path / "ds" / "heldout.csv")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"dataset.source = csv\ndataset.path = {tmp_path / 'ds'}\nstrategies = loss,adv_dist\n"
+            "target.hidden_dims = 16\ntarget.epochs = 30\ntarget.batch_size = 8\nattack.n_iter = 8\n"
+            "protocol.repeats = 3\nprotocol.ratios = 2:1,1:1,1:2\nprotocol.ratio_repeats = 3\n"
+            "protocol.fpr_grid_points = 21\nhistogram.bins = 10\n"
+        )
+        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "report.json").is_file()
+
+    def test_constant_out_of_box_column_maps_to_zero(self, tmp_path):
+        save_csv_file(np.array([[5.0, 0.2], [5.0, 0.8]]), np.array([0, 1]), tmp_path / "train.csv")
+        save_csv_file(np.array([[5.0, 0.5]]), np.array([0]), tmp_path / "heldout.csv")
+        X, _, manifest = load_dataset(tmp_path, fmt="csv")
+        assert X[:, 0].tolist() == [0.0, 0.0, 0.0]
+        assert X[:, 1].tolist() == [0.2, 0.8, 0.5]
+        assert manifest.feature_mins.tolist() == [5.0, 0.0] and manifest.feature_maxs.tolist() == [5.0, 1.0]
 
     @pytest.mark.parametrize("fmt", ["csv", "binary"])
     def test_class_count_disagreeing_with_manifest(self, tmp_path, fmt):

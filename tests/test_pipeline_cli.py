@@ -830,6 +830,20 @@ class TestCli:
         assert "more than once" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["audit", "report"])
+    def test_empty_ratios_exit_code(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.cfg"
+        lines = [f"{k} = {v}" for k, v in FAST_OVERRIDES.items() if k != "protocol.ratios"]
+        cfg.write_text("\n".join([*lines, "strategies = loss,adv_dist", "protocol.ratios ="]) + "\n")
+        args = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        if command == "report":
+            args += ["--scores-dir", str(tmp_path / "scores")]
+        capsys.readouterr()
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["config error: protocol.ratios lists no ratio for the protocol.ratio_strategies sweep"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_separation_exit_code(self, tmp_path, capsys, bad):
         cfg = tmp_path / "run.cfg"
