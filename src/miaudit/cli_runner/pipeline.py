@@ -147,6 +147,20 @@ def _holdout_shortfall(n_members: int, n_nonmembers: int, fraction: float):
     )
 
 
+def _ratio_base(config: ExperimentConfig, n_members: int, n_nonmembers: int) -> int:
+    """Nonmembers the ratio sweep keeps from pools of these sizes, as many
+    as its largest member:nonmember ratio allows.  Raises ConfigError when
+    that leaves none, or a ratio no members."""
+    ratios = config.ratios()
+    base = min(n_nonmembers, int(n_members / max(a / b for a, b in ratios)))
+    if base < 1:
+        raise ConfigError("score pools too small for the configured ratios")
+    for a, b in ratios:
+        if round(base * a / b) < 1:
+            raise ConfigError(f"ratio {a}:{b} leaves no members")
+    return base
+
+
 # Rows per call of every score and feature extractor.  Each row's result is
 # bitwise what the row alone gives, so the size moves no output byte; it
 # bounds what one call holds.  128 rows searched as fast as 64 and faster
@@ -216,16 +230,26 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _end_child(pid: int) -> str:
-    """Kill the fit process if it still runs, reap it, and say how it ended."""
-    import signal
+def _fit_in_order(fit, names) -> list:
+    """(ok, attacker or exception) per fit of `names` in order, up to the first failure."""
+    outcomes = []
+    for name in names:
+        try:
+            outcomes.append((True, fit(name)))
+        except Exception as exc:
+            outcomes.append((False, exc))
+            break
+    return outcomes
 
+
+def _send_fits(sender, fit, names):
+    """The fit process: sends its outcomes once, after its last fit.  When
+    it cannot, an interrupt included, it leaves through os._exit(1), which
+    prints no traceback."""
     try:
-        os.kill(pid, signal.SIGKILL)
-    except ProcessLookupError:
-        pass
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    return f"exit status {code}" if code >= 0 else f"signal {-code}"
+        sender.send(_fit_in_order(fit, names))
+    except BaseException:
+        os._exit(1)
 
 
 def fit_attackers(config: ExperimentConfig, features: dict, labels: np.ndarray) -> dict:
@@ -234,15 +258,13 @@ def fit_attackers(config: ExperimentConfig, features: dict, labels: np.ndarray) 
     returns attacker -> TrainedAttacker in the same order.  Each fit works
     in the memory of its matrix and leaves it overwritten.
 
-    The widest matrix, the longest fit, is fitted here while one forked
-    process fits the others in strategy order, up to its first failure,
-    and then pickles one (ok, attacker or exception) pair per fit into a
-    pipe.  The processes share no GIL.  With one fit, no
-    `os.fork` or one usable core, every fit runs here, one after another.
-    A fit is a pure function of its features, labels and seed, so no byte
-    depends on where it ran.  The first failing attacker in strategy order
-    raises; a fit process that ends without its results is a
-    TrainingError.  The fit process is reaped on every path.
+    The widest matrix, the longest fit, is fitted here while a process
+    forked by `multiprocessing` fits the others and sends them back through
+    a pipe; the two share no GIL.  With one fit, no fork (Windows) or one
+    usable core, every fit runs here.  A fit is a pure function of its
+    features, labels and seed, so no byte depends on where it ran.  The
+    first failing fit in strategy order raises; a fit process that ends
+    without sending is a TrainingError.  It is reaped on every path.
     """
 
     def fit(name):
@@ -250,60 +272,40 @@ def fit_attackers(config: ExperimentConfig, features: dict, labels: np.ndarray) 
         seed = stage_seed(config.seed, f"attacker:{name}")
         return fitter(features[name], labels, seed, overwrite_features=True)
 
-    if len(features) < 2 or not hasattr(os, "fork") or _usable_cores() < 2:
-        return {name: fit(name) for name in features}
-    # imported here, so that the CLI's start-up and an audit without
-    # attackers do not load it
-    import pickle
+    here, child, fitted = list(features), None, {}
+    if len(here) > 1 and hasattr(os, "fork") and _usable_cores() > 1:
+        # imported here: the CLI's start-up and one-process fits skip it
+        import multiprocessing
 
-    widest = max(features, key=lambda n: features[n].shape[1])
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            outcomes = []
-            for name in features:
-                if name != widest:
-                    try:
-                        outcomes.append((True, fit(name)))
-                    except Exception as exc:
-                        outcomes.append((False, exc))
-                        break
-            # written after the last fit: a result larger than the pipe
-            # buffer blocks the writer until the parent's own fit is done
-            with os.fdopen(write_fd, "wb") as pipe:
-                for outcome in outcomes:
-                    pickle.dump(outcome, pipe)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    fitted, lost = {}, None
+        forked = multiprocessing.get_context("fork")
+        widest = max(here, key=lambda n: features[n].shape[1])
+        there, here = [n for n in here if n != widest], [widest]
+        receiver, sender = forked.Pipe(duplex=False)
+        child = forked.Process(target=_send_fits, args=(sender, fit, there))
+        child.start()
+        sender.close()
     try:
-        with os.fdopen(read_fd, "rb") as pipe:
-            try:
-                own = (True, fit(widest))
-            except Exception as exc:
-                own = (False, exc)
-            for name in features:
-                if name == widest:
-                    ok, result = own
-                else:
-                    try:
-                        ok, result = pickle.load(pipe)
-                    except (EOFError, pickle.UnpicklingError):
-                        lost = name
-                        break
-                if not ok:
-                    raise result
-                fitted[name] = result
+        outcomes = dict(zip(here, _fit_in_order(fit, here)))
+        for name in features:
+            if name not in outcomes:
+                try:
+                    outcomes.update(zip(there, receiver.recv()))
+                except (EOFError, OSError):
+                    child.kill()
+                    child.join()
+                    code = child.exitcode
+                    ended = f"exit status {code}" if code >= 0 else f"signal {-code}"
+                    raise TrainingError(f"the attacker fit process ended ({ended}) without the fit of {name}")
+            ok, result = outcomes[name]
+            if not ok:
+                raise result
+            fitted[name] = result
+        return fitted
     finally:
-        ended = _end_child(pid)
-    if lost is not None:
-        raise TrainingError(f"the attacker fit process ended ({ended}) without the fit of {lost}")
-    return fitted
+        if child is not None:
+            receiver.close()
+            child.kill()
+            child.join()
 
 
 def run_pipeline(config: ExperimentConfig, out_dir=None):
@@ -323,12 +325,15 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
         train_mask = _attacker_split(config, n_members, n_nonmembers, bool(attacker_names))
     eval_mask = ~train_mask
     eval_member = is_member[eval_mask]
-    # the pool sizes follow from the config, so an unusable split is caught
-    # before any scoring
-    shortfall = _holdout_shortfall(int(eval_member.sum()), int((~eval_member).sum()),
-                                  config["protocol.holdout_fraction"])
+    # the pool sizes follow from the config, so an unusable split or ratio
+    # sweep is caught before any scoring
+    n_eval = int(eval_member.sum()), int((~eval_member).sum())
+    shortfall = _holdout_shortfall(*n_eval, config["protocol.holdout_fraction"])
     if strategies and shortfall:
         raise ConfigError(shortfall)
+    if set(config.ratio_strategies()) & set(strategies):
+        with _stage("ratio"):
+            _ratio_base(config, *n_eval)
 
     # per-sample work: the threshold scores every strategy needs, and one
     # feature vector per attacker
@@ -455,18 +460,14 @@ def build_report(
         ratio_names = [s for s in config.ratio_strategies() if s in strategies]
         if ratio_names:
             with _stage("ratio"):
-                ratios = config.ratios()
-                max_frac = max(a / b for a, b in ratios)
-                base = min(n_n, int(n_m / max_frac))
-                if base < 1:
-                    raise ConfigError("score pools too small for the configured ratios")
+                base = _ratio_base(config, n_m, n_n)
                 rng = np.random.default_rng(stage_seed(config.seed, "ratio_base"))
                 keep = np.sort(rng.choice(n_n, size=base, replace=False))
                 for name in ratio_names:
                     strategy_reports[name]["ratio_auroc"] = ratio_robustness_experiment(
                         member_pool[name],
                         nonmember_pool[name][keep],
-                        ratios,
+                        config.ratios(),
                         repeats=config["protocol.ratio_repeats"],
                         seed=stage_seed(config.seed, "ratio"),
                     )

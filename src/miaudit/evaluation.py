@@ -51,7 +51,7 @@ def _sorted_sweep(ss, mm):
     same scores gives the same result.
     """
     # last index of each tie group
-    ends = np.append(np.nonzero(np.diff(ss) != 0)[0], ss.shape[0] - 1)
+    ends = np.append(np.nonzero(ss[1:] != ss[:-1])[0], ss.shape[0] - 1)
     members = np.cumsum(mm)[ends]
     tp = np.concatenate([[0], members]).astype(np.float64)
     fp = np.concatenate([[0], ends + 1 - members]).astype(np.float64)
@@ -316,13 +316,15 @@ class HistogramResult:
 
 def score_histogram(member_scores, nonmember_scores, n_bins: int, value_range) -> HistogramResult:
     """Fixed-range histograms per class; out-of-range values land in the
-    first or last bin."""
+    first or last bin.  A range whose width hi - lo overflows gets its
+    edges from the halved range, doubled, which is exact at that size."""
     if n_bins < 1:
         raise ConfigError("histogram needs at least one bin")
     lo, hi = float(value_range[0]), float(value_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ConfigError("histogram range must be finite with lo < hi")
-    edges = np.linspace(lo, hi, n_bins + 1)
+    h = 0.5 if math.isinf(hi - lo) else 1.0
+    edges = np.linspace(lo * h, hi * h, n_bins + 1) / h
     ms, ns = _pools(member_scores, nonmember_scores)
     mc, _ = np.histogram(np.clip(ms, lo, hi), bins=edges)
     nc, _ = np.histogram(np.clip(ns, lo, hi), bins=edges)

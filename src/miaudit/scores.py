@@ -112,7 +112,10 @@ def _data_range(member: np.ndarray, nonmember: np.ndarray, epsilon: float) -> tu
     scores = np.concatenate([member, nonmember])
     lo = float(scores.min())
     hi = float(scores.max())
-    return (lo, hi if hi > lo else lo + 1.0)
+    if hi > lo:
+        return (lo, hi)
+    # a constant pool: width 1 above it, or its span to 0 where lo + 1.0 == lo
+    return (lo, lo + 1.0) if lo + 1.0 > lo else (min(lo, 0.0), max(lo, 0.0))
 
 
 @dataclass(frozen=True)

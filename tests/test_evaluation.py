@@ -594,6 +594,15 @@ class TestScoreHistogram:
             assert hist.member_counts.tobytes() == want_m.astype(np.int64).tobytes()
             assert hist.nonmember_counts.tobytes() == want_n.astype(np.int64).tobytes()
 
+    def test_range_wider_than_float64(self):
+        # hi - lo overflows: the edges are those of the halved range, doubled
+        hist = mi.score_histogram([-1e308, 3e307], [1e308, 1e308], 4, (-1e308, 1e308))
+        assert hist.edges.tobytes() == (np.linspace(-5e307, 5e307, 5) * 2).tobytes()
+        assert (hist.edges[0], hist.edges[-1]) == (-1e308, 1e308)
+        assert (np.diff(hist.edges / 2) > 0).all()
+        assert hist.member_counts.tolist() == [1, 0, 1, 0]
+        assert hist.nonmember_counts.tolist() == [0, 0, 0, 2]
+
     def test_validation(self):
         pools = [0.1], [0.9]
         with pytest.raises(ConfigError):

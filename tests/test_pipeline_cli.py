@@ -3,11 +3,13 @@
 import csv
 import json
 import os
+import signal
 import struct
 import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -220,6 +222,28 @@ class TestRerender:
         with pytest.raises(mi.DataError):
             rerender_from_scores(config, scores_dir, tmp_path / "out")
 
+    @pytest.mark.parametrize(
+        "scores",
+        # a span that overflows float64, and a constant where lo + 1.0 == lo
+        [np.where(np.arange(40) % 2, 1e308, -1e308), np.full(40, 1e17)],
+        ids=["overflowing_span", "large_constant"],
+    )
+    def test_histograms_of_extreme_score_ranges(self, tmp_path, capsys, scores):
+        members = np.arange(40) < 20
+        write_score_records(tmp_path / "scores_loss.csv", "loss", np.arange(40), scores, members)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("strategies = loss\n")
+        args = ["report", "--config", str(cfg), "--scores-dir", str(tmp_path), "--out", str(tmp_path / "o")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == 0, capsys.readouterr().err
+        with open(tmp_path / "o" / "hist_loss.csv", newline="") as handle:
+            rows = np.array([[float(v) for v in row] for row in list(csv.reader(handle))[1:]])
+        edges = np.append(rows[:, 0], rows[-1, 1])
+        assert np.array_equal(rows[1:, 0], rows[:-1, 1])
+        assert np.isfinite(edges).all() and (np.diff(edges / 2) > 0).all()
+        assert (rows[:, 2].sum(), rows[:, 3].sum()) == (20, 20)
+
     def test_missing_scores_dir(self, tmp_path):
         config = fast_config(**{"strategies": "loss"})
         with pytest.raises(mi.DataError):
@@ -275,6 +299,14 @@ class TestWorkers:
             report.rename(tmp_path / f"report_{setting}")
         assert_same_tree(tmp_path / "audit_None", tmp_path / "audit_zero")
         assert_same_tree(tmp_path / "report_None", tmp_path / "report_zero")
+
+
+class UnpicklableFailure(TrainingError):
+    """A fit failure that holds a lambda, which pickle cannot send."""
+
+    def __init__(self):
+        super().__init__("no fit")
+        self.hook = lambda: None
 
 
 def assert_no_child_left():
@@ -356,6 +388,35 @@ class TestAttackerFits:
             "error: [stage:attackers] the attacker fit process ended (exit status 3) "
             "without the fit of attacker_grad_x\n"
         )
+        assert_no_child_left()
+
+    # a fit process killed by a signal, and one whose failure cannot be
+    # pickled: it cannot send it, and leaves with status 1 without a
+    # traceback of its own (capfd sees both processes' stderr)
+    @pytest.mark.parametrize("ended", ["signal 9", "exit status 1"], ids=["killed", "unpicklable"])
+    def test_fit_process_that_sends_nothing_is_one_error_line(
+        self, tmp_path, monkeypatch, usable_cores, capfd, ended
+    ):
+        parent = os.getpid()
+
+        def fit(features, labels, seed, **kwargs):
+            assert os.getpid() != parent
+            if ended == "signal 9":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise UnpicklableFailure()
+
+        monkeypatch.setattr(am, "fit_logistic_attacker", fit)
+        forks = usable_cores(2)
+        cfg = tmp_path / "run.cfg"
+        settings = dict(FAST_OVERRIDES, strategies="loss,attacker_grad_x,attacker_wb")
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        capfd.readouterr()
+        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+        assert capfd.readouterr().err == (
+            f"error: [stage:attackers] the attacker fit process ended ({ended}) "
+            "without the fit of attacker_grad_x\n"
+        )
+        assert len(forks) == 1
         assert_no_child_left()
 
     def test_failing_fit_here_stops_the_fit_process(self, tmp_path, monkeypatch, usable_cores):
@@ -492,16 +553,22 @@ class TestRowChunks:
 def test_audit_leaves_numpy_ma_unimported(tmp_path):
     # np.unique imports numpy.ma on its first call, about 1 MB and 13-38 ms
     # in each process that fits an attacker; with one usable core every fit
-    # runs in the subprocess that reports its modules
+    # runs in the subprocess that reports its modules.  multiprocessing
+    # (12-15 ms) is loaded only to fork a fit process, so neither the CLI's
+    # import nor this audit loads it
     cfg = tmp_path / "run.cfg"
     settings = dict(FAST_OVERRIDES, strategies=",".join(ALL_STRATEGIES))
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
     script = (
         "import os, sys\n"
         "os.sched_getaffinity = lambda pid: {0}\n"
+        "def unwanted():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.split('.')[:2] == ['numpy', 'ma'] or m.split('.')[0] == 'multiprocessing')\n"
         "from miaudit.cli_runner.cli import main\n"
+        "print(unwanted())\n"
         f"assert main(['audit', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+        "print(unwanted())\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -511,7 +578,8 @@ def test_audit_leaves_numpy_ma_unimported(tmp_path):
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]")
     assert len(list((tmp_path / "o").glob("attacker_*.ckpt"))) == 5
 
 
@@ -843,6 +911,38 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.splitlines() == ["config error: protocol.ratios lists no ratio for the protocol.ratio_strategies sweep"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "ratios, message",
+        [
+            ("1000:1", "score pools too small for the configured ratios"),
+            ("1:1,1:1000", "ratio 1:1000 leaves no members"),
+        ],
+        ids=["no_nonmember_left", "no_member_left"],
+    )
+    def test_infeasible_ratio_sweep_exits_before_scoring(self, tmp_path, monkeypatch, capsys, ratios, message):
+        # 18 + 18 evaluation samples: no nonmember is left beside 18 members
+        # at 1000:1, and 18 nonmembers leave no member at 1:1000
+        cfg = tmp_path / "run.cfg"
+        settings = dict(FAST_OVERRIDES, strategies="loss,adv_dist")
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        scores = tmp_path / "scores"
+        assert main(["audit", "--config", str(cfg), "--out", str(scores)]) == 0
+        settings["protocol.ratios"] = ratios
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+
+        def no_scoring(*args):
+            raise AssertionError("scored an audit that cannot finish")
+
+        monkeypatch.setattr(pipeline, "score_samples", no_scoring)
+        capsys.readouterr()
+        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: [stage:ratio] {message}"]
+        assert not (tmp_path / "out" / "report.json").exists()
+        args = ["report", "--config", str(cfg), "--scores-dir", str(scores), "--out", str(tmp_path / "re")]
+        assert main(args) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"config error: [stage:ratio] {message}"
+        assert not (tmp_path / "re" / "report.json").exists()
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_separation_exit_code(self, tmp_path, capsys, bad):

@@ -20,6 +20,7 @@ from miaudit.errors import DataError, ShapeError
 from miaudit.nn_core import classification_accuracy
 from miaudit.scores import (
     SCORE_HEADER,
+    STRATEGIES,
     _parse_plain_score_csv,
     read_score_records,
     write_score_records,
@@ -154,6 +155,17 @@ class TestDispatch:
             "grad_x_norm",
             "adv_dist",
         )
+
+
+@pytest.mark.parametrize(
+    "value, want",
+    [(3.0, (3.0, 4.0)), (-2.5, (-2.5, -1.5)), (2.0**53 - 1, (2.0**53 - 1, 2.0**53)),
+     (1e17, (0.0, 1e17)), (-1e17, (-1e17, 0.0)), (1e308, (0.0, 1e308))],
+)
+def test_histogram_range_of_a_constant_pool(value, want):
+    # width 1 above the value while lo + 1.0 > lo, else the span to 0
+    got = STRATEGIES["loss"].hist_range(np.full(2, value), np.full(3, value), 0.1)
+    assert got == want
 
 
 class TestOrientation:
