@@ -22,7 +22,6 @@ from .nn_core import (
     DenseNet,
     MLPClassifier,
     TrainConfig,
-    _check_rows,
     cross_entropy_loss,
     loss_and_grads,
     mean_loss,
@@ -32,7 +31,6 @@ from .nn_core import (
     read_net_header,
     row_backward,
     row_gradient_factors,
-    row_product,
 )
 from .scores import ENSEMBLE_FEATURE_ORDER  # noqa: F401  re-exported: the ensemble attacker's input columns
 
@@ -134,7 +132,7 @@ def extract_intermediate_outputs(model: MLPClassifier, X, Y=None) -> np.ndarray:
     are not used."""
     if model.n_layers < 2:
         raise ConfigError("intermediate outputs need at least one hidden layer")
-    _, acts, probs = model.forward(_check_rows(model, X), row_product)
+    _, acts, probs = model.row_forward(X)
     return np.concatenate([probs, acts[-1]], axis=1)
 
 
@@ -240,7 +238,7 @@ class BinaryNet(DenseNet):
 
     def scores(self, X) -> np.ndarray:
         """The sigmoid output of each row, bitwise what the row alone gets."""
-        return self.forward(_check_rows(self, X), row_product)[2]
+        return self.row_forward(X)[2]
 
 
 @dataclass

@@ -147,18 +147,25 @@ def _holdout_shortfall(n_members: int, n_nonmembers: int, fraction: float):
     )
 
 
-def _ratio_base(config: ExperimentConfig, n_members: int, n_nonmembers: int) -> int:
-    """Nonmembers the ratio sweep keeps from pools of these sizes, as many
-    as its largest member:nonmember ratio allows.  Raises ConfigError when
-    that leaves none, or a ratio no members."""
-    ratios = config.ratios()
-    base = min(n_nonmembers, int(n_members / max(a / b for a, b in ratios)))
-    if base < 1:
-        raise ConfigError("score pools too small for the configured ratios")
-    for a, b in ratios:
-        if round(base * a / b) < 1:
-            raise ConfigError(f"ratio {a}:{b} leaves no members")
-    return base
+def _pool_plan(config: ExperimentConfig, n_members: int, n_nonmembers: int):
+    """(analysis1's member subset size, the ratio sweep's nonmember base or
+    None when no configured strategy is swept) for evaluation pools of these
+    sizes.  The base is as many nonmembers as the largest member:nonmember
+    ratio allows.  A draw or ratio left without members, or a sweep without
+    nonmembers, is a ConfigError tagged with its stage."""
+    with _stage("analysis1"):
+        size = config.member_subset_size(n_members, n_nonmembers)
+    if not set(config.ratio_strategies()) & set(config.strategies()):
+        return size, None
+    with _stage("ratio"):
+        ratios = config.ratios()
+        base = min(n_nonmembers, int(n_members / max(a / b for a, b in ratios)))
+        if base < 1:
+            raise ConfigError("score pools too small for the configured ratios")
+        for a, b in ratios:
+            if round(base * a / b) < 1:
+                raise ConfigError(f"ratio {a}:{b} leaves no members")
+    return size, base
 
 
 # Rows per call of every score and feature extractor.  Each row's result is
@@ -325,15 +332,13 @@ def run_pipeline(config: ExperimentConfig, out_dir=None):
         train_mask = _attacker_split(config, n_members, n_nonmembers, bool(attacker_names))
     eval_mask = ~train_mask
     eval_member = is_member[eval_mask]
-    # the pool sizes follow from the config, so an unusable split or ratio
-    # sweep is caught before any scoring
-    n_eval = int(eval_member.sum()), int((~eval_member).sum())
-    shortfall = _holdout_shortfall(*n_eval, config["protocol.holdout_fraction"])
-    if strategies and shortfall:
-        raise ConfigError(shortfall)
-    if set(config.ratio_strategies()) & set(strategies):
-        with _stage("ratio"):
-            _ratio_base(config, *n_eval)
+    # the pool sizes follow from the config, so they are checked before any scoring
+    if strategies:
+        n_eval = int(eval_member.sum()), int((~eval_member).sum())
+        shortfall = _holdout_shortfall(*n_eval, config["protocol.holdout_fraction"])
+        if shortfall:
+            raise ConfigError(shortfall)
+        _pool_plan(config, *n_eval)
 
     # per-sample work: the threshold scores every strategy needs, and one
     # feature vector per attacker
@@ -417,10 +422,9 @@ def build_report(
     grid = default_fpr_grid(config["protocol.fpr_grid_points"])
 
     if strategies:
-        n_m = len(member_pool[strategies[0]])
         n_n = len(nonmember_pool[strategies[0]])
+        size, base = _pool_plan(config, len(member_pool[strategies[0]]), n_n)
         with _stage("analysis1"):
-            size = config.member_subset_size(n_m, n_n)
             repeats = config["protocol.repeats"]
             results = repeated_subset_experiment(
                 member_pool, nonmember_pool, size, repeats, stage_seed(config.seed, "analysis1"),
@@ -457,13 +461,11 @@ def build_report(
                     "threshold_rule": "fixed_0.5" if fixed is not None else "swept",
                 }
 
-        ratio_names = [s for s in config.ratio_strategies() if s in strategies]
-        if ratio_names:
+        if base is not None:
             with _stage("ratio"):
-                base = _ratio_base(config, n_m, n_n)
                 rng = np.random.default_rng(stage_seed(config.seed, "ratio_base"))
                 keep = np.sort(rng.choice(n_n, size=base, replace=False))
-                for name in ratio_names:
+                for name in [s for s in config.ratio_strategies() if s in strategies]:
                     strategy_reports[name]["ratio_auroc"] = ratio_robustness_experiment(
                         member_pool[name],
                         nonmember_pool[name][keep],
@@ -524,25 +526,39 @@ def export_report(report: EvalReport, out_dir) -> Path:
 # ---------------------------------------------------------------------------
 
 
+def _carried_sections(scores_path: Path, pool_sizes=()):
+    """(dataset, target, splits) of the report.json beside the score files,
+    or empty ones without it.  Its splits must give `pool_sizes`, the pools'
+    (members, nonmembers), so a file cut at a row boundary is caught."""
+    old_report = scores_path / "report.json"
+    if not old_report.is_file():
+        return {}, {}, {}
+    old = read_json_object(old_report)
+    splits = old.get("splits", {})
+    if not isinstance(splits, dict):
+        raise DataError(f"{old_report}: splits is not a JSON object")
+    for key, n in zip(("eval_members", "eval_nonmembers"), pool_sizes):
+        if key in splits and splits[key] != n:
+            raise DataError(f"{scores_path}: {n} rows of {key}, {old_report} splits say {splits[key]}")
+    return old.get("dataset", {}), old.get("target", {}), splits
+
+
 def rerender_from_scores(config: ExperimentConfig, scores_dir, out_dir):
     """Rebuild the analyses and report from scores_<strategy>.csv files.
 
     Stage seeds come from the config, so a re-render of an unmodified audit
     directory reproduces the audit's numbers.  Every file must list the same
-    (sample_id, is_member) sequence, each id once, with enough members and
-    nonmembers for analysis2's holdout split (both sides of it keep some of
-    each), and name its own strategy in every row; otherwise the pools would
-    pair different samples, count one twice or leave nothing to compare.
-    Dataset/target/splits sections are carried over from an existing
-    report.json when present, and then the pools must have the sizes its
-    splits give, so a score file cut at a row boundary is caught.
+    (sample_id, is_member) sequence, each id once, and name its own strategy
+    in every row, or the pools would pair different samples or count one
+    twice.  The first file's pool sizes are checked before any other file
+    is read: by `_holdout_shortfall`, `_carried_sections` and `_pool_plan`.
     """
     scores_path = Path(scores_dir)
     strategies = config.strategies()
-    fraction = config["protocol.holdout_fraction"]
     member_pool = {}
     nonmember_pool = {}
     samples = None
+    sections = None if strategies else _carried_sections(scores_path)
     for name in strategies:
         csv_path = scores_path / f"scores_{name}.csv"
         if not csv_path.is_file():
@@ -554,35 +570,19 @@ def rerender_from_scores(config: ExperimentConfig, scores_dir, out_dir):
             repeated = ids[1:][ids[1:] == ids[:-1]]
             if repeated.size:
                 raise DataError(f"{csv_path}: sample_id {repeated[0]} appears more than once")
-            shortfall = _holdout_shortfall(int(members.sum()), int((~members).sum()), fraction)
+            n_eval = int(members.sum()), int((~members).sum())
+            shortfall = _holdout_shortfall(*n_eval, config["protocol.holdout_fraction"])
             if shortfall:
                 raise DataError(f"{csv_path}: {shortfall}")
+            sections = _carried_sections(scores_path, n_eval)
+            _pool_plan(config, *n_eval)
             samples = (ids, members)
         elif not (np.array_equal(ids, samples[0]) and np.array_equal(members, samples[1])):
             raise DataError(f"{csv_path}: samples differ from scores_{strategies[0]}.csv")
         member_pool[name] = scores[members]
         nonmember_pool[name] = scores[~members]
 
-    dataset_section, target_section, splits_section = {}, {}, {}
-    old_report = scores_path / "report.json"
-    if old_report.is_file():
-        old = read_json_object(old_report)
-        dataset_section = old.get("dataset", {})
-        target_section = old.get("target", {})
-        splits_section = old.get("splits", {})
-        if not isinstance(splits_section, dict):
-            raise DataError(f"{old_report}: splits is not a JSON object")
-        flags = () if samples is None else (("eval_members", samples[1]), ("eval_nonmembers", ~samples[1]))
-        for key, in_pool in flags:
-            n = int(in_pool.sum())
-            if key in splits_section and splits_section[key] != n:
-                raise DataError(
-                    f"{scores_path}: {n} rows of {key}, {old_report} splits say {splits_section[key]}"
-                )
-
-    report = build_report(
-        config, member_pool, nonmember_pool, dataset_section, target_section, splits_section
-    )
+    report = build_report(config, member_pool, nonmember_pool, *sections)
     with _stage("export"):
         export_report(report, out_dir)
     return report, Path(out_dir)

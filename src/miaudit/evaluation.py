@@ -102,7 +102,7 @@ def _best_boundary(ss, boundaries, rate) -> tuple[float, float]:
         return math.inf, float(best)
     if j == ss.shape[0]:
         return -math.inf, float(best)
-    return float(0.5 * (ss[j - 1] + ss[j])), float(best)
+    return float(0.5 * ss[j - 1] + 0.5 * ss[j]), float(best)
 
 
 def _best_accuracy(ss, boundaries, tp, fp) -> tuple[float, float]:

@@ -181,6 +181,10 @@ class DenseNet:
                 acts.append(a)
         return pres, acts, self.head_output(pres[-1])
 
+    def row_forward(self, X):
+        """`forward` of a block (n, d), each row bitwise what the row alone gives."""
+        return self.forward(_check_rows(self, X), row_product)
+
 
 class MLPClassifier(DenseNet):
     """Fully connected ReLU network with a softmax output layer."""
@@ -307,8 +311,7 @@ def _check_labels(model: MLPClassifier, Y, n: int) -> np.ndarray:
 def forward_predict(model: MLPClassifier, X) -> np.ndarray:
     """Class-probability vector of each row of a block (n, d); each sums to
     1 and is bitwise what the row alone gives."""
-    _, _, probs = model.forward(_check_rows(model, X), row_product)
-    return probs
+    return model.row_forward(X)[2]
 
 
 def row_backward(model: MLPClassifier, X, Y):
@@ -317,9 +320,8 @@ def row_backward(model: MLPClassifier, X, Y):
     block arrays (pre-activations, activations, probs, deltas, input
     grads).  deltas[i] is each row's gradient w.r.t. layer i's
     pre-activation; see `row_gradient_factors`."""
-    X = _check_rows(model, X)
-    Y = _check_labels(model, Y, X.shape[0])
-    pres, acts, probs = model.forward(X, row_product)
+    pres, acts, probs = model.row_forward(X)
+    Y = _check_labels(model, Y, probs.shape[0])
     deltas, g_in = _backward(model, pres, model.head_delta(probs, Y), True, row_product)
     return pres, acts, probs, deltas, g_in
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import miaudit as mi
 from miaudit.cli_runner.config import ExperimentConfig, stage_seed
-from miaudit.cli_runner.pipeline import build_report
+from miaudit.cli_runner.pipeline import _pool_plan, build_report
 from miaudit.errors import ConfigError, EvaluationError
 from miaudit.evaluation import (
     DEFAULT_FPR_GRID_POINTS,
@@ -240,6 +240,10 @@ class TestHoldoutEval:
             with pytest.raises(ConfigError):
                 mi.holdout_threshold_eval(*pools, holdout_fraction=bad)
 
+    def test_threshold_between_huge_scores(self):
+        # the two scores sum past float64's maximum
+        assert mi.holdout_threshold_eval(np.full(10, 1.7e308), np.full(10, 1.5e308), 0.5, 0) == (1.0, 0.0)
+
     def test_degenerate_split_rejected(self):
         with pytest.raises(EvaluationError):
             mi.holdout_threshold_eval([1.0], [0.0, 0.1], holdout_fraction=0.8)
@@ -331,6 +335,50 @@ class TestProtocolConfig:
         assert resolved(30, 10, member_subset_size=7) == 7
         # caps at the member pool when the ratio wants more
         assert resolved(12, 10, ratio="2:1") == 12
+
+
+class TestPoolPlan:
+    """`_pool_plan`, the one pool-size check of analysis1 and the ratio sweep,
+    against the experiments it plans on every pair of pool sizes 1..30."""
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {},
+            {"protocol.ratio": "1:3", "protocol.ratios": "1:1,1:10"},
+            {"protocol.ratio": "5:2", "protocol.ratios": "10:1,1:1"},
+            {"protocol.ratio": "1:20", "protocol.ratios": "3:7,7:3"},
+            {"protocol.member_subset_size": "7", "protocol.ratios": "20:1,1:1"},
+            {"protocol.member_subset_size": "40", "protocol.ratio_strategies": ""},
+        ],
+        ids=["defaults", "few_members", "many_members", "odd_ratios", "fixed_subset", "no_sweep"],
+    )
+    def test_plans_what_the_experiments_run(self, rng, settings):
+        cfg = ExperimentConfig({
+            "strategies": "loss,softmax", "protocol.ratio_strategies": "loss",
+            "protocol.repeats": "2", "protocol.ratio_repeats": "2", **settings,
+        })
+        outcomes = set()
+        for n_m in range(1, 31):
+            for n_n in range(1, 31):
+                member = {"loss": rng.normal(1, 1, n_m), "softmax": rng.normal(1, 1, n_m)}
+                nonmember = {"loss": rng.normal(0, 1, n_n), "softmax": rng.normal(0, 1, n_n)}
+                try:
+                    size, base = _pool_plan(cfg, n_m, n_n)
+                except ConfigError as exc:
+                    with pytest.raises(ConfigError) as raised:
+                        build_report(cfg, member, nonmember, {}, {}, {})
+                    assert str(raised.value) == str(exc)
+                    outcomes.add(str(exc).split("]")[0] + "]")
+                    continue
+                mi.repeated_subset_experiment(member, nonmember, size, 2)
+                assert (base is None) == (not cfg.ratio_strategies())
+                if base is not None:
+                    mi.ratio_robustness_experiment(member["loss"], nonmember["loss"][:base], cfg.ratios(), 2)
+                outcomes.add("planned")
+        # every setting plans some pools; those with a sweep also reject some
+        assert "planned" in outcomes
+        assert len(outcomes) > 1 or not cfg.ratio_strategies()
 
 
 class TestRepeatedSubset:

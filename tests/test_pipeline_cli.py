@@ -874,12 +874,20 @@ class TestCli:
         assert "protocol.holdout_fraction" in err
         assert not (tmp_path / "out" / "report.json").exists()
 
-    def test_derived_member_subset_empty_exit_code(self, tmp_path, capsys):
-        # 1:50 of 18 nonmembers rounds to 0 members per analysis1 draw
+    def test_derived_member_subset_empty_exit_code(self, tmp_path, monkeypatch, capsys):
+        # 1:50 of 18 nonmembers rounds to 0 members per analysis1 draw,
+        # which the pool sizes show before any sample is scored
         cfg = self.write_cfg(tmp_path, "strategies = loss\nprotocol.ratio = 1:50\n")
+
+        def no_scoring(*args):
+            raise AssertionError("scored an audit that cannot finish")
+
+        monkeypatch.setattr(pipeline, "score_samples", no_scoring)
         capsys.readouterr()
         assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert "[stage:analysis1] derived member subset is empty" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "config error: [stage:analysis1] derived member subset is empty"
+        assert not (tmp_path / "out").exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "absent.cfg"
@@ -939,9 +947,24 @@ class TestCli:
         assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.splitlines() == [f"config error: [stage:ratio] {message}"]
         assert not (tmp_path / "out" / "report.json").exists()
+        # the first score file gives the pool sizes: no other file is read
+        # and no analysis runs
+        reads = []
+
+        def counted_read(*args):
+            reads.append(args)
+            return read_score_records(*args)
+
+        def no_analysis(*args, **kwargs):
+            raise AssertionError("analysed pools that cannot finish")
+
+        monkeypatch.setattr(pipeline, "read_score_records", counted_read)
+        for name in ("repeated_subset_experiment", "holdout_threshold_eval"):
+            monkeypatch.setattr(pipeline, name, no_analysis)
         args = ["report", "--config", str(cfg), "--scores-dir", str(scores), "--out", str(tmp_path / "re")]
         assert main(args) == 2
         assert capsys.readouterr().err.splitlines()[-1] == f"config error: [stage:ratio] {message}"
+        assert len(reads) == 1
         assert not (tmp_path / "re" / "report.json").exists()
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
